@@ -5,18 +5,26 @@ k is the largest integer with 2^k <= C(n, w). A word c_1..c_n has rank
 
     i(c) = sum over positions k with c_k = 1 of C(n - k, w_k),
 
-w_k being the weight of the suffix starting at position k. Rank 0 is the
-word with all ones packed at the end; ranks grow toward ones packed at the
-front. Unranking walks Pascal's triangle with one binary search per one,
-so a word is produced in exactly w searches.
+w_k being the weight of the suffix starting at position k (Cover,
+"Enumerative source encoding", 1973). Rank 0 is the word with all ones
+packed at the end; ranks grow toward ones packed at the front. Unranking
+places one one per binary search, so a word is produced in exactly w
+searches of at most log2(n) probes each.
 
-All arithmetic is exact: indices and binomials are Python integers, and
-each matcher caches the Pascal-column values its searches touch.
+No binomial table is stored; a matcher holds O(n) numbers. A probe decides
+C(t, r) <= remainder by comparing ln t! - ln (t - r)! with ln remainder +
+ln r!, and only a probe whose two sides agree to within a tie margin
+compares exact integers. The exact binomials the searches and rank need are
+carried from one one to the next by ratios of falling factorials, so every
+index, word and comparison count is exactly that of a Pascal-table walk.
+For long, dense words rank combines the ratios of a run of ones first and
+divides its long running term once per run rather than once per one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -27,6 +35,7 @@ from .errors import OutOfCodebookError, ParameterError, RangeError, WeightError
 
 __all__ = [
     "DmCode",
+    "MAX_MATCHER_LENGTH",
     "dm_code",
     "binomial",
     "weight_for",
@@ -55,40 +64,59 @@ def weight_for(n: int, p: float) -> int:
     return int(math.floor(n * p + 0.5))
 
 
+# Longest matcher dm_code builds: the tie margin below is shown for lengths
+# up to here, and one unrank at p = 0.24 already takes about 0.6 s.
+MAX_MATCHER_LENGTH = 1 << 16
+
+# Half-width, in ln units, of the band in which a probe falls back to exact
+# integers. A probe sums three ln t! values (lgamma, within about 1e-10 each
+# at t = MAX_MATCHER_LENGTH) and one math.log, so its float error stays below
+# 1e-9, two orders of magnitude inside the band. Neighbouring C(t, r) and
+# C(t + 1, r) differ by at least ln(1 + 1/n) > 1.5e-5, so at most one probe
+# per search lands in the band.
+_TIE = 1e-7
+
+# rank batches a run of ones into one exact division of the long term when
+# terms are long (k >= _RUN_MIN_K bits) and ones are dense (mean gap at most
+# _RUN_MIN_GAP), closing a run once its denominator passes 2^_RUN_BITS.
+# Measured with CPython 3.11 on x86-64: 10-40% faster there, and up to 30%
+# slower on short terms or sparse words, whose single ratios already span
+# several machine words.
+_RUN_MIN_K = 2048
+_RUN_MIN_GAP = 5
+_RUN_BITS = 512
+
+
 @dataclass(frozen=True)
 class DmCode:
-    """Parameters of one fixed-weight matcher: length n, weight w, input size k.
+    """One fixed-weight matcher: length n, weight w, input size k.
 
-    `columns[r][t]` holds C(t, r) for r = 0..w, t = 0..n; the table is what
-    rank and the unranking binary searches read.
+    `num_words` is C(n, w) exactly; `log_factorials[t]` is ln t! for
+    t = 0..n, which the unranking probes compare in. Memory is O(n).
     """
 
     n: int
     w: int
     k: int
-    columns: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-
-    @property
-    def num_words(self) -> int:
-        return self.columns[self.w][self.n]
+    num_words: int = field(repr=False)
+    log_factorials: tuple[float, ...] = field(repr=False, compare=False)
 
 
 @lru_cache(maxsize=64)
 def dm_code(n: int, w: int) -> DmCode:
     """Build (and cache) the matcher for length n and weight w."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_MATCHER_LENGTH:
+        raise ParameterError(f"n must be in [1, {MAX_MATCHER_LENGTH}], got {n}")
     if not 0 <= w <= n:
         raise ParameterError(f"w must be in [0, {n}], got {w}")
-    columns: list[tuple[int, ...]] = [tuple([1] * (n + 1))]
-    for r in range(1, w + 1):
-        prev = columns[r - 1]
-        col = [0] * (n + 1)
-        for t in range(1, n + 1):
-            col[t] = col[t - 1] + prev[t - 1]
-        columns.append(tuple(col))
-    k = columns[w][n].bit_length() - 1
-    return DmCode(n=n, w=w, k=k, columns=tuple(columns))
+    num_words = math.comb(n, w)
+    return DmCode(
+        n=n,
+        w=w,
+        k=num_words.bit_length() - 1,
+        num_words=num_words,
+        log_factorials=tuple(math.lgamma(t + 1) for t in range(n + 1)),
+    )
 
 
 def _validated_bits(word: Sequence[int], code: DmCode) -> np.ndarray:
@@ -103,17 +131,56 @@ def _validated_bits(word: Sequence[int], code: DmCode) -> np.ndarray:
     return bits
 
 
+def _descend(term: int, factor: int, t: int, r: int, s: int) -> int:
+    """C(s, r) for s < t, given term * factor == C(t, r + 1) * (r + 1) > 0.
+
+    C(s, r) = C(t, r + 1) * (r + 1) * perm(t - r - 1, g - 1) / perm(t, g)
+    with g = t - s: one multiply and one exact division of a big integer.
+    """
+    return term * (factor * math.perm(t - r - 1, t - s - 1)) // math.perm(t, t - s)
+
+
 def rank(word: Sequence[int], code: DmCode) -> int:
     """Index of a weight-w word in [0, C(n, w))."""
     bits = _validated_bits(word, code)
-    total = 0
-    remaining = code.w
-    # walk left to right; w_k is the suffix weight including position k
-    for i in np.flatnonzero(bits):
-        t = code.n - int(i) - 1
-        total += code.columns[remaining][t] if t >= remaining else 0
-        remaining -= 1
-    return total
+    n, w = code.n, code.w
+    ones = np.flatnonzero(bits)
+    ones = ones[ones - np.arange(w) < n - w]  # ones packed at the end add 0
+    # The one at t = n - 1 - position with suffix weight r adds C(t, r),
+    # which is C(u, r + 1) * a / b for the previous one's u, with
+    # a = (r + 1) * perm(u - r - 1, g - 1), b = perm(u, g) and g = u - t.
+    # Before the first one, C(n, w + 1) * (w + 1) = C(n, w) * (n - w).
+    t = n - 1 - ones
+    u = np.append(n, t[:-1])
+    r = np.arange(w, w - ones.size, -1)
+    nums = map(operator.mul, np.append(n - w, r[:-1]).tolist(),
+               map(math.perm, (u - r - 1).tolist(), (u - t - 1).tolist()))
+    dens = map(math.perm, u.tolist(), (u - t).tolist())
+    total, term = 0, code.num_words
+    if code.k < _RUN_MIN_K or _RUN_MIN_GAP * w < n:
+        for a, b in zip(nums, dens):
+            term = term * a // b
+            total += term
+        return total
+    # Over a run of ones the terms are term * num_i / den_i with short
+    # num_i, den_i; Horner's rule keeps their sum as term * acc / den, so
+    # the long term is divided once per run instead of once per one.
+    num, den, acc = 1, 1, 0
+    for a, b in zip(nums, dens):
+        num *= a
+        acc = acc * b + num
+        den *= b
+        if den >> _RUN_BITS:
+            total, term = _close_run(total, term, num, den, acc)
+            num, den, acc = 1, 1, 0
+    return _close_run(total, term, num, den, acc)[0]
+
+
+def _close_run(total: int, term: int, num: int, den: int, acc: int) -> tuple[int, int]:
+    """(total + term * acc / den, term * num / den), both exact, from one
+    division of the long term by the short den."""
+    q, rem = divmod(term, den)
+    return total + q * acc + rem * acc // den, q * num + rem * num // den
 
 
 def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
@@ -126,21 +193,30 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
         raise ParameterError(f"index must be an integer, got {index!r}")
     if index < 0 or index >= code.num_words:
         raise RangeError(f"index {index} outside [0, {code.num_words})")
+    log_fact = code.log_factorials
     bits = np.zeros(code.n, dtype=np.uint8)
     rem = index
     upper = code.n  # exclusive bound on t, tightens after each placed one
+    # term * factor == C(upper, r + 1) * (r + 1), as _descend expects
+    term, factor = code.num_words, code.n - code.w
     comparisons = 0
     for r in range(code.w, 0, -1):
-        col = code.columns[r]
+        # C(mid, r) <= rem  <=>  ln mid! - ln (mid - r)! <= ln rem + ln r!
+        bound = (math.log(rem) if rem else -math.inf) + log_fact[r]
         lo, hi = r - 1, upper - 1  # C(r-1, r) = 0 <= rem keeps lo valid
         while lo < hi:
             mid = (lo + hi + 1) // 2
             comparisons += 1
-            if col[mid] <= rem:
+            gap = log_fact[mid] - log_fact[mid - r] - bound
+            if gap < -_TIE or (
+                gap <= _TIE and _descend(term, factor, upper, r, mid) <= rem
+            ):
                 lo = mid
             else:
                 hi = mid - 1
-        rem -= col[lo]
+        if lo >= r:
+            term, factor = _descend(term, factor, upper, r, lo), r
+            rem -= term
         bits[code.n - lo - 1] = 1
         upper = lo
     if rem != 0:
@@ -160,10 +236,8 @@ def dm_encode(info_bits: Sequence[int], code: DmCode) -> np.ndarray:
         raise ParameterError(f"info must have {code.k} bits, got shape {bits.shape}")
     if np.any((bits != 0) & (bits != 1)):
         raise ParameterError("info elements must be 0 or 1")
-    value = 0
-    for i in range(code.k - 1, -1, -1):
-        value = (value << 1) | int(bits[i])
-    return unrank(value, code)
+    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
+    return unrank(int.from_bytes(packed.tobytes(), "little"), code)
 
 
 def dm_decode(word: Sequence[int], code: DmCode) -> np.ndarray:
@@ -177,7 +251,8 @@ def dm_decode(word: Sequence[int], code: DmCode) -> np.ndarray:
         raise OutOfCodebookError(
             f"rank {value} >= 2^{code.k}; word is outside the encoder image"
         )
-    return np.array([(value >> i) & 1 for i in range(code.k)], dtype=np.uint8)
+    packed = np.frombuffer(value.to_bytes((code.k + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=code.k, bitorder="little")
 
 
 def binary_entropy(p: float) -> float:

@@ -131,12 +131,14 @@ def run(config: SimConfig) -> SimReport:
     overflow_max = 0
 
     for b in range(config.num_blocks):
-        block_cfg = dataclasses.replace(shaper_cfg, rng_seed=int(block_seeds[b]))
         if shaper_cfg.mode == "block-dm":
-            info = data_rng.integers(0, 2, size=block_cfg.info_length, dtype=np.uint8)
-            block = encode_block_dm(block_cfg, info)
+            info = data_rng.integers(0, 2, size=shaper_cfg.info_length, dtype=np.uint8)
+            block = encode_block_dm(shaper_cfg, info)
         else:
-            block = encode_block_ideal(block_cfg)
+            # only the ideal sources read rng_seed; a fresh config per block
+            block = encode_block_ideal(
+                dataclasses.replace(shaper_cfg, rng_seed=int(block_seeds[b]))
+            )
         x = np.asarray(block.symbols, dtype=float)
         ranks = ((np.asarray(block.symbols) + (M - 1)) >> 1).astype(np.int64)
 

@@ -3,12 +3,15 @@
 Everything here is deliberately written with different algorithms than the
 library: trapezoid integration instead of Gauss-Hermite quadrature, an
 iterative Pascal recurrence instead of math.comb, exact rationals for the
-overflow expectation, and brute-force enumeration for ranking order.
+overflow expectation, brute-force enumeration for ranking order, and a
+Pascal-table walk and a math.comb scan for unranking.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -71,3 +74,64 @@ def words_in_rank_order(n: int, w: int) -> list[tuple[int, ...]]:
 
     ordered = sorted(combinations(range(n), w), key=key)
     return [word(p) for p in ordered]
+
+
+@lru_cache(maxsize=8)
+def _pascal_column(n: int, w: int) -> tuple[int, ...]:
+    """C(t, w) for t = 0..n, by the additive recurrence column after column."""
+    col = [1] * (n + 1)
+    for _ in range(w):
+        prev, col = col, [0] * (n + 1)
+        for t in range(1, n + 1):
+            col[t] = col[t - 1] + prev[t - 1]
+    return tuple(col)
+
+
+def pascal_unrank_counted(index: int, n: int, w: int) -> tuple[np.ndarray, int]:
+    """Unranking by binary searches over a Pascal table, with their probe count.
+
+    The search is the one the matcher is specified by: for r = w..1, the
+    largest t in [r-1, upper-1] with C(t, r) <= remainder, probing
+    mid = (lo + hi + 1) // 2. Binomials are read from an exact Pascal
+    column; each next column comes from C(t, r-1) = C(t+1, r) - C(t, r),
+    so only one column is held at a time.
+    """
+    col = list(_pascal_column(n, w))
+    bits = np.zeros(n, dtype=np.uint8)
+    rem, upper, comparisons = index, n, 0
+    for r in range(w, 0, -1):
+        lo, hi = r - 1, upper - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            comparisons += 1
+            if col[mid] <= rem:
+                lo = mid
+            else:
+                hi = mid - 1
+        rem -= col[lo]
+        bits[n - lo - 1] = 1
+        upper = lo
+        col = [col[t + 1] - col[t] for t in range(upper)]
+    if rem:
+        raise ValueError(f"index {index} is not below C({n}, {w})")
+    return bits, comparisons
+
+
+def comb_greedy_unrank(index: int, n: int, w: int) -> np.ndarray:
+    """Unranking by a linear scan: for r = w..1, step t down from the last
+    one's position until C(t, r) <= remainder, starting from math.comb.
+    """
+    bits = np.zeros(n, dtype=np.uint8)
+    rem, upper = index, n
+    for r in range(w, 0, -1):
+        t = upper - 1
+        c = math.comb(t, r)
+        while c > rem:
+            c = c * (t - r) // t  # C(t - 1, r)
+            t -= 1
+        rem -= c
+        bits[n - 1 - t] = 1
+        upper = t
+    if rem:
+        raise ValueError(f"index {index} is not below C({n}, {w})")
+    return bits

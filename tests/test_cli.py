@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from signshape.cli import main
+from signshape.enumdm import MAX_MATCHER_LENGTH
 
 
 def read_json(path):
@@ -61,6 +62,15 @@ class TestExitCodes:
         code = main(["--out-dir", str(tmp_path), "dm", "roundtrip",
                      "--n", "8", "--w", "3", "--exhaustive"])
         assert code == 0
+
+    def test_matcher_length_limit_is_2(self, tmp_path):
+        too_long = MAX_MATCHER_LENGTH + 1
+        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
+                     "--n", str(too_long), "--w", "3"]) == 2
+        # P = 2 gives each matcher n/2 symbols
+        assert main(["--out-dir", str(tmp_path), "shape", "encode",
+                     "--m", "5", "--P", "2", "--probs", "0.04", "0.24",
+                     "--n", str(2 * too_long)]) == 2
 
 
 class TestDmCommands:

@@ -1,5 +1,12 @@
 """Enumerative fixed-weight matcher tests."""
 
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +30,15 @@ from signshape import (
     weight_for,
 )
 
-from helpers import pascal_binomial, words_in_rank_order
+from signshape import enumdm
+from signshape.enumdm import MAX_MATCHER_LENGTH
+
+from helpers import (
+    comb_greedy_unrank,
+    pascal_binomial,
+    pascal_unrank_counted,
+    words_in_rank_order,
+)
 
 
 class TestBinomial:
@@ -79,6 +94,18 @@ class TestDmCode:
             dm_code(0, 0)
         with pytest.raises(ParameterError):
             dm_code(8, 9)
+
+    def test_length_limit(self):
+        assert dm_code(MAX_MATCHER_LENGTH, 1).num_words == MAX_MATCHER_LENGTH
+        with pytest.raises(ParameterError):
+            dm_code(MAX_MATCHER_LENGTH + 1, 1)
+
+    def test_log_factorial_error_within_tie_margin(self):
+        # a probe adds up three ln t! values and one ln remainder; keep a
+        # tenfold margin over that sum
+        for t in (0, 1, 2, 100, 4095, 30000, MAX_MATCHER_LENGTH):
+            error = abs(math.lgamma(t + 1) - math.log(math.factorial(t)))
+            assert 4 * error < enumdm._TIE / 10
 
 
 class TestRankUnrank:
@@ -144,12 +171,76 @@ class TestRankUnrank:
         # binary search cost is bounded by w * ceil(log2(n))
         assert comparisons <= 8 * 7
 
+    def test_random_roundtrip_long_dense(self):
+        # k >= 2048 and w >= n/5: rank batches runs of ones
+        code = dm_code(3000, 1500)
+        rng = random.Random(7)
+        for index in [0, code.num_words - 1] + [rng.randrange(code.num_words) for _ in range(20)]:
+            assert rank(unrank(index, code), code) == index
+
     @settings(max_examples=50)
     @given(st.data())
     def test_random_roundtrip_large(self, data):
         code = dm_code(256, 31)
         index = data.draw(st.integers(0, int(code.num_words) - 1))
         assert rank(unrank(index, code), code) == index
+
+
+def assert_matches_references(index, code):
+    word, comparisons = unrank_counted(index, code)
+    ref_word, ref_comparisons = pascal_unrank_counted(index, code.n, code.w)
+    np.testing.assert_array_equal(word, ref_word)
+    assert comparisons == ref_comparisons
+    np.testing.assert_array_equal(word, comb_greedy_unrank(index, code.n, code.w))
+    assert rank(word, code) == index
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("n,w", [(1024, 41), (2048, 492), (256, 31)])
+    def test_random_and_extreme_indices(self, n, w):
+        code = dm_code(n, w)
+        rng = random.Random(n * w)
+        indices = [0, (1 << code.k) - 1, code.num_words - 1]
+        indices += [rng.randrange(code.num_words) for _ in range(8)]
+        for index in indices:
+            assert_matches_references(index, code)
+
+    def test_exact_ties(self):
+        # index C(t, w) makes the probe at t an exact tie, and C(t, w) - 1
+        # leaves every later search one below a binomial
+        code = dm_code(4096, 983)
+        indices = [0, (1 << code.k) - 1, code.num_words - 1]
+        for t in (984, 2500, 4095):
+            indices += [math.comb(t, 983), math.comb(t, 983) - 1]
+        for index in indices:
+            assert_matches_references(index, code)
+
+
+class TestMemory:
+    def test_n16384_block_roundtrip_stays_small(self):
+        # two length-8192 matchers; a Pascal table per matcher needed > 5 GB,
+        # so the child's heap is capped to fail fast rather than exhaust memory
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_DATA, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from signshape import ShapingProfile, ShaperConfig, encode_block_dm, decode_block\n"
+            "cfg = ShaperConfig(profile=ShapingProfile(m=5, probs=(0.04, 0.24)), n=16384)\n"
+            "info = np.random.default_rng(0).integers(0, 2, cfg.info_length, dtype=np.uint8)\n"
+            "block = encode_block_dm(cfg, info)\n"
+            "assert np.array_equal(decode_block(block, cfg), info)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(enumdm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True,
+            text=True, timeout=300, check=True,
+        )
+        peak_mb = int(result.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+        assert peak_mb < 250
 
 
 class TestEncodeDecode:

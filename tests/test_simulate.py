@@ -15,6 +15,7 @@ from signshape import (
     run,
     sigma_for_snr,
 )
+from signshape import shaper
 
 
 def sim(m=3, probs=(0.04, 0.24), n=256, blocks=8, sigma=1.0, mode="block-dm", seed=0):
@@ -62,6 +63,15 @@ class TestRun:
         np.testing.assert_array_equal(
             a.empirical_distribution, b.empirical_distribution
         )
+
+    def test_block_dm_looks_matchers_up_once(self, monkeypatch):
+        config = sim(blocks=4)
+        config.shaper.dm_codes
+        calls = []
+        real = shaper.dm_code
+        monkeypatch.setattr(shaper, "dm_code", lambda *a: calls.append(a) or real(*a))
+        run(config)
+        assert calls == []
 
     def test_seed_matters(self):
         a = run(sim(seed=1))

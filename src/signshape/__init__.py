@@ -13,21 +13,14 @@ from .constellation import (
     ShapingProfile,
     SymbolDistribution,
     build_ask,
-    decimal_value,
     induced_distribution,
     induced_pmf,
-    profile_from_dict,
-    profile_from_json,
     profile_to_dict,
-    profile_to_json,
-    select_source,
     selection_tables,
-    sign_bit_conditionals,
 )
 from .enumdm import (
     DmCode,
     binary_entropy,
-    binomial,
     dm_code,
     dm_complexity_bound,
     dm_decode,
@@ -49,7 +42,6 @@ from .errors import (
     WeightError,
 )
 from .midist import (
-    ChannelSpec,
     MiCurve,
     OptimizationResult,
     awgn_mi,
@@ -57,7 +49,6 @@ from .midist import (
     mi_curve_for_profile,
     mi_curve_optimized,
     mi_gap_db,
-    mutual_information,
     optimize_profile,
     rate_loss_to_db,
     sigma_for_snr,
@@ -68,9 +59,7 @@ from .shaper import (
     ShaperConfig,
     SwitchAnalysis,
     analyze_switch,
-    block_from_dict,
     block_from_json,
-    block_to_dict,
     block_to_json,
     decode_block,
     effective_probabilities,
@@ -86,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetReport",
-    "ChannelSpec",
     "Constellation",
     "DmCode",
     "IntegrityError",
@@ -108,13 +96,9 @@ __all__ = [
     "analyze_switch",
     "awgn_mi",
     "binary_entropy",
-    "binomial",
-    "block_from_dict",
     "block_from_json",
-    "block_to_dict",
     "block_to_json",
     "build_ask",
-    "decimal_value",
     "decode_block",
     "demap",
     "dm_code",
@@ -133,20 +117,14 @@ __all__ = [
     "mi_curve_for_profile",
     "mi_curve_optimized",
     "mi_gap_db",
-    "mutual_information",
     "optimize_profile",
-    "profile_from_dict",
-    "profile_from_json",
     "profile_to_dict",
-    "profile_to_json",
     "rank",
     "rate_loss",
     "rate_loss_to_db",
     "run",
-    "select_source",
     "selection_tables",
     "sigma_for_snr",
-    "sign_bit_conditionals",
     "snr_db_for",
     "switch_energy_loss",
     "switch_excess_expectation",

@@ -37,16 +37,6 @@ class BudgetReport:
     switch_db: float
     total_db: float
 
-    def to_dict(self) -> dict:
-        return {
-            "snr_db": self.snr_db,
-            "operating_rate_bpcu": self.operating_rate_bpcu,
-            "quantization_db": self.quantization_db,
-            "matcher_db": self.matcher_db,
-            "switch_db": self.switch_db,
-            "total_db": self.total_db,
-        }
-
 
 def loss_budget(
     m: int,

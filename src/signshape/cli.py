@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -35,6 +36,7 @@ from .constellation import (
 )
 from .enumdm import (
     dm_code,
+    dm_complexity_bound,
     dm_pair_complexity_bound,
     rank,
     rate_loss,
@@ -55,6 +57,7 @@ from .midist import (
     optimize_profile,
     rate_loss_to_db,
     sigma_for_snr,
+    snr_db_for,
 )
 from .shaper import (
     ShaperConfig,
@@ -176,32 +179,18 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     _require(args, "m", "P")
     choice = _pick_one(args, "snr", "sigma")
     runner = _Run(args, "optimize")
+    key = "snr_db" if choice == "snr" else "noise_std"
     results = []
     warm = None
-    if choice == "snr":
-        points = [("snr_db", float(s)) for s in args.snr]
-    else:
-        points = [("noise_std", float(s)) for s in args.sigma]
-    for kind, value in points:
-        kwargs = {"snr_db": value} if kind == "snr_db" else {}
-        if kind == "noise_std":
-            result = optimize_profile(
-                args.m,
-                args.P,
-                value,
-                warm_start=warm,
-                coarse_step=args.coarse_step,
-                refine_steps=tuple(args.refine_steps),
-            )
-        else:
-            result = optimize_profile(
-                args.m,
-                args.P,
-                warm_start=warm,
-                coarse_step=args.coarse_step,
-                refine_steps=tuple(args.refine_steps),
-                **kwargs,
-            )
+    for value in getattr(args, choice):
+        result = optimize_profile(
+            args.m,
+            args.P,
+            warm_start=warm,
+            coarse_step=args.coarse_step,
+            refine_steps=tuple(args.refine_steps),
+            **{key: float(value)},
+        )
         warm = result.profile.probs
         results.append(result)
         probs = ", ".join(f"{p:.4f}" for p in result.profile.probs)
@@ -217,15 +206,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     runner.emit_json(
         "optimize-results.json",
         [
-            {
-                "profile": profile_to_dict(r.profile),
-                "mi_bpcu": r.mi_bpcu,
-                "snr_db": r.snr_db,
-                "noise_std": r.noise_std,
-                "evaluations": r.evaluations,
-                "final_step": r.final_step,
-                "mode": r.mode,
-            }
+            {**dataclasses.asdict(r), "profile": profile_to_dict(r.profile)}
             for r in results
         ],
     )
@@ -317,7 +298,7 @@ def _cmd_dm_bench(args: argparse.Namespace) -> int:
         total_comparisons += comparisons
         max_comparisons = max(max_comparisons, comparisons)
     realized_p = code.w / code.n
-    bound_per_bit = realized_p * math.log2(code.n) if code.w else 0.0
+    bound_per_bit = dm_complexity_bound(code.n, realized_p)
     mean_per_bit = total_comparisons / (args.samples * code.n)
     payload = {
         "n": code.n,
@@ -436,8 +417,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sigmas = [(float(s), sigma_for_snr(energy, float(s))) for s in args.snr]
     else:
         sigmas = [
-            (10.0 * math.log10(energy / (s * s)) if s > 0 else None, float(s))
-            for s in args.sigma
+            (snr_db_for(energy, s) if s > 0 else None, float(s)) for s in args.sigma
         ]
     reports = []
     for snr_db, sigma in sigmas:
@@ -459,7 +439,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     runner.emit_json(
         "simulate-report.json",
         [
-            {"snr_db": snr_db, "noise_std": sigma, **report.to_dict()}
+            {"snr_db": snr_db, "noise_std": sigma, **dataclasses.asdict(report)}
             for snr_db, sigma, report in reports
         ],
     )
@@ -482,7 +462,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     report = loss_budget(
         args.m, args.p1, args.p2, args.n, args.snr, asymptotic=args.asymptotic
     )
-    runner.emit_json("budget.json", report.to_dict())
+    runner.emit_json("budget.json", dataclasses.asdict(report))
     print(
         f"rate {report.operating_rate_bpcu:.4f} bpcu at {report.snr_db:.2f} dB: "
         f"quantization {report.quantization_db:.4f} dB + "

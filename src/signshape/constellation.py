@@ -4,7 +4,10 @@ An M-ASK constellation (M = 2^m) uses the odd integers -(M-1), ..., -1, +1,
 ..., +(M-1) in ascending order. Labels are written least significant bit
 first; the decimal value of a full m-bit label equals the rank of its symbol
 in that ascending order, and the last bit b_m acts as the sign bit (b_m = 0
-selects the negative half).
+selects the negative half). The first m-1 bits form the prefix, of decimal
+value d, so the symbol of rank d + b_m 2^(m-1) is 2 rank - (M-1). The
+shaper module holds the one codec between symbols and (d, b_m):
+`shaper._assemble` and its checked inverse `shaper._split_symbols`.
 
 A shaping profile holds the P distinct sign-bit probabilities p_1..p_P.
 Convention adopted here (the source material leaves it open): p_i is the
@@ -17,7 +20,6 @@ fixed-weight matchers of low weight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -31,16 +33,10 @@ __all__ = [
     "ShapingProfile",
     "SymbolDistribution",
     "build_ask",
-    "decimal_value",
-    "sign_bit_conditionals",
     "induced_pmf",
     "induced_distribution",
-    "select_source",
     "selection_tables",
     "profile_to_dict",
-    "profile_from_dict",
-    "profile_to_json",
-    "profile_from_json",
 ]
 
 _MAX_BIT_LEVELS = 16
@@ -61,26 +57,12 @@ class Constellation:
         """Symbols as a float array (new copy each call)."""
         return np.asarray(self.symbols, dtype=float)
 
-    def label_for_rank(self, rank: int) -> tuple[int, ...]:
-        """m-bit label of the symbol at `rank`, least significant bit first."""
-        if not 0 <= rank < self.size:
-            raise ParameterError(f"rank {rank} outside [0, {self.size})")
-        return tuple((rank >> i) & 1 for i in range(self.m))
 
-    def rank_for_label(self, bits: Sequence[int]) -> int:
-        if len(bits) != self.m:
-            raise ParameterError(f"label must have {self.m} bits, got {len(bits)}")
-        return decimal_value(bits)
-
-    def symbol_for_label(self, bits: Sequence[int]) -> int:
-        return self.symbols[self.rank_for_label(bits)]
-
-    def label_for_symbol(self, symbol: int) -> tuple[int, ...]:
-        try:
-            rank = self.symbols.index(symbol)
-        except ValueError:
-            raise ParameterError(f"{symbol} is not a constellation symbol") from None
-        return self.label_for_rank(rank)
+def _check_bit_levels(m: int) -> None:
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ParameterError(f"m must be an integer, got {m!r}")
+    if not 2 <= m <= _MAX_BIT_LEVELS:
+        raise ParameterError(f"m must be in [2, {_MAX_BIT_LEVELS}], got {m}")
 
 
 def build_ask(m: int) -> Constellation:
@@ -89,26 +71,10 @@ def build_ask(m: int) -> Constellation:
     m must lie in [2, 16]; the symbol list is the ascending odd integers
     from -(2^m - 1) to 2^m - 1.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ParameterError(f"m must be an integer, got {m!r}")
-    if not 2 <= m <= _MAX_BIT_LEVELS:
-        raise ParameterError(f"m must be in [2, {_MAX_BIT_LEVELS}], got {m}")
+    _check_bit_levels(m)
     M = 1 << m
     symbols = tuple(range(-(M - 1), M, 2))
     return Constellation(m=m, symbols=symbols)
-
-
-def decimal_value(bits: Sequence[int]) -> int:
-    """Value of a bit sequence read least significant bit first.
-
-    Bit i (0-based) contributes b_i * 2^i. Elements must be 0 or 1.
-    """
-    total = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ParameterError(f"bits must be 0 or 1, got {b!r} at position {i}")
-        total += int(b) << i
-    return total
 
 
 @dataclass(frozen=True)
@@ -123,10 +89,7 @@ class ShapingProfile:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise ParameterError(f"m must be an integer, got {self.m!r}")
-        if not 2 <= self.m <= _MAX_BIT_LEVELS:
-            raise ParameterError(f"m must be in [2, {_MAX_BIT_LEVELS}], got {self.m}")
+        _check_bit_levels(self.m)
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         quarter = (1 << self.m) // 4
         P = len(self.probs)
@@ -141,11 +104,6 @@ class ShapingProfile:
     @property
     def num_distinct(self) -> int:
         return len(self.probs)
-
-    @property
-    def group_size(self) -> int:
-        """Number of adjacent prefix slots sharing one probability."""
-        return ((1 << self.m) // 4) // len(self.probs)
 
 
 @dataclass(frozen=True)
@@ -174,29 +132,16 @@ class SymbolDistribution:
         return cls(probabilities=tuple(p.tolist()), average_energy=float(p @ (x * x)))
 
 
-def _conditionals(m: int, probs: Sequence[float]) -> np.ndarray:
-    group = ((1 << m) // 4) // len(probs)
-    outer = np.repeat(np.asarray(probs, dtype=float), group)
-    return np.concatenate([outer, 1.0 - outer[::-1]])
-
-
-def sign_bit_conditionals(profile: ShapingProfile) -> np.ndarray:
-    """P(sign bit = 0 | prefix = d) for d = 0..M/2-1.
-
-    The first M/4 entries repeat each p_i over its group; the second half
-    is the reversed complement, which realizes the mirror symmetry of the
-    induced distribution exactly in floating point.
-    """
-    return _conditionals(profile.m, profile.probs)
-
-
 def induced_pmf(m: int, probs: Sequence[float]) -> np.ndarray:
     """Raw induced pmf over the 2^m symbols, unvalidated fast path.
 
     Optimizer inner loops call this with plain tuples; everything else
     should go through induced_distribution.
     """
-    neg = _conditionals(m, probs) * 0.5 ** (m - 1)
+    # P(sign bit = 0 | d) for d = 0..M/2-1: each p_i repeated over its
+    # group, then the reversed complement, which makes the mirror exact
+    outer = np.repeat(np.asarray(probs, dtype=float), ((1 << m) // 4) // len(probs))
+    neg = np.concatenate([outer, 1.0 - outer[::-1]]) * 0.5 ** (m - 1)
     return np.concatenate([neg, neg[::-1]])
 
 
@@ -208,11 +153,7 @@ def induced_distribution(profile: ShapingProfile) -> SymbolDistribution:
     holds bit for bit.
     """
     pmf = induced_pmf(profile.m, profile.probs)
-    M = 1 << profile.m
-    x = np.arange(-(M - 1), M, 2, dtype=float)
-    return SymbolDistribution(
-        probabilities=tuple(pmf.tolist()), average_energy=float(pmf @ (x * x))
-    )
+    return SymbolDistribution.from_pmf(pmf, build_ask(profile.m).symbols)
 
 
 @lru_cache(maxsize=None)
@@ -234,45 +175,5 @@ def selection_tables(m: int, num_distinct: int) -> tuple[np.ndarray, np.ndarray]
     return src, flip
 
 
-def select_source(
-    prefix_bits: Sequence[int], profile: ShapingProfile
-) -> tuple[int, bool]:
-    """Switch rule: which bit source serves this prefix, and whether to flip.
-
-    Returns a 1-based source index in 1..P. The prefix must have m-1 bits.
-    """
-    if len(prefix_bits) != profile.m - 1:
-        raise ParameterError(
-            f"prefix must have {profile.m - 1} bits, got {len(prefix_bits)}"
-        )
-    d = decimal_value(prefix_bits)
-    src, flip = selection_tables(profile.m, profile.num_distinct)
-    return int(src[d]) + 1, bool(flip[d])
-
-
 def profile_to_dict(profile: ShapingProfile) -> dict:
     return {"m": profile.m, "P": profile.num_distinct, "probs": list(profile.probs)}
-
-
-def profile_from_dict(doc: dict) -> ShapingProfile:
-    try:
-        m = doc["m"]
-        P = doc["P"]
-        probs = doc["probs"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"profile document missing field: {exc}") from None
-    if len(probs) != P:
-        raise ParameterError(f"P = {P} but {len(probs)} probabilities given")
-    return ShapingProfile(m=int(m), probs=tuple(float(p) for p in probs))
-
-
-def profile_to_json(profile: ShapingProfile) -> str:
-    return json.dumps(profile_to_dict(profile))
-
-
-def profile_from_json(text: str) -> ShapingProfile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"invalid profile JSON: {exc}") from None
-    return profile_from_dict(doc)

@@ -37,7 +37,6 @@ __all__ = [
     "DmCode",
     "MAX_MATCHER_LENGTH",
     "dm_code",
-    "binomial",
     "weight_for",
     "rank",
     "unrank",
@@ -48,15 +47,6 @@ __all__ = [
     "dm_complexity_bound",
     "dm_pair_complexity_bound",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); zero when k < 0 or k > n."""
-    if n < 0:
-        raise ParameterError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def weight_for(n: int, p: float) -> int:

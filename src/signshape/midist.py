@@ -20,7 +20,7 @@ each candidate's energy and recovers the shaped optima the curves show.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -32,16 +32,15 @@ from .constellation import (
     Constellation,
     ShapingProfile,
     SymbolDistribution,
+    build_ask,
     induced_pmf,
 )
 from .errors import NumericalError, ParameterError
 
 __all__ = [
-    "ChannelSpec",
     "MiCurve",
     "OptimizationResult",
     "awgn_mi",
-    "mutual_information",
     "maxwell_boltzmann",
     "sigma_for_snr",
     "snr_db_for",
@@ -79,24 +78,6 @@ def snr_db_for(energy: float, noise_std: float) -> float:
     return 10.0 * math.log10(energy / (noise_std * noise_std))
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """AWGN channel Y = X + Z with Z ~ N(0, noise_std^2)."""
-
-    noise_std: float
-
-    def __post_init__(self) -> None:
-        if not self.noise_std > 0:
-            raise ParameterError(f"noise_std must be > 0, got {self.noise_std}")
-
-    def snr_db(self, dist: SymbolDistribution) -> float:
-        return snr_db_for(dist.average_energy, self.noise_std)
-
-    @classmethod
-    def for_snr(cls, dist: SymbolDistribution, snr_db: float) -> "ChannelSpec":
-        return cls(noise_std=sigma_for_snr(dist.average_energy, snr_db))
-
-
 def awgn_mi(
     x: Sequence[float], pmf: Sequence[float], noise_std: float, order: int = _DEFAULT_ORDER
 ) -> float:
@@ -132,21 +113,6 @@ def awgn_mi(
     return mi
 
 
-def mutual_information(
-    dist: SymbolDistribution,
-    constellation: Constellation,
-    noise_std: float,
-    order: int = _DEFAULT_ORDER,
-) -> float:
-    """I(X;Y) of a constellation under `dist`, deterministic per order."""
-    if len(dist.probabilities) != constellation.size:
-        raise ParameterError(
-            f"distribution has {len(dist.probabilities)} entries, "
-            f"constellation has {constellation.size}"
-        )
-    return awgn_mi(constellation.points(), dist.pmf(), noise_std, order=order)
-
-
 def maxwell_boltzmann(constellation: Constellation, lam: float) -> SymbolDistribution:
     """Distribution proportional to exp(-lam * x^2) over the constellation."""
     if lam < 0:
@@ -162,7 +128,6 @@ class MiCurve:
 
     snr_db: tuple[float, ...]
     mi_bpcu: tuple[float, ...]
-    label: str = ""
     profiles: tuple[ShapingProfile, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -195,10 +160,6 @@ class MiCurve:
                 f"rate {rate_bpcu} outside curve MI range [{mi[0]:.6f}, {mi[-1]:.6f}]"
             )
         return float(PchipInterpolator(mi, snr)(rate_bpcu))
-
-    def rows(self) -> list[tuple[float, float]]:
-        """(snr_db, mi_bpcu) pairs, ready for CSV writing."""
-        return list(zip(self.snr_db, self.mi_bpcu))
 
 
 @dataclass(frozen=True)
@@ -340,8 +301,7 @@ def optimize_profile(
     if (noise_std is None) == (snr_db is None):
         raise ParameterError("pass exactly one of noise_std or snr_db")
     ShapingProfile(m=m, probs=(0.5,) * num_distinct)  # validates m and P upfront
-    M = 1 << m
-    x = np.arange(-(M - 1), M, 2, dtype=float)
+    x = build_ask(m).points()
     energies = x * x
 
     if noise_std is not None:
@@ -391,25 +351,21 @@ def optimize_profile(
 def mi_curve_for_profile(
     profile: ShapingProfile,
     snr_db_grid: Iterable[float],
-    label: str = "",
     order: int = _DEFAULT_ORDER,
 ) -> MiCurve:
     """MI-versus-SNR curve for one fixed profile."""
-    M = 1 << profile.m
-    x = np.arange(-(M - 1), M, 2, dtype=float)
+    x = build_ask(profile.m).points()
     pmf = induced_pmf(profile.m, profile.probs)
     energy = float(pmf @ (x * x))
     grid = [float(s) for s in snr_db_grid]
     values = [awgn_mi(x, pmf, sigma_for_snr(energy, s), order=order) for s in grid]
-    name = label or f"{M}-ASK fixed {profile.probs}"
-    return MiCurve(snr_db=tuple(grid), mi_bpcu=tuple(values), label=name)
+    return MiCurve(snr_db=tuple(grid), mi_bpcu=tuple(values))
 
 
 def mi_curve_optimized(
     m: int,
     num_distinct: int,
     snr_db_grid: Iterable[float],
-    label: str = "",
     order: int = _DEFAULT_ORDER,
 ) -> MiCurve:
     """Curve of per-SNR optimized profiles, warm starting along the grid."""
@@ -424,11 +380,9 @@ def mi_curve_optimized(
         warm = result.profile.probs
         values.append(result.mi_bpcu)
         profiles.append(result.profile)
-    name = label or f"{1 << m}-ASK optimized P={num_distinct}"
     return MiCurve(
         snr_db=tuple(grid),
         mi_bpcu=tuple(values),
-        label=name,
         profiles=tuple(profiles),
     )
 

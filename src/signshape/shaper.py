@@ -15,7 +15,8 @@ sign bit. Two operating modes:
 The decoder replays the same consumption state machine from the decoded
 prefix bits, so it needs no side channel. The replay construction (and its
 fallback bookkeeping) is this implementation's choice; only the encoder
-side rule is externally given.
+side rule is externally given. Symbols are read back only through
+`_split_symbols`, the checked inverse of `_assemble`.
 
 Overflow perturbs the served bit statistics. For P = 2 the expected excess
 demand is eps(n) = (n/4) C(n, n/2) 2^-n, the effective densities are
@@ -40,6 +41,7 @@ from .constellation import (
     ShapingProfile,
     build_ask,
     induced_pmf,
+    profile_to_dict,
     selection_tables,
 )
 from .enumdm import DmCode, dm_code, dm_decode, dm_encode, weight_for
@@ -96,42 +98,61 @@ class ShaperConfig:
         )
 
     @property
-    def shaping_info_length(self) -> int:
-        return sum(code.k for code in self.dm_codes)
-
-    @property
-    def prefix_info_length(self) -> int:
-        return (self.profile.m - 1) * self.n
-
-    @property
     def info_length(self) -> int:
         """Bits consumed by encode_block_dm: matcher inputs then prefixes."""
-        return self.shaping_info_length + self.prefix_info_length
+        return sum(code.k for code in self.dm_codes) + (self.profile.m - 1) * self.n
 
 
 @dataclass(eq=False)
 class ShapedBlock:
-    """One encoded block; arrays are frozen after construction."""
+    """One encoded block; the symbol array is frozen after construction."""
 
     symbols: np.ndarray
-    prefix_bits: np.ndarray
-    shaping_info_bits: np.ndarray | None
     overflow_count: int
     mode: str
 
     def __post_init__(self) -> None:
         self.symbols = np.asarray(self.symbols, dtype=np.int64)
-        self.prefix_bits = np.asarray(self.prefix_bits, dtype=np.uint8)
         self.symbols.setflags(write=False)
-        self.prefix_bits.setflags(write=False)
-        if self.shaping_info_bits is not None:
-            self.shaping_info_bits = np.asarray(self.shaping_info_bits, dtype=np.uint8)
-            self.shaping_info_bits.setflags(write=False)
 
 
 def _prefix_decimals(prefix: np.ndarray, m: int) -> np.ndarray:
+    """Decimal value d of each row of least-significant-bit-first prefix bits."""
     weights = (1 << np.arange(m - 1)).astype(np.int64)
     return prefix.astype(np.int64) @ weights
+
+
+def _prefix_bits(d: np.ndarray, m: int) -> np.ndarray:
+    """The m-1 prefix bits of each d, least significant first, one row each."""
+    return ((d[:, None] >> np.arange(m - 1)) & 1).astype(np.uint8)
+
+
+def _split_ranks(ranks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix d (the low m-1 label bits) and sign bit (the last) of each rank."""
+    return ranks & ((1 << (m - 1)) - 1), (ranks >> (m - 1)).astype(np.uint8)
+
+
+def _split_symbols(symbols, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ranks, prefixes d and sign bits of 2^m-ASK symbols; inverts _assemble.
+
+    Raises IntegrityError unless every value is an integer constellation
+    point, i.e. an odd integer in [-(M-1), M-1].
+    """
+    arr = np.asarray(symbols)
+    if arr.dtype.kind != "i":
+        raise IntegrityError("block contains values that are not integers")
+    M = 1 << m
+    shifted = arr.astype(np.int64, copy=False) + (M - 1)
+    # zero exactly when shifted is even and in [0, 2M), i.e. a rank times 2
+    if np.any(shifted & -(2 * M - 1)):
+        raise IntegrityError("block contains values outside the constellation")
+    ranks = shifted >> 1
+    return (ranks, *_split_ranks(ranks, m))
+
+
+def _matcher_bits(d: np.ndarray, sign_bits: np.ndarray, flip_table: np.ndarray) -> np.ndarray:
+    """The matcher bit each symbol consumed: its unflipped sign bit, complemented."""
+    return 1 - (sign_bits ^ flip_table[d])
 
 
 def _serve_requests_loop(
@@ -183,33 +204,13 @@ def _serve_requests(
     return _serve_requests_loop(requests, capacities)
 
 
-def _source_rngs(config: ShaperConfig) -> tuple[np.random.Generator, list[np.random.Generator]]:
-    seq = np.random.SeedSequence(config.rng_seed)
-    children = seq.spawn(1 + config.profile.num_distinct)
-    return (
-        np.random.default_rng(children[0]),
-        [np.random.default_rng(c) for c in children[1:]],
-    )
-
-
 def _assemble(
-    config: ShaperConfig,
-    prefix: np.ndarray,
-    sign_bits: np.ndarray,
-    info: np.ndarray | None,
-    overflow: int,
+    config: ShaperConfig, d: np.ndarray, sign_bits: np.ndarray, overflow: int
 ) -> ShapedBlock:
-    m = config.profile.m
-    d = _prefix_decimals(prefix, m)
-    ranks = d + (sign_bits.astype(np.int64) << (m - 1))
+    """Block of the symbols of rank d + sign * 2^(m-1), d the prefix value."""
+    ranks = d + (sign_bits.astype(np.int64) << (config.profile.m - 1))
     symbols = np.asarray(config.constellation.symbols, dtype=np.int64)[ranks]
-    return ShapedBlock(
-        symbols=symbols,
-        prefix_bits=prefix.reshape(-1),
-        shaping_info_bits=info,
-        overflow_count=overflow,
-        mode=config.mode,
-    )
+    return ShapedBlock(symbols=symbols, overflow_count=overflow, mode=config.mode)
 
 
 def encode_block_ideal(
@@ -217,27 +218,25 @@ def encode_block_ideal(
 ) -> ShapedBlock:
     """Encode one block with ideal seeded Bernoulli sources.
 
-    uniform_bit_source supplies the (m-1)*n prefix bits: a numpy Generator,
-    an explicit 0/1 array of that length, or None to derive a stream from
-    config.rng_seed. Source i emits 0 with probability p_i; the flip rule
-    is applied after the draw.
+    uniform_bit_source supplies the (m-1)*n prefix bits as a 0/1 array, or
+    None to derive them from config.rng_seed. Source i emits 0 with
+    probability p_i; the flip rule is applied after the draw.
     """
     if config.mode != "ideal-sources":
         raise ParameterError(f"config mode is {config.mode!r}, not 'ideal-sources'")
     m = config.profile.m
     P = config.profile.num_distinct
-    prefix_rng, source_rngs = _source_rngs(config)
+    children = np.random.SeedSequence(config.rng_seed).spawn(1 + P)
+    prefix_rng, *source_rngs = (np.random.default_rng(c) for c in children)
     if uniform_bit_source is None:
         prefix = prefix_rng.integers(0, 2, size=(config.n, m - 1), dtype=np.uint8)
-    elif isinstance(uniform_bit_source, np.random.Generator):
-        prefix = uniform_bit_source.integers(0, 2, size=(config.n, m - 1), dtype=np.uint8)
     else:
-        prefix = np.asarray(uniform_bit_source, dtype=np.uint8)
-        if prefix.size != config.n * (m - 1):
+        bits = np.asarray(uniform_bit_source)
+        if bits.size != config.n * (m - 1) or not np.isin(bits, (0, 1)).all():
             raise ParameterError(
-                f"prefix source must provide {config.n * (m - 1)} bits"
+                f"prefix source must provide {config.n * (m - 1)} bits, each 0 or 1"
             )
-        prefix = prefix.reshape(config.n, m - 1)
+        prefix = bits.astype(np.uint8).reshape(config.n, m - 1)
     d = _prefix_decimals(prefix, m)
     src_table, flip_table = selection_tables(m, P)
     src = src_table[d]
@@ -247,7 +246,7 @@ def encode_block_ideal(
         draws = source_rngs[i].random(int(mask.sum()))
         source_bits[mask] = (draws >= config.profile.probs[i]).astype(np.uint8)
     sign_bits = source_bits ^ flip_table[d]
-    return _assemble(config, prefix, sign_bits, None, 0)
+    return _assemble(config, d, sign_bits, 0)
 
 
 def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlock:
@@ -289,7 +288,7 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
             )
         matcher_bits[slots] = word  # chronological consumption order
     sign_bits = (1 - matcher_bits) ^ flip_table[d]
-    return _assemble(config, prefix, sign_bits, info.copy(), overflow)
+    return _assemble(config, d, sign_bits, overflow)
 
 
 def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
@@ -309,22 +308,14 @@ def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
     if block.mode != "block-dm":
         raise ParameterError(f"block mode is {block.mode!r}, not 'block-dm'")
     m = config.profile.m
-    M = 1 << m
-    symbols = np.asarray(block.symbols, dtype=np.int64)
-    if symbols.size != config.n:
-        raise ParameterError(f"block has {symbols.size} symbols, config n = {config.n}")
-    shifted = symbols + (M - 1)
-    ranks = shifted >> 1
-    if np.any(shifted & 1) or np.any(ranks < 0) or np.any(ranks >= M):
-        raise IntegrityError("block contains values outside the constellation")
-    sign_bits = (ranks >> (m - 1)).astype(np.uint8)
-    d = ranks & ((1 << (m - 1)) - 1)
+    if block.symbols.size != config.n:
+        raise ParameterError(f"block has {block.symbols.size} symbols, config n = {config.n}")
+    _, d, sign_bits = _split_symbols(block.symbols, m)
 
-    P = config.profile.num_distinct
     codes = config.dm_codes
-    src_table, flip_table = selection_tables(m, P)
+    src_table, flip_table = selection_tables(m, config.profile.num_distinct)
     served, _ = _serve_requests(src_table[d], [c.n for c in codes])
-    matcher_bits = 1 - (sign_bits ^ flip_table[d])
+    matcher_bits = _matcher_bits(d, sign_bits, flip_table)
 
     chunks = []
     for i, code in enumerate(codes):
@@ -335,8 +326,7 @@ def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
                 f"reservoir {i} reassembled with weight {weight}, expected {code.w}"
             )
         chunks.append(dm_decode(word, code))
-    prefix = ((d[:, None] >> np.arange(m - 1)) & 1).astype(np.uint8)
-    chunks.append(prefix.reshape(-1))
+    chunks.append(_prefix_bits(d, m).reshape(-1))
     return np.concatenate(chunks)
 
 
@@ -375,8 +365,7 @@ def switch_energy_loss(profile: ShapingProfile, n: int) -> float:
     p1, p2 = profile.probs
     p1_eff, p2_eff = effective_probabilities(p1, p2, n)
     m = profile.m
-    M = 1 << m
-    x = np.arange(-(M - 1), M, 2, dtype=float)
+    x = build_ask(m).points()
     energy = float(induced_pmf(m, (p1, p2)) @ (x * x))
     energy_eff = float(induced_pmf(m, (p1_eff, p2_eff)) @ (x * x))
     return 10.0 * math.log10(energy_eff / energy)
@@ -393,16 +382,12 @@ class SwitchAnalysis:
 
 
 def analyze_switch(profile: ShapingProfile, n: int) -> SwitchAnalysis:
-    if profile.num_distinct != 2:
-        raise ParameterError(
-            "switch energy analysis is defined for exactly two sources"
-        )
-    p1, p2 = profile.probs
+    delta_db = switch_energy_loss(profile, n)  # checks for two sources first
     return SwitchAnalysis(
         n=n,
         epsilon=switch_excess_expectation(n),
-        p_eff=effective_probabilities(p1, p2, n),
-        delta_db=switch_energy_loss(profile, n),
+        p_eff=effective_probabilities(*profile.probs, n),
+        delta_db=delta_db,
     )
 
 
@@ -424,14 +409,11 @@ def empirical_source_frequencies(
     rng = np.random.default_rng(seed)
     ones = np.zeros(P, dtype=np.int64)
     counts = np.zeros(P, dtype=np.int64)
-    M = 1 << m
     for _ in range(num_blocks):
         info = rng.integers(0, 2, size=config.info_length, dtype=np.uint8)
         block = encode_block_dm(config, info)
-        ranks = (np.asarray(block.symbols) + (M - 1)) >> 1
-        sign_bits = (ranks >> (m - 1)).astype(np.uint8)
-        d = ranks & ((1 << (m - 1)) - 1)
-        matcher_bits = 1 - (sign_bits ^ flip_table[d])
+        _, d, sign_bits = _split_symbols(block.symbols, m)
+        matcher_bits = _matcher_bits(d, sign_bits, flip_table)
         requested = src_table[d]
         for i in range(P):
             mask = requested == i
@@ -440,25 +422,28 @@ def empirical_source_frequencies(
     return ones / np.maximum(counts, 1), counts
 
 
-def block_to_dict(block: ShapedBlock, config: ShaperConfig) -> dict:
-    return {
-        "header": {
-            "m": config.profile.m,
-            "P": config.profile.num_distinct,
-            "probs": list(config.profile.probs),
-            "n": config.n,
-            "mode": config.mode,
-            "seed": config.rng_seed,
-        },
-        "symbols": [int(s) for s in block.symbols],
-        "overflow_count": int(block.overflow_count),
-    }
+def block_to_json(block: ShapedBlock, config: ShaperConfig) -> str:
+    return json.dumps(
+        {
+            "header": {
+                **profile_to_dict(config.profile),
+                "n": config.n,
+                "mode": config.mode,
+                "seed": config.rng_seed,
+            },
+            "symbols": [int(s) for s in block.symbols],
+            "overflow_count": int(block.overflow_count),
+        }
+    )
 
 
-def block_from_dict(doc: dict) -> tuple[ShapedBlock, ShaperConfig]:
+def block_from_json(text: str) -> tuple[ShapedBlock, ShaperConfig]:
+    """Inverse of block_to_json: a bad document or header raises
+    ParameterError, a payload that is not n constellation points
+    IntegrityError."""
     try:
+        doc = json.loads(text)
         header = doc["header"]
-        symbols = doc["symbols"]
         profile = ShapingProfile(
             m=int(header["m"]),
             probs=tuple(float(p) for p in header["probs"]),
@@ -471,34 +456,14 @@ def block_from_dict(doc: dict) -> tuple[ShapedBlock, ShaperConfig]:
             rng_seed=int(header["seed"]),
             mode=str(header["mode"]),
         )
-    except (KeyError, TypeError) as exc:
+        symbols = np.asarray(doc["symbols"])
+        overflow_count = int(doc.get("overflow_count", 0))
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed block document: {exc}") from None
-    m = config.profile.m
-    M = 1 << m
-    arr = np.asarray(symbols, dtype=np.int64)
-    shifted = arr + (M - 1)
-    if arr.size != config.n or np.any(shifted & 1) or np.any((shifted < 0) | (shifted >= 2 * M)):
+    if symbols.shape != (config.n,):
         raise IntegrityError("block payload does not match its header")
-    ranks = shifted >> 1
-    d = ranks & ((1 << (m - 1)) - 1)
-    prefix = ((d[:, None] >> np.arange(m - 1)) & 1).astype(np.uint8)
-    block = ShapedBlock(
-        symbols=arr,
-        prefix_bits=prefix.reshape(-1),
-        shaping_info_bits=None,
-        overflow_count=int(doc.get("overflow_count", 0)),
-        mode=config.mode,
-    )
+    _split_symbols(symbols, config.profile.m)  # raises on non-points
+    block = ShapedBlock(symbols=symbols, overflow_count=overflow_count, mode=config.mode)
     return block, config
-
-
-def block_to_json(block: ShapedBlock, config: ShaperConfig) -> str:
-    return json.dumps(block_to_dict(block, config))
-
-
-def block_from_json(text: str) -> tuple[ShapedBlock, ShaperConfig]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"invalid block JSON: {exc}") from None
-    return block_from_dict(doc)

@@ -20,7 +20,14 @@ import numpy as np
 
 from .constellation import Constellation, selection_tables
 from .errors import ParameterError
-from .shaper import ShaperConfig, encode_block_dm, encode_block_ideal
+from .shaper import (
+    ShaperConfig,
+    _matcher_bits,
+    _split_ranks,
+    _split_symbols,
+    encode_block_dm,
+    encode_block_ideal,
+)
 
 __all__ = ["SimConfig", "SimReport", "demap", "run"]
 
@@ -52,17 +59,11 @@ class SimReport:
     overflow_mean: float
     overflow_max: int
 
-    def to_dict(self) -> dict:
-        return {
-            "num_symbols": self.num_symbols,
-            "empirical_distribution": list(self.empirical_distribution),
-            "empirical_energy": self.empirical_energy,
-            "symbol_error_rate": self.symbol_error_rate,
-            "shaping_bit_error_rate": self.shaping_bit_error_rate,
-            "mi_estimate": self.mi_estimate,
-            "overflow_mean": self.overflow_mean,
-            "overflow_max": self.overflow_max,
-        }
+
+def _decide_ranks(y: np.ndarray, M: int) -> np.ndarray:
+    """Rank of the nearest of M symbols; exact midpoints go to the smaller."""
+    # (y + M - 1) / 2 is the rank scale, where midpoints sit at .5
+    return np.clip(np.ceil((y + (M - 1)) / 2.0 - 0.5).astype(np.int64), 0, M - 1)
 
 
 def demap(y, constellation: Constellation):
@@ -70,13 +71,10 @@ def demap(y, constellation: Constellation):
 
     Accepts a scalar or an array; returns the decided symbol(s).
     """
-    M = constellation.size
     arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("received values must be finite")
-    position = (arr + (M - 1)) / 2.0  # symbol index scale, midpoints at .5
-    index = np.ceil(position - 0.5).astype(np.int64)
-    index = np.clip(index, 0, M - 1)
+    index = _decide_ranks(arr, constellation.size)
     symbols = np.asarray(constellation.symbols, dtype=np.int64)[index]
     if np.isscalar(y) or arr.ndim == 0:
         return int(symbols)
@@ -107,8 +105,6 @@ def run(config: SimConfig) -> SimReport:
     M = 1 << m
     n = shaper_cfg.n
     sigma = float(config.noise_std)
-    constellation = shaper_cfg.constellation
-    points = np.asarray(constellation.symbols, dtype=np.int64)
     _, flip_table = selection_tables(m, shaper_cfg.profile.num_distinct)
 
     seq = np.random.SeedSequence(config.rng_seed)
@@ -118,7 +114,7 @@ def run(config: SimConfig) -> SimReport:
     block_seeds = data_seq.generate_state(config.num_blocks, dtype=np.uint64)
 
     if sigma > 0:
-        half_range = float(points.max()) + 5.0 * sigma
+        half_range = float(M - 1) + 5.0 * sigma
         bin_width = sigma / 4.0
         num_bins = int(math.ceil(2.0 * half_range / bin_width))
         joint = np.zeros((M, num_bins), dtype=np.int64)
@@ -139,22 +135,17 @@ def run(config: SimConfig) -> SimReport:
             block = encode_block_ideal(
                 dataclasses.replace(shaper_cfg, rng_seed=int(block_seeds[b]))
             )
+        ranks, d, sign_bits = _split_symbols(block.symbols, m)
         x = np.asarray(block.symbols, dtype=float)
-        ranks = ((np.asarray(block.symbols) + (M - 1)) >> 1).astype(np.int64)
 
         noise = noise_rng.standard_normal(n)
         y = x + sigma * noise
 
-        decided_pos = np.ceil((y + (M - 1)) / 2.0 - 0.5).astype(np.int64)
-        decided_ranks = np.clip(decided_pos, 0, M - 1)
-
+        decided_ranks = _decide_ranks(y, M)
         symbol_errors += int((decided_ranks != ranks).sum())
-        prefix_mask = (1 << (m - 1)) - 1
-        true_served = (ranks >> (m - 1)).astype(np.uint8) ^ flip_table[ranks & prefix_mask]
-        decided_served = (decided_ranks >> (m - 1)).astype(np.uint8) ^ flip_table[
-            decided_ranks & prefix_mask
-        ]
-        shaping_bit_errors += int((true_served != decided_served).sum())
+        sent_bits = _matcher_bits(d, sign_bits, flip_table)
+        decided_bits = _matcher_bits(*_split_ranks(decided_ranks, m), flip_table)
+        shaping_bit_errors += int((sent_bits != decided_bits).sum())
 
         np.add.at(sent_counts, ranks, 1)
         energy_sum += float((x * x).sum())

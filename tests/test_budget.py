@@ -1,5 +1,7 @@
 """Loss budget composition tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ class TestLossBudget:
         assert a.switch_db > b.switch_db
 
     def test_to_dict(self):
-        d = loss_budget(5, 0.04, 0.24, 2048, 17.0).to_dict()
+        d = dataclasses.asdict(loss_budget(5, 0.04, 0.24, 2048, 17.0))
         assert set(d) == {
             "snr_db",
             "operating_rate_bpcu",

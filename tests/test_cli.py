@@ -51,6 +51,26 @@ class TestExitCodes:
                      "--block", str(block)])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "field, index, value, expected",
+        [
+            ("header", "m", "five", 2),
+            ("symbols", 1, "x", 3),
+            ("symbols", 1, 1.5, 3),
+        ],
+    )
+    def test_malformed_block_file(self, tmp_path, field, index, value, expected):
+        # once an uncaught ValueError (exit 1) or, for 1.5, a silent
+        # truncation to 1
+        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3",
+                     "--P", "2", "--probs", "0.04", "0.24", "--n", "64"]) == 0
+        payload = read_json(tmp_path / "shape-block.json")
+        payload[field][index] = value
+        block = tmp_path / "bad.json"
+        block.write_text(json.dumps(payload))
+        assert main(["--out-dir", str(tmp_path), "shape", "decode",
+                     "--block", str(block)]) == expected
+
     def test_missing_file_is_2(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "shape", "decode",
                      "--block", str(tmp_path / "nope.json")])

@@ -1,4 +1,8 @@
-"""Constellation geometry, labelling, and source-selection tests."""
+"""Constellation geometry, labelling, and source-selection tests.
+
+Labels are checked through the shaper's symbol codec, which is the one
+place the package maps symbols to (prefix d, sign bit) and back.
+"""
 
 import itertools
 
@@ -7,19 +11,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from signshape import (
-    Constellation,
     ParameterError,
+    ShaperConfig,
     ShapingProfile,
     build_ask,
-    decimal_value,
+    encode_block_ideal,
     induced_distribution,
     induced_pmf,
-    profile_from_json,
-    profile_to_json,
-    select_source,
     selection_tables,
-    sign_bit_conditionals,
 )
+from signshape.shaper import _assemble, _prefix_bits, _prefix_decimals, _split_symbols
+
+
+def labels(symbols, m):
+    """Full m-bit labels, least significant bit first, via the codec."""
+    _, d, sign = _split_symbols(np.asarray(symbols), m)
+    return [tuple(row) + (int(b),) for row, b in zip(_prefix_bits(d, m).tolist(), sign)]
+
+
+def ideal_config(m, n):
+    return ShaperConfig(
+        profile=ShapingProfile(m=m, probs=(0.5,)), n=n, mode="ideal-sources"
+    )
 
 
 class TestBuildAsk:
@@ -53,65 +66,71 @@ class TestBuildAsk:
 class TestLabels:
     def test_rank_roundtrip_8ask(self):
         c = build_ask(3)
-        for r in range(8):
-            label = c.label_for_rank(r)
-            assert c.rank_for_label(label) == r
-            assert c.label_for_symbol(c.symbols[r]) == label
+        ranks, d, sign = _split_symbols(np.asarray(c.symbols), 3)
+        np.testing.assert_array_equal(ranks, np.arange(8))
+        np.testing.assert_array_equal(d + 4 * sign, np.arange(8))
+        # the decimal value of each label is the rank of its symbol
+        for r, label in enumerate(labels(c.symbols, 3)):
+            assert sum(b << i for i, b in enumerate(label)) == r
 
     def test_label_is_lsb_first(self):
         c = build_ask(3)
         # rank 6 = 011 read LSB first
-        assert c.label_for_rank(6) == (0, 1, 1)
+        assert labels([c.symbols[6]], 3) == [(0, 1, 1)]
 
     def test_sign_bit_is_last_label_bit(self):
         c = build_ask(4)
-        for r in range(c.size):
-            label = c.label_for_rank(r)
+        for symbol, label in zip(c.symbols, labels(c.symbols, 4)):
             # 0 on the last position means the negative half
-            assert (label[-1] == 0) == (c.symbols[r] < 0)
+            assert (label[-1] == 0) == (symbol < 0)
 
     def test_symbol_for_label(self):
-        c = build_ask(2)
-        assert c.symbol_for_label((0, 0)) == -3
-        assert c.symbol_for_label((1, 1)) == 3
+        # labels (0, 0) and (1, 1): prefix d = 0 and 1, sign bit 0 and 1
+        block = _assemble(ideal_config(2, 2), np.array([0, 1]), np.array([0, 1]), 0)
+        assert block.symbols.tolist() == [-3, 3]
 
 
 class TestDecimalValue:
+    """LSB-first prefix bits and their decimal value d."""
+
     def test_examples(self):
-        assert decimal_value([0, 0]) == 0
-        assert decimal_value([1, 0]) == 1
-        assert decimal_value([0, 1]) == 2
-        assert decimal_value([1, 1, 0, 1]) == 11
+        prefixes = np.array([[0, 0], [1, 0], [0, 1]])
+        assert _prefix_decimals(prefixes, 3).tolist() == [0, 1, 2]
+        assert _prefix_decimals(np.array([[1, 1, 0, 1]]), 5).tolist() == [11]
 
     def test_exhaustive_length_4(self):
-        for bits in itertools.product((0, 1), repeat=4):
-            expected = sum(b << i for i, b in enumerate(bits))
-            assert decimal_value(bits) == expected
+        prefixes = np.array(list(itertools.product((0, 1), repeat=4)))
+        expected = [sum(b << i for i, b in enumerate(bits)) for bits in prefixes]
+        assert _prefix_decimals(prefixes, 5).tolist() == expected
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ParameterError):
-            decimal_value([0, 2])
+        # prefix bits given to the ideal encoder must each be 0 or 1; these
+        # once raised a bare IndexError (m = 3) or passed silently (m = 6)
+        for m, bad in ((3, 2), (3, 5), (3, -1), (3, 0.5), (6, 2)):
+            bits = np.zeros(2 * (m - 1), dtype=np.int64).astype(type(bad))
+            bits[1] = bad
+            with pytest.raises(ParameterError):
+                encode_block_ideal(ideal_config(m, 2), uniform_bit_source=bits)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
     def test_bijective_with_labels(self, bits):
-        value = decimal_value(bits)
-        back = [(value >> i) & 1 for i in range(len(bits))]
-        assert back == bits
+        m = len(bits) + 1
+        value = _prefix_decimals(np.array([bits]), m)
+        assert _prefix_bits(value, m)[0].tolist() == bits
 
 
 class TestShapingProfile:
     def test_valid(self):
         p = ShapingProfile(m=5, probs=(0.04, 0.24))
         assert p.num_distinct == 2
-        assert p.group_size == 4
 
     def test_single_source(self):
         p = ShapingProfile(m=3, probs=(0.2,))
-        assert p.group_size == 2
+        assert p.num_distinct == 1
 
     def test_full_resolution(self):
         p = ShapingProfile(m=5, probs=tuple([0.1] * 8))
-        assert p.group_size == 1
+        assert p.num_distinct == 8
 
     @pytest.mark.parametrize("probs", [(0.1, 0.2, 0.3), (0.1,) * 5])
     def test_rejects_non_divisor_counts(self, probs):
@@ -125,11 +144,6 @@ class TestShapingProfile:
     def test_rejects_too_many_sources(self):
         with pytest.raises(ParameterError):
             ShapingProfile(m=3, probs=(0.1, 0.2, 0.3, 0.4))
-
-    def test_json_roundtrip(self):
-        p = ShapingProfile(m=4, probs=(0.05, 0.15))
-        q = profile_from_json(profile_to_json(p))
-        assert q == p
 
 
 class TestInducedDistribution:
@@ -164,30 +178,27 @@ class TestInducedDistribution:
         assert dist.average_energy == pytest.approx(1.0)
 
     def test_conditionals_order(self):
-        cond = sign_bit_conditionals(ShapingProfile(m=3, probs=(0.1, 0.4)))
+        # P(sign bit 0 | d) is the negative half of the pmf over (1/2)^(m-1)
+        cond = induced_pmf(3, (0.1, 0.4))[:4] * 4
         np.testing.assert_allclose(cond, [0.1, 0.4, 0.6, 0.9])
 
 
 class TestSelectSource:
+    """The switch rule: which source serves prefix d, and whether to flip."""
+
     def test_8ask_two_source_table(self):
-        prof = ShapingProfile(m=3, probs=(0.04, 0.24))
-        # prefix bits are LSB first: d = b1 + 2*b2
-        assert select_source([0, 0], prof) == (1, False)
-        assert select_source([1, 0], prof) == (2, False)
-        assert select_source([0, 1], prof) == (2, True)
-        assert select_source([1, 1], prof) == (1, True)
+        src, flip = selection_tables(3, 2)
+        # prefix bits are LSB first: d = b1 + 2*b2; sources are 0-based
+        assert list(zip(src.tolist(), flip.tolist())) == [(0, 0), (1, 0), (1, 1), (0, 1)]
 
     def test_single_source_always_one(self):
-        prof = ShapingProfile(m=3, probs=(0.3,))
-        assert select_source([0, 0], prof) == (1, False)
-        assert select_source([1, 1], prof) == (1, True)
+        src, flip = selection_tables(3, 1)
+        assert src.tolist() == [0, 0, 0, 0]
+        assert flip.tolist() == [0, 0, 1, 1]
 
     def test_flip_iff_upper_half(self):
-        prof = ShapingProfile(m=5, probs=(0.04, 0.24))
-        for d in range(16):
-            bits = [(d >> i) & 1 for i in range(4)]
-            _, flip = select_source(bits, prof)
-            assert flip == (d >= 8)
+        _, flip = selection_tables(5, 2)
+        np.testing.assert_array_equal(flip, np.arange(16) >= 8)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_each_source_used_equally(self, m):
@@ -195,25 +206,19 @@ class TestSelectSource:
         for P in range(1, M // 4 + 1):
             if (M // 4) % P:
                 continue
-            prof = ShapingProfile(m=m, probs=tuple(0.1 for _ in range(P)))
-            counts = np.zeros(P, dtype=int)
-            for d in range(M // 2):
-                bits = [(d >> i) & 1 for i in range(m - 1)]
-                src, _ = select_source(bits, prof)
-                counts[src - 1] += 1
-            assert np.all(counts == (M // 2) // P)
+            src, _ = selection_tables(m, P)
+            assert np.all(np.bincount(src, minlength=P) == (M // 2) // P)
 
     def test_accumulated_selection_matches_induced_pmf(self):
         # walking every prefix and weighting by the selected source's
         # probability must reproduce the closed-form distribution
         prof = ShapingProfile(m=5, probs=(0.07, 0.21, 0.33, 0.47))
+        src, flip = selection_tables(5, 4)
         pmf = np.zeros(32)
         for d in range(16):
-            bits = [(d >> i) & 1 for i in range(4)]
-            src, flip = select_source(bits, prof)
-            p_src = prof.probs[src - 1]
+            p_src = prof.probs[src[d]]
             # sign bit 0 -> negative half keeps rank d
-            p_negative = p_src if not flip else 1.0 - p_src
+            p_negative = p_src if not flip[d] else 1.0 - p_src
             pmf[d] += (1 / 16) * p_negative
             pmf[d + 16] += (1 / 16) * (1 - p_negative)
         np.testing.assert_allclose(pmf, induced_pmf(5, prof.probs), atol=1e-15)
@@ -224,6 +229,6 @@ class TestSelectSource:
         assert not flip.flags.writeable
 
     def test_wrong_prefix_length(self):
-        prof = ShapingProfile(m=5, probs=(0.1, 0.2))
+        # m = 5 needs four prefix bits per symbol, not two
         with pytest.raises(ParameterError):
-            select_source([0, 1], prof)
+            encode_block_ideal(ideal_config(5, 4), uniform_bit_source=np.zeros(8))

@@ -17,7 +17,6 @@ from signshape import (
     RangeError,
     WeightError,
     binary_entropy,
-    binomial,
     dm_code,
     dm_complexity_bound,
     dm_decode,
@@ -42,25 +41,29 @@ from helpers import (
 
 
 class TestBinomial:
+    """A matcher's codebook size C(n, w), exact for every length."""
+
     def test_small_values(self):
-        assert binomial(0, 0) == 1
-        assert binomial(5, 2) == 10
-        assert binomial(8, 3) == 56
+        assert dm_code(1, 0).num_words == 1
+        assert dm_code(5, 2).num_words == 10
+        assert dm_code(8, 3).num_words == 56
 
     def test_outside_support(self):
-        assert binomial(5, 6) == 0
-        assert binomial(5, -1) == 0
+        # no word of length 5 has weight 6 or -1
+        for w in (6, -1):
+            with pytest.raises(ParameterError):
+                dm_code(5, w)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ParameterError):
-            binomial(-1, 0)
+            dm_code(-1, 0)
 
     def test_against_pascal_oracle(self):
-        assert binomial(2048, 82) == pascal_binomial(2048, 82)
+        assert dm_code(2048, 82).num_words == pascal_binomial(2048, 82)
 
-    @given(st.integers(0, 60), st.integers(0, 60))
+    @given(st.integers(1, 60), st.integers(0, 60))
     def test_matches_oracle(self, n, k):
-        assert binomial(n, k) == pascal_binomial(n, k)
+        assert dm_code(n, min(k, n)).num_words == pascal_binomial(n, min(k, n))
 
 
 class TestWeightFor:

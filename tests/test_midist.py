@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from signshape import (
-    ChannelSpec,
     MiCurve,
     NumericalError,
     ParameterError,
@@ -16,7 +15,6 @@ from signshape import (
     mi_curve_for_profile,
     mi_curve_optimized,
     mi_gap_db,
-    mutual_information,
     optimize_profile,
     rate_loss_to_db,
     sigma_for_snr,
@@ -31,19 +29,16 @@ def uniform_dist(m):
 
 
 class TestChannelSpec:
+    """Noise level versus SNR for a given symbol energy."""
+
     def test_snr_roundtrip(self):
         dist = uniform_dist(5)
         sigma = sigma_for_snr(dist.average_energy, 24.0)
         assert snr_db_for(dist.average_energy, sigma) == pytest.approx(24.0)
 
-    def test_for_snr(self):
-        dist = uniform_dist(3)
-        spec = ChannelSpec.for_snr(dist, 18.0)
-        assert spec.snr_db(dist) == pytest.approx(18.0)
-
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ParameterError):
-            ChannelSpec(noise_std=0.0)
+            snr_db_for(uniform_dist(3).average_energy, 0.0)
 
 
 class TestAwgnMi:
@@ -51,7 +46,7 @@ class TestAwgnMi:
         # frozen from an independent fine-grid trapezoid integration
         dist = uniform_dist(5)
         sigma = sigma_for_snr(dist.average_energy, 24.0)
-        mi = mutual_information(dist, build_ask(5), sigma)
+        mi = awgn_mi(build_ask(5).points(), dist.pmf(), sigma)
         assert mi == pytest.approx(3.773656044, abs=1e-5)
 
     def test_matches_trapezoid_oracle(self):
@@ -68,7 +63,7 @@ class TestAwgnMi:
 
     def test_huge_noise_kills_information(self):
         dist = uniform_dist(3)
-        mi = mutual_information(dist, build_ask(3), 1e6)
+        mi = awgn_mi(build_ask(3).points(), dist.pmf(), 1e6)
         assert 0.0 <= mi < 1e-6
 
     def test_monotone_in_sigma(self):
@@ -153,12 +148,6 @@ class TestMiCurve:
         with pytest.raises(ParameterError):
             MiCurve(snr_db=(1.0, 1.0), mi_bpcu=(0.5, 0.5))
 
-    def test_rows(self):
-        curve = self.make_curve()
-        rows = curve.rows()
-        assert len(rows) == len(curve.snr_db)
-        assert rows[0] == (curve.snr_db[0], curve.mi_bpcu[0])
-
 
 class TestOptimize:
     def test_fixed_snr_8ask_recovers_known_operating_point(self):
@@ -170,7 +159,7 @@ class TestOptimize:
     def test_fixed_sigma_never_below_uniform(self):
         for sigma in (1.0, 2.0, 5.0):
             result = optimize_profile(4, 2, sigma)
-            uniform = mutual_information(uniform_dist(4), build_ask(4), sigma)
+            uniform = awgn_mi(build_ask(4).points(), uniform_dist(4).pmf(), sigma)
             assert result.mi_bpcu >= uniform - 1e-12
             assert result.mode == "fixed-noise"
 
@@ -189,7 +178,7 @@ class TestOptimize:
             prof = ShapingProfile(m=2, probs=(p,))
             dist = induced_distribution(prof)
             sigma = sigma_for_snr(dist.average_energy, 6.0)
-            return mutual_information(dist, build_ask(2), sigma)
+            return awgn_mi(build_ask(2).points(), dist.pmf(), sigma)
 
         grid = np.arange(0.0, 1.0001, 0.0005)
         values = [mi_at(p) for p in grid]

@@ -1,10 +1,12 @@
-"""Block shaper, reservoir switch, and serialization tests."""
+"""Block shaper, symbol codec, reservoir switch, and serialization tests."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from signshape import (
@@ -26,7 +28,12 @@ from signshape import (
     switch_energy_loss,
     switch_excess_expectation,
 )
-from signshape.shaper import _serve_requests, _serve_requests_loop
+from signshape.shaper import (
+    _assemble,
+    _serve_requests,
+    _serve_requests_loop,
+    _split_symbols,
+)
 
 from helpers import exact_excess_expectation
 
@@ -40,10 +47,10 @@ def config(m=3, probs=(0.04, 0.24), n=256, seed=0, mode="block-dm"):
 class TestShaperConfig:
     def test_lengths(self):
         cfg = config(m=3, n=256)
-        # two matchers of length 128 at weights 5 and 31
-        assert cfg.shaping_info_length == sum(c.k for c in cfg.dm_codes)
-        assert cfg.prefix_info_length == 2 * 256
-        assert cfg.info_length == cfg.shaping_info_length + cfg.prefix_info_length
+        # two matchers of length 128 at weights 5 and 31, then 2 prefix
+        # bits for each of the 256 symbols
+        assert [(c.n, c.w) for c in cfg.dm_codes] == [(128, 5), (128, 31)]
+        assert cfg.info_length == sum(c.k for c in cfg.dm_codes) + 2 * 256
 
     def test_rejects_odd_n(self):
         with pytest.raises(ParameterError):
@@ -58,6 +65,36 @@ class TestShaperConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ParameterError):
             config(mode="stream")
+
+
+class TestSymbolCodec:
+    @given(st.integers(2, 10), st.data())
+    def test_inverts_assemble_and_rejects_non_points(self, m, data):
+        M = 1 << m
+        cfg = ShaperConfig(profile=ShapingProfile(m=m, probs=(0.5,)), n=2)
+        ranks = np.arange(M)
+        d, sign = ranks % (M // 2), ranks // (M // 2)
+        symbols = _assemble(cfg, d, sign.astype(np.uint8), 0).symbols
+        np.testing.assert_array_equal(symbols, 2 * ranks - (M - 1))
+        got_ranks, got_d, got_sign = _split_symbols(symbols, m)
+        np.testing.assert_array_equal(got_ranks, ranks)
+        np.testing.assert_array_equal(got_d, d)
+        np.testing.assert_array_equal(got_sign, sign)
+        # one bad value among good ones: an even integer, an odd integer
+        # outside [-(M-1), M-1], or a value that is not an integer at all
+        bad = data.draw(
+            st.one_of(
+                st.integers(-4 * M, 4 * M).map(lambda v: 2 * v),
+                st.integers(M // 2, 2**40).map(lambda v: 2 * v + 1),
+                st.integers(M // 2, 2**40).map(lambda v: -(2 * v + 1)),
+                st.sampled_from([1.0, 1.5, -0.5, "1", None]),
+            )
+        )
+        position = data.draw(st.integers(0, M - 1))
+        values = symbols.tolist()
+        values[position] = bad
+        with pytest.raises(IntegrityError):
+            _split_symbols(values, m)
 
 
 class TestServeRequests:
@@ -224,11 +261,7 @@ class TestBlockDmEncoding:
         rank = (symbols[7] + 7) // 2
         symbols[7] = 2 * ((rank + 4) % 8) - 7
         bad = ShapedBlock(
-            symbols=symbols,
-            prefix_bits=np.asarray(block.prefix_bits).copy(),
-            shaping_info_bits=None,
-            overflow_count=block.overflow_count,
-            mode=block.mode,
+            symbols=symbols, overflow_count=block.overflow_count, mode=block.mode
         )
         with pytest.raises(IntegrityError):
             decode_block(bad, cfg)
@@ -245,14 +278,10 @@ class TestBlockDmEncoding:
         symbols = np.asarray(block.symbols).copy()
         symbols[7] = -symbols[7]
         bent = ShapedBlock(
-            symbols=symbols,
-            prefix_bits=np.asarray(block.prefix_bits).copy(),
-            shaping_info_bits=None,
-            overflow_count=block.overflow_count,
-            mode=block.mode,
+            symbols=symbols, overflow_count=block.overflow_count, mode=block.mode
         )
         decoded = decode_block(bent, cfg)
-        shaping_len = cfg.shaping_info_length
+        shaping_len = sum(c.k for c in cfg.dm_codes)
         np.testing.assert_array_equal(decoded[:shaping_len], info[:shaping_len])
         assert not np.array_equal(decoded[shaping_len:], info[shaping_len:])
 
@@ -263,11 +292,7 @@ class TestBlockDmEncoding:
         symbols = np.asarray(block.symbols).copy()
         symbols[0] = 9
         bad = ShapedBlock(
-            symbols=symbols,
-            prefix_bits=np.asarray(block.prefix_bits).copy(),
-            shaping_info_bits=None,
-            overflow_count=block.overflow_count,
-            mode=block.mode,
+            symbols=symbols, overflow_count=block.overflow_count, mode=block.mode
         )
         with pytest.raises(IntegrityError):
             decode_block(bad, cfg)
@@ -373,6 +398,47 @@ class TestBlockSerialization:
         assert cfg2 == cfg
         np.testing.assert_array_equal(block2.symbols, block.symbols)
         np.testing.assert_array_equal(decode_block(block2, cfg2), info)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: doc["header"].update(m="five"),
+            lambda doc: doc["header"].update(n=[64]),
+            lambda doc: doc["header"].pop("probs"),
+            lambda doc: doc.update(overflow_count="x"),
+            lambda doc: doc.pop("header"),
+        ],
+    )
+    def test_bad_header_is_parameter_error(self, change):
+        cfg = config(m=3, probs=(0.04, 0.24), n=64, seed=8)
+        block = encode_block_dm(cfg, np.zeros(cfg.info_length, dtype=np.uint8))
+        doc = json.loads(block_to_json(block, cfg))
+        change(doc)
+        with pytest.raises(ParameterError):
+            block_from_json(json.dumps(doc))
+
+    def test_invalid_json_is_parameter_error(self):
+        with pytest.raises(ParameterError):
+            block_from_json("{not json")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda symbols: symbols.__setitem__(1, "x"),
+            lambda symbols: symbols.__setitem__(1, 1.5),  # was read as 1
+            lambda symbols: symbols.__setitem__(1, 2),
+            lambda symbols: symbols.__setitem__(1, 9),
+            lambda symbols: symbols.__setitem__(1, None),
+            lambda symbols: symbols.pop(),
+        ],
+    )
+    def test_bad_payload_is_integrity_error(self, change):
+        cfg = config(m=3, probs=(0.04, 0.24), n=64, seed=8)
+        block = encode_block_dm(cfg, np.zeros(cfg.info_length, dtype=np.uint8))
+        doc = json.loads(block_to_json(block, cfg))
+        change(doc["symbols"])
+        with pytest.raises(IntegrityError):
+            block_from_json(json.dumps(doc))
 
     def test_tampered_payload_rejected(self):
         cfg = config(m=3, probs=(0.04, 0.24), n=256, seed=8)

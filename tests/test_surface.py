@@ -1,0 +1,116 @@
+"""Public surface and the names the benchmark harness relies on.
+
+perfbench/ drives the package through module attributes (it rebinds some
+of them for tracing), so a rename there would only show when the benchmark
+runs. These checks catch it in the test suite instead.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import signshape
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+PUBLIC = [
+    "BudgetReport",
+    "Constellation",
+    "DmCode",
+    "IntegrityError",
+    "MiCurve",
+    "NumericalError",
+    "OptimizationResult",
+    "OutOfCodebookError",
+    "ParameterError",
+    "RangeError",
+    "ShapedBlock",
+    "ShaperConfig",
+    "ShapingError",
+    "ShapingProfile",
+    "SimConfig",
+    "SimReport",
+    "SwitchAnalysis",
+    "SymbolDistribution",
+    "WeightError",
+    "analyze_switch",
+    "awgn_mi",
+    "binary_entropy",
+    "block_from_json",
+    "block_to_json",
+    "build_ask",
+    "decode_block",
+    "demap",
+    "dm_code",
+    "dm_complexity_bound",
+    "dm_decode",
+    "dm_encode",
+    "dm_pair_complexity_bound",
+    "effective_probabilities",
+    "empirical_source_frequencies",
+    "encode_block_dm",
+    "encode_block_ideal",
+    "induced_distribution",
+    "induced_pmf",
+    "loss_budget",
+    "maxwell_boltzmann",
+    "mi_curve_for_profile",
+    "mi_curve_optimized",
+    "mi_gap_db",
+    "optimize_profile",
+    "profile_to_dict",
+    "rank",
+    "rate_loss",
+    "rate_loss_to_db",
+    "run",
+    "selection_tables",
+    "sigma_for_snr",
+    "snr_db_for",
+    "switch_energy_loss",
+    "switch_excess_expectation",
+    "unrank",
+    "unrank_counted",
+    "weight_for",
+]
+
+MODULES = ["budget", "constellation", "enumdm", "errors", "midist", "shaper", "simulate"]
+
+
+def test_package_exports():
+    assert signshape.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(signshape, name), name
+
+
+def test_module_exports_resolve():
+    for module_name in MODULES:
+        module = importlib.import_module(f"signshape.{module_name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"signshape.{module_name}.{name}"
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    for module, attr, _ in tracing.REBINDINGS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    # every `from signshape... import name` in the workloads, and every
+    # `module.name` they read from an imported package module
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("signshape"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    assert "shaper" in imported and "ShaperConfig" in imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = imported.get(node.value.id)
+            if owner is not None and owner.__name__.startswith("signshape"):
+                assert hasattr(owner, node.attr), f"{owner.__name__}.{node.attr}"
+    for attr in ("dm_codes", "constellation", "info_length"):
+        assert hasattr(imported["ShaperConfig"], attr)

@@ -45,7 +45,6 @@ from .midist import (
     MiCurve,
     OptimizationResult,
     awgn_mi,
-    maxwell_boltzmann,
     mi_curve_for_profile,
     mi_curve_optimized,
     mi_gap_db,
@@ -113,7 +112,6 @@ __all__ = [
     "induced_distribution",
     "induced_pmf",
     "loss_budget",
-    "maxwell_boltzmann",
     "mi_curve_for_profile",
     "mi_curve_optimized",
     "mi_gap_db",

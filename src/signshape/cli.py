@@ -187,8 +187,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             args.m,
             args.P,
             warm_start=warm,
-            coarse_step=args.coarse_step,
-            refine_steps=tuple(args.refine_steps),
             **{key: float(value)},
         )
         warm = result.profile.probs
@@ -517,8 +515,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     group = opt.add_mutually_exclusive_group()
     group.add_argument("--snr", type=float, nargs="+", help="SNR grid in dB")
     group.add_argument("--sigma", type=float, nargs="+", help="noise std grid")
-    opt.add_argument("--coarse-step", type=float, default=0.02)
-    opt.add_argument("--refine-steps", type=float, nargs="*", default=[0.005, 0.0025])
     opt.set_defaults(func=_cmd_optimize)
     all_parsers.append(opt)
 

@@ -15,6 +15,8 @@ equal noise. optimize_profile exposes both views: a fixed noise_std
 maximizes MI at that noise level (where shaping can only lower the energy,
 so near-uniform profiles win), while a fixed snr_db rescales the noise to
 each candidate's energy and recovers the shaped optima the curves show.
+Either way the search is one bounded L-BFGS-B run over the box [0, 1]^P of
+sign-bit probabilities, on scipy's finite-difference gradient of the MI.
 """
 
 from __future__ import annotations
@@ -22,26 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import minimize
 
-from .constellation import (
-    Constellation,
-    ShapingProfile,
-    SymbolDistribution,
-    build_ask,
-    induced_pmf,
-)
+from .constellation import ShapingProfile, build_ask, induced_pmf
 from .errors import NumericalError, ParameterError
 
 __all__ = [
     "MiCurve",
     "OptimizationResult",
     "awgn_mi",
-    "maxwell_boltzmann",
     "sigma_for_snr",
     "snr_db_for",
     "optimize_profile",
@@ -113,15 +109,6 @@ def awgn_mi(
     return mi
 
 
-def maxwell_boltzmann(constellation: Constellation, lam: float) -> SymbolDistribution:
-    """Distribution proportional to exp(-lam * x^2) over the constellation."""
-    if lam < 0:
-        raise ParameterError(f"lambda must be >= 0, got {lam}")
-    x = constellation.points()
-    weights = np.exp(-lam * x * x)
-    return SymbolDistribution.from_pmf(weights / weights.sum(), constellation.symbols)
-
-
 @dataclass(eq=False)
 class MiCurve:
     """MI versus SNR samples for one shaping rule, with monotone lookup."""
@@ -164,113 +151,14 @@ class MiCurve:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best profile found by the grid search, with search metadata."""
+    """Best profile found by the optimizer, with its MI evaluation count."""
 
     profile: ShapingProfile
     mi_bpcu: float
     snr_db: float
     noise_std: float
     evaluations: int
-    final_step: float
     mode: str
-
-
-def _axis(step: float) -> np.ndarray:
-    return step * np.arange(int(round(1.0 / step)) + 1)
-
-
-def _window(center: float, half_width: float, step: float) -> np.ndarray:
-    lo = max(0.0, center - half_width)
-    hi = min(1.0, center + half_width)
-    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
-
-
-class _Search:
-    """Shared bookkeeping: best candidate so far plus evaluation count."""
-
-    def __init__(self, objective: Callable[[tuple[float, ...]], float]):
-        self._objective = objective
-        self.evaluations = 0
-        self.best_probs: tuple[float, ...] | None = None
-        self.best_value = -math.inf
-
-    def consider(self, probs: tuple[float, ...]) -> None:
-        value = self._objective(probs)
-        self.evaluations += 1
-        if value > self.best_value:
-            self.best_value = value
-            self.best_probs = probs
-
-
-def _grid_search(
-    search: _Search,
-    num_distinct: int,
-    warm_start: tuple[float, ...] | None,
-    coarse_step: float,
-    refine_steps: tuple[float, ...],
-) -> None:
-    # stage list: (half-width around current best, step); a None width means
-    # the full [0, 1] axis
-    if warm_start is None:
-        stages: list[tuple[float | None, float]] = [(None, coarse_step)]
-        previous = coarse_step
-    else:
-        search.consider(warm_start)
-        stages = [(1.5 * coarse_step, refine_steps[0] if refine_steps else coarse_step)]
-        previous = refine_steps[0] if refine_steps else coarse_step
-        refine_steps = refine_steps[1:]
-    for step in refine_steps:
-        stages.append((previous, step))
-        previous = step
-
-    for half_width, step in stages:
-        if half_width is None:
-            axes = [_axis(step)] * num_distinct
-        else:
-            center = search.best_probs
-            axes = [_window(center[i], half_width, step) for i in range(num_distinct)]
-        if num_distinct == 1:
-            for a in axes[0]:
-                search.consider((float(a),))
-        else:
-            for a in axes[0]:
-                for b in axes[1]:
-                    search.consider((float(a), float(b)))
-
-
-def _coordinate_ascent(
-    search: _Search,
-    num_distinct: int,
-    warm_start: tuple[float, ...] | None,
-    coarse_step: float,
-    refine_steps: tuple[float, ...],
-    max_sweeps: int = 60,
-) -> None:
-    start = warm_start if warm_start is not None else (0.5,) * num_distinct
-    search.consider(tuple(start))
-    cold = warm_start is None
-    first_refine = refine_steps[0] if refine_steps else coarse_step
-    for sweep in range(max_sweeps):
-        before = search.best_value
-        for i in range(num_distinct):
-            if cold and sweep == 0:
-                stage_specs: list[tuple[float | None, float]] = [(None, coarse_step)]
-            else:
-                stage_specs = [(1.5 * coarse_step, first_refine)]
-            stage_specs.extend(zip(refine_steps, refine_steps[1:]))
-            for half_width, step in stage_specs:
-                # recenter each stage on the best found so far
-                center = search.best_probs[i]
-                if half_width is None:
-                    points = _axis(step)
-                else:
-                    points = _window(center, half_width, step)
-                base = list(search.best_probs)
-                for value in points:
-                    base[i] = float(value)
-                    search.consider(tuple(base))
-        if search.best_value - before < 1e-10:
-            break
 
 
 def optimize_profile(
@@ -280,8 +168,6 @@ def optimize_profile(
     *,
     snr_db: float | None = None,
     warm_start: tuple[float, ...] | None = None,
-    coarse_step: float = 0.02,
-    refine_steps: tuple[float, ...] = (0.005, 0.0025),
     order: int = _DEFAULT_ORDER,
 ) -> OptimizationResult:
     """Maximize MI over the P-dimensional probability box.
@@ -294,41 +180,35 @@ def optimize_profile(
       own energy at that SNR, which is how MI-versus-SNR curves compare
       profiles.
 
-    P <= 2 runs nested product-grid refinement (coarse_step, then the
-    refine_steps windows); larger P runs cyclic per-coordinate line
-    searches with the same staging.
+    One bounded L-BFGS-B run over [0, 1]^P with finite-difference
+    gradients, started at warm_start or at the uniform profile.
     """
     if (noise_std is None) == (snr_db is None):
         raise ParameterError("pass exactly one of noise_std or snr_db")
     ShapingProfile(m=m, probs=(0.5,) * num_distinct)  # validates m and P upfront
+    if noise_std is not None and not noise_std > 0:
+        raise ParameterError(f"noise_std must be > 0, got {noise_std}")
     x = build_ask(m).points()
     energies = x * x
+    evaluations = 0
 
-    if noise_std is not None:
-        if not noise_std > 0:
-            raise ParameterError(f"noise_std must be > 0, got {noise_std}")
-        sigma = float(noise_std)
+    def mi(probs: Sequence[float]) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        pmf = induced_pmf(m, probs)
+        if noise_std is not None:
+            sigma = float(noise_std)
+        else:
+            sigma = sigma_for_snr(float(pmf @ energies), float(snr_db))
+        return awgn_mi(x, pmf, sigma, order=order)
 
-        def objective(probs: tuple[float, ...]) -> float:
-            return awgn_mi(x, induced_pmf(m, probs), sigma, order=order)
-
-    else:
-        linear = 10.0 ** (float(snr_db) / 10.0)
-
-        def objective(probs: tuple[float, ...]) -> float:
-            pmf = induced_pmf(m, probs)
-            sigma_p = math.sqrt(float(pmf @ energies) / linear)
-            return awgn_mi(x, pmf, sigma_p, order=order)
-
-    search = _Search(objective)
-    if num_distinct <= 2:
-        _grid_search(search, num_distinct, warm_start, coarse_step, refine_steps)
-    else:
-        _coordinate_ascent(search, num_distinct, warm_start, coarse_step, refine_steps)
-
-    best = ShapingProfile(m=m, probs=search.best_probs)
-    best_pmf = induced_pmf(m, best.probs)
-    energy = float(best_pmf @ energies)
+    start = (0.5,) * num_distinct if warm_start is None else warm_start
+    found = minimize(
+        lambda probs: -mi(probs), start, method="L-BFGS-B", bounds=[(0.0, 1.0)] * num_distinct
+    )
+    best = ShapingProfile(m=m, probs=tuple(float(p) for p in np.clip(found.x, 0.0, 1.0)))
+    best_mi = mi(best.probs)
+    energy = float(induced_pmf(m, best.probs) @ energies)
     if noise_std is not None:
         out_sigma = float(noise_std)
         out_snr = snr_db_for(energy, out_sigma)
@@ -339,11 +219,10 @@ def optimize_profile(
         mode = "fixed-snr"
     return OptimizationResult(
         profile=best,
-        mi_bpcu=search.best_value,
+        mi_bpcu=best_mi,
         snr_db=out_snr,
         noise_std=out_sigma,
-        evaluations=search.evaluations,
-        final_step=refine_steps[-1] if refine_steps else coarse_step,
+        evaluations=evaluations,
         mode=mode,
     )
 

@@ -257,13 +257,15 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
     """
     if config.mode != "block-dm":
         raise ParameterError(f"config mode is {config.mode!r}, not 'block-dm'")
-    info = np.asarray(info_bits, dtype=np.uint8)
+    info = np.asarray(info_bits)
     if info.ndim != 1 or info.size != config.info_length:
         raise ParameterError(
             f"info must have {config.info_length} bits, got {info.size}"
         )
-    if np.any(info > 1):
+    # checked before the cast, which would read 0.5 as 0 and overflow on -1
+    if not ((info == 0) | (info == 1)).all():
         raise ParameterError("info elements must be 0 or 1")
+    info = info.astype(np.uint8, copy=False)
     m = config.profile.m
     P = config.profile.num_distinct
     codes = config.dm_codes
@@ -464,6 +466,9 @@ def block_from_json(text: str) -> tuple[ShapedBlock, ShaperConfig]:
         raise ParameterError(f"malformed block document: {exc}") from None
     if symbols.shape != (config.n,):
         raise IntegrityError("block payload does not match its header")
+    # numpy reads [1, true] as two integers, so a bool must be caught here
+    if any(isinstance(s, bool) for s in doc["symbols"]):
+        raise IntegrityError("block contains values that are not integers")
     _split_symbols(symbols, config.profile.m)  # raises on non-points
     block = ShapedBlock(symbols=symbols, overflow_count=overflow_count, mode=config.mode)
     return block, config

@@ -57,6 +57,8 @@ class TestExitCodes:
             ("header", "m", "five", 2),
             ("symbols", 1, "x", 3),
             ("symbols", 1, 1.5, 3),
+            ("symbols", 1, True, 3),
+            ("symbols", 1, False, 3),
         ],
     )
     def test_malformed_block_file(self, tmp_path, field, index, value, expected):
@@ -189,6 +191,19 @@ class TestOptimizeCommand:
         assert len(rows) == 3
         results = read_json(tmp_path / "optimize-results.json")
         assert results[1]["profile"]["probs"][0] == pytest.approx(0.08, abs=0.02)
+
+    def test_results_schema(self, tmp_path):
+        assert main(["--out-dir", str(tmp_path), "optimize", "--m", "3",
+                     "--P", "2", "--sigma", "1", "2"]) == 0
+        for entry in read_json(tmp_path / "optimize-results.json"):
+            assert set(entry) == {"profile", "mi_bpcu", "snr_db", "noise_std",
+                                  "evaluations", "mode"}
+
+    def test_step_flags_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--out-dir", str(tmp_path), "optimize", "--coarse-step", "0.02",
+                  "--m", "3", "--P", "2", "--snr", "10"])
+        assert excinfo.value.code == 2
 
     def test_json_only_flag(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "--json", "optimize",

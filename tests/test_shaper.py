@@ -244,6 +244,15 @@ class TestBlockDmEncoding:
         with pytest.raises(ParameterError):
             encode_block_dm(cfg, np.zeros(cfg.info_length + 1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [0.5, -1, 2])
+    def test_non_binary_info_rejected(self, bad):
+        # 0.5 was read as 0 and -1 raised OverflowError in the uint8 cast
+        cfg = config()
+        info = [0] * cfg.info_length
+        info[3] = bad
+        with pytest.raises(ParameterError):
+            encode_block_dm(cfg, info)
+
     def test_mode_mismatch_on_decode(self):
         cfg = config(mode="ideal-sources")
         block = encode_block_ideal(cfg)
@@ -429,6 +438,8 @@ class TestBlockSerialization:
             lambda symbols: symbols.__setitem__(1, 2),
             lambda symbols: symbols.__setitem__(1, 9),
             lambda symbols: symbols.__setitem__(1, None),
+            lambda symbols: symbols.__setitem__(1, True),  # was read as 1
+            lambda symbols: symbols.__setitem__(1, False),
             lambda symbols: symbols.pop(),
         ],
     )

@@ -54,7 +54,6 @@ PUBLIC = [
     "induced_distribution",
     "induced_pmf",
     "loss_budget",
-    "maxwell_boltzmann",
     "mi_curve_for_profile",
     "mi_curve_optimized",
     "mi_gap_db",

@@ -19,7 +19,7 @@ import numpy as np
 from .constellation import ShapingProfile
 from .enumdm import rate_loss
 from .errors import ParameterError
-from .midist import MiCurve, mi_curve_for_profile, rate_loss_to_db
+from .midist import mi_curve_for_profile, rate_loss_to_db
 from .shaper import switch_energy_loss
 
 __all__ = ["BudgetReport", "loss_budget"]
@@ -45,24 +45,21 @@ def loss_budget(
     n: int,
     snr_db: float,
     asymptotic: bool = False,
-    curve: MiCurve | None = None,
 ) -> BudgetReport:
     """Budget for a two-source profile at block length n and the given SNR.
 
     `asymptotic` zeroes the finite-length components (matcher and switch),
-    leaving only the quantization gap. A precomputed fixed-profile curve
-    can be passed to skip rebuilding it.
+    leaving only the quantization gap.
     """
     profile = ShapingProfile(m=m, probs=(p1, p2))
     if n < 2 or n % 2:
         raise ParameterError(f"n must be even and >= 2, got {n}")
-    if curve is None:
-        grid = np.arange(
-            snr_db - _CURVE_HALF_SPAN_DB,
-            snr_db + _CURVE_HALF_SPAN_DB + 1e-9,
-            _CURVE_STEP_DB,
-        )
-        curve = mi_curve_for_profile(profile, grid)
+    grid = np.arange(
+        snr_db - _CURVE_HALF_SPAN_DB,
+        snr_db + _CURVE_HALF_SPAN_DB + 1e-9,
+        _CURVE_STEP_DB,
+    )
+    curve = mi_curve_for_profile(profile, grid)
     rate = curve.rate_at_snr(snr_db)
     capacity_snr_db = 10.0 * math.log10(2.0 ** (2.0 * rate) - 1.0)
     quantization_db = snr_db - capacity_snr_db

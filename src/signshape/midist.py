@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_DEFAULT_ORDER = 64
 _SLOPE_HALF_STEP_DB = 0.25
 
 
@@ -75,7 +74,7 @@ def snr_db_for(energy: float, noise_std: float) -> float:
 
 
 def awgn_mi(
-    x: Sequence[float], pmf: Sequence[float], noise_std: float, order: int = _DEFAULT_ORDER
+    x: Sequence[float], pmf: Sequence[float], noise_std: float, order: int = 64
 ) -> float:
     """I(X;Y) in bits per channel use for an arbitrary finite alphabet."""
     xs = np.asarray(x, dtype=float)
@@ -168,7 +167,6 @@ def optimize_profile(
     *,
     snr_db: float | None = None,
     warm_start: tuple[float, ...] | None = None,
-    order: int = _DEFAULT_ORDER,
 ) -> OptimizationResult:
     """Maximize MI over the P-dimensional probability box.
 
@@ -200,7 +198,7 @@ def optimize_profile(
             sigma = float(noise_std)
         else:
             sigma = sigma_for_snr(float(pmf @ energies), float(snr_db))
-        return awgn_mi(x, pmf, sigma, order=order)
+        return awgn_mi(x, pmf, sigma)
 
     start = (0.5,) * num_distinct if warm_start is None else warm_start
     found = minimize(
@@ -230,14 +228,13 @@ def optimize_profile(
 def mi_curve_for_profile(
     profile: ShapingProfile,
     snr_db_grid: Iterable[float],
-    order: int = _DEFAULT_ORDER,
 ) -> MiCurve:
     """MI-versus-SNR curve for one fixed profile."""
     x = build_ask(profile.m).points()
     pmf = induced_pmf(profile.m, profile.probs)
     energy = float(pmf @ (x * x))
     grid = [float(s) for s in snr_db_grid]
-    values = [awgn_mi(x, pmf, sigma_for_snr(energy, s), order=order) for s in grid]
+    values = [awgn_mi(x, pmf, sigma_for_snr(energy, s)) for s in grid]
     return MiCurve(snr_db=tuple(grid), mi_bpcu=tuple(values))
 
 
@@ -245,7 +242,6 @@ def mi_curve_optimized(
     m: int,
     num_distinct: int,
     snr_db_grid: Iterable[float],
-    order: int = _DEFAULT_ORDER,
 ) -> MiCurve:
     """Curve of per-SNR optimized profiles, warm starting along the grid."""
     grid = [float(s) for s in snr_db_grid]
@@ -254,7 +250,7 @@ def mi_curve_optimized(
     warm: tuple[float, ...] | None = None
     for snr in grid:
         result = optimize_profile(
-            m, num_distinct, snr_db=snr, warm_start=warm, order=order
+            m, num_distinct, snr_db=snr, warm_start=warm
         )
         warm = result.profile.probs
         values.append(result.mi_bpcu)

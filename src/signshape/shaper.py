@@ -155,61 +155,52 @@ def _matcher_bits(d: np.ndarray, sign_bits: np.ndarray, flip_table: np.ndarray) 
     return 1 - (sign_bits ^ flip_table[d])
 
 
-def _serve_requests_loop(
-    requests: np.ndarray, capacities: Sequence[int]
-) -> tuple[np.ndarray, int]:
-    """Reference switch policy, one request at a time."""
-    remaining = list(capacities)
-    served = np.empty(requests.size, dtype=np.int64)
-    overflow = 0
-    for t, want in enumerate(requests):
-        src = int(want)
-        if remaining[src] == 0:
-            fallback = next((i for i, r in enumerate(remaining) if r > 0), None)
-            if fallback is None:
-                raise IntegrityError("all reservoirs empty; demand exceeds supply")
-            src = fallback
-            overflow += 1
-        remaining[src] -= 1
-        served[t] = src
-    return served, overflow
-
-
 def _serve_requests(
     requests: np.ndarray, capacities: Sequence[int]
 ) -> tuple[np.ndarray, int]:
     """Which reservoir serves each request, plus the overflow count.
 
-    P <= 2 admits a closed form: at most one source over-demands, and its
-    requests past the capacity are exactly the ones served by the other.
+    A request takes a bit from its own reservoir while that lasts, else from
+    the absorber: the lowest-indexed reservoir with bits left. Until it
+    absorbs, a reservoir serves only its own requests, so the ones it turns
+    away are known up front. Each absorber, in one pass, serves those and
+    the requests for the reservoirs below it until it runs dry.
     """
-    total = int(requests.size)
-    if total != int(sum(capacities)):
+    n = requests.size
+    if n != sum(capacities):
         raise IntegrityError(
-            f"demand {total} != supply {int(sum(capacities))}; cannot serve"
+            f"demand {n} != supply {int(sum(capacities))}; cannot serve"
         )
     P = len(capacities)
-    if P == 1:
-        return np.zeros(total, dtype=np.int64), 0
-    if P == 2:
-        served = requests.astype(np.int64).copy()
-        for src, other in ((0, 1), (1, 0)):
-            own = requests == src
-            excess = int(own.sum()) - int(capacities[src])
-            if excess > 0:
-                late = np.cumsum(own) > capacities[src]
-                served[own & late] = other
-                return served, excess
-        return served, 0
-    return _serve_requests_loop(requests, capacities)
+    served = requests.astype(np.int64)
+    turned = np.full(P, n)  # each source's first request its own reservoir turns away
+    for s in (np.bincount(requests, minlength=P) > capacities).nonzero()[0]:
+        turned[s] = (requests == s).nonzero()[0][capacities[s]]
+    start = turned.min()
+    done = np.bincount(requests[:start], minlength=P)
+    for k in range(P):
+        left = capacities[k] - done[k]  # so far k served only its own requests
+        if left <= 0:
+            continue
+        if left == n - start:  # it holds every bit left: supply equals demand
+            served[start:] = k
+            break
+        tail = requests[start:]
+        stream = start + ((tail <= k) | (turned[tail] <= np.arange(start, n))).nonzero()[0]
+        served[stream[:left]] = k
+        if stream.size == left:
+            break
+        done += np.bincount(tail[: stream[left] - start], minlength=P)
+        start = stream[left]
+    return served, int(np.count_nonzero(served != requests))
 
 
 def _assemble(
     config: ShaperConfig, d: np.ndarray, sign_bits: np.ndarray, overflow: int
 ) -> ShapedBlock:
-    """Block of the symbols of rank d + sign * 2^(m-1), d the prefix value."""
+    """Block of the symbols 2r - (M-1) of rank r = d + sign * 2^(m-1), d the prefix value."""
     ranks = d + (sign_bits.astype(np.int64) << (config.profile.m - 1))
-    symbols = np.asarray(config.constellation.symbols, dtype=np.int64)[ranks]
+    symbols = 2 * ranks - ((1 << config.profile.m) - 1)
     return ShapedBlock(symbols=symbols, overflow_count=overflow, mode=config.mode)
 
 

@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms than the
 library: trapezoid integration instead of Gauss-Hermite quadrature, an
 iterative Pascal recurrence instead of math.comb, exact rationals for the
-overflow expectation, brute-force enumeration for ranking order, and a
-Pascal-table walk and a math.comb scan for unranking.
+overflow expectation, brute-force enumeration for ranking order, a
+Pascal-table walk and a math.comb scan for unranking, and a per-request
+loop for the reservoir switch.
 """
 
 from __future__ import annotations
@@ -135,3 +136,19 @@ def comb_greedy_unrank(index: int, n: int, w: int) -> np.ndarray:
     if rem:
         raise ValueError(f"index {index} is not below C({n}, {w})")
     return bits
+
+
+def loop_serve_requests(requests, capacities) -> tuple[np.ndarray, int]:
+    """The reservoir switch one request at a time: each takes a bit from its
+    own reservoir, or from the lowest-indexed one with bits left."""
+    remaining = list(capacities)
+    served = np.empty(len(requests), dtype=np.int64)
+    overflow = 0
+    for t, want in enumerate(requests):
+        src = int(want)
+        if remaining[src] == 0:
+            src = next(i for i, r in enumerate(remaining) if r > 0)
+            overflow += 1
+        remaining[src] -= 1
+        served[t] = src
+    return served, overflow

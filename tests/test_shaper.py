@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from signshape import (
@@ -31,11 +31,10 @@ from signshape import (
 from signshape.shaper import (
     _assemble,
     _serve_requests,
-    _serve_requests_loop,
     _split_symbols,
 )
 
-from helpers import exact_excess_expectation
+from helpers import exact_excess_expectation, loop_serve_requests
 
 
 def config(m=3, probs=(0.04, 0.24), n=256, seed=0, mode="block-dm"):
@@ -114,13 +113,24 @@ class TestServeRequests:
         assert overflow == 2
 
     def test_vectorized_matches_loop(self):
+        # skewed random demand against the per-request reference, with
+        # equal capacities, unequal ones, and unequal ones with an empty
+        # reservoir
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            n = int(rng.integers(2, 40)) * 2
-            requests = rng.integers(0, 2, size=n).astype(np.int64)
-            supply = np.array([n // 2, n // 2])
-            a, oa = _serve_requests(requests, list(supply))
-            b, ob = _serve_requests_loop(requests, list(supply))
+        for case in range(1200):
+            P = int(rng.choice([1, 2, 3, 4, 8, 16]))
+            n = P * int(rng.integers(1, 40))
+            requests = rng.choice(P, size=n, p=rng.dirichlet(np.ones(P)))
+            if case % 3 == 0:
+                supply = [n // P] * P
+            else:
+                weights = rng.dirichlet(np.ones(P))
+                if case % 3 == 2 and P > 1:
+                    weights[rng.integers(P)] = 0.0
+                    weights /= weights.sum()
+                supply = rng.multinomial(n, weights).tolist()
+            a, oa = _serve_requests(requests, supply)
+            b, ob = loop_serve_requests(requests, supply)
             np.testing.assert_array_equal(a, b)
             assert oa == ob
 
@@ -222,6 +232,24 @@ class TestBlockDmEncoding:
             assert block.overflow_count > 0
             np.testing.assert_array_equal(decode_block(block, cfg), info)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_roundtrip_any_profile(self, data):
+        # every m in [2, 8], every P dividing M/4 (P > 2 included),
+        # densities at and between 0 and 1, even n divisible by P up to 512
+        m = data.draw(st.integers(2, 8), label="m")
+        P = 1 << data.draw(st.integers(0, m - 2), label="log2(P)")
+        density = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        probs = data.draw(st.tuples(*[density] * P), label="probs")
+        step = max(P, 2)
+        n = step * data.draw(st.integers(1, 512 // step), label="n / step")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cfg = ShaperConfig(profile=ShapingProfile(m=m, probs=probs), n=n)
+        rng = np.random.default_rng(seed)
+        info = rng.integers(0, 2, size=cfg.info_length, dtype=np.uint8)
+        block = encode_block_dm(cfg, info)
+        np.testing.assert_array_equal(decode_block(block, cfg), info)
+
     def test_p1_single_source(self):
         cfg = ShaperConfig(profile=ShapingProfile(m=3, probs=(0.2,)), n=64, rng_seed=4)
         rng = np.random.default_rng(30)
@@ -293,6 +321,39 @@ class TestBlockDmEncoding:
         shaping_len = sum(c.k for c in cfg.dm_codes)
         np.testing.assert_array_equal(decoded[:shaping_len], info[:shaping_len])
         assert not np.array_equal(decoded[shaping_len:], info[shaping_len:])
+
+    @pytest.mark.parametrize(
+        "m, probs",
+        [
+            (3, (0.2,)),
+            (3, (0.04, 0.24)),
+            (4, (0.0, 0.3, 0.6, 1.0)),
+            (5, (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0)),
+        ],
+    )
+    def test_single_symbol_corruption(self, m, probs):
+        # the documented detection limit: a block with one symbol replaced
+        # by any other point either fails an integrity check or is itself
+        # the encoding of the info it decodes to
+        cfg = config(m=m, probs=probs, n=64, seed=7)
+        rng = np.random.default_rng(60)
+        info = rng.integers(0, 2, size=cfg.info_length, dtype=np.uint8)
+        symbols = encode_block_dm(cfg, info).symbols
+        raised = valid = 0
+        for position in range(cfg.n):
+            for point in cfg.constellation.symbols:
+                if point == symbols[position]:
+                    continue
+                bent = symbols.copy()
+                bent[position] = point
+                try:
+                    decoded = decode_block(ShapedBlock(bent, 0, "block-dm"), cfg)
+                except IntegrityError:
+                    raised += 1
+                    continue
+                np.testing.assert_array_equal(encode_block_dm(cfg, decoded).symbols, bent)
+                valid += 1
+        assert raised and valid
 
     def test_out_of_range_symbol_detected(self):
         cfg = config(m=3, probs=(0.04, 0.24), n=256, seed=6)

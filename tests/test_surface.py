@@ -7,6 +7,7 @@ runs. These checks catch it in the test suite instead.
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -73,6 +74,14 @@ PUBLIC = [
     "weight_for",
 ]
 
+# parameter names of entry points that take no tuning knobs
+SIGNATURES = {
+    "optimize_profile": ["m", "num_distinct", "noise_std", "snr_db", "warm_start"],
+    "mi_curve_for_profile": ["profile", "snr_db_grid"],
+    "mi_curve_optimized": ["m", "num_distinct", "snr_db_grid"],
+    "loss_budget": ["m", "p1", "p2", "n", "snr_db", "asymptotic"],
+}
+
 MODULES = ["budget", "constellation", "enumdm", "errors", "midist", "shaper", "simulate"]
 
 
@@ -80,6 +89,14 @@ def test_package_exports():
     assert signshape.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(signshape, name), name
+
+
+def test_signatures():
+    for name, params in SIGNATURES.items():
+        assert list(inspect.signature(getattr(signshape, name)).parameters) == params, name
+    # perfbench's tracer reads the default quadrature order from here
+    order = inspect.signature(signshape.awgn_mi).parameters["order"]
+    assert order.default is not inspect.Parameter.empty
 
 
 def test_module_exports_resolve():

@@ -56,8 +56,6 @@ from .midist import (
 from .shaper import (
     ShapedBlock,
     ShaperConfig,
-    SwitchAnalysis,
-    analyze_switch,
     block_from_json,
     block_to_json,
     decode_block,
@@ -68,7 +66,7 @@ from .shaper import (
     switch_energy_loss,
     switch_excess_expectation,
 )
-from .simulate import SimConfig, SimReport, demap, run
+from .simulate import SimConfig, SimReport, run
 
 __version__ = "0.1.0"
 
@@ -89,17 +87,14 @@ __all__ = [
     "ShapingProfile",
     "SimConfig",
     "SimReport",
-    "SwitchAnalysis",
     "SymbolDistribution",
     "WeightError",
-    "analyze_switch",
     "awgn_mi",
     "binary_entropy",
     "block_from_json",
     "block_to_json",
     "build_ask",
     "decode_block",
-    "demap",
     "dm_code",
     "dm_complexity_bound",
     "dm_decode",

@@ -61,12 +61,14 @@ from .midist import (
 )
 from .shaper import (
     ShaperConfig,
-    analyze_switch,
     block_from_json,
     block_to_json,
     decode_block,
+    effective_probabilities,
     encode_block_dm,
     encode_block_ideal,
+    switch_energy_loss,
+    switch_excess_expectation,
 )
 from .simulate import SimConfig, run as run_simulation
 
@@ -380,20 +382,13 @@ def _cmd_shape_analyze_switch(args: argparse.Namespace) -> int:
     profile = ShapingProfile(m=args.m, probs=(args.p1, args.p2))
     rows = []
     for n in args.n:
-        analysis = analyze_switch(profile, n)
-        rows.append(
-            (
-                n,
-                analysis.epsilon,
-                analysis.p_eff[0],
-                analysis.p_eff[1],
-                analysis.delta_db,
-            )
-        )
+        delta_db = switch_energy_loss(profile, n)  # rejects P != 2 first
+        epsilon = switch_excess_expectation(n)
+        p1_eff, p2_eff = effective_probabilities(*profile.probs, n)
+        rows.append((n, epsilon, p1_eff, p2_eff, delta_db))
         print(
-            f"n={n:6d}  eps={analysis.epsilon:10.4f}  "
-            f"p_eff=({analysis.p_eff[0]:.6f}, {analysis.p_eff[1]:.6f})  "
-            f"delta={analysis.delta_db:.5f} dB"
+            f"n={n:6d}  eps={epsilon:10.4f}  "
+            f"p_eff=({p1_eff:.6f}, {p2_eff:.6f})  delta={delta_db:.5f} dB"
         )
     header = ["n", "epsilon", "p1_eff", "p2_eff", "delta_db"]
     runner.emit_csv("switch-analysis.csv", header, rows)
@@ -600,20 +595,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     return top, all_parsers
 
 
-def _find_config(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, all_parsers = build_parser()
-    # apply --config before the real parse so explicit flags keep priority
-    config_path = _find_config(argv)
+    # a first parse finds --config, however abbreviated or placed; its
+    # values become defaults for the real parse, so explicit flags win
+    config_path = top.parse_args(argv).config
     if config_path:
         try:
             overrides = json.loads(Path(config_path).read_text(encoding="utf-8"))

@@ -49,10 +49,6 @@ class Constellation:
     m: int
     symbols: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
     def points(self) -> np.ndarray:
         """Symbols as a float array (new copy each call)."""
         return np.asarray(self.symbols, dtype=float)

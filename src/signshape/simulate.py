@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, selection_tables
+from .constellation import selection_tables
 from .errors import ParameterError
 from .shaper import (
     ShaperConfig,
@@ -29,7 +29,7 @@ from .shaper import (
     encode_block_ideal,
 )
 
-__all__ = ["SimConfig", "SimReport", "demap", "run"]
+__all__ = ["SimConfig", "SimReport", "run"]
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,6 @@ def _decide_ranks(y: np.ndarray, M: int) -> np.ndarray:
     """Rank of the nearest of M symbols; exact midpoints go to the smaller."""
     # (y + M - 1) / 2 is the rank scale, where midpoints sit at .5
     return np.clip(np.ceil((y + (M - 1)) / 2.0 - 0.5).astype(np.int64), 0, M - 1)
-
-
-def demap(y, constellation: Constellation):
-    """Nearest symbol decision; exact midpoints go to the smaller symbol.
-
-    Accepts a scalar or an array; returns the decided symbol(s).
-    """
-    arr = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("received values must be finite")
-    index = _decide_ranks(arr, constellation.size)
-    symbols = np.asarray(constellation.symbols, dtype=np.int64)[index]
-    if np.isscalar(y) or arr.ndim == 0:
-        return int(symbols)
-    return symbols
 
 
 def _mi_from_joint(joint: np.ndarray) -> float:

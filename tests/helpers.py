@@ -4,8 +4,8 @@ Everything here is deliberately written with different algorithms than the
 library: trapezoid integration instead of Gauss-Hermite quadrature, an
 iterative Pascal recurrence instead of math.comb, exact rationals for the
 overflow expectation, brute-force enumeration for ranking order, a
-Pascal-table walk and a math.comb scan for unranking, and a per-request
-loop for the reservoir switch.
+Pascal-table walk and a math.comb scan for unranking, a per-request
+loop for the reservoir switch, and per-source masks for the ideal encoder.
 """
 
 from __future__ import annotations
@@ -152,3 +152,22 @@ def loop_serve_requests(requests, capacities) -> tuple[np.ndarray, int]:
         remaining[src] -= 1
         served[t] = src
     return served, overflow
+
+
+def mask_encode_ideal(config) -> np.ndarray:
+    """Symbols of an ideal-sources block, each source's draws scattered
+    straight into the slots whose folded prefix selects it."""
+    m, probs, n = config.profile.m, config.profile.probs, config.n
+    M = 1 << m
+    children = np.random.SeedSequence(config.rng_seed).spawn(1 + len(probs))
+    prefix_rng, *source_rngs = (np.random.default_rng(c) for c in children)
+    prefix = prefix_rng.integers(0, 2, size=(n, m - 1), dtype=np.uint8)
+    d = prefix.astype(np.int64) @ (1 << np.arange(m - 1))
+    flip = d >= M // 4
+    src = np.where(flip, M // 2 - 1 - d, d) // (M // (4 * len(probs)))
+    source_bits = np.empty(n, dtype=np.uint8)
+    for i, p in enumerate(probs):
+        mask = src == i
+        source_bits[mask] = source_rngs[i].random(int(mask.sum())) >= p
+    sign = source_bits ^ flip
+    return 2 * (d + (sign.astype(np.int64) << (m - 1))) - (M - 1)

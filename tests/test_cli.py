@@ -6,6 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from signshape import (
+    ShapingProfile,
+    effective_probabilities,
+    switch_energy_loss,
+)
 from signshape.cli import main
 from signshape.enumdm import MAX_MATCHER_LENGTH
 
@@ -159,6 +164,13 @@ class TestShapeCommands:
         assert rows[0] == ["n", "epsilon", "p1_eff", "p2_eff", "delta_db"]
         eps_256 = float(rows[1][1])
         assert eps_256 == pytest.approx(np.sqrt(256 / (8 * np.pi)), rel=0.01)
+        profile = ShapingProfile(m=5, probs=(0.04, 0.24))
+        for row in rows[1:]:
+            n = int(row[0])
+            p1_eff, p2_eff = effective_probabilities(0.04, 0.24, n)
+            assert [float(v) for v in row[2:]] == [
+                p1_eff, p2_eff, switch_energy_loss(profile, n)
+            ]
 
 
 class TestSimulateCommand:
@@ -255,6 +267,24 @@ class TestConfigMerge:
                      "--samples", "5"]) == 0
         manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
         assert manifest["seed"] == 77
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--conf", "{cfg}", "dm", "roundtrip"],
+            ["dm", "roundtrip", "--config", "{cfg}"],
+        ],
+        ids=["abbreviated", "after-subcommand"],
+    )
+    def test_config_found_anywhere(self, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 77, "n": 32}))
+        argv = [a.format(cfg=cfg) for a in argv]
+        assert main(["--out-dir", str(tmp_path), *argv, "--n", "64", "--p", "0.1",
+                     "--samples", "5"]) == 0
+        manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
+        assert manifest["seed"] == 77
+        assert manifest["params"]["n"] == 64
 
     def test_bad_config_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

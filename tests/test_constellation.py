@@ -15,7 +15,6 @@ from signshape import (
     ShaperConfig,
     ShapingProfile,
     build_ask,
-    encode_block_ideal,
     induced_distribution,
     induced_pmf,
     selection_tables,
@@ -39,7 +38,7 @@ class TestBuildAsk:
     def test_4ask(self):
         c = build_ask(2)
         assert c.symbols == (-3, -1, 1, 3)
-        assert c.size == 4
+        assert len(c.symbols) == 4
 
     def test_8ask(self):
         c = build_ask(3)
@@ -47,7 +46,7 @@ class TestBuildAsk:
 
     def test_32ask_extremes(self):
         c = build_ask(5)
-        assert c.size == 32
+        assert len(c.symbols) == 32
         assert c.symbols[0] == -31
         assert c.symbols[-1] == 31
         diffs = np.diff(c.points())
@@ -102,15 +101,6 @@ class TestDecimalValue:
         prefixes = np.array(list(itertools.product((0, 1), repeat=4)))
         expected = [sum(b << i for i, b in enumerate(bits)) for bits in prefixes]
         assert _prefix_decimals(prefixes, 5).tolist() == expected
-
-    def test_rejects_non_binary(self):
-        # prefix bits given to the ideal encoder must each be 0 or 1; these
-        # once raised a bare IndexError (m = 3) or passed silently (m = 6)
-        for m, bad in ((3, 2), (3, 5), (3, -1), (3, 0.5), (6, 2)):
-            bits = np.zeros(2 * (m - 1), dtype=np.int64).astype(type(bad))
-            bits[1] = bad
-            with pytest.raises(ParameterError):
-                encode_block_ideal(ideal_config(m, 2), uniform_bit_source=bits)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
     def test_bijective_with_labels(self, bits):
@@ -227,8 +217,3 @@ class TestSelectSource:
         src, flip = selection_tables(5, 2)
         assert not src.flags.writeable
         assert not flip.flags.writeable
-
-    def test_wrong_prefix_length(self):
-        # m = 5 needs four prefix bits per symbol, not two
-        with pytest.raises(ParameterError):
-            encode_block_ideal(ideal_config(5, 4), uniform_bit_source=np.zeros(8))

@@ -15,7 +15,6 @@ from signshape import (
     ShapedBlock,
     ShaperConfig,
     ShapingProfile,
-    analyze_switch,
     block_from_json,
     block_to_json,
     decode_block,
@@ -34,7 +33,7 @@ from signshape.shaper import (
     _split_symbols,
 )
 
-from helpers import exact_excess_expectation, loop_serve_requests
+from helpers import exact_excess_expectation, loop_serve_requests, mask_encode_ideal
 
 
 def config(m=3, probs=(0.04, 0.24), n=256, seed=0, mode="block-dm"):
@@ -177,11 +176,32 @@ class TestIdealEncoding:
         assert p_value > 0.01
 
     def test_explicit_bit_source(self):
-        cfg = config(m=3, n=8, mode="ideal-sources")
-        bits = np.zeros(2 * 8, dtype=np.uint8)
-        block = encode_block_ideal(cfg, uniform_bit_source=bits)
+        # the prefix bits choose the symbol pair in either mode; here they
+        # come through the matcher encoder's info layout
+        cfg = config(m=3, n=8)
+        k = sum(code.k for code in cfg.dm_codes)
+        info = np.zeros(cfg.info_length, dtype=np.uint8)
+        info[:k] = np.random.default_rng(70).integers(0, 2, size=k)
+        block = encode_block_dm(cfg, info)
         # all-zero prefixes: every symbol sits in the d=0 pair {-7, +1}
         assert set(np.asarray(block.symbols)) <= {-7, 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_mask_reference(self, data):
+        # the switch-served words reproduce the per-source mask scatter
+        # byte for byte over every m in [2, 8] and every P dividing M/4
+        m = data.draw(st.integers(2, 8), label="m")
+        P = 1 << data.draw(st.integers(0, m - 2), label="log2(P)")
+        density = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        probs = data.draw(st.tuples(*[density] * P), label="probs")
+        step = max(P, 2)
+        n = step * data.draw(st.integers(1, 512 // step), label="n / step")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cfg = config(m=m, probs=probs, n=n, seed=seed, mode="ideal-sources")
+        block = encode_block_ideal(cfg)
+        assert block.overflow_count == 0
+        assert block.symbols.tobytes() == mask_encode_ideal(cfg).tobytes()
 
     def test_mean_energy_close(self):
         cfg = config(m=5, probs=(0.04, 0.24), n=65536, mode="ideal-sources", seed=9)
@@ -379,7 +399,7 @@ class TestSwitchExpectation:
         assert switch_excess_expectation(n) == pytest.approx(oracle, rel=1e-12)
 
     def test_product_form_continuity(self):
-        # exact and product paths must agree where they meet
+        # the running product against the exact rational at large n
         exact = Fraction(4096 * math.comb(4096, 2048), 4 * 2**4096)
         assert switch_excess_expectation(4096) == pytest.approx(
             float(exact), rel=1e-12
@@ -435,16 +455,6 @@ class TestSwitchEnergyLoss:
     def test_requires_two_sources(self):
         with pytest.raises(ParameterError):
             switch_energy_loss(ShapingProfile(m=3, probs=(0.2,)), 256)
-
-    def test_analyze_switch_consistent(self):
-        prof = ShapingProfile(m=5, probs=(0.04, 0.24))
-        analysis = analyze_switch(prof, 1024)
-        assert analysis.n == 1024
-        assert analysis.epsilon == pytest.approx(switch_excess_expectation(1024))
-        assert analysis.delta_db == pytest.approx(switch_energy_loss(prof, 1024))
-        assert analysis.p_eff == pytest.approx(
-            effective_probabilities(0.04, 0.24, 1024)
-        )
 
 
 class TestEmpiricalFrequencies:

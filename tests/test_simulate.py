@@ -12,12 +12,12 @@ from signshape import (
     SimConfig,
     awgn_mi,
     build_ask,
-    demap,
     induced_distribution,
     run,
     sigma_for_snr,
 )
 from signshape import shaper
+from signshape.simulate import _decide_ranks
 
 
 def sim(m=3, probs=(0.04, 0.24), n=256, blocks=8, sigma=1.0, mode="block-dm", seed=0):
@@ -30,30 +30,22 @@ def sim(m=3, probs=(0.04, 0.24), n=256, blocks=8, sigma=1.0, mode="block-dm", se
 
 
 class TestDemap:
+    """The nearest-symbol decision, on the rank scale."""
+
     def test_exact_points_map_to_themselves(self):
         c = build_ask(3)
-        for s in c.symbols:
-            assert demap(float(s), c) == s
+        np.testing.assert_array_equal(_decide_ranks(c.points(), 8), np.arange(8))
 
     def test_midpoint_goes_to_smaller(self):
-        c = build_ask(3)
-        assert demap(0.0, c) == -1
-        assert demap(2.0, c) == 1
+        # 0 lies between ranks 3 and 4 (symbols -1 and +1), 2 between 4 and 5
+        np.testing.assert_array_equal(_decide_ranks(np.array([0.0, 2.0]), 8), [3, 4])
 
     def test_clipping(self):
-        c = build_ask(3)
-        assert demap(-55.0, c) == -7
-        assert demap(55.0, c) == 7
+        np.testing.assert_array_equal(_decide_ranks(np.array([-55.0, 55.0]), 8), [0, 7])
 
     def test_vectorized(self):
-        c = build_ask(2)
         y = np.array([-10.0, -1.2, 0.4, 2.9])
-        np.testing.assert_array_equal(demap(y, c), [-3, -1, 1, 3])
-
-    def test_rejects_non_finite(self):
-        c = build_ask(2)
-        with pytest.raises(ParameterError):
-            demap(np.array([np.nan]), c)
+        np.testing.assert_array_equal(_decide_ranks(y, 4), [0, 1, 2, 3])
 
 
 class TestRun:

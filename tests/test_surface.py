@@ -32,17 +32,14 @@ PUBLIC = [
     "ShapingProfile",
     "SimConfig",
     "SimReport",
-    "SwitchAnalysis",
     "SymbolDistribution",
     "WeightError",
-    "analyze_switch",
     "awgn_mi",
     "binary_entropy",
     "block_from_json",
     "block_to_json",
     "build_ask",
     "decode_block",
-    "demap",
     "dm_code",
     "dm_complexity_bound",
     "dm_decode",
@@ -80,6 +77,7 @@ SIGNATURES = {
     "mi_curve_for_profile": ["profile", "snr_db_grid"],
     "mi_curve_optimized": ["m", "num_distinct", "snr_db_grid"],
     "loss_budget": ["m", "p1", "p2", "n", "snr_db", "asymptotic"],
+    "encode_block_ideal": ["config"],
 }
 
 MODULES = ["budget", "constellation", "enumdm", "errors", "midist", "shaper", "simulate"]

@@ -27,6 +27,7 @@ from signshape import (
     switch_energy_loss,
     switch_excess_expectation,
 )
+from signshape.cli import main
 from signshape.shaper import (
     _assemble,
     _serve_requests,
@@ -455,6 +456,20 @@ class TestSwitchEnergyLoss:
     def test_requires_two_sources(self):
         with pytest.raises(ParameterError):
             switch_energy_loss(ShapingProfile(m=3, probs=(0.2,)), 256)
+
+    def test_analyze_switch_consistent(self, tmp_path):
+        prof = ShapingProfile(m=5, probs=(0.04, 0.24))
+        assert main(["--out-dir", str(tmp_path), "shape", "analyze-switch",
+                     "--m", "5", "--p1", "0.04", "--p2", "0.24",
+                     "--n", "1024"]) == 0
+        text = (tmp_path / "switch-analysis.json").read_text(encoding="utf-8")
+        (analysis,) = json.loads(text)
+        assert analysis["n"] == 1024
+        assert analysis["epsilon"] == pytest.approx(switch_excess_expectation(1024))
+        assert analysis["delta_db"] == pytest.approx(switch_energy_loss(prof, 1024))
+        assert (analysis["p1_eff"], analysis["p2_eff"]) == pytest.approx(
+            effective_probabilities(0.04, 0.24, 1024)
+        )
 
 
 class TestEmpiricalFrequencies:

@@ -17,6 +17,10 @@ so near-uniform profiles win), while a fixed snr_db rescales the noise to
 each candidate's energy and recovers the shaped optima the curves show.
 Either way the search is one bounded L-BFGS-B run over the box [0, 1]^P of
 sign-bit probabilities, on scipy's finite-difference gradient of the MI.
+
+scipy is needed only by optimize_profile (and mi_curve_optimized, which
+calls it); scipy.optimize is imported on its first call, so importing this
+module costs numpy alone. The MiCurve lookups use a numpy monotone cubic.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize
 
 from .constellation import ShapingProfile, build_ask, induced_pmf
 from .errors import NumericalError, ParameterError
@@ -49,6 +51,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SLOPE_HALF_STEP_DB = 0.25
+_MI_GATHER_CAP_BYTES = 256 << 20
 
 
 @lru_cache(maxsize=8)
@@ -68,23 +71,34 @@ def sigma_for_snr(energy: float, snr_db: float) -> float:
 
 
 def snr_db_for(energy: float, noise_std: float) -> float:
-    if energy <= 0 or noise_std <= 0:
-        raise ParameterError("energy and noise_std must be positive")
+    if not (0 < energy < math.inf and 0 < noise_std < math.inf):
+        raise ParameterError("energy and noise_std must be positive and finite")
     return 10.0 * math.log10(energy / (noise_std * noise_std))
 
 
 def awgn_mi(
     x: Sequence[float], pmf: Sequence[float], noise_std: float, order: int = 64
 ) -> float:
-    """I(X;Y) in bits per channel use for an arbitrary finite alphabet."""
+    """I(X;Y) in bits per channel use for an arbitrary finite alphabet.
+
+    Memory: both paths build M x M x order float64 arrays, 8 M^2 order bytes
+    each (128 MB at M = 512, order 64). Above 256 MB (M >= 1024 at order 64)
+    the call raises ParameterError before allocating anything.
+    """
     xs = np.asarray(x, dtype=float)
     p = np.asarray(pmf, dtype=float)
     if xs.ndim != 1 or xs.shape != p.shape:
         raise ParameterError("x and pmf must be 1-D arrays of equal length")
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
         raise ParameterError("pmf must be nonnegative and sum to 1")
-    if not noise_std > 0:
-        raise ParameterError(f"noise_std must be > 0, got {noise_std}")
+    if not 0 < noise_std < math.inf:
+        raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
+    gather_bytes = 8 * xs.size * xs.size * order
+    if gather_bytes > _MI_GATHER_CAP_BYTES:
+        raise ParameterError(
+            f"awgn_mi needs {gather_bytes >> 20} MB for M = {xs.size} at order {order}, "
+            f"above its {_MI_GATHER_CAP_BYTES >> 20} MB cap"
+        )
     nodes, weights = _quadrature(order)
     shift = math.sqrt(2.0) * nodes
     z = xs / noise_std
@@ -106,6 +120,36 @@ def awgn_mi(
     if not math.isfinite(mi):
         raise NumericalError("mutual information evaluation produced a non-finite value")
     return mi
+
+
+def _pchip(x: Sequence[float], y: Sequence[float], at) -> np.ndarray:
+    """Fritsch-Carlson monotone cubic through (x, y), evaluated at `at`.
+
+    The slopes are those of scipy's PchipInterpolator: inside, the weighted
+    harmonic mean of the two secants, or 0 where they differ in sign or one
+    is 0; at the ends, the one-sided three-point formula, clamped to keep the
+    end secant's shape. Two points give the straight line.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h, s = np.diff(x), np.diff(y) / np.diff(x)
+    d = np.full(x.size, s[0])
+    if x.size > 2:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = np.sign(s[1:]) * np.sign(s[:-1]) <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / s[:-1] + w2 / s[1:]) / (w1 + w2)))
+        for end, nxt in ((0, 1), (-1, -2)):
+            e = ((2 * h[end] + h[nxt]) * s[end] - h[end] * s[nxt]) / (h[end] + h[nxt])
+            if np.sign(e) != np.sign(s[end]):
+                e = 0.0
+            elif np.sign(s[end]) != np.sign(s[nxt]) and abs(e) > 3 * abs(s[end]):
+                e = 3 * s[end]
+            d[end] = e
+    k = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+    t = np.asarray(at, dtype=float) - x[k]
+    g = (d[k] + d[k + 1] - 2 * s[k]) / h[k]
+    c2, c3 = (s[k] - d[k]) / h[k] - g, g / h[k]
+    return y[k] + d[k] * t + c2 * (t * t) + c3 * (t * t * t)
 
 
 @dataclass(eq=False)
@@ -134,7 +178,7 @@ class MiCurve:
                 f"snr {snr_db} dB outside curve range "
                 f"[{self.snr_db[0]}, {self.snr_db[-1]}]"
             )
-        return float(PchipInterpolator(self.snr_db, self.mi_bpcu)(snr_db))
+        return float(_pchip(self.snr_db, self.mi_bpcu, snr_db))
 
     def snr_at_rate(self, rate_bpcu: float) -> float:
         mi = np.asarray(self.mi_bpcu)
@@ -145,7 +189,7 @@ class MiCurve:
             raise ParameterError(
                 f"rate {rate_bpcu} outside curve MI range [{mi[0]:.6f}, {mi[-1]:.6f}]"
             )
-        return float(PchipInterpolator(mi, snr)(rate_bpcu))
+        return float(_pchip(mi, snr, rate_bpcu))
 
 
 @dataclass(frozen=True)
@@ -184,8 +228,12 @@ def optimize_profile(
     if (noise_std is None) == (snr_db is None):
         raise ParameterError("pass exactly one of noise_std or snr_db")
     ShapingProfile(m=m, probs=(0.5,) * num_distinct)  # validates m and P upfront
-    if noise_std is not None and not noise_std > 0:
-        raise ParameterError(f"noise_std must be > 0, got {noise_std}")
+    if noise_std is not None and not 0 < noise_std < math.inf:
+        raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
+    # imported here so that only the optimizer pays scipy's import time,
+    # which is several times numpy's
+    from scipy.optimize import minimize
+
     x = build_ask(m).points()
     energies = x * x
     evaluations = 0

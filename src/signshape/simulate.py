@@ -40,8 +40,8 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_std < 0:
-            raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.num_blocks < 1:
             raise ParameterError(f"num_blocks must be >= 1, got {self.num_blocks}")
 

@@ -37,6 +37,22 @@ class TestExitCodes:
                      "--P", "3", "--snr", "10"])
         assert code == 2
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+         "--n", "64", "--blocks", "2"],
+        ["optimize", "--m", "3", "--P", "2"],
+    ], ids=["simulate", "optimize"])
+    def test_non_finite_sigma_is_2(self, tmp_path, command, sigma):
+        assert main(["--out-dir", str(tmp_path), *command, "--sigma", sigma]) == 2
+
+    def test_mi_memory_cap_is_2(self, tmp_path, capsys):
+        # 4096-ASK would need an 8 GB quadrature gather per MI call
+        code = main(["--out-dir", str(tmp_path), "optimize", "--m", "12",
+                     "--P", "2", "--snr", "30"])
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+
     def test_missing_required_is_2(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "budget", "--m", "5",
                      "--p1", "0.04", "--n", "128", "--snr", "17"])

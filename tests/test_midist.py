@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from signshape import (
     MiCurve,
@@ -19,6 +20,7 @@ from signshape import (
     sigma_for_snr,
     snr_db_for,
 )
+from signshape.midist import _pchip
 
 from helpers import trapezoid_mi
 
@@ -38,6 +40,11 @@ class TestChannelSpec:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ParameterError):
             snr_db_for(uniform_dist(3).average_energy, 0.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ParameterError):
+            snr_db_for(uniform_dist(3).average_energy, sigma)
 
 
 class TestAwgnMi:
@@ -96,6 +103,18 @@ class TestAwgnMi:
         with pytest.raises(ParameterError):
             awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), -1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ParameterError):
+            awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), sigma)
+
+    def test_memory_cap(self):
+        # 512-ASK at order 64 is a 128 MB gather and runs; 1024-ASK would need
+        # 512 MB and is refused before anything is allocated
+        assert 0 < awgn_mi(build_ask(9).points(), np.full(512, 1 / 512), 1.0) <= 9
+        with pytest.raises(ParameterError, match="cap"):
+            awgn_mi(build_ask(10).points(), np.full(1024, 1 / 1024), 1.0)
+
     def test_mirror_invariance(self):
         points = build_ask(4).points()
         pmf = induced_distribution(ShapingProfile(m=4, probs=(0.1, 0.3))).pmf()
@@ -133,6 +152,59 @@ class TestMiCurve:
             MiCurve(snr_db=(1.0, 1.0), mi_bpcu=(0.5, 0.5))
 
 
+def _pchip_cases():
+    # the curves criteria 3, 4b, 5 and 6 look up
+    grid_32, grid_64 = np.arange(6.0, 20.01, 0.5), np.arange(26.0, 34.01, 0.5)
+    return [
+        (5, (0.04, 0.24), grid_32),
+        (5, (0.08, 0.28), grid_32),
+        (6, (0.04, 0.24), grid_64),
+        (5, (0.04, 0.24), np.arange(15.0, 19.0 + 1e-9, 0.25)),
+    ]
+
+
+def _nodes_and_midpoints(x):
+    x = np.asarray(x)
+    return np.concatenate([x, (x[1:] + x[:-1]) / 2])
+
+
+class TestPchip:
+    """The numpy monotone cubic agrees with scipy's PchipInterpolator."""
+
+    @pytest.mark.parametrize("m, probs, grid", _pchip_cases())
+    def test_curve_lookups_match_scipy(self, m, probs, grid):
+        curve = mi_curve_for_profile(ShapingProfile(m=m, probs=probs), grid)
+        snrs = _nodes_and_midpoints(curve.snr_db)
+        got = [curve.rate_at_snr(s) for s in snrs]
+        want = PchipInterpolator(curve.snr_db, curve.mi_bpcu)(snrs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        mi, snr = np.asarray(curve.mi_bpcu), np.asarray(curve.snr_db)
+        keep = np.concatenate([[True], np.diff(mi) > 1e-12])
+        rates = _nodes_and_midpoints(mi[keep])
+        got = [curve.snr_at_rate(r) for r in rates]
+        want = PchipInterpolator(mi[keep], snr[keep])(rates)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_random_curves_match_scipy(self):
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n = int(rng.integers(3, 30))
+            x = np.cumsum(rng.uniform(0.05, 2.0, n))
+            # rounding makes flat runs; a random walk makes sign changes
+            y = np.round(np.cumsum(rng.normal(size=n)), int(trial % 3))
+            at = np.concatenate([x, rng.uniform(x[0], x[-1], 40)])
+            want = PchipInterpolator(x, y)(at)
+            np.testing.assert_allclose(_pchip(x, y, at), want, rtol=1e-12, atol=1e-12)
+
+    def test_two_points_is_the_line(self):
+        x, y = np.array([1.0, 3.0]), np.array([0.5, 2.5])
+        at = np.array([1.0, 1.5, 2.0, 3.0])
+        np.testing.assert_allclose(_pchip(x, y, at), at - 0.5, rtol=1e-15)
+        np.testing.assert_allclose(
+            _pchip(x, y, at), PchipInterpolator(x, y)(at), rtol=1e-12, atol=1e-12
+        )
+
+
 class TestOptimize:
     def test_fixed_snr_8ask_recovers_known_operating_point(self):
         result = optimize_profile(3, 2, snr_db=10.0)
@@ -152,6 +224,11 @@ class TestOptimize:
             optimize_profile(3, 2)
         with pytest.raises(ParameterError):
             optimize_profile(3, 2, 1.0, snr_db=10.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ParameterError):
+            optimize_profile(3, 2, sigma)
 
     def test_p1_matches_1d_scan(self):
         # independent coarse/fine scan over the single probability

@@ -139,3 +139,8 @@ class TestRun:
             SimConfig(shaper=sim().shaper, noise_std=-1.0, num_blocks=1)
         with pytest.raises(ParameterError):
             SimConfig(shaper=sim().shaper, noise_std=1.0, num_blocks=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_noise(self, sigma):
+        with pytest.raises(ParameterError):
+            SimConfig(shaper=sim().shaper, noise_std=sigma, num_blocks=1)

@@ -8,6 +8,9 @@ runs. These checks catch it in the test suite instead.
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -128,3 +131,25 @@ def test_benchmark_names_resolve(monkeypatch):
                 assert hasattr(owner, node.attr), f"{owner.__name__}.{node.attr}"
     for attr in ("dm_codes", "constellation", "info_length"):
         assert hasattr(imported["ShaperConfig"], attr)
+
+
+def test_scipy_loaded_only_by_the_optimizer():
+    # a fresh interpreter, since this one has scipy loaded by other tests
+    child = (
+        "import json, sys\n"
+        "import signshape, signshape.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "signshape.optimize_profile(3, 1, snr_db=10.0)\n"
+        "print(json.dumps([loaded, 'scipy.optimize' in sys.modules]))\n"
+    )
+    src = str(Path(signshape.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    loaded, optimizer_loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == []
+    assert optimizer_loaded

@@ -196,7 +196,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         probs = ", ".join(f"{p:.4f}" for p in result.profile.probs)
         print(
             f"snr {result.snr_db:8.3f} dB  mi {result.mi_bpcu:.6f} bpcu  "
-            f"probs ({probs})  [{result.evaluations} evaluations]"
+            f"probs ({probs})  [{result.evaluations} evaluations, "
+            f"kkt residual {result.kkt_residual:.1e}]"
         )
     header = ["snr_db", "mi_bpcu"] + [f"p{i + 1}" for i in range(args.P)]
     rows = [

@@ -225,7 +225,7 @@ class TestOptimizeCommand:
                      "--P", "2", "--sigma", "1", "2"]) == 0
         for entry in read_json(tmp_path / "optimize-results.json"):
             assert set(entry) == {"profile", "mi_bpcu", "snr_db", "noise_std",
-                                  "evaluations", "mode"}
+                                  "evaluations", "mode", "kkt_residual"}
 
     def test_step_flags_removed(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

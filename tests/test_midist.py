@@ -20,6 +20,7 @@ from signshape import (
     sigma_for_snr,
     snr_db_for,
 )
+from signshape.constellation import induced_pmf
 from signshape.midist import _pchip
 
 from helpers import trapezoid_mi
@@ -109,8 +110,9 @@ class TestAwgnMi:
             awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), sigma)
 
     def test_memory_cap(self):
-        # 512-ASK at order 64 is a 128 MB gather and runs; 1024-ASK would need
-        # 512 MB and is refused before anything is allocated
+        # the cap counts 8 M^2 order bytes, what an M x M x order array would
+        # take: 128 MB for 512-ASK at order 64 runs, and 1024-ASK's 512 MB is
+        # refused before anything is allocated, whichever path would run
         assert 0 < awgn_mi(build_ask(9).points(), np.full(512, 1 / 512), 1.0) <= 9
         with pytest.raises(ParameterError, match="cap"):
             awgn_mi(build_ask(10).points(), np.full(1024, 1 / 1024), 1.0)
@@ -121,6 +123,63 @@ class TestAwgnMi:
         a = awgn_mi(points, pmf, 2.0)
         b = awgn_mi(points[::-1].copy(), pmf[::-1].copy(), 2.0)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def _one_sided(f, h):
+    # second-order forward difference, for entries that may not go below 0
+    return (-3 * f(0.0) + 4 * f(h) - f(2 * h)) / (2 * h)
+
+
+def _central(f, h):
+    return (f(h) - f(-h)) / (2 * h)
+
+
+class TestMiGradient:
+    """awgn_mi(grad=True) against finite differences of its own value."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_finite_differences(self, m):
+        # one source per symbol pair, with the first probability 0 and the
+        # last 1, so some pmf entries are exactly 0; at sigma = 1.6 every
+        # symbol overlaps its neighbours, so the MI is smooth at those zeros
+        probs = np.random.default_rng(m).uniform(0.05, 0.95, 1 << (m - 2))
+        probs[0] = 0.0
+        if probs.size > 1:
+            probs[-1] = 1.0
+        x, pmf, sigma = build_ask(m).points(), induced_pmf(m, probs), 1.6
+        # tilted, because a mirror-image error cancels on a symmetric pmf
+        pmf = pmf * np.linspace(0.5, 1.5, x.size)
+        pmf /= pmf.sum()
+        assert np.any(pmf == 0)
+        _, dpmf, dsigma = awgn_mi(x, pmf, sigma, grad=True)
+        # the pmf must keep summing to 1, so step along e_j - e_ref
+        ref = int(np.argmax(pmf))
+        for j in range(x.size):
+            step = np.zeros(x.size)
+            step[j] += 1.0
+            step[ref] -= 1.0
+
+            def f(t):
+                return awgn_mi(x, pmf + t * step, sigma)
+
+            want = _central(f, 1e-6) if pmf[j] > 0 else _one_sided(f, 1e-7)
+            assert dpmf[j] - dpmf[ref] == pytest.approx(want, abs=1e-6), j
+        want = _central(lambda t: awgn_mi(x, pmf, sigma * (1 + t)), 1e-6) / sigma
+        assert dsigma == pytest.approx(want, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("m, snr_db", [(3, 6.0), (5, 17.0), (6, 30.0), (8, 40.0)])
+    def test_value_is_the_value_path(self, m, snr_db):
+        x = build_ask(m).points()
+        pmf = induced_pmf(m, np.linspace(0.02, 0.5, 1 << (m - 2)))
+        sigma = sigma_for_snr(float(pmf @ (x * x)), snr_db)
+        mi, _, _ = awgn_mi(x, pmf, sigma, grad=True)
+        assert mi == pytest.approx(awgn_mi(x, pmf, sigma), abs=1e-14)
+
+    def test_unequal_spacing_has_no_gradient(self):
+        points = np.array([-3.0, -1.0, 0.5, 3.0])
+        pmf = np.array([0.2, 0.3, 0.3, 0.2])
+        with pytest.raises(ParameterError, match="equally spaced"):
+            awgn_mi(points, pmf, 0.8, grad=True)
 
 
 class TestMiCurve:
@@ -205,7 +264,62 @@ class TestPchip:
         )
 
 
+@pytest.fixture
+def objectives(monkeypatch):
+    """Every (objective, keyword arguments) optimize_profile hands to minimize."""
+    import scipy.optimize
+
+    seen = []
+    minimize = scipy.optimize.minimize
+
+    def spy(fun, *args, **kwargs):
+        seen.append((fun, kwargs))
+        return minimize(fun, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    return seen
+
+
 class TestOptimize:
+    @pytest.mark.parametrize(
+        "m, num_distinct, noise_std, snr_db",
+        [(3, 2, None, 10.0), (6, 16, None, 30.0), (4, 2, 2.0, None), (4, 2, 5.0, None)],
+    )
+    def test_objective_gradient(self, objectives, m, num_distinct, noise_std, snr_db):
+        result = optimize_profile(m, num_distinct, noise_std, snr_db=snr_db)
+        [(negated, kwargs)] = objectives
+        assert kwargs["jac"] is True
+        best = np.asarray(result.profile.probs)
+        for probs in (np.linspace(0.1, 0.45, num_distinct), best):
+            _, grad = negated(probs)
+            for i in range(num_distinct):
+                step = np.zeros(num_distinct)
+                step[i] = 1.0
+
+                def f(t):
+                    return negated(probs + t * step)[0]
+
+                if probs[i] == 1.0:  # the active bound at sigma = 5
+                    want = -_one_sided(lambda t: f(-t), 1e-6)
+                elif probs[i] == 0.0:
+                    want = _one_sided(f, 1e-6)
+                else:
+                    want = _central(f, 1e-6)
+                assert grad[i] == pytest.approx(want, abs=1e-7), (probs, i)
+        # the KKT residual is the projected ascent gradient at the result
+        ascent = -negated(best)[1]
+        projected = np.where(best == 0.0, np.maximum(ascent, 0.0), np.abs(ascent))
+        projected = np.where(best == 1.0, np.maximum(-ascent, 0.0), projected)
+        assert result.kkt_residual == pytest.approx(projected.max(), abs=1e-12)
+        assert result.kkt_residual < 1e-3
+
+    def test_cold_p16_uses_the_gradient(self):
+        # a finite-difference gradient alone costs P + 1 = 17 evaluations
+        # per step, and took 307 here
+        result = optimize_profile(6, 16, snr_db=30.0)
+        assert result.evaluations <= 40
+        assert result.kkt_residual < 1e-3
+
     def test_fixed_snr_8ask_recovers_known_operating_point(self):
         result = optimize_profile(3, 2, snr_db=10.0)
         assert result.profile.probs[0] == pytest.approx(0.08, abs=0.02)

@@ -95,9 +95,13 @@ def test_package_exports():
 def test_signatures():
     for name, params in SIGNATURES.items():
         assert list(inspect.signature(getattr(signshape, name)).parameters) == params, name
-    # perfbench's tracer reads the default quadrature order from here
-    order = inspect.signature(signshape.awgn_mi).parameters["order"]
-    assert order.default is not inspect.Parameter.empty
+    # perfbench's tracer reads the default quadrature order from here, and
+    # a fourth positional argument as the order
+    mi_params = inspect.signature(signshape.awgn_mi).parameters
+    assert list(mi_params)[3] == "order"
+    assert mi_params["order"].default is not inspect.Parameter.empty
+    assert mi_params["grad"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert mi_params["grad"].default is False
 
 
 def test_module_exports_resolve():

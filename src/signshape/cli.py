@@ -414,13 +414,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             (snr_db_for(energy, s) if s > 0 else None, float(s)) for s in args.sigma
         ]
     reports = []
-    for snr_db, sigma in sigmas:
-        sim = SimConfig(
-            shaper=shaper_cfg,
-            noise_std=sigma,
-            num_blocks=args.blocks,
-            rng_seed=args.seed,
-        )
+    # every config is checked before the first run
+    sims = [
+        SimConfig(shaper=shaper_cfg, noise_std=sigma, num_blocks=args.blocks, rng_seed=args.seed)
+        for _, sigma in sigmas
+    ]
+    for (snr_db, sigma), sim in zip(sigmas, sims):
         report = run_simulation(sim)
         reports.append((snr_db, sigma, report))
         label = f"{snr_db:.2f} dB" if snr_db is not None else f"sigma={sigma}"

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _MODES = ("ideal-sources", "block-dm")
+_CHUNK_SYMBOLS = 8192  # batch loops take max(1, _CHUNK_SYMBOLS // n) blocks at a time
 
 
 @dataclass(frozen=True)
@@ -192,35 +193,33 @@ def _serve_requests(
     return served, int(np.count_nonzero(served != requests))
 
 
-def _assemble(
-    config: ShaperConfig, d: np.ndarray, sign_bits: np.ndarray, overflow: int
-) -> ShapedBlock:
-    """Block of the symbols 2r - (M-1) of rank r = d + sign * 2^(m-1), d the prefix value."""
-    ranks = d + (sign_bits.astype(np.int64) << (config.profile.m - 1))
-    symbols = 2 * ranks - ((1 << config.profile.m) - 1)
-    return ShapedBlock(symbols=symbols, overflow_count=overflow, mode=config.mode)
+def _assemble(m: int, d: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
+    """Symbols 2r - (M-1) of rank r = d + sign * 2^(m-1), d the prefix value."""
+    ranks = d + (sign_bits.astype(np.int64) << (m - 1))
+    return 2 * ranks - ((1 << m) - 1)
 
 
 def _serve_words(
     config: ShaperConfig, d: np.ndarray, words: Sequence[np.ndarray]
-) -> ShapedBlock:
-    """Block whose sign bits come from the source words through the switch.
-
-    Each word is consumed front to back by the slots its source serves; the
-    sign bit is the complement of the consumed bit, flipped per prefix d.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols (B, n) and overflow counts (B,) of B blocks, one per row of d
+    and of each source's words, whose sign bits come from the words through
+    the switch. Each word is consumed front to back by the slots its source
+    serves; the sign bit is the complement of the consumed bit, flipped per d.
     """
     src_table, flip_table = selection_tables(config.profile.m, config.profile.num_distinct)
-    served, overflow = _serve_requests(src_table[d], [word.size for word in words])
-    word_bits = np.empty(config.n, dtype=np.uint8)
+    capacities = [word.shape[1] for word in words]
+    served, overflow = map(np.array, zip(*(_serve_requests(r, capacities) for r in src_table[d])))
+    word_bits = np.empty(d.shape, dtype=np.uint8)
     for i, word in enumerate(words):
-        slots = np.flatnonzero(served == i)
-        if slots.size != word.size:
-            raise IntegrityError(
-                f"reservoir {i} served {slots.size} bits, holds {word.size}"
-            )
-        word_bits[slots] = word  # chronological consumption order
+        mask = served == i
+        slots = np.count_nonzero(mask, axis=1)
+        if (slots != word.shape[1]).any():
+            bad = slots[slots != word.shape[1]][0]
+            raise IntegrityError(f"reservoir {i} served {bad} bits, holds {word.shape[1]}")
+        word_bits[mask] = word.reshape(-1)  # row by row, chronological order
     sign_bits = (1 - word_bits) ^ flip_table[d]
-    return _assemble(config, d, sign_bits, overflow)
+    return _assemble(config.profile.m, d, sign_bits), overflow
 
 
 def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
@@ -243,7 +242,8 @@ def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
         rng.random(count) < p
         for rng, count, p in zip(source_rngs, demand, config.profile.probs)
     ]
-    return _serve_words(config, d, words)
+    symbols, overflow = _serve_words(config, d[None], [word[None] for word in words])
+    return ShapedBlock(symbols=symbols[0], overflow_count=int(overflow[0]), mode=config.mode)
 
 
 def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlock:
@@ -262,14 +262,24 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
     # checked before the cast, which would read 0.5 as 0 and overflow on -1
     if not ((info == 0) | (info == 1)).all():
         raise ParameterError("info elements must be 0 or 1")
-    info = info.astype(np.uint8, copy=False)
+    symbols, overflow = _encode_dm_rows(config, info[None].astype(np.uint8, copy=False))
+    return ShapedBlock(symbols=symbols[0], overflow_count=int(overflow[0]), mode=config.mode)
+
+
+def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) -> np.ndarray:
+    """Info bits of count blocks, one per row, drawn a block at a time."""
+    return np.stack([rng.integers(0, 2, config.info_length, np.uint8) for _ in range(count)])
+
+
+def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols (B, n) and overflow counts (B,) of B blocks, one per row of
+    checked uint8 info bits laid out as for encode_block_dm."""
     words = []
     offset = 0
     for code in config.dm_codes:
-        words.append(dm_encode(info[offset : offset + code.k], code))
+        words.append(np.stack([dm_encode(row, code) for row in info[:, offset : offset + code.k]]))
         offset += code.k
-    m = config.profile.m
-    d = _prefix_decimals(info[offset:].reshape(config.n, m - 1), m)
+    d = _prefix_decimals(info[:, offset:].reshape(len(info), config.n, -1), config.profile.m)
     return _serve_words(config, d, words)
 
 
@@ -367,18 +377,15 @@ def empirical_source_frequencies(
     P = config.profile.num_distinct
     src_table, flip_table = selection_tables(m, P)
     rng = np.random.default_rng(seed)
-    ones = np.zeros(P, dtype=np.int64)
+    ones = np.zeros(P)
     counts = np.zeros(P, dtype=np.int64)
-    for _ in range(num_blocks):
-        info = rng.integers(0, 2, size=config.info_length, dtype=np.uint8)
-        block = encode_block_dm(config, info)
-        _, d, sign_bits = _split_symbols(block.symbols, m)
-        matcher_bits = _matcher_bits(d, sign_bits, flip_table)
-        requested = src_table[d]
-        for i in range(P):
-            mask = requested == i
-            ones[i] += int(matcher_bits[mask].sum())
-            counts[i] += int(mask.sum())
+    rows = max(1, _CHUNK_SYMBOLS // config.n)
+    for start in range(0, num_blocks, rows):
+        info = _uniform_info(rng, config, min(rows, num_blocks - start))
+        _, d, sign_bits = _split_symbols(_encode_dm_rows(config, info)[0], m)
+        requested = src_table[d].ravel()
+        ones += np.bincount(requested, _matcher_bits(d, sign_bits, flip_table).ravel(), P)
+        counts += np.bincount(requested, minlength=P)
     return ones / np.maximum(counts, 1), counts
 
 

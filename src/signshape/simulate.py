@@ -1,13 +1,16 @@
 """Monte Carlo harness for the uncoded shaped chain over AWGN.
 
-Per block: encode, add white Gaussian noise, demap with a prior-free
-nearest-symbol decision, and accumulate statistics. The demapper ignores
-the shaped prior on purpose; the harness validates the shaping chain, not
-receiver optimality.
+Blocks go in chunks of max(1, 8192 // n): per chunk, one batch encode,
+white Gaussian noise, a prior-free nearest-symbol decision and one
+vectorised statistics pass, so working memory is a few chunk-sized arrays
+whatever num_blocks is. The report equals a block-by-block loop's. The
+demapper ignores the shaped prior on purpose; the harness validates the
+shaping chain, not receiver optimality.
 
 The MI estimate is plug-in: Y is quantized to bins of width sigma/4 over
 +-(max symbol + 5 sigma) and I(X;Y) is read off the empirical joint
 histogram. At sigma = 0 it degenerates to the empirical input entropy.
+SimConfig raises ParameterError if the histogram would exceed 256 MB.
 """
 
 from __future__ import annotations
@@ -21,15 +24,29 @@ import numpy as np
 from .constellation import selection_tables
 from .errors import ParameterError
 from .shaper import (
+    _CHUNK_SYMBOLS,
     ShaperConfig,
+    _encode_dm_rows,
     _matcher_bits,
     _split_ranks,
     _split_symbols,
-    encode_block_dm,
+    _uniform_info,
+    encode_block_dm,  # not called here; perfbench's tracer rebinds this name
     encode_block_ideal,
 )
 
 __all__ = ["SimConfig", "SimReport", "run"]
+
+
+def _histogram_bins(M: int, sigma: float) -> tuple[float, float, int]:
+    """Half range, bin width and bin count of the MI histogram; ParameterError
+    above 256 MB, awgn_mi's cap (a multiple of 8M, so the test is exact)."""
+    half_range = float(M - 1) + 5.0 * sigma
+    bin_width = sigma / 4.0
+    bins = 2.0 * half_range / bin_width if bin_width else math.inf
+    if 8 * M * bins > 256 << 20:
+        raise ParameterError(f"noise_std = {sigma} needs a {M * bins / 2**17:.4g} MB histogram")
+    return half_range, bin_width, int(math.ceil(bins))
 
 
 @dataclass(frozen=True)
@@ -44,6 +61,8 @@ class SimConfig:
             raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.num_blocks < 1:
             raise ParameterError(f"num_blocks must be >= 1, got {self.num_blocks}")
+        if self.noise_std > 0:
+            _histogram_bins(1 << self.shaper.profile.m, self.noise_std)
 
 
 @dataclass(frozen=True)
@@ -96,51 +115,56 @@ def run(config: SimConfig) -> SimReport:
     noise_seq, data_seq = seq.spawn(2)
     noise_rng = np.random.default_rng(noise_seq)
     data_rng = np.random.default_rng(data_seq)
-    block_seeds = data_seq.generate_state(config.num_blocks, dtype=np.uint64)
+    if shaper_cfg.mode == "ideal-sources":
+        block_seeds = data_seq.generate_state(config.num_blocks, dtype=np.uint64)
 
     if sigma > 0:
-        half_range = float(M - 1) + 5.0 * sigma
-        bin_width = sigma / 4.0
-        num_bins = int(math.ceil(2.0 * half_range / bin_width))
+        half_range, bin_width, num_bins = _histogram_bins(M, sigma)
         joint = np.zeros((M, num_bins), dtype=np.int64)
 
     sent_counts = np.zeros(M, dtype=np.int64)
-    energy_sum = 0.0
+    energy_sum = 0
     symbol_errors = 0
     shaping_bit_errors = 0
     overflow_total = 0
     overflow_max = 0
 
-    for b in range(config.num_blocks):
+    rows = max(1, _CHUNK_SYMBOLS // n)
+    for start in range(0, config.num_blocks, rows):
+        count = min(rows, config.num_blocks - start)
         if shaper_cfg.mode == "block-dm":
-            info = data_rng.integers(0, 2, size=shaper_cfg.info_length, dtype=np.uint8)
-            block = encode_block_dm(shaper_cfg, info)
+            info = _uniform_info(data_rng, shaper_cfg, count)
+            symbols, overflow = _encode_dm_rows(shaper_cfg, info)
         else:
             # only the ideal sources read rng_seed; a fresh config per block
-            block = encode_block_ideal(
-                dataclasses.replace(shaper_cfg, rng_seed=int(block_seeds[b]))
-            )
-        ranks, d, sign_bits = _split_symbols(block.symbols, m)
-        x = np.asarray(block.symbols, dtype=float)
+            blocks = [
+                encode_block_ideal(dataclasses.replace(shaper_cfg, rng_seed=int(s)))
+                for s in block_seeds[start : start + count]
+            ]
+            symbols = np.stack([block.symbols for block in blocks])
+            overflow = np.array([block.overflow_count for block in blocks])
+        symbols = symbols.ravel()
+        ranks, d, sign_bits = _split_symbols(symbols, m)
 
-        noise = noise_rng.standard_normal(n)
-        y = x + sigma * noise
+        # one draw of count * n normals is the stream of count draws of n
+        y = symbols + sigma * noise_rng.standard_normal(count * n)
 
         decided_ranks = _decide_ranks(y, M)
-        symbol_errors += int((decided_ranks != ranks).sum())
+        symbol_errors += int(np.count_nonzero(decided_ranks != ranks))
         sent_bits = _matcher_bits(d, sign_bits, flip_table)
         decided_bits = _matcher_bits(*_split_ranks(decided_ranks, m), flip_table)
-        shaping_bit_errors += int((sent_bits != decided_bits).sum())
+        shaping_bit_errors += int(np.count_nonzero(sent_bits != decided_bits))
 
-        np.add.at(sent_counts, ranks, 1)
-        energy_sum += float((x * x).sum())
-        overflow_total += block.overflow_count
-        overflow_max = max(overflow_max, block.overflow_count)
+        sent_counts += np.bincount(ranks, minlength=M)
+        energy_sum += int(symbols @ symbols)  # exact: the symbols are integers
+        overflow_total += int(overflow.sum())
+        overflow_max = max(overflow_max, int(overflow.max()))
 
         if sigma > 0:
             bins = np.floor((y + half_range) / bin_width).astype(np.int64)
             bins = np.clip(bins, 0, num_bins - 1)
-            np.add.at(joint, (ranks, bins), 1)
+            # not bincount(minlength=M * num_bins): that allocates a whole histogram
+            np.add.at(joint.reshape(-1), ranks * num_bins + bins, 1)
 
     total = n * config.num_blocks
     pmf = sent_counts / total

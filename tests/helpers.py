@@ -5,11 +5,13 @@ library: trapezoid integration instead of Gauss-Hermite quadrature, an
 iterative Pascal recurrence instead of math.comb, exact rationals for the
 overflow expectation, brute-force enumeration for ranking order, a
 Pascal-table walk and a math.comb scan for unranking, a per-request
-loop for the reservoir switch, and per-source masks for the ideal encoder.
+loop for the reservoir switch, per-source masks for the ideal encoder, and
+a block-by-block loop for the Monte Carlo harness.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -171,3 +173,83 @@ def mask_encode_ideal(config) -> np.ndarray:
         source_bits[mask] = source_rngs[i].random(int(mask.sum())) >= p
     sign = source_bits ^ flip
     return 2 * (d + (sign.astype(np.int64) << (m - 1))) - (M - 1)
+
+
+def loop_simulate_run(config):
+    """The Monte Carlo harness one block at a time: encode, add noise,
+    decide, and add each block's counts to the statistics."""
+    from signshape.constellation import selection_tables
+    from signshape.shaper import (
+        _matcher_bits, _split_ranks, _split_symbols, encode_block_dm, encode_block_ideal,
+    )
+    from signshape.simulate import SimReport, _decide_ranks, _entropy, _mi_from_joint
+
+    shaper_cfg = config.shaper
+    m = shaper_cfg.profile.m
+    M = 1 << m
+    n = shaper_cfg.n
+    sigma = float(config.noise_std)
+    _, flip_table = selection_tables(m, shaper_cfg.profile.num_distinct)
+
+    seq = np.random.SeedSequence(config.rng_seed)
+    noise_seq, data_seq = seq.spawn(2)
+    noise_rng = np.random.default_rng(noise_seq)
+    data_rng = np.random.default_rng(data_seq)
+    block_seeds = data_seq.generate_state(config.num_blocks, dtype=np.uint64)
+
+    if sigma > 0:
+        half_range = float(M - 1) + 5.0 * sigma
+        bin_width = sigma / 4.0
+        num_bins = int(math.ceil(2.0 * half_range / bin_width))
+        joint = np.zeros((M, num_bins), dtype=np.int64)
+
+    sent_counts = np.zeros(M, dtype=np.int64)
+    energy_sum = 0.0
+    symbol_errors = 0
+    shaping_bit_errors = 0
+    overflow_total = 0
+    overflow_max = 0
+
+    for b in range(config.num_blocks):
+        if shaper_cfg.mode == "block-dm":
+            info = data_rng.integers(0, 2, size=shaper_cfg.info_length, dtype=np.uint8)
+            block = encode_block_dm(shaper_cfg, info)
+        else:
+            block = encode_block_ideal(
+                dataclasses.replace(shaper_cfg, rng_seed=int(block_seeds[b]))
+            )
+        ranks, d, sign_bits = _split_symbols(block.symbols, m)
+        x = np.asarray(block.symbols, dtype=float)
+
+        noise = noise_rng.standard_normal(n)
+        y = x + sigma * noise
+
+        decided_ranks = _decide_ranks(y, M)
+        symbol_errors += int((decided_ranks != ranks).sum())
+        sent_bits = _matcher_bits(d, sign_bits, flip_table)
+        decided_bits = _matcher_bits(*_split_ranks(decided_ranks, m), flip_table)
+        shaping_bit_errors += int((sent_bits != decided_bits).sum())
+
+        np.add.at(sent_counts, ranks, 1)
+        energy_sum += float((x * x).sum())
+        overflow_total += block.overflow_count
+        overflow_max = max(overflow_max, block.overflow_count)
+
+        if sigma > 0:
+            bins = np.floor((y + half_range) / bin_width).astype(np.int64)
+            bins = np.clip(bins, 0, num_bins - 1)
+            np.add.at(joint, (ranks, bins), 1)
+
+    total = n * config.num_blocks
+    pmf = sent_counts / total
+    mi = _mi_from_joint(joint) if sigma > 0 else _entropy(pmf)
+    return SimReport(
+        num_symbols=total,
+        empirical_distribution=tuple(pmf.tolist()),
+        empirical_energy=energy_sum / total,
+        symbol_error_rate=symbol_errors / total,
+        shaping_bit_error_rate=shaping_bit_errors / total,
+        mi_estimate=mi,
+        overflow_mean=overflow_total / config.num_blocks,
+        overflow_max=overflow_max,
+    )

@@ -53,6 +53,13 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_histogram_memory_cap_is_2(self, tmp_path, capsys):
+        # 1024-ASK at sigma = 0.05 would need a 1.3 GB MI histogram
+        code = main(["--out-dir", str(tmp_path), "simulate", "--m", "10", "--P", "2",
+                     "--probs", "0.04", "0.24", "--n", "256", "--sigma", "0.05"])
+        assert code == 2
+        assert "MB histogram" in capsys.readouterr().err
+
     def test_missing_required_is_2(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "budget", "--m", "5",
                      "--p1", "0.04", "--n", "128", "--snr", "17"])

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from signshape import (
     ParameterError,
-    ShaperConfig,
     ShapingProfile,
     build_ask,
     induced_distribution,
@@ -26,12 +25,6 @@ def labels(symbols, m):
     """Full m-bit labels, least significant bit first, via the codec."""
     _, d, sign = _split_symbols(np.asarray(symbols), m)
     return [tuple(row) + (int(b),) for row, b in zip(_prefix_bits(d, m).tolist(), sign)]
-
-
-def ideal_config(m, n):
-    return ShaperConfig(
-        profile=ShapingProfile(m=m, probs=(0.5,)), n=n, mode="ideal-sources"
-    )
 
 
 class TestBuildAsk:
@@ -85,8 +78,7 @@ class TestLabels:
 
     def test_symbol_for_label(self):
         # labels (0, 0) and (1, 1): prefix d = 0 and 1, sign bit 0 and 1
-        block = _assemble(ideal_config(2, 2), np.array([0, 1]), np.array([0, 1]), 0)
-        assert block.symbols.tolist() == [-3, 3]
+        assert _assemble(2, np.array([0, 1]), np.array([0, 1])).tolist() == [-3, 3]
 
 
 class TestDecimalValue:

@@ -30,6 +30,7 @@ from signshape import (
 from signshape.cli import main
 from signshape.shaper import (
     _assemble,
+    _encode_dm_rows,
     _serve_requests,
     _split_symbols,
 )
@@ -70,10 +71,9 @@ class TestSymbolCodec:
     @given(st.integers(2, 10), st.data())
     def test_inverts_assemble_and_rejects_non_points(self, m, data):
         M = 1 << m
-        cfg = ShaperConfig(profile=ShapingProfile(m=m, probs=(0.5,)), n=2)
         ranks = np.arange(M)
         d, sign = ranks % (M // 2), ranks // (M // 2)
-        symbols = _assemble(cfg, d, sign.astype(np.uint8), 0).symbols
+        symbols = _assemble(m, d, sign.astype(np.uint8))
         np.testing.assert_array_equal(symbols, 2 * ranks - (M - 1))
         got_ranks, got_d, got_sign = _split_symbols(symbols, m)
         np.testing.assert_array_equal(got_ranks, ranks)
@@ -270,6 +270,29 @@ class TestBlockDmEncoding:
         info = rng.integers(0, 2, size=cfg.info_length, dtype=np.uint8)
         block = encode_block_dm(cfg, info)
         np.testing.assert_array_equal(decode_block(block, cfg), info)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_match_single_blocks(self, data):
+        # a batch of B blocks encodes each row as encode_block_dm does,
+        # overflow counts included; P > 2 throughout
+        m = data.draw(st.integers(4, 8), label="m")
+        P = 1 << data.draw(st.integers(2, m - 2), label="log2(P)")
+        density = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        probs = data.draw(st.tuples(*[density] * P), label="probs")
+        n = P * data.draw(st.integers(1, max(1, 512 // P)), label="n / P")
+        rows = data.draw(st.integers(1, 5), label="B")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cfg = ShaperConfig(profile=ShapingProfile(m=m, probs=probs), n=n)
+        info = np.random.default_rng(seed).integers(
+            0, 2, size=(rows, cfg.info_length), dtype=np.uint8
+        )
+        symbols, overflow = _encode_dm_rows(cfg, info)
+        assert symbols.shape == (rows, n) and overflow.shape == (rows,)
+        for row, row_symbols, row_overflow in zip(info, symbols, overflow):
+            block = encode_block_dm(cfg, row)
+            np.testing.assert_array_equal(row_symbols, block.symbols)
+            assert row_overflow == block.overflow_count
 
     def test_p1_single_source(self):
         cfg = ShaperConfig(profile=ShapingProfile(m=3, probs=(0.2,)), n=64, rng_seed=4)

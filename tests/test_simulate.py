@@ -1,11 +1,14 @@
 """AWGN Monte Carlo harness tests."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from signshape import (
+    DmCode,
     ParameterError,
     ShaperConfig,
     ShapingProfile,
@@ -17,7 +20,10 @@ from signshape import (
     sigma_for_snr,
 )
 from signshape import shaper
+from signshape.shaper import _CHUNK_SYMBOLS
 from signshape.simulate import _decide_ranks
+
+from helpers import loop_simulate_run
 
 
 def sim(m=3, probs=(0.04, 0.24), n=256, blocks=8, sigma=1.0, mode="block-dm", seed=0):
@@ -66,6 +72,27 @@ class TestRun:
         monkeypatch.setattr(shaper, "dm_code", lambda *a: calls.append(a) or real(*a))
         run(config)
         assert calls == []
+
+    def test_matcher_calls_keep_the_tracer_contract(self, monkeypatch):
+        # the benchmark tracer captures every matcher word by rebinding
+        # shaper.dm_encode and reading (bits, code) from its positional args
+        config = sim(m=4, probs=(0.05, 0.15, 0.3, 0.45), n=256, blocks=40)
+        calls = []
+        real = shaper.dm_encode
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shaper, "dm_encode", counting)
+        run(config)
+        codes = config.shaper.dm_codes
+        assert len(calls) == len(codes) * 40
+        for args, kwargs in calls:
+            assert kwargs == {} and len(args) == 2
+            bits, code = args
+            assert isinstance(code, DmCode) and bits.shape == (code.k,)
+        assert Counter(codes.index(args[1]) for args, _ in calls) == {0: 40, 1: 40, 2: 40, 3: 40}
 
     def test_seed_matters(self):
         a = run(sim(seed=1))
@@ -144,3 +171,47 @@ class TestRun:
     def test_rejects_non_finite_noise(self, sigma):
         with pytest.raises(ParameterError):
             SimConfig(shaper=sim().shaper, noise_std=sigma, num_blocks=1)
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.24, 1e-300, 5e-324])
+    def test_rejects_oversized_histogram(self, sigma):
+        # 1024 x (8 * 1023 / sigma + 40) int64 cells pass 256 MB below sigma = 0.25006
+        with pytest.raises(ParameterError, match="MB histogram"):
+            SimConfig(shaper=sim(m=10).shaper, noise_std=sigma, num_blocks=1)
+
+    def test_histogram_cap_boundary(self):
+        # 32768 cells per symbol is exactly 256 MB at m = 10
+        SimConfig(shaper=sim(m=10).shaper, noise_std=0.2501, num_blocks=1)
+        SimConfig(shaper=sim(m=10).shaper, noise_std=0.0, num_blocks=1)
+
+
+class TestChunkedRun:
+    """run works a chunk of blocks at a time; the block loop is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_block_loop(self, data):
+        # every m in [2, 8], every P dividing M/4, densities at and between
+        # 0 and 1, even n divisible by P in [128, 1024], both modes
+        m = data.draw(st.integers(2, 8), label="m")
+        P = 1 << data.draw(st.integers(0, m - 2), label="log2(P)")
+        density = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        probs = data.draw(st.tuples(*[density] * P), label="probs")
+        step = max(P, 2)
+        n = step * data.draw(st.integers(max(1, 128 // step), 1024 // step), label="n / step")
+        rows = _CHUNK_SYMBOLS // n
+        # whole chunks plus a remainder, so most runs end on a partial chunk
+        blocks = rows * data.draw(st.integers(0, 2)) + data.draw(st.integers(0, rows - 1))
+        assume(blocks >= 1)
+        M = 1 << m
+        sigma = data.draw(st.one_of(st.just(0.0), st.floats(max(0.5, M / 64), 4.0 * M)))
+        mode = data.draw(st.sampled_from(["block-dm", "ideal-sources"]))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cfg = sim(m=m, probs=probs, n=n, blocks=blocks, sigma=sigma, mode=mode, seed=seed)
+        assert run(cfg) == loop_simulate_run(cfg)
+
+    @pytest.mark.parametrize("mode", ["block-dm", "ideal-sources"])
+    @pytest.mark.parametrize("sigma", [0.0, 1.5])
+    def test_blocks_longer_than_a_chunk(self, mode, sigma):
+        # n > 8192: every chunk is a single block
+        cfg = sim(m=3, probs=(0.1, 0.4), n=8200, blocks=3, sigma=sigma, mode=mode, seed=9)
+        assert run(cfg) == loop_simulate_run(cfg)

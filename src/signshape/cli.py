@@ -161,6 +161,11 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ParameterError(f"missing required option(s): {flags}")
 
 
+def _require_samples(args: argparse.Namespace) -> None:
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _pick_one(args: argparse.Namespace, first: str, second: str) -> str:
     a = getattr(args, first, None)
     b = getattr(args, second, None)
@@ -217,6 +222,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_dm_roundtrip(args: argparse.Namespace) -> int:
     _require(args, "n")
+    _require_samples(args)
     runner = _Run(args, "dm-roundtrip")
     w = args.w if args.w is not None else weight_for(args.n, args.p)
     code = dm_code(args.n, w)
@@ -287,6 +293,7 @@ def _cmd_dm_rate_loss(args: argparse.Namespace) -> int:
 
 def _cmd_dm_bench(args: argparse.Namespace) -> int:
     _require(args, "n")
+    _require_samples(args)
     runner = _Run(args, "dm-bench")
     w = args.w if args.w is not None else weight_for(args.n, args.p)
     code = dm_code(args.n, w)

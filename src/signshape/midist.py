@@ -18,12 +18,11 @@ equal noise. optimize_profile exposes both views: a fixed noise_std
 maximizes MI at that noise level (where shaping can only lower the energy,
 so near-uniform profiles win), while a fixed snr_db rescales the noise to
 each candidate's energy and recovers the shaped optima the curves show.
-Either way the search is one bounded L-BFGS-B run over the box [0, 1]^P of
-sign-bit probabilities, on that exact gradient carried through induced_pmf.
-
-scipy is needed only by optimize_profile (and mi_curve_optimized, which
-calls it); scipy.optimize is imported on its first call, so importing this
-module costs numpy alone. The MiCurve lookups use a numpy monotone cubic.
+Either way the search is one projected quasi-Newton run over the box
+[0, 1]^P of sign-bit probabilities, on that exact gradient carried through
+induced_pmf, and stops at L-BFGS-B's default tolerances. The module needs
+numpy alone: the optimizer is _minimize_on_box, and the MiCurve lookups use
+a numpy monotone cubic.
 """
 
 from __future__ import annotations
@@ -55,6 +54,14 @@ __all__ = [
 _LN2 = math.log(2.0)
 _SLOPE_HALF_STEP_DB = 0.25
 _MI_GATHER_CAP_BYTES = 256 << 20
+# _minimize_on_box keeps L-BFGS-B's default memory and stops at its default
+# tolerances on the projected gradient and the relative decrease of a step,
+# or after _MAX_ITERATIONS steps; one search halves t at most _MAX_HALVINGS times
+_MEMORY = 10
+_PGTOL = 1e-5
+_FTOL = 2.2e-9
+_MAX_ITERATIONS = 100
+_MAX_HALVINGS = 30
 
 
 @lru_cache(maxsize=8)
@@ -250,6 +257,59 @@ class OptimizationResult:
     kkt_residual: float
 
 
+def _minimize_on_box(fun, start):
+    """Projected quasi-Newton on [0, 1]^P: (x, f, g) at the best point reached.
+
+    fun(x) returns (f, df/dx). A coordinate at 0 or 1 whose gradient points
+    out of the box is held; the others take a Newton step on their block of
+    the Hessian, and an Armijo search halves t along the projection arc
+    clip(x + t d, 0, 1) (Bertsekas 1982). The Hessian is L-BFGS-B's compact
+    one, B = theta I - W' K^-1 W, over the last _MEMORY steps s and gradient
+    changes y, with theta = y'y / s'y of the latest (Byrd, Nocedal &
+    Schnabel 1994); Woodbury inverts its free block with one 2k x 2k solve.
+    The first step is steepest descent, at most 1 long.
+    """
+    x = np.clip(start, 0.0, 1.0)
+    f, g = fun(x)
+    S = Y = np.empty((0, x.size))  # one row per kept step
+    for _ in range(_MAX_ITERATIONS):
+        free = ~(((x <= 0.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0)))
+        gf = g[free]
+        if np.abs(gf).max(initial=0.0) <= _PGTOL:
+            break
+        d = np.zeros_like(x)
+        if len(S):
+            k, SY = len(S), S @ Y.T
+            theta = (Y[-1] @ Y[-1]) / SY[-1, -1]
+            K = np.empty((2 * k, 2 * k))  # a third of np.block's time
+            K[:k, :k] = -np.diag(np.diag(SY))
+            K[k:, :k] = np.tril(SY, -1)
+            K[:k, k:] = K[k:, :k].T
+            K[k:, k:] = theta * (S @ S.T)
+            W = np.vstack([Y, theta * S])[:, free]
+            d[free] = -(gf + W.T @ np.linalg.solve(theta * K - W @ W.T, W @ gf)) / theta
+            t = 1.0
+        else:
+            d[free] = -gf
+            t = min(1.0, 1.0 / np.linalg.norm(d))
+        for _ in range(_MAX_HALVINGS):
+            x_new = np.clip(x + t * d, 0.0, 1.0)
+            f_new, g_new = fun(x_new)
+            if f_new <= f + 1e-4 * (g @ (x_new - x)):
+                break
+            t *= 0.5
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        done = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+        if s @ y > 1e-10 * (y @ y):  # keep B positive definite
+            S, Y = np.vstack([S, s])[-_MEMORY:], np.vstack([Y, y])[-_MEMORY:]
+    return x, f, g
+
+
 def optimize_profile(
     m: int,
     num_distinct: int,
@@ -268,19 +328,26 @@ def optimize_profile(
       own energy at that SNR, which is how MI-versus-SNR curves compare
       profiles.
 
-    One bounded L-BFGS-B run over [0, 1]^P from warm_start or the uniform
-    profile. Each evaluation is one awgn_mi(grad=True) call, whose exact
-    gradient the chain rule carries through induced_pmf (and, at fixed SNR,
-    the noise level) to the P probabilities.
+    One projected quasi-Newton run (_minimize_on_box) over [0, 1]^P from
+    warm_start, clipped into the box, or the uniform profile, to L-BFGS-B's
+    default tolerances. Each evaluation is one awgn_mi(grad=True) call,
+    whose exact gradient the chain rule carries through induced_pmf (and,
+    at fixed SNR, the noise level) to the P probabilities.
     """
     if (noise_std is None) == (snr_db is None):
         raise ParameterError("pass exactly one of noise_std or snr_db")
     ShapingProfile(m=m, probs=(0.5,) * num_distinct)  # validates m and P upfront
     if noise_std is not None and not 0 < noise_std < math.inf:
         raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
-    # imported here so that only the optimizer pays scipy's import time,
-    # which is several times numpy's
-    from scipy.optimize import minimize
+    try:
+        start = np.asarray((0.5,) * num_distinct if warm_start is None else warm_start, dtype=float)
+        valid = start.shape == (num_distinct,) and bool(np.isfinite(start).all())
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ParameterError(
+            f"warm_start must hold {num_distinct} finite probabilities, got {warm_start!r}"
+        )
 
     x = build_ask(m).points()
     energies = x * x
@@ -306,14 +373,9 @@ def optimize_profile(
         quarter = half[: M // 4] - half[M // 4 :][::-1]
         return -value, quarter.reshape(num_distinct, -1).sum(axis=1) * -(0.5 ** (m - 1))
 
-    start = (0.5,) * num_distinct if warm_start is None else warm_start
-    found = minimize(
-        objective, start, jac=True, method="L-BFGS-B", bounds=[(0.0, 1.0)] * num_distinct
-    )
-    best = ShapingProfile(m=m, probs=tuple(float(p) for p in np.clip(found.x, 0.0, 1.0)))
-    neg_mi, descent = objective(best.probs)
+    probs, neg_mi, descent = _minimize_on_box(objective, start)
+    best = ShapingProfile(m=m, probs=tuple(probs))
     # the KKT residual drops the ascent components that point out of the box
-    probs = np.asarray(best.probs)
     ascent = np.clip(-descent, np.where(probs > 0, -np.inf, 0), np.where(probs < 1, np.inf, 0))
     energy = float(induced_pmf(m, best.probs) @ energies)
     if noise_std is not None:

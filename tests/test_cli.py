@@ -60,6 +60,17 @@ class TestExitCodes:
         assert code == 2
         assert "MB histogram" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, samples", [
+        ("bench", "0"),  # used to divide by zero (exit 1)
+        ("roundtrip", "-1"),  # used to exit 0 reporting checked=-1
+    ])
+    def test_samples_below_one_is_2(self, tmp_path, capsys, command, samples):
+        code = main(["--out-dir", str(tmp_path), "dm", command, "--n", "64",
+                     "--samples", samples])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_required_is_2(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "budget", "--m", "5",
                      "--p1", "0.04", "--n", "128", "--snr", "17"])

@@ -1,5 +1,8 @@
 """Mutual information, quadrature accuracy, and profile optimization tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -20,6 +23,7 @@ from signshape import (
     sigma_for_snr,
     snr_db_for,
 )
+from signshape import midist
 from signshape.constellation import induced_pmf
 from signshape.midist import _pchip
 
@@ -266,18 +270,20 @@ class TestPchip:
 
 @pytest.fixture
 def objectives(monkeypatch):
-    """Every (objective, keyword arguments) optimize_profile hands to minimize."""
-    import scipy.optimize
-
+    """Every (objective, start) optimize_profile hands to its minimizer."""
     seen = []
-    minimize = scipy.optimize.minimize
+    minimize = midist._minimize_on_box
 
-    def spy(fun, *args, **kwargs):
-        seen.append((fun, kwargs))
-        return minimize(fun, *args, **kwargs)
+    def spy(fun, start):
+        seen.append((fun, start))
+        return minimize(fun, start)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    monkeypatch.setattr(midist, "_minimize_on_box", spy)
     return seen
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("awgn_mi called before the arguments were checked")
 
 
 class TestOptimize:
@@ -287,8 +293,8 @@ class TestOptimize:
     )
     def test_objective_gradient(self, objectives, m, num_distinct, noise_std, snr_db):
         result = optimize_profile(m, num_distinct, noise_std, snr_db=snr_db)
-        [(negated, kwargs)] = objectives
-        assert kwargs["jac"] is True
+        [(negated, start)] = objectives
+        np.testing.assert_array_equal(start, 0.5)
         best = np.asarray(result.profile.probs)
         for probs in (np.linspace(0.1, 0.45, num_distinct), best):
             _, grad = negated(probs)
@@ -392,6 +398,20 @@ class TestOptimize:
         warm = optimize_profile(3, 2, snr_db=11.0, warm_start=(0.1, 0.3))
         assert warm.mi_bpcu == pytest.approx(cold.mi_bpcu, abs=1e-6)
 
+    @pytest.mark.parametrize("start", [
+        (0.1,), (0.1, 0.3, 0.2), ((0.1, 0.3),), ((0.1,), (0.2, 0.3)), ("a", "b"), 0.1,
+        (0.1, float("nan")), (0.1, float("inf")), (-float("inf"), 0.1),
+    ])
+    def test_rejects_malformed_warm_start(self, monkeypatch, start):
+        monkeypatch.setattr(midist, "awgn_mi", _never_called)
+        with pytest.raises(ParameterError, match="warm_start"):
+            optimize_profile(3, 2, snr_db=11.0, warm_start=start)
+
+    def test_warm_start_outside_the_box_is_clipped(self):
+        clipped = optimize_profile(3, 2, snr_db=11.0, warm_start=(0.0, 1.0))
+        outside = optimize_profile(3, 2, snr_db=11.0, warm_start=(-3.0, 7.0))
+        assert outside == clipped
+
     def test_p4_embeds_p2(self):
         # two-source optima embed in the four-source space, so the result
         # must not fall behind P=2
@@ -408,6 +428,42 @@ class TestOptimize:
             assert s >= u - 1e-9
         assert shaped.profiles is not None
         assert len(shaped.profiles) == len(grid)
+
+
+class TestOptimizerQuality:
+    """The box minimizer against the benchmark's recorded optima."""
+
+    REFERENCE = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
+    )
+
+    # awgn_mi calls per warm-started sweep: L-BFGS-B's 33 and 57, counted
+    # the same way, plus 10%
+    @pytest.mark.parametrize("m, P, budget", [(5, 2, 36), (6, 16, 63)])
+    def test_reference_sweeps(self, monkeypatch, m, P, budget):
+        ref = self.REFERENCE[f"m{m}_P{P}"]
+        results = []
+        optimize = midist.optimize_profile
+
+        def spy(*args, **kwargs):
+            results.append(optimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(midist, "optimize_profile", spy)
+        curve = mi_curve_optimized(m, P, ref["snr_db"])
+        assert len(results) == len(ref["snr_db"])
+        for snr, mi, best, result in zip(ref["snr_db"], curve.mi_bpcu, ref["mi_bpcu"], results):
+            assert mi >= best - 1e-6, snr
+            assert result.kkt_residual <= 1e-4, snr
+        assert sum(result.evaluations for result in results) <= budget
+
+    @pytest.mark.parametrize("corner", [0.0, 1.0])
+    def test_cold_p16_from_a_corner(self, corner):
+        result = optimize_profile(6, 16, snr_db=30.0, warm_start=(corner,) * 16)
+        # every step costs at least one evaluation, so this stopped on a
+        # tolerance before the iteration cap
+        assert result.evaluations < midist._MAX_ITERATIONS
+        assert result.kkt_residual < 1e-3
 
 
 class TestGapsAndSlope:

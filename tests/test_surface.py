@@ -137,23 +137,55 @@ def test_benchmark_names_resolve(monkeypatch):
         assert hasattr(imported["ShaperConfig"], attr)
 
 
-def test_scipy_loaded_only_by_the_optimizer():
-    # a fresh interpreter, since this one has scipy loaded by other tests
-    child = (
-        "import json, sys\n"
-        "import signshape, signshape.cli\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "signshape.optimize_profile(3, 1, snr_db=10.0)\n"
-        "print(json.dumps([loaded, 'scipy.optimize' in sys.modules]))\n"
-    )
+def _run_child(code: str) -> str:
+    """Stdout of `code` run on this package in a fresh interpreter.
+
+    A fresh one, since this one has scipy loaded by other tests.
+    """
     src = str(Path(signshape.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     result = subprocess.run(
-        [sys.executable, "-c", child], env=env, capture_output=True,
-        text=True, timeout=120, check=True,
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
     )
-    loaded, optimizer_loaded = json.loads(result.stdout.splitlines()[-1])
-    assert loaded == []
-    assert optimizer_loaded
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_runtime_loads_no_scipy():
+    child = (
+        "import json, sys\n"
+        "import signshape, signshape.cli\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.split('.')[0].startswith('scipy')]\n"
+        "on_import = loaded()\n"
+        "signshape.optimize_profile(3, 1, snr_db=10.0)\n"
+        "print(json.dumps([on_import, loaded()]))\n"
+    )
+    on_import, after_optimize = json.loads(_run_child(child).splitlines()[-1])
+    assert on_import == []
+    assert after_optimize == []
+
+
+def test_runs_with_scipy_unimportable(tmp_path):
+    # scipy is a test-only dependency: refuse every scipy import, then run
+    # the optimizer through the CLI and the library, and the loss budget
+    child = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is not installed')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from signshape import cli, mi_curve_optimized\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['--out-dir', out, 'optimize', '--m', '5', '--P', '2',\n"
+        "                 '--snr', '14', '15']) == 0\n"
+        "assert cli.main(['--out-dir', out, 'budget', '--m', '5', '--p1', '0.04',\n"
+        "                 '--p2', '0.24', '--n', '2048', '--snr', '16']) == 0\n"
+        "curve = mi_curve_optimized(6, 16, [28, 29])\n"
+        "print('ok', len(curve.profiles), 'scipy' in sys.modules)\n"
+    )
+    assert _run_child(child).splitlines()[-1] == "ok 2 False"

@@ -54,6 +54,8 @@ def loss_budget(
     profile = ShapingProfile(m=m, probs=(p1, p2))
     if n < 2 or n % 2:
         raise ParameterError(f"n must be even and >= 2, got {n}")
+    if not math.isfinite(snr_db):
+        raise ParameterError(f"snr_db must be finite, got {snr_db}")
     grid = np.arange(
         snr_db - _CURVE_HALF_SPAN_DB,
         snr_db + _CURVE_HALF_SPAN_DB + 1e-9,

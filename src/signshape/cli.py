@@ -263,6 +263,8 @@ def _cmd_dm_roundtrip(args: argparse.Namespace) -> int:
 
 def _reference_curve(args: argparse.Namespace):
     profile = ShapingProfile(m=args.ref_m, probs=tuple(args.ref_probs))
+    if not 0 < args.ref_rate < args.ref_m:
+        raise ParameterError(f"--ref-rate must lie in (0, --ref-m), got {args.ref_rate}")
     # center the curve window on the capacity SNR for the operating rate
     center = 10.0 * math.log10(2.0 ** (2.0 * args.ref_rate) - 1.0)
     grid = np.arange(center - 3.0, center + 3.0 + 1e-9, 0.25)

@@ -5,12 +5,9 @@ MI is evaluated with Gauss-Hermite quadrature (64 nodes by default) on
     I(X;Y) = sum_i p_i E[ -t^2/ln2 - log2 sum_j p_j exp(-(z_i - z_j + sqrt2 t)^2 / 2) ]
 
 with z = x / sigma, which is exact up to quadrature error and never leaves
-the linear domain (all exponents are nonpositive). For equally spaced
-alphabets the pairwise difference matrix is Toeplitz, so the exp table
-shrinks from M^2 K to (2M-1) K entries, and the sums over j are one
-product of an M x (2M-1) band matrix holding the pmf with that table. The
-same sums give the exact gradient in the pmf and the noise level
-(awgn_mi(..., grad=True)) for about twice the cost of the value.
+the linear domain (all exponents are nonpositive). awgn_mi takes equally
+spaced alphabets (every ASK): its sums over j and their exact gradient
+(grad=True) are products of one Toeplitz band matrix with one exp table.
 
 SNR convention: SNR = E[X^2] / sigma^2 with the *shaped* distribution's
 energy. Curves over SNR therefore compare distributions at equal SNR, not
@@ -53,7 +50,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SLOPE_HALF_STEP_DB = 0.25
-_MI_GATHER_CAP_BYTES = 256 << 20
+_MI_CAP_BYTES = 256 << 20
 # _minimize_on_box keeps L-BFGS-B's default memory and stops at its default
 # tolerances on the projected gradient and the relative decrease of a step,
 # or after _MAX_ITERATIONS steps; one search halves t at most _MAX_HALVINGS times
@@ -94,68 +91,66 @@ def awgn_mi(
     *,
     grad: bool = False,
 ):
-    """I(X;Y) in bits per channel use for an arbitrary finite alphabet.
+    """I(X;Y) in bits per channel use for a finite, equally spaced alphabet.
 
+    Other point sets raise ParameterError; a single point has spacing 0.
     With grad=True the result is (mi, dmi/dpmf, dmi/dnoise_std), taken from
-    the same quadrature sums, with the pmf entries as free variables. Only
-    equally spaced alphabets have the gradient; others raise ParameterError.
+    the same quadrature sums, with the pmf entries as free variables.
 
-    Memory: equally spaced alphabets (every ASK) build a (2M-1) x order exp
-    table (two with grad=True) and an M x 2M band matrix, a peak of about
-    6 MB at M = 512 and order 64. Other alphabets build M x M x order
-    arrays, 8 M^2 order bytes each (128 MB at M = 512). Above 8 M^2 order =
-    256 MB (M >= 1024 at order 64) both raise ParameterError before
-    allocating anything; on the equally spaced path that bounds the work
-    per call, about 2 M^2 order multiply-adds (three times that with grad).
+    With M points, K = order and w = 2 with grad (1 without), the M x 2M
+    band buffer, the (2M-1) x wK exp table, the M x wK denominator, their
+    temporaries and the vectors peak below 8 (2 M^2 + (w + 3)(2M - 1) K +
+    (w + 4) M K) bytes + 16 KiB. Where that passes 256 MB (4096-ASK at
+    order 64) ParameterError is raised before allocating anything, which
+    also bounds the work, about 2 M^2 K multiply-adds (3x that with grad).
     """
     xs = np.asarray(x, dtype=float)
     p = np.asarray(pmf, dtype=float)
     if xs.ndim != 1 or xs.shape != p.shape:
         raise ParameterError("x and pmf must be 1-D arrays of equal length")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+    if not (p.min(initial=0.0) >= 0 and abs(float(p.sum()) - 1.0) <= 1e-9):  # NaN fails
         raise ParameterError("pmf must be nonnegative and sum to 1")
     if not 0 < noise_std < math.inf:
         raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
-    gather_bytes = 8 * xs.size * xs.size * order
-    if gather_bytes > _MI_GATHER_CAP_BYTES:
+    if not order >= 1:
+        raise ParameterError(f"order must be >= 1, got {order}")
+    M, w = xs.size, 2 if grad else 1
+    # np.allclose(diff(z), step, 1e-12, 1e-12), 7x faster; with z[0] finite
+    # it fails every NaN or inf point, so inf - inf may go quietly to NaN
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = xs / noise_std
+        step = float(z[1] - z[0]) if M > 1 else 0.0
+        spread = np.abs(np.diff(z) - step).max(initial=0.0)
+    if not (math.isfinite(z[0]) and spread <= 1e-12 * (1.0 + abs(step))):
+        raise ParameterError("x must be finite and equally spaced")
+    need = 8 * (2 * M * M + (w + 3) * (2 * M - 1) * order + (w + 4) * M * order) + (16 << 10)
+    if need > _MI_CAP_BYTES:
         raise ParameterError(
-            f"awgn_mi needs {gather_bytes >> 20} MB for M = {xs.size} at order {order}, "
-            f"above its {_MI_GATHER_CAP_BYTES >> 20} MB cap"
+            f"awgn_mi needs {need >> 20} MB for M = {M} at order {order}, "
+            f"above its {_MI_CAP_BYTES >> 20} MB cap"
         )
     nodes, weights = _quadrature(order)
     shift = math.sqrt(2.0) * nodes
-    z = xs / noise_std
-    M = z.size
-    deltas = np.diff(z)
-    # the test np.allclose(deltas, deltas[0], rtol=1e-12, atol=1e-12) makes, 7x faster
-    if deltas.size and np.abs(deltas - deltas[0]).max() <= 1e-12 * (1.0 + abs(deltas[0])):
-        # Toeplitz path: z_i - z_j = r[i - j + M - 1] takes only 2M-1 values,
-        # so den = band @ table with band[i, i - j + M - 1] = p_j. The band is
-        # an (M, 2M) buffer read in rows of 2M - 1, which shifts row i right
-        # by i: column c < M of the buffer is the band's diagonal c.
-        r = np.arange(-(M - 1), M, dtype=float)[:, None] * deltas[0]
-        u = r + shift
-        arg = -0.5 * u * u
-        # flushing entries below e^-460 to 0 changes no den_ik, which holds
-        # p_i e^-t_k^2 (t_k^2 < 115 at order 64), and keeps slow denormals
-        # out of the products
-        table = np.zeros((2 * M - 1, 2 * order if grad else order))
-        np.exp(arg, out=table[:, :order], where=arg > -460.0)
-        if grad:
-            # d table / d noise_std = table u r / noise_std
-            np.multiply(table[:, :order], u * r, out=table[:, order:])
-        buf = np.zeros((M, 2 * M))
-        buf[:, :M] = p[::-1]
-        band = buf.ravel()[: M * (2 * M - 1)].reshape(M, 2 * M - 1)
-        den = band @ table
-    elif grad:
-        raise ParameterError("grad=True needs an equally spaced alphabet")
-    else:
-        d = z[:, None, None] - z[None, None, :] + shift[None, :, None]
-        den = np.einsum("ikj,j->ik", np.exp(-0.5 * d * d), p)
+    # z_i - z_j = r[i - j + M - 1] takes only 2M-1 values, so
+    # den = band @ table with band[i, i - j + M - 1] = p_j. The band is an
+    # (M, 2M) buffer read in rows of 2M - 1, which shifts row i right by i:
+    # column c < M of the buffer is the band's diagonal c.
+    r = np.arange(-(M - 1), M, dtype=float)[:, None] * step
+    u = r + shift
+    arg = -0.5 * u * u
+    # flushing entries below e^-460 to 0 changes no den_ik, which holds
+    # p_i e^-t_k^2 (t_k^2 < 115 at order 64), and keeps slow denormals
+    # out of the products
+    table = np.zeros((2 * M - 1, w * order))
+    np.exp(arg, out=table[:, :order], where=arg > -460.0)
     if grad:
-        den, dden = den[:, :order], den[:, order:]
-    den = np.maximum(den, 1e-300)
+        # d table / d noise_std = table u r / noise_std
+        np.multiply(table[:, :order], u * r, out=table[:, order:])
+    buf = np.zeros((M, 2 * M))
+    buf[:, :M] = p[::-1]
+    band = buf.ravel()[: M * (2 * M - 1)].reshape(M, 2 * M - 1)
+    den = band @ table
+    dden, den = den[:, order:], np.maximum(den[:, :order], 1e-300)
     per_symbol = ((-nodes * nodes)[None, :] - np.log(den)) @ weights
     mi = float(p @ per_symbol) / _LN2
     if not math.isfinite(mi):

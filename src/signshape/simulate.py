@@ -40,7 +40,7 @@ __all__ = ["SimConfig", "SimReport", "run"]
 
 def _histogram_bins(M: int, sigma: float) -> tuple[float, float, int]:
     """Half range, bin width and bin count of the MI histogram; ParameterError
-    above 256 MB, awgn_mi's cap (a multiple of 8M, so the test is exact)."""
+    when its M x bins int64 counts, which grow as 1/sigma, pass 256 MB (8M divides it)."""
     half_range = float(M - 1) + 5.0 * sigma
     bin_width = sigma / 4.0
     bins = 2.0 * half_range / bin_width if bin_width else math.inf

@@ -46,12 +46,27 @@ class TestExitCodes:
     def test_non_finite_sigma_is_2(self, tmp_path, command, sigma):
         assert main(["--out-dir", str(tmp_path), *command, "--sigma", sigma]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "512", "--snr"],
+        ["dm", "rate-loss", "--n", "64", "--p", "0.2", "--ref-rate"],
+    ], ids=["budget-snr", "rate-loss-ref-rate"])
+    def test_non_finite_value_is_2(self, tmp_path, command, value):
+        # both used to die in np.arange with a traceback (exit 1)
+        assert main(["--out-dir", str(tmp_path), *command, value]) == 2
+
     def test_mi_memory_cap_is_2(self, tmp_path, capsys):
-        # 4096-ASK would need an 8 GB quadrature gather per MI call
+        # 4096-ASK's M x 2M band buffer alone is 256 MB per MI call
         code = main(["--out-dir", str(tmp_path), "optimize", "--m", "12",
                      "--P", "2", "--snr", "30"])
         assert code == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_1024_ask_within_mi_memory_cap(self, tmp_path):
+        # 1024-ASK's band buffer is 16 MB, well within awgn_mi's cap
+        code = main(["--out-dir", str(tmp_path), "optimize", "--m", "10",
+                     "--P", "2", "--snr", "60"])
+        assert code == 0
 
     def test_histogram_memory_cap_is_2(self, tmp_path, capsys):
         # 1024-ASK at sigma = 0.05 would need a 1.3 GB MI histogram

@@ -1,6 +1,10 @@
 """Mutual information, quadrature accuracy, and profile optimization tests."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,11 @@ from helpers import trapezoid_mi
 
 def uniform_dist(m):
     return induced_distribution(ShapingProfile(m=m, probs=(0.5,) * (2 ** (m - 2))))
+
+
+def stated_grad_bound(M, K=64):
+    """The bytes awgn_mi's docstring bounds its arrays by, with grad=True (w = 2)."""
+    return 8 * (2 * M * M + 5 * (2 * M - 1) * K + 6 * M * K) + (16 << 10)
 
 
 class TestChannelSpec:
@@ -92,17 +101,33 @@ class TestAwgnMi:
         b = awgn_mi(points, dist.pmf(), sigma, order=128)
         assert a == pytest.approx(b, abs=1e-7)
 
-    def test_general_alphabet_path(self):
-        # non-equispaced points exercise the generic quadrature branch
-        points = np.array([-3.0, -1.0, 0.5, 3.0])
-        pmf = np.array([0.2, 0.3, 0.3, 0.2])
-        got = awgn_mi(points, pmf, 0.8)
-        oracle = trapezoid_mi(points, pmf, 0.8)
-        assert got == pytest.approx(oracle, abs=1e-6)
-
     def test_rejects_unnormalized(self):
-        with pytest.raises(ParameterError):
-            awgn_mi(np.array([-1.0, 1.0]), np.array([0.6, 0.6]), 1.0)
+        # a NaN entry fails no comparison, so it used to pass the sum test
+        # and end in NumericalError
+        for pmf in ([0.6, 0.6], [-0.5, 1.5], [np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5]):
+            for grad in (False, True):
+                with pytest.raises(ParameterError, match="pmf"):
+                    awgn_mi(np.array([-1.0, 1.0]), np.array(pmf), 1.0, grad=grad)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("points", [
+        [-3.0, -1.0, 0.5, 3.0],
+        [-3.0, -1.0, 1.0, np.nan],
+        [np.nan, -1.0, 1.0, 3.0],
+        [-3.0, -1.0, 1.0, np.inf],
+        [-np.inf, -1.0, 1.0, np.inf],
+        [np.nan],
+        [np.inf],
+    ])
+    def test_rejects_unequal_or_non_finite_points(self, points, grad):
+        pmf = np.full(len(points), 1.0 / len(points))
+        with pytest.raises(ParameterError, match="equally spaced"):
+            awgn_mi(np.array(points), pmf, 0.8, grad=grad)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_rejects_order_below_one(self, order):
+        with pytest.raises(ParameterError, match="order"):
+            awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, order)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ParameterError):
@@ -114,12 +139,31 @@ class TestAwgnMi:
             awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), sigma)
 
     def test_memory_cap(self):
-        # the cap counts 8 M^2 order bytes, what an M x M x order array would
-        # take: 128 MB for 512-ASK at order 64 runs, and 1024-ASK's 512 MB is
-        # refused before anything is allocated, whichever path would run
-        assert 0 < awgn_mi(build_ask(9).points(), np.full(512, 1 / 512), 1.0) <= 9
-        with pytest.raises(ParameterError, match="cap"):
-            awgn_mi(build_ask(10).points(), np.full(1024, 1 / 1024), 1.0)
+        # the cap counts the band buffer, 16 M^2 bytes, and the order-sized
+        # arrays: 2048-ASK (64 MB of band) runs, and 4096-ASK's 256 MB band
+        # is refused before anything is allocated
+        assert 0 < awgn_mi(build_ask(11).points(), np.full(2048, 1 / 2048), 1.0) <= 11
+        for grad in (False, True):
+            with pytest.raises(ParameterError, match="cap"):
+                awgn_mi(build_ask(12).points(), np.full(4096, 1 / 4096), 1.0, grad=grad)
+
+    @pytest.mark.parametrize("m", [2, 5, 6, 9, 11])
+    def test_peak_within_stated_bound(self, m):
+        x, pmf = build_ask(m).points(), np.full(1 << m, 1.0 / (1 << m))
+        awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0)  # caches the rule
+        tracemalloc.start()
+        try:
+            awgn_mi(x, pmf, 1.0, grad=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stated_grad_bound(1 << m)
+
+    def test_single_point_carries_no_information(self):
+        mi, dpmf, dsigma = awgn_mi(np.array([3.0]), np.array([1.0]), 0.5, grad=True)
+        assert mi == pytest.approx(0.0, abs=1e-12)
+        assert dpmf.shape == (1,) and dsigma == 0.0
+        assert awgn_mi(np.array([3.0]), np.array([1.0]), 0.5) == mi
 
     def test_mirror_invariance(self):
         points = build_ask(4).points()
@@ -127,6 +171,34 @@ class TestAwgnMi:
         a = awgn_mi(points, pmf, 2.0)
         b = awgn_mi(points[::-1].copy(), pmf[::-1].copy(), 2.0)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestMiMemory:
+    def test_2048_ask_gradient_rss_within_stated_bound(self):
+        # the child's heap is capped so that a regression to M x M x order
+        # arrays fails fast with MemoryError instead of exhausting the host;
+        # BLAS runs one thread, whose packing buffers are not awgn_mi's arrays
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_DATA, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from signshape import awgn_mi, build_ask\n"
+            "awgn_mi([-1.0, 1.0], [0.5, 0.5], 1.0, grad=True)\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "x = build_ask(11).points()\n"
+            "awgn_mi(x, np.full(x.size, 1.0 / x.size), 1.0, grad=True)\n"
+            "print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(midist.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True,
+            text=True, timeout=300, check=True,
+        )
+        base_kib, peak_kib = map(int, result.stdout.split()[-2:])  # ru_maxrss is in KiB
+        assert (peak_kib - base_kib) * 1024 <= stated_grad_bound(2048)
 
 
 def _one_sided(f, h):
@@ -178,12 +250,6 @@ class TestMiGradient:
         sigma = sigma_for_snr(float(pmf @ (x * x)), snr_db)
         mi, _, _ = awgn_mi(x, pmf, sigma, grad=True)
         assert mi == pytest.approx(awgn_mi(x, pmf, sigma), abs=1e-14)
-
-    def test_unequal_spacing_has_no_gradient(self):
-        points = np.array([-3.0, -1.0, 0.5, 3.0])
-        pmf = np.array([0.2, 0.3, 0.3, 0.2])
-        with pytest.raises(ParameterError, match="equally spaced"):
-            awgn_mi(points, pmf, 0.8, grad=True)
 
 
 class TestMiCurve:

@@ -8,15 +8,19 @@ k is the largest integer with 2^k <= C(n, w). A word c_1..c_n has rank
 w_k being the weight of the suffix starting at position k (Cover,
 "Enumerative source encoding", 1973). Rank 0 is the word with all ones
 packed at the end; ranks grow toward ones packed at the front. Unranking
-places one one per binary search, so a word is produced in exactly w
-searches of at most log2(n) probes each.
+puts the one with r ones left at the largest t below the previous one's
+with C(t, r) <= remainder, probing t = start, start - 1, ... from a start
+never below that answer. The walks of a word's ones so cover disjoint
+ranges and a word takes at most n probes: about one per output bit on
+dense words and, from `_walk_start`'s estimate, about one per one on
+sparse words.
 
 No binomial table is stored; a matcher holds O(n) numbers. A probe decides
 C(t, r) <= remainder by comparing ln t! - ln (t - r)! with ln remainder +
 ln r!, and only a probe whose two sides agree to within a tie margin
-compares exact integers. The exact binomials the searches and rank need are
+compares exact integers. The exact binomials the walks and rank need are
 carried from one one to the next by ratios of falling factorials, so every
-index, word and comparison count is exactly that of a Pascal-table walk.
+index and word is exactly that of a Pascal-table walk.
 For long, dense words rank combines the ratios of a run of ones first and
 divides its long running term once per run rather than once per one.
 """
@@ -63,8 +67,16 @@ MAX_MATCHER_LENGTH = 1 << 16
 # at t = MAX_MATCHER_LENGTH) and one math.log, so its float error stays below
 # 1e-9, two orders of magnitude inside the band. Neighbouring C(t, r) and
 # C(t + 1, r) differ by at least ln(1 + 1/n) > 1.5e-5, so at most one probe
-# per search lands in the band.
+# per walk lands in the band.
 _TIE = 1e-7
+
+# A walk starts next to the previous one while upper < _DENSE * r, else at
+# _walk_start's estimate, which costs about ten probes: the two take equal
+# time near p = 0.1 (CPython 3.11, x86-64, n in {128, 1024, 4096}).
+_DENSE = 8
+# Far above _walk_start's float error (below 2e-10 against 200-bit
+# arithmetic), so rounding never puts a start below its answer.
+_START_SLACK = 1e-4
 
 # rank batches a run of ones into one exact division of the long term when
 # terms are long (k >= _RUN_MIN_K bits) and ones are dense (mean gap at most
@@ -173,44 +185,69 @@ def _close_run(total: int, term: int, num: int, den: int, acc: int) -> tuple[int
     return total + q * acc + rem * acc // den, q * num + rem * num // den
 
 
+def _walk_start(bound: float, r: int) -> float:
+    """A number at or above the largest t with ln t! - ln (t - r)! <= bound.
+
+    Write m = exp(bound / r) and a = (r - 1) / 2. Every factor of
+    C(t, r) r! = t (t - 1) ... (t - r + 1) is at least t - r + 1, so that t
+    is at most m + 2a. Pairing the factors around t - a and using
+    ln(1 - x) >= -x / (1 - x) gives
+    ln C(t, r) r! >= r ln(t - a) - r (r^2 - 1) / (24 ((t - a)^2 - a^2)),
+    so once m > a that t is also at most m exp((r^2 - 1) / (24 (m^2 - a^2)))
+    + a. This second bound is the smaller one wherever m^2 - a^2 exceeds
+    (r^2 - 1) / 12. It rounds down to the answer or one above it wherever
+    the answer is at least 5 r (checked for every r <= 8192 and answer
+    below MAX_MATCHER_LENGTH, at both ends of each answer's remainders).
+    """
+    a = (r - 1) / 2
+    m = math.exp(bound / r)
+    c = (r * r - 1) / 24
+    q = m * m - a * a
+    return m * math.exp(c / q) + a if q > 2 * c else m + 2 * a
+
+
 def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
     """Unrank with an instrumented comparison counter.
 
     Returns (word, comparisons), where comparisons is the number of
-    binomial-versus-remainder tests the binary searches performed.
+    binomial-versus-remainder probes the walks made; once the remainder is
+    0 the ones left are packed at the end without a probe.
     """
     if not isinstance(index, int) or isinstance(index, bool):
         raise ParameterError(f"index must be an integer, got {index!r}")
     if index < 0 or index >= code.num_words:
         raise RangeError(f"index {index} outside [0, {code.num_words})")
-    log_fact = code.log_factorials
-    bits = np.zeros(code.n, dtype=np.uint8)
+    n, log_fact = code.n, code.log_factorials
+    ones = []
     rem = index
-    upper = code.n  # exclusive bound on t, tightens after each placed one
+    upper = n  # exclusive bound on t: the previous one's t
     # term * factor == C(upper, r + 1) * (r + 1), as _descend expects
-    term, factor = code.num_words, code.n - code.w
+    term, factor = code.num_words, n - code.w
     comparisons = 0
     for r in range(code.w, 0, -1):
-        # C(mid, r) <= rem  <=>  ln mid! - ln (mid - r)! <= ln rem + ln r!
-        bound = (math.log(rem) if rem else -math.inf) + log_fact[r]
-        lo, hi = r - 1, upper - 1  # C(r-1, r) = 0 <= rem keeps lo valid
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
+        if not rem:
+            ones.extend(range(n - r, n))
+            break
+        # C(t, r) <= rem  <=>  ln t! - ln (t - r)! <= ln rem + ln r!
+        bound = math.log(rem) + log_fact[r]
+        t = upper - 1
+        if upper >= _DENSE * r:
+            t = min(t, int(_walk_start(bound, r) + _START_SLACK))
+        # rem >= 1 = C(r, r), so the walk stops at some t >= r
+        while True:
             comparisons += 1
-            gap = log_fact[mid] - log_fact[mid - r] - bound
-            if gap < -_TIE or (
-                gap <= _TIE and _descend(term, factor, upper, r, mid) <= rem
-            ):
-                lo = mid
-            else:
-                hi = mid - 1
-        if lo >= r:
-            term, factor = _descend(term, factor, upper, r, lo), r
-            rem -= term
-        bits[code.n - lo - 1] = 1
-        upper = lo
+            gap = log_fact[t] - log_fact[t - r] - bound
+            if gap < -_TIE or (gap <= _TIE and _descend(term, factor, upper, r, t) <= rem):
+                break
+            t -= 1
+        term, factor = _descend(term, factor, upper, r, t), r
+        rem -= term
+        ones.append(n - 1 - t)
+        upper = t
     if rem != 0:
         raise RangeError(f"index {index} has no weight-{code.w} decomposition")
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[ones] = 1
     return bits, comparisons
 
 
@@ -265,18 +302,17 @@ def rate_loss(n: int, p: float) -> float:
 
 
 def dm_complexity_bound(n: int, p: float) -> float:
-    """Upper bound p*log2(n) on binary-search comparisons per output bit."""
+    """Upper bound on unranking probes per output bit, for any index: 1,
+    as a length-n word takes at most n probes, or 0 when p = 0."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
-    return float(p * math.log2(n))
+    return 1.0 if p > 0.0 else 0.0
 
 
 def dm_pair_complexity_bound(n: int, p1: float, p2: float) -> float:
-    """Bound for two alternating length-n/2 matchers: mean p times log2(n/2)."""
+    """Bound for two alternating length-n/2 matchers: the mean of their bounds."""
     if n < 2 or n % 2:
         raise ParameterError(f"n must be even and >= 2, got {n}")
-    return float((p1 + p2) / 2.0 * math.log2(n / 2))
+    return (dm_complexity_bound(n // 2, p1) + dm_complexity_bound(n // 2, p2)) / 2.0

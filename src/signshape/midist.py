@@ -51,6 +51,8 @@ __all__ = [
 _LN2 = math.log(2.0)
 _SLOPE_HALF_STEP_DB = 0.25
 _MI_CAP_BYTES = 256 << 20
+# Widest point set awgn_mi takes, in noise standard deviations
+_MI_MAX_SPAN = 1e150
 # _minimize_on_box keeps L-BFGS-B's default memory and stops at its default
 # tolerances on the projected gradient and the relative decrease of a step,
 # or after _MAX_ITERATIONS steps; one search halves t at most _MAX_HALVINGS times
@@ -71,10 +73,19 @@ def _quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sigma_for_snr(energy: float, snr_db: float) -> float:
-    """Noise standard deviation that puts `energy` at the given SNR."""
+    """Noise standard deviation that puts `energy` at the given SNR; one that
+    is not a positive float (beyond about +-3080 dB) raises ParameterError."""
     if energy <= 0:
         raise ParameterError(f"energy must be positive, got {energy}")
-    return math.sqrt(energy / 10.0 ** (snr_db / 10.0))
+    if not math.isfinite(snr_db):
+        raise ParameterError(f"snr_db must be finite, got {snr_db}")
+    try:
+        sigma = math.sqrt(energy / 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma = 0.0
+    if not 0 < sigma < math.inf:
+        raise ParameterError(f"an SNR of {snr_db} dB has no positive finite noise level")
+    return sigma
 
 
 def snr_db_for(energy: float, noise_std: float) -> float:
@@ -123,6 +134,13 @@ def awgn_mi(
         spread = np.abs(np.diff(z) - step).max(initial=0.0)
     if not (math.isfinite(z[0]) and spread <= 1e-12 * (1.0 + abs(step))):
         raise ParameterError("x must be finite and equally spaced")
+    # the kernel squares (M - 1) * step plus a node and multiplies it by
+    # (M - 1) * step, which overflows once that passes about 1.3e154
+    if abs(step) * (M - 1) > _MI_MAX_SPAN:
+        raise ParameterError(
+            f"x spans {abs(step) * (M - 1):.3g} noise standard deviations, "
+            f"above the {_MI_MAX_SPAN:.0e} the quadrature can square"
+        )
     need = 8 * (2 * M * M + (w + 3) * (2 * M - 1) * order + (w + 4) * M * order) + (16 << 10)
     if need > _MI_CAP_BYTES:
         raise ParameterError(

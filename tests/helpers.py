@@ -19,6 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
+from signshape.enumdm import _DENSE, _START_SLACK
+
 
 def trapezoid_mi(points: np.ndarray, pmf: np.ndarray, sigma: float) -> float:
     """Mutual information of a discrete input over AWGN by direct integration."""
@@ -90,14 +92,33 @@ def _pascal_column(n: int, w: int) -> tuple[int, ...]:
     return tuple(col)
 
 
-def pascal_unrank_counted(index: int, n: int, w: int) -> tuple[np.ndarray, int]:
-    """Unranking by binary searches over a Pascal table, with their probe count.
+def matcher_walk_start(rem: int, r: int, upper: int) -> int:
+    """Where the matcher's walk starts for the one with r ones still to
+    place, remainder rem >= 1 and previous one at upper: next to upper while
+    upper < 8 r, else at the closed-form bound of `enumdm._walk_start`,
+    restated here with the same float operations."""
+    if upper < _DENSE * r:
+        return upper - 1
+    bound = math.log(rem) + math.lgamma(r + 1)
+    a = (r - 1) / 2
+    m = math.exp(bound / r)
+    c = (r * r - 1) / 24
+    q = m * m - a * a
+    estimate = m * math.exp(c / q) + a if q > 2 * c else m + 2 * a
+    return min(upper - 1, int(estimate + _START_SLACK))
 
-    The search is the one the matcher is specified by: for r = w..1, the
-    largest t in [r-1, upper-1] with C(t, r) <= remainder, probing
-    mid = (lo + hi + 1) // 2. Binomials are read from an exact Pascal
-    column; each next column comes from C(t, r-1) = C(t+1, r) - C(t, r),
-    so only one column is held at a time.
+
+def pascal_unrank_counted(index: int, n: int, w: int) -> tuple[np.ndarray, int]:
+    """Unranking by binary searches over a Pascal table, with the probe
+    count of the matcher's walks.
+
+    The word comes from the search the matcher is specified by: for
+    r = w..1, the largest t in [r-1, upper-1] with C(t, r) <= remainder,
+    probing mid = (lo + hi + 1) // 2. Binomials are read from an exact
+    Pascal column; each next column comes from C(t, r-1) = C(t+1, r) - C(t, r),
+    so only one column is held at a time. The count replays the matcher's
+    walk on the same column: from `matcher_walk_start` down to the answer,
+    one probe per t, and none once the remainder is 0.
     """
     col = list(_pascal_column(n, w))
     bits = np.zeros(n, dtype=np.uint8)
@@ -106,11 +127,18 @@ def pascal_unrank_counted(index: int, n: int, w: int) -> tuple[np.ndarray, int]:
         lo, hi = r - 1, upper - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            comparisons += 1
             if col[mid] <= rem:
                 lo = mid
             else:
                 hi = mid - 1
+        if rem:
+            t = matcher_walk_start(rem, r, upper)
+            comparisons += 1
+            while col[t] > rem:
+                t -= 1
+                comparisons += 1
+            if t != lo:
+                raise AssertionError(f"walk from its start ends at {t}, not at {lo}")
         rem -= col[lo]
         bits[n - lo - 1] = 1
         upper = lo

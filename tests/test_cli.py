@@ -11,7 +11,7 @@ from signshape import (
     effective_probabilities,
     switch_energy_loss,
 )
-from signshape.cli import main
+from signshape.cli import _MAX_WORK, main
 from signshape.enumdm import MAX_MATCHER_LENGTH
 
 
@@ -85,6 +85,26 @@ class TestExitCodes:
         assert code == 2
         assert "--samples" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, flag", [
+        (["dm", "roundtrip", "--n", "8192"], "--samples"),
+        (["dm", "bench", "--n", "8192"], "--samples"),
+        (["simulate", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+          "--n", "8192", "--sigma", "0.5"], "--blocks"),
+    ], ids=["roundtrip-samples", "bench-samples", "simulate-blocks"])
+    def test_work_above_cap_is_2(self, tmp_path, capsys, command, flag):
+        count = str(_MAX_WORK // 8192 + 1)
+        assert main(["--out-dir", str(tmp_path), *command, flag, count]) == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("snr", ["-4000", "-inf"])
+    def test_snr_without_noise_level_is_2(self, tmp_path, capsys, snr):
+        # 10 ** (snr / 10) is 0 here: both used to exit 1 on ZeroDivisionError
+        code = main(["--out-dir", str(tmp_path), "optimize", "--m", "3",
+                     "--P", "1", f"--snr={snr}"])
+        assert code == 2
+        assert "snr" in capsys.readouterr().err.lower()
 
     def test_missing_required_is_2(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "budget", "--m", "5",

@@ -171,7 +171,8 @@ class TestRankUnrank:
         word, comparisons = unrank_counted(1234, code)
         assert word.sum() == 8
         assert comparisons > 0
-        # binary search cost is bounded by w * ceil(log2(n))
+        # a sparse word's walks take about one probe per one, well inside
+        # the w * ceil(log2(n)) a binary search per one could take
         assert comparisons <= 8 * 7
 
     def test_random_roundtrip_long_dense(self):
@@ -210,13 +211,30 @@ class TestAgainstReferences:
 
     def test_exact_ties(self):
         # index C(t, w) makes the probe at t an exact tie, and C(t, w) - 1
-        # leaves every later search one below a binomial
-        code = dm_code(4096, 983)
-        indices = [0, (1 << code.k) - 1, code.num_words - 1]
-        for t in (984, 2500, 4095):
-            indices += [math.comb(t, 983), math.comb(t, 983) - 1]
-        for index in indices:
-            assert_matches_references(index, code)
+        # leaves every later walk one below a binomial; the codes take dense
+        # walks, sparse walks from the closed-form start, and both in turn
+        # (upper = 8 w at the crossover code)
+        for n, w, ts in [
+            (4096, 983, (984, 2500, 4095)),
+            (4096, 164, (165, 400, 1312, 4095)),
+            (128, 5, (6, 20, 40, 127)),
+            (1024, 128, (129, 300, 1023)),
+        ]:
+            code = dm_code(n, w)
+            indices = [0, (1 << code.k) - 1, code.num_words - 1]
+            for t in ts:
+                indices += [math.comb(t, w), math.comb(t, w) - 1]
+            for index in indices:
+                assert_matches_references(index, code)
+
+    @pytest.mark.parametrize("p", [0.06, 0.12])
+    def test_longest_matcher_walks_beat_bisection(self, p):
+        code = dm_code(MAX_MATCHER_LENGTH, weight_for(MAX_MATCHER_LENGTH, p))
+        rng = random.Random(17)
+        for index in [(1 << code.k) - 1, code.num_words - 1, rng.randrange(code.num_words)]:
+            word, comparisons = unrank_counted(index, code)
+            assert rank(word, code) == index
+            assert comparisons / code.w <= math.ceil(math.log2(code.n)) + 2
 
 
 class TestMemory:
@@ -297,9 +315,24 @@ class TestRates:
             rate_loss(10, 0.001)
 
     def test_complexity_bounds(self):
-        assert dm_complexity_bound(1024, 0.04) == pytest.approx(0.4)
-        pair = dm_pair_complexity_bound(2048, 0.04, 0.24)
-        assert pair == pytest.approx(0.14 * 10.0)
+        assert dm_complexity_bound(1024, 0.04) == 1.0
+        assert dm_complexity_bound(1024, 0.0) == 0.0
+        assert dm_pair_complexity_bound(2048, 0.04, 0.24) == 1.0
+        assert dm_pair_complexity_bound(2048, 0.0, 0.24) == 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_probes_within_bound_for_any_word(self, data):
+        n = data.draw(st.integers(1, 4096), label="n")
+        w = data.draw(st.integers(0, n), label="w")
+        code = dm_code(n, w)
+        top = code.num_words - 1
+        index = data.draw(
+            st.sampled_from([0, (1 << code.k) - 1, top]) | st.integers(0, top), label="index"
+        )
+        word, comparisons = unrank_counted(index, code)
+        assert rank(word, code) == index
+        assert comparisons <= dm_complexity_bound(n, w / n) * n
 
     def test_measured_comparisons_within_bound(self):
         # bound uses the realized weight ratio, not the requested p

@@ -138,6 +138,13 @@ class TestAwgnMi:
         with pytest.raises(ParameterError):
             awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), sigma)
 
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_rejects_span_too_wide_to_square(self, grad):
+        # squaring the span used to overflow: two RuntimeWarnings, and with
+        # grad a NaN dI/dsigma and no error
+        with pytest.raises(ParameterError, match="noise standard deviations"):
+            awgn_mi(np.array([0.0, 1e200]), np.array([0.5, 0.5]), 1.0, grad=grad)
+
     def test_memory_cap(self):
         # the cap counts the band buffer, 16 M^2 bytes, and the order-sized
         # arrays: 2048-ASK (64 MB of band) runs, and 4096-ASK's 256 MB band

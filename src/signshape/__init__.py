@@ -25,7 +25,6 @@ from .enumdm import (
     dm_complexity_bound,
     dm_decode,
     dm_encode,
-    dm_pair_complexity_bound,
     rank,
     rate_loss,
     unrank,
@@ -99,7 +98,6 @@ __all__ = [
     "dm_complexity_bound",
     "dm_decode",
     "dm_encode",
-    "dm_pair_complexity_bound",
     "effective_probabilities",
     "empirical_source_frequencies",
     "encode_block_dm",

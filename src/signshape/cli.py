@@ -37,7 +37,6 @@ from .constellation import (
 from .enumdm import (
     dm_code,
     dm_complexity_bound,
-    dm_pair_complexity_bound,
     rank,
     rate_loss,
     unrank,
@@ -329,7 +328,6 @@ def _cmd_dm_bench(args: argparse.Namespace) -> int:
         "mean_comparisons_per_bit": mean_per_bit,
         "max_comparisons_per_bit": max_comparisons / code.n,
         "bound_per_bit": bound_per_bit,
-        "pair_bound_example": dm_pair_complexity_bound(2 * code.n, realized_p, realized_p),
         # the bound holds word by word, so the costliest word is checked
         "within_bound": max_comparisons <= bound_per_bit * code.n,
     }

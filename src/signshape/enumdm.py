@@ -49,7 +49,6 @@ __all__ = [
     "dm_decode",
     "rate_loss",
     "dm_complexity_bound",
-    "dm_pair_complexity_bound",
 ]
 
 
@@ -309,10 +308,3 @@ def dm_complexity_bound(n: int, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p must lie in [0, 1], got {p}")
     return 1.0 if p > 0.0 else 0.0
-
-
-def dm_pair_complexity_bound(n: int, p1: float, p2: float) -> float:
-    """Bound for two alternating length-n/2 matchers: the mean of their bounds."""
-    if n < 2 or n % 2:
-        raise ParameterError(f"n must be even and >= 2, got {n}")
-    return (dm_complexity_bound(n // 2, p1) + dm_complexity_bound(n // 2, p2)) / 2.0

@@ -7,7 +7,9 @@ MI is evaluated with Gauss-Hermite quadrature (64 nodes by default) on
 with z = x / sigma, which is exact up to quadrature error and never leaves
 the linear domain (all exponents are nonpositive). awgn_mi takes equally
 spaced alphabets (every ASK): its sums over j and their exact gradient
-(grad=True) are products of one Toeplitz band matrix with one exp table.
+(grad=True) are products of one Toeplitz band matrix with one exp table,
+cut to the offsets z_i - z_j whose exp is not flushed to 0 (a few dozen
+symbols at high SNR, whatever the alphabet size).
 
 SNR convention: SNR = E[X^2] / sigma^2 with the *shaped* distribution's
 energy. Curves over SNR therefore compare distributions at equal SNR, not
@@ -51,6 +53,12 @@ __all__ = [
 _LN2 = math.log(2.0)
 _SLOPE_HALF_STEP_DB = 0.25
 _MI_CAP_BYTES = 256 << 20
+# awgn_mi flushes exp table entries below e^_FLUSH_EXP to 0, caches band
+# indices of up to _CACHED_INDEX_ENTRIES entries, and takes orders up to
+# _MAX_ORDER (numpy's hermgauss weights are NaN from 372)
+_FLUSH_EXP = -460.0
+_CACHED_INDEX_ENTRIES = 1 << 15
+_MAX_ORDER = 360
 # Widest point set awgn_mi takes, in noise standard deviations
 _MI_MAX_SPAN = 1e150
 # _minimize_on_box keeps L-BFGS-B's default memory and stops at its default
@@ -64,12 +72,19 @@ _MAX_HALVINGS = 30
 
 
 @lru_cache(maxsize=8)
-def _quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(2) t_k, -t_k^2 and w_k / sqrt(pi) of the order-point Gauss-Hermite rule."""
     nodes, weights = hermgauss(order)
-    weights = weights / math.sqrt(math.pi)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    rule = math.sqrt(2.0) * nodes, -nodes * nodes, weights / math.sqrt(math.pi)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+@lru_cache(maxsize=16)
+def _band_index(M: int, W: int) -> np.ndarray:
+    """idx[i, c] = i + 2 W - c, writeable: np.bincount copies a read-only index."""
+    return np.arange(2 * W, M + 2 * W)[:, None] - np.arange(2 * W + 1)
 
 
 def sigma_for_snr(energy: float, snr_db: float) -> float:
@@ -108,12 +123,17 @@ def awgn_mi(
     With grad=True the result is (mi, dmi/dpmf, dmi/dnoise_std), taken from
     the same quadrature sums, with the pmf entries as free variables.
 
-    With M points, K = order and w = 2 with grad (1 without), the M x 2M
-    band buffer, the (2M-1) x wK exp table, the M x wK denominator, their
-    temporaries and the vectors peak below 8 (2 M^2 + (w + 3)(2M - 1) K +
-    (w + 4) M K) bytes + 16 KiB. Where that passes 256 MB (4096-ASK at
-    order 64) ParameterError is raised before allocating anything, which
-    also bounds the work, about 2 M^2 K multiply-adds (3x that with grad).
+    The sums over j see only offsets z_i - z_j = r s, s the spacing in noise
+    standard deviations, with |r| <= W = min(M - 1, floor((sqrt(920) +
+    sqrt(2) max|t_k| + 1e-9) / |s|)) (M - 1 if s = 0): farther exps are
+    below e^-460, flushed to 0. With K = order, B = 2W + 1 and w = 2 with
+    grad (1 without), the M x B band and its index, the B x wK exp table,
+    the M x wK denominator, their temporaries and the vectors peak below
+    8 (2 M B + (w + 3) B K + (w + 4) M (K + 1)) bytes + 256 KiB, plus at
+    most 4 MB of indices cached across calls. Where that passes 256 MB
+    (4096-ASK with noise_std above about 83 at order 64) ParameterError is
+    raised before allocating anything, which also bounds the work, about
+    M B K multiply-adds (3x that with grad). order runs from 1 to 360.
     """
     xs = np.asarray(x, dtype=float)
     p = np.asarray(pmf, dtype=float)
@@ -123,15 +143,15 @@ def awgn_mi(
         raise ParameterError("pmf must be nonnegative and sum to 1")
     if not 0 < noise_std < math.inf:
         raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
-    if not order >= 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
+    if not 1 <= order <= _MAX_ORDER:
+        raise ParameterError(f"order must be in [1, {_MAX_ORDER}], got {order}")
     M, w = xs.size, 2 if grad else 1
     # np.allclose(diff(z), step, 1e-12, 1e-12), 7x faster; with z[0] finite
     # it fails every NaN or inf point, so inf - inf may go quietly to NaN
     with np.errstate(invalid="ignore", over="ignore"):
         z = xs / noise_std
         step = float(z[1] - z[0]) if M > 1 else 0.0
-        spread = np.abs(np.diff(z) - step).max(initial=0.0)
+        spread = np.abs(z[1:] - z[:-1] - step).max(initial=0.0)
     if not (math.isfinite(z[0]) and spread <= 1e-12 * (1.0 + abs(step))):
         raise ParameterError("x must be finite and equally spaced")
     # the kernel squares (M - 1) * step plus a node and multiplies it by
@@ -141,44 +161,47 @@ def awgn_mi(
             f"x spans {abs(step) * (M - 1):.3g} noise standard deviations, "
             f"above the {_MI_MAX_SPAN:.0e} the quadrature can square"
         )
-    need = 8 * (2 * M * M + (w + 3) * (2 * M - 1) * order + (w + 4) * M * order) + (16 << 10)
+    shift, minus_t2, weights = _quadrature(order)
+    # row r, offset r step, is all flushed once |r step| - max|shift| >=
+    # sqrt(-2 _FLUSH_EXP); the 1e-9 keeps rows rounding in u may not flush
+    reach = math.sqrt(-2.0 * _FLUSH_EXP) + float(shift[-1]) + 1e-9
+    W = M - 1 if step == 0 else min(M - 1, int(reach / abs(step)))
+    B = 2 * W + 1
+    need = 8 * (2 * M * B + (w + 3) * B * order + (w + 4) * M * (order + 1)) + (256 << 10)
     if need > _MI_CAP_BYTES:
         raise ParameterError(
-            f"awgn_mi needs {need >> 20} MB for M = {M} at order {order}, "
-            f"above its {_MI_CAP_BYTES >> 20} MB cap"
+            f"awgn_mi needs {need / (1 << 20):.1f} MB for M = {M} and window {W} at order "
+            f"{order}, above its {_MI_CAP_BYTES >> 20} MB cap"
         )
-    nodes, weights = _quadrature(order)
-    shift = math.sqrt(2.0) * nodes
-    # z_i - z_j = r[i - j + M - 1] takes only 2M-1 values, so
-    # den = band @ table with band[i, i - j + M - 1] = p_j. The band is an
-    # (M, 2M) buffer read in rows of 2M - 1, which shifts row i right by i:
-    # column c < M of the buffer is the band's diagonal c.
-    r = np.arange(-(M - 1), M, dtype=float)[:, None] * step
+    r = np.arange(-W, W + 1, dtype=float)[:, None] * step
     u = r + shift
     arg = -0.5 * u * u
-    # flushing entries below e^-460 to 0 changes no den_ik, which holds
-    # p_i e^-t_k^2 (t_k^2 < 115 at order 64), and keeps slow denormals
-    # out of the products
-    table = np.zeros((2 * M - 1, w * order))
-    np.exp(arg, out=table[:, :order], where=arg > -460.0)
+    # flushing entries below e^_FLUSH_EXP to 0 changes no den_ik, which
+    # holds p_i e^-t_k^2 (t_k^2 < 115 at order 64), and keeps slow
+    # denormals out of the products
+    table = np.zeros((B, w * order))
+    np.exp(arg, out=table[:, :order], where=arg > _FLUSH_EXP)
     if grad:
         # d table / d noise_std = table u r / noise_std
         np.multiply(table[:, :order], u * r, out=table[:, order:])
-    buf = np.zeros((M, 2 * M))
-    buf[:, :M] = p[::-1]
-    band = buf.ravel()[: M * (2 * M - 1)].reshape(M, 2 * M - 1)
+    # den = band @ table with band[i, c] = p_j, j = i + W - c, read from the
+    # pmf padded by W zeros on each side at idx[i, c] = j + W
+    idx = (_band_index if M * B <= _CACHED_INDEX_ENTRIES else _band_index.__wrapped__)(M, W)
+    padded = np.zeros(M + 2 * W)
+    padded[W : M + W] = p
+    band = padded[idx]
     den = band @ table
     dden, den = den[:, order:], np.maximum(den[:, :order], 1e-300)
-    per_symbol = ((-nodes * nodes)[None, :] - np.log(den)) @ weights
+    per_symbol = (minus_t2 - np.log(den)) @ weights
     mi = float(p @ per_symbol) / _LN2
     if not math.isfinite(mi):
         raise NumericalError("mutual information evaluation produced a non-finite value")
     if not grad:
         return mi
     q = p[:, None] * (weights / den)
-    # d den_ik / d p_j is on the band's diagonal M - 1 - j: sum each diagonal
+    # d den_ik / d p_j is table[i + W - j, k]: sum over the entries of idx j + W
     np.matmul(q, table[:, :order].T, out=band)
-    dpmf = (per_symbol - buf[:, :M].sum(axis=0)[::-1]) / _LN2
+    dpmf = (per_symbol - np.bincount(idx.ravel(), band.ravel(), M + 2 * W)[W : M + W]) / _LN2
     dsigma = -float(np.vdot(q, dden)) / (_LN2 * noise_std)
     return mi, dpmf, dsigma
 

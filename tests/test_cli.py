@@ -56,17 +56,27 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path), *command, value]) == 2
 
     def test_mi_memory_cap_is_2(self, tmp_path, capsys):
-        # 4096-ASK's M x 2M band buffer alone is 256 MB per MI call
+        # at 20 dB the uniform start's noise puts 4096-ASK's symbols 0.008
+        # noise standard deviations apart: every offset is in the window,
+        # and band and index are 256 MB each
         code = main(["--out-dir", str(tmp_path), "optimize", "--m", "12",
-                     "--P", "2", "--snr", "30"])
+                     "--P", "2", "--snr", "20"])
         assert code == 2
         assert "cap" in capsys.readouterr().err
 
     def test_1024_ask_within_mi_memory_cap(self, tmp_path):
-        # 1024-ASK's band buffer is 16 MB, well within awgn_mi's cap
+        # 1024-ASK's band and index are at most 32 MB, within awgn_mi's cap
         code = main(["--out-dir", str(tmp_path), "optimize", "--m", "10",
                      "--P", "2", "--snr", "60"])
         assert code == 0
+
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--m", "12", "--P", "2", "--snr", "70"],
+        ["budget", "--m", "12", "--p1", "0.04", "--p2", "0.24", "--n", "512", "--snr", "70"],
+    ], ids=["optimize", "budget"])
+    def test_4096_ask_runs_where_its_window_is_narrow(self, tmp_path, command):
+        # at 70 dB the window holds the offsets of up to 16 symbols
+        assert main(["--out-dir", str(tmp_path), *command]) == 0
 
     def test_histogram_memory_cap_is_2(self, tmp_path, capsys):
         # 1024-ASK at sigma = 0.05 would need a 1.3 GB MI histogram

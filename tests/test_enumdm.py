@@ -21,7 +21,6 @@ from signshape import (
     dm_complexity_bound,
     dm_decode,
     dm_encode,
-    dm_pair_complexity_bound,
     rank,
     rate_loss,
     unrank,
@@ -317,8 +316,6 @@ class TestRates:
     def test_complexity_bounds(self):
         assert dm_complexity_bound(1024, 0.04) == 1.0
         assert dm_complexity_bound(1024, 0.0) == 0.0
-        assert dm_pair_complexity_bound(2048, 0.04, 0.24) == 1.0
-        assert dm_pair_complexity_bound(2048, 0.0, 0.24) == 0.5
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -1,6 +1,7 @@
 """Mutual information, quadrature accuracy, and profile optimization tests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from signshape import (
@@ -31,16 +33,35 @@ from signshape import midist
 from signshape.constellation import induced_pmf
 from signshape.midist import _pchip
 
-from helpers import trapezoid_mi
+from helpers import full_band_awgn_mi, full_band_exp_table, trapezoid_mi
 
 
 def uniform_dist(m):
     return induced_distribution(ShapingProfile(m=m, probs=(0.5,) * (2 ** (m - 2))))
 
 
-def stated_grad_bound(M, K=64):
+def spacing(x, sigma):
+    """The spacing awgn_mi works with, in noise standard deviations."""
+    z = np.asarray(x, dtype=float) / sigma
+    return float(z[1] - z[0]) if z.size > 1 else 0.0
+
+
+def reach(order=64):
+    """sqrt(920) + sqrt(2) max|t_k| + 1e-9, as awgn_mi's docstring states it."""
+    top = float(math.sqrt(2.0) * np.polynomial.hermite.hermgauss(order)[0][-1])
+    return math.sqrt(920.0) + top + 1e-9
+
+
+def window(x, sigma, order=64):
+    """The W of awgn_mi's docstring: offsets kept on each side of 0."""
+    M, step = len(x), spacing(x, sigma)
+    return M - 1 if step == 0 else min(M - 1, int(reach(order) / abs(step)))
+
+
+def stated_grad_bound(M, W, K=64):
     """The bytes awgn_mi's docstring bounds its arrays by, with grad=True (w = 2)."""
-    return 8 * (2 * M * M + 5 * (2 * M - 1) * K + 6 * M * K) + (16 << 10)
+    B = 2 * W + 1
+    return 8 * (2 * M * B + 5 * B * K + 6 * M * (K + 1)) + (256 << 10)
 
 
 class TestChannelSpec:
@@ -129,6 +150,13 @@ class TestAwgnMi:
         with pytest.raises(ParameterError, match="order"):
             awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, order)
 
+    def test_rejects_order_above_max(self):
+        # numpy's Gauss-Hermite weights are NaN from order 372, which used
+        # to end in NumericalError; a huge order built a huge matrix first
+        assert 0 < awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, 360) < 1
+        with pytest.raises(ParameterError, match="order"):
+            awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, 361)
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ParameterError):
             awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), -1.0)
@@ -146,25 +174,42 @@ class TestAwgnMi:
             awgn_mi(np.array([0.0, 1e200]), np.array([0.5, 0.5]), 1.0, grad=grad)
 
     def test_memory_cap(self):
-        # the cap counts the band buffer, 16 M^2 bytes, and the order-sized
-        # arrays: 2048-ASK (64 MB of band) runs, and 4096-ASK's 256 MB band
-        # is refused before anything is allocated
-        assert 0 < awgn_mi(build_ask(11).points(), np.full(2048, 1 / 2048), 1.0) <= 11
+        # the cap counts the M x (2W + 1) band and its index: 4096-ASK runs
+        # where its window is narrow (W = 22 at sigma = 1), and where the
+        # window is full (sigma = 200, a 544 MB bound) it is refused before
+        # anything is allocated
+        x, pmf = build_ask(12).points(), np.full(4096, 1 / 4096)
+        assert window(x, 1.0) == 22 and window(x, 200.0) == 4095
+        assert 0 < awgn_mi(x, pmf, 1.0) <= 12
         for grad in (False, True):
-            with pytest.raises(ParameterError, match="cap"):
-                awgn_mi(build_ask(12).points(), np.full(4096, 1 / 4096), 1.0, grad=grad)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParameterError, match="cap"):
+                    awgn_mi(x, pmf, 200.0, grad=grad)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
-    @pytest.mark.parametrize("m", [2, 5, 6, 9, 11])
-    def test_peak_within_stated_bound(self, m):
+    @pytest.mark.parametrize("m, sigma", [
+        # W = 3, then 22 at sigma = 1; 11 at sigma = 0.5; M - 1 at the last two
+        *(pytest.param(m, 1.0, id=str(m)) for m in (2, 5, 6, 9, 11)),
+        pytest.param(9, 0.5, id="9-narrow"),
+        pytest.param(11, 0.5, id="11-narrow"),
+        pytest.param(6, 30.0, id="6-full"),
+        pytest.param(10, 100.0, id="10-full"),
+    ])
+    def test_peak_within_stated_bound(self, m, sigma):
         x, pmf = build_ask(m).points(), np.full(1 << m, 1.0 / (1 << m))
         awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0)  # caches the rule
+        midist._band_index.cache_clear()  # a first call builds the index
         tracemalloc.start()
         try:
-            awgn_mi(x, pmf, 1.0, grad=True)
+            awgn_mi(x, pmf, sigma, grad=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= stated_grad_bound(1 << m)
+        assert peak <= stated_grad_bound(1 << m, window(x, sigma))
 
     def test_single_point_carries_no_information(self):
         mi, dpmf, dsigma = awgn_mi(np.array([3.0]), np.array([1.0]), 0.5, grad=True)
@@ -180,32 +225,116 @@ class TestAwgnMi:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def child_rss_delta(m, sigma):
+    """ru_maxrss growth, in bytes, of one gradient call on uniform 2^m-ASK in a
+    child whose heap is capped, so that a regression to M x M x order arrays
+    fails fast with MemoryError instead of exhausting the host; BLAS runs
+    one thread, whose packing buffers are not awgn_mi's arrays."""
+    child = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_DATA, (1 << 30, 1 << 30))\n"
+        "import numpy as np\n"
+        "from signshape import awgn_mi, build_ask\n"
+        "awgn_mi([-1.0, 1.0], [0.5, 0.5], 1.0, grad=True)\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"x = build_ask({m}).points()\n"
+        f"awgn_mi(x, np.full(x.size, 1.0 / x.size), {sigma}, grad=True)\n"
+        "print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(midist.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True,
+        text=True, timeout=300, check=True,
+    )
+    base_kib, peak_kib = map(int, result.stdout.split()[-2:])  # ru_maxrss is in KiB
+    return (peak_kib - base_kib) * 1024
+
+
 class TestMiMemory:
     def test_2048_ask_gradient_rss_within_stated_bound(self):
-        # the child's heap is capped so that a regression to M x M x order
-        # arrays fails fast with MemoryError instead of exhausting the host;
-        # BLAS runs one thread, whose packing buffers are not awgn_mi's arrays
-        child = (
-            "import resource\n"
-            "resource.setrlimit(resource.RLIMIT_DATA, (1 << 30, 1 << 30))\n"
-            "import numpy as np\n"
-            "from signshape import awgn_mi, build_ask\n"
-            "awgn_mi([-1.0, 1.0], [0.5, 0.5], 1.0, grad=True)\n"
-            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "x = build_ask(11).points()\n"
-            "awgn_mi(x, np.full(x.size, 1.0 / x.size), 1.0, grad=True)\n"
-            "print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-        )
-        src = str(Path(midist.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        result = subprocess.run(
-            [sys.executable, "-c", child], env=env, capture_output=True,
-            text=True, timeout=300, check=True,
-        )
-        base_kib, peak_kib = map(int, result.stdout.split()[-2:])  # ru_maxrss is in KiB
-        assert (peak_kib - base_kib) * 1024 <= stated_grad_bound(2048)
+        x = build_ask(11).points()
+        assert child_rss_delta(11, 1.0) <= stated_grad_bound(2048, window(x, 1.0))
+
+    def test_2048_ask_full_window_rss_within_stated_bound(self):
+        x = build_ask(11).points()
+        assert window(x, 100.0) == 2047
+        assert child_rss_delta(11, 100.0) <= stated_grad_bound(2048, 2047)
+
+    def test_4096_ask_gradient_rss_within_stated_bound(self):
+        # its full band would be refused; at sigma = 1 the window is 22
+        x = build_ask(12).points()
+        assert child_rss_delta(12, 1.0) <= stated_grad_bound(4096, window(x, 1.0))
+
+
+def _check_against_full_band(x, pmf, sigma, grad):
+    """awgn_mi equals the full-band kernel, and drops only all-zero exp rows."""
+    M, W = len(x), window(x, sigma)
+    table = full_band_exp_table(spacing(x, sigma), M)
+    assert not table[: M - 1 - W].any() and not table[M + W :].any()
+    got = awgn_mi(x, pmf, sigma, grad=grad)
+    want = full_band_awgn_mi(x, pmf, sigma, grad=grad)
+    if not grad:
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+        return
+    assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    assert got[2] == pytest.approx(want[2], rel=0, abs=1e-12)
+
+
+class TestWindowedKernel:
+    """awgn_mi's windowed band against the full M x (2M - 1) band."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_full_band(self, data):
+        m = data.draw(st.integers(1, 8), label="m")
+        snr_db = data.draw(st.floats(-10.0, 80.0), label="snr_db")
+        grad = data.draw(st.booleans(), label="grad")
+        M = 1 << m
+        raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M), label="pmf")
+        pmf = np.asarray(raw) + (not any(raw))
+        pmf /= pmf.sum()
+        x = np.arange(-(M - 1), M, 2.0)
+        if data.draw(st.booleans(), label="reversed"):
+            x = x[::-1].copy()
+        sigma = sigma_for_snr(float(pmf @ (x * x)), snr_db)
+        _check_against_full_band(x, pmf, sigma, grad)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("m, sigma, W", [
+        (3, 40.0, 7),  # full: 0.05 noise standard deviations apart
+        (8, 300.0, 255),
+        (3, 0.01, 0),  # a band of one diagonal: 200 apart
+        (1, 0.02, 0),
+    ])
+    def test_full_and_empty_windows(self, m, sigma, W, grad):
+        M = 1 << m
+        x, pmf = np.arange(-(M - 1), M, 2.0), np.arange(1.0, M + 1) / (M * (M + 1) / 2)
+        assert window(x, sigma) == W
+        _check_against_full_band(x, pmf, sigma, grad)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 21, 30])
+    def test_window_edge(self, n, monkeypatch):
+        # 64 points spaced within 20 ulps of reach / n noise standard
+        # deviations: where reach / step is exactly n the window keeps row n
+        # and row n + 1 is all zeros, and a step an ulp wider drops row n.
+        # The window awgn_mi builds its index for is the one stated
+        widths = []
+        band_index = midist._band_index
+        monkeypatch.setattr(
+            midist, "_band_index", lambda M, W: widths.append(W) or band_index(M, W))
+        pmf = induced_pmf(6, np.linspace(0.05, 0.5, 16))
+        s0 = reach() / n
+        steps = [s0 + k * math.ulp(s0) for k in range(-20, 21)]
+        assert any(reach() / s == n for s in steps)
+        for s in steps:
+            x = np.arange(64.0) * s
+            assert window(x, 1.0) == (n if reach() / s >= n else n - 1)
+            _check_against_full_band(x, pmf, 1.0, grad=True)
+            assert widths.pop() == window(x, 1.0) and not widths
 
 
 def _one_sided(f, h):

@@ -47,7 +47,6 @@ PUBLIC = [
     "dm_complexity_bound",
     "dm_decode",
     "dm_encode",
-    "dm_pair_complexity_bound",
     "effective_probabilities",
     "empirical_source_frequencies",
     "encode_block_dm",

@@ -17,10 +17,12 @@ sparse words.
 
 No binomial table is stored; a matcher holds O(n) numbers. A probe decides
 C(t, r) <= remainder by comparing ln t! - ln (t - r)! with ln remainder +
-ln r!, and only a probe whose two sides agree to within a tie margin
-compares exact integers. The exact binomials the walks and rank need are
-carried from one one to the next by ratios of falling factorials, so every
-index and word is exactly that of a Pascal-table walk.
+ln r!, stepping on while the left side is above the right by more than a
+tie margin. Where the walk stops, the exact binomial the next one needs
+anyway settles the one probe that can fall inside the margin. The exact
+binomials the walks and rank need are carried from one one to the next by
+ratios of falling factorials, so every index and word is exactly that of a
+Pascal-table walk.
 For long, dense words rank combines the ratios of a run of ones first and
 divides its long running term once per run rather than once per one.
 """
@@ -132,15 +134,6 @@ def _validated_bits(word: Sequence[int], code: DmCode) -> np.ndarray:
     return bits
 
 
-def _descend(term: int, factor: int, t: int, r: int, s: int) -> int:
-    """C(s, r) for s < t, given term * factor == C(t, r + 1) * (r + 1) > 0.
-
-    C(s, r) = C(t, r + 1) * (r + 1) * perm(t - r - 1, g - 1) / perm(t, g)
-    with g = t - s: one multiply and one exact division of a big integer.
-    """
-    return term * (factor * math.perm(t - r - 1, t - s - 1)) // math.perm(t, t - s)
-
-
 def rank(word: Sequence[int], code: DmCode) -> int:
     """Index of a weight-w word in [0, C(n, w))."""
     bits = _validated_bits(word, code)
@@ -209,8 +202,9 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
     """Unrank with an instrumented comparison counter.
 
     Returns (word, comparisons), where comparisons is the number of
-    binomial-versus-remainder probes the walks made; once the remainder is
-    0 the ones left are packed at the end without a probe.
+    binomial-versus-remainder probes the walks made: per one, every t from
+    the walk's start down to the one it stops at; once the remainder is 0
+    the ones left are packed at the end without a probe.
     """
     if not isinstance(index, int) or isinstance(index, bool):
         raise ParameterError(f"index must be an integer, got {index!r}")
@@ -220,7 +214,9 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
     ones = []
     rem = index
     upper = n  # exclusive bound on t: the previous one's t
-    # term * factor == C(upper, r + 1) * (r + 1), as _descend expects
+    # term * factor == C(upper, r + 1) * (r + 1), so that with g = upper - t
+    # C(t, r) = term * factor * perm(upper - r - 1, g - 1) / perm(upper, g):
+    # one multiply and one exact division of a big integer per one
     term, factor = code.num_words, n - code.w
     comparisons = 0
     for r in range(code.w, 0, -1):
@@ -229,17 +225,27 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
             break
         # C(t, r) <= rem  <=>  ln t! - ln (t - r)! <= ln rem + ln r!
         bound = math.log(rem) + log_fact[r]
-        t = upper - 1
+        start = upper - 1
         if upper >= _DENSE * r:
-            t = min(t, int(_walk_start(bound, r) + _START_SLACK))
-        # rem >= 1 = C(r, r), so the walk stops at some t >= r
-        while True:
-            comparisons += 1
-            gap = log_fact[t] - log_fact[t - r] - bound
-            if gap < -_TIE or (gap <= _TIE and _descend(term, factor, upper, r, t) <= rem):
-                break
+            start = min(start, int(_walk_start(bound, r) + _START_SLACK))
+        # Each probe is one float comparison; the walk passes every t whose
+        # C(t, r) is surely above rem and stops at the first that may not
+        # be, at some t >= r since rem >= 1 = C(r, r). The exact C(t, r),
+        # needed anyway as the next term, settles that probe: only one in
+        # the tie band can be above rem after all, and then the next t down
+        # is surely not, one more probe.
+        high = bound + _TIE
+        t = start
+        while log_fact[t] - log_fact[t - r] > high:
             t -= 1
-        term, factor = _descend(term, factor, upper, r, t), r
+        comparisons += start - t + 1
+        g = upper - t
+        term = term * (factor * math.perm(upper - r - 1, g - 1)) // math.perm(upper, g)
+        if term > rem:
+            term = term * (t - r) // t  # C(t - 1, r)
+            t -= 1
+            comparisons += 1
+        factor = r
         rem -= term
         ones.append(n - 1 - t)
         upper = t
@@ -256,13 +262,18 @@ def unrank(index: int, code: DmCode) -> np.ndarray:
 
 
 def dm_encode(info_bits: Sequence[int], code: DmCode) -> np.ndarray:
-    """Map k uniform bits (least significant first) to a fixed-weight word."""
-    bits = np.asarray(info_bits, dtype=np.int64)
+    """Map k uniform bits (least significant first) to a fixed-weight word.
+
+    A uint8 array is checked with one max and packed as it is; anything
+    else is read as int64 first, so 0.5 reads as 0 and -1 is refused.
+    """
+    uint8 = isinstance(info_bits, np.ndarray) and info_bits.dtype == np.uint8
+    bits = info_bits if uint8 else np.asarray(info_bits, dtype=np.int64)
     if bits.ndim != 1 or bits.size != code.k:
         raise ParameterError(f"info must have {code.k} bits, got shape {bits.shape}")
-    if np.any((bits != 0) & (bits != 1)):
+    if bits.max(initial=0) > 1 if uint8 else np.any((bits != 0) & (bits != 1)):
         raise ParameterError("info elements must be 0 or 1")
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
+    packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
     return unrank(int.from_bytes(packed.tobytes(), "little"), code)
 
 

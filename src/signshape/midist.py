@@ -27,6 +27,7 @@ a numpy monotone cubic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -146,13 +147,18 @@ def awgn_mi(
     if not 1 <= order <= _MAX_ORDER:
         raise ParameterError(f"order must be in [1, {_MAX_ORDER}], got {order}")
     M, w = xs.size, 2 if grad else 1
-    # np.allclose(diff(z), step, 1e-12, 1e-12), 7x faster; with z[0] finite
-    # it fails every NaN or inf point, so inf - inf may go quietly to NaN
+    # np.allclose(diff(z), step, 1e-12, 1e-12), 7x faster, plus room for
+    # the rounding of z = x / noise_std: each z is off by up to eps max|z| / 2,
+    # so exactly spaced x may show a spread of 2 eps max|z| <= 2 eps edge.
+    # With edge finite the test fails every NaN or inf point, so inf - inf
+    # may go quietly to NaN.
     with np.errstate(invalid="ignore", over="ignore"):
         z = xs / noise_std
         step = float(z[1] - z[0]) if M > 1 else 0.0
         spread = np.abs(z[1:] - z[:-1] - step).max(initial=0.0)
-    if not (math.isfinite(z[0]) and spread <= 1e-12 * (1.0 + abs(step))):
+        edge = float(abs(z[0]) + abs(z[-1]))
+    tolerance = 1e-12 * (1.0 + abs(step)) + 4.0 * sys.float_info.epsilon * edge
+    if not (math.isfinite(edge) and spread <= tolerance):
         raise ParameterError("x must be finite and equally spaced")
     # the kernel squares (M - 1) * step plus a node and multiplies it by
     # (M - 1) * step, which overflows once that passes about 1.3e154

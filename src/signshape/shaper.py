@@ -267,8 +267,15 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
 
 
 def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) -> np.ndarray:
-    """Info bits of count blocks, one per row, drawn a block at a time."""
-    return np.stack([rng.integers(0, 2, config.info_length, np.uint8) for _ in range(count)])
+    """Info bits of count blocks as a (count, L) uint8 array, L = info_length.
+
+    One raw draw of ceil(L / 64) 64-bit words per row, unpacked least
+    significant bit first. A row reads only its own words, so the rows are
+    what count one-row draws would give, one after another.
+    """
+    L = config.info_length
+    raw = rng.bit_generator.random_raw((count, -(-L // 64))).astype("<u8", copy=False)
+    return np.unpackbits(raw.view(np.uint8), axis=1, count=L, bitorder="little")
 
 
 def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

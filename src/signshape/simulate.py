@@ -1,11 +1,12 @@
 """Monte Carlo harness for the uncoded shaped chain over AWGN.
 
-Blocks go in chunks of max(1, 8192 // n): per chunk, one batch encode,
-white Gaussian noise, a prior-free nearest-symbol decision and one
-vectorised statistics pass, so working memory is a few chunk-sized arrays
-whatever num_blocks is. The report equals a block-by-block loop's. The
-demapper ignores the shaped prior on purpose; the harness validates the
-shaping chain, not receiver optimality.
+Blocks go in chunks of max(1, 8192 // n): per chunk, one raw draw of the
+info bits, one batch encode, white Gaussian noise, a prior-free
+nearest-symbol decision and one vectorised statistics pass, so working
+memory is a few chunk-sized arrays whatever num_blocks is. The info and
+noise draws are those of a block-by-block loop, so the report equals that
+loop's. The demapper ignores the shaped prior on purpose; the harness
+validates the shaping chain, not receiver optimality.
 
 The MI estimate is plug-in: Y is quantized to bins of width sigma/4 over
 +-(max symbol + 5 sigma) and I(X;Y) is read off the empirical joint

@@ -251,7 +251,8 @@ def loop_simulate_run(config):
     decide, and add each block's counts to the statistics."""
     from signshape.constellation import selection_tables
     from signshape.shaper import (
-        _matcher_bits, _split_ranks, _split_symbols, encode_block_dm, encode_block_ideal,
+        _matcher_bits, _split_ranks, _split_symbols, _uniform_info, encode_block_dm,
+        encode_block_ideal,
     )
     from signshape.simulate import SimReport, _decide_ranks, _entropy, _mi_from_joint
 
@@ -283,7 +284,7 @@ def loop_simulate_run(config):
 
     for b in range(config.num_blocks):
         if shaper_cfg.mode == "block-dm":
-            info = data_rng.integers(0, 2, size=shaper_cfg.info_length, dtype=np.uint8)
+            info = _uniform_info(data_rng, shaper_cfg, 1)[0]
             block = encode_block_dm(shaper_cfg, info)
         else:
             block = encode_block_ideal(

@@ -292,6 +292,40 @@ class TestEncodeDecode:
         with pytest.raises(ParameterError):
             dm_encode(np.zeros(code.k + 1, dtype=np.uint8), code)
 
+    @staticmethod
+    def int64_encode(info_bits, code):
+        """dm_encode read through int64 for every dtype, as before its uint8
+        path: the word, or the ParameterError's message."""
+        bits = np.asarray(info_bits, dtype=np.int64)
+        if bits.ndim != 1 or bits.size != code.k:
+            return "shape"
+        if np.any((bits != 0) & (bits != 1)):
+            return "0 or 1"
+        packed = np.packbits(bits.astype(np.uint8), bitorder="little")
+        return unrank(int.from_bytes(packed.tobytes(), "little"), code).tolist()
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda k: np.arange(k, dtype=np.uint8) % 3 % 2, id="uint8"),
+        pytest.param(lambda k: np.array([2] + [1] * (k - 1), dtype=np.uint8), id="uint8-2"),
+        pytest.param(lambda k: np.array([255] + [0] * (k - 1), dtype=np.uint8), id="uint8-255"),
+        pytest.param(lambda k: np.arange(k) % 3 == 1, id="bool"),
+        pytest.param(lambda k: [i % 2 for i in range(k)], id="int-list"),
+        pytest.param(lambda k: [0.5] + [1] * (k - 1), id="float-half"),
+        pytest.param(lambda k: np.array([-1] + [0] * (k - 1), dtype=np.int8), id="negative-int8"),
+        pytest.param(lambda k: np.ones((1, k), dtype=np.uint8), id="uint8-row-matrix"),
+        pytest.param(lambda k: np.ones((1, k), dtype=np.int64), id="int64-row-matrix"),
+        pytest.param(lambda k: np.ones(2 * k, dtype=np.uint8)[::2], id="uint8-strided"),
+    ])
+    def test_argument_handling_matches_int64_path(self, make):
+        code = dm_code(40, 9)
+        info = make(code.k)
+        expected = self.int64_encode(info, code)
+        if isinstance(expected, str):
+            with pytest.raises(ParameterError, match=expected):
+                dm_encode(info, code)
+        else:
+            assert dm_encode(info, code).tolist() == expected
+
 
 class TestRates:
     def test_binary_entropy_edges(self):

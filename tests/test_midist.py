@@ -145,6 +145,21 @@ class TestAwgnMi:
         with pytest.raises(ParameterError, match="equally spaced"):
             awgn_mi(np.array(points), pmf, 0.8, grad=grad)
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.03, 0.1])
+    def test_large_alphabet_at_small_sigma_counts_as_equally_spaced(self, sigma):
+        # z = x / sigma reaches 5e5 at m = 14, sigma = 0.03, where its
+        # rounding alone passed the old 1e-12 (1 + |step|) spacing tolerance
+        x = build_ask(14).points()
+        assert awgn_mi(x, np.full(x.size, 1.0 / x.size), sigma) == pytest.approx(14.0)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.03, 1.0])
+    @pytest.mark.parametrize("where", [1, 8191, 16382])
+    def test_rejects_grid_perturbed_by_1e9_relative(self, sigma, where):
+        x = build_ask(14).points()
+        x[where] += 1e-9 * (x[1] - x[0])
+        with pytest.raises(ParameterError, match="equally spaced"):
+            awgn_mi(x, np.full(x.size, 1.0 / x.size), sigma)
+
     @pytest.mark.parametrize("order", [0, -1])
     def test_rejects_order_below_one(self, order):
         with pytest.raises(ParameterError, match="order"):

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from signshape.shaper import (
     _encode_dm_rows,
     _serve_requests,
     _split_symbols,
+    _uniform_info,
 )
 
 from helpers import exact_excess_expectation, loop_serve_requests, mask_encode_ideal
@@ -410,6 +412,39 @@ class TestBlockDmEncoding:
         )
         with pytest.raises(IntegrityError):
             decode_block(bad, cfg)
+
+
+class TestUniformInfo:
+    """A chunk's info bits: one raw draw, row by row as one-row draws."""
+
+    # _uniform_info reads only config.info_length
+    @settings(max_examples=60, deadline=None)
+    @given(
+        words=st.integers(0, 40),
+        tail=st.one_of(st.sampled_from([0, 1, 63]), st.integers(2, 62)),
+        count=st.integers(1, 9),
+        seed=st.integers(0, 2**63),
+    )
+    def test_chunk_is_one_row_draws(self, words, tail, count, seed):
+        L = 64 * words + tail
+        config = SimpleNamespace(info_length=L)
+        chunk = _uniform_info(np.random.default_rng(seed), config, count)
+        assert chunk.shape == (count, L) and chunk.dtype == np.uint8
+        assert ((chunk == 0) | (chunk == 1)).all()
+        rng = np.random.default_rng(seed)
+        rows = [_uniform_info(rng, config, 1)[0] for _ in range(count)]
+        np.testing.assert_array_equal(chunk, np.reshape(rows, (count, L)))
+
+    def test_bits_are_the_raw_words_least_significant_first(self):
+        config = ShaperConfig(profile=ShapingProfile(m=3, probs=(0.1, 0.4)), n=64)
+        L = config.info_length
+        chunk = _uniform_info(np.random.default_rng(5), config, 3)
+        raw = np.random.default_rng(5).bit_generator.random_raw(3 * -(-L // 64))
+        per_row = len(raw) // 3
+        for b in range(3):
+            words = [int(w) for w in raw[b * per_row : (b + 1) * per_row]]
+            bits = [(w >> j) & 1 for w in words for j in range(64)][:L]
+            assert chunk[b].tolist() == bits
 
 
 class TestSwitchExpectation:

@@ -1,14 +1,12 @@
 """AWGN Monte Carlo harness tests."""
 
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from signshape import (
-    DmCode,
     ParameterError,
     ShaperConfig,
     ShapingProfile,
@@ -72,27 +70,6 @@ class TestRun:
         monkeypatch.setattr(shaper, "dm_code", lambda *a: calls.append(a) or real(*a))
         run(config)
         assert calls == []
-
-    def test_matcher_calls_keep_the_tracer_contract(self, monkeypatch):
-        # the benchmark tracer captures every matcher word by rebinding
-        # shaper.dm_encode and reading (bits, code) from its positional args
-        config = sim(m=4, probs=(0.05, 0.15, 0.3, 0.45), n=256, blocks=40)
-        calls = []
-        real = shaper.dm_encode
-
-        def counting(*args, **kwargs):
-            calls.append((args, kwargs))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(shaper, "dm_encode", counting)
-        run(config)
-        codes = config.shaper.dm_codes
-        assert len(calls) == len(codes) * 40
-        for args, kwargs in calls:
-            assert kwargs == {} and len(args) == 2
-            bits, code = args
-            assert isinstance(code, DmCode) and bits.shape == (code.k,)
-        assert Counter(codes.index(args[1]) for args, _ in calls) == {0: 40, 1: 40, 2: 40, 3: 40}
 
     def test_seed_matters(self):
         a = run(sim(seed=1))

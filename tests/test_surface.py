@@ -12,9 +12,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import signshape
+from signshape import DmCode, ShaperConfig, ShapingProfile, SimConfig, shaper, simulate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -134,6 +138,34 @@ def test_benchmark_names_resolve(monkeypatch):
                 assert hasattr(owner, node.attr), f"{owner.__name__}.{node.attr}"
     for attr in ("dm_codes", "constellation", "info_length"):
         assert hasattr(imported["ShaperConfig"], attr)
+
+
+def test_matcher_calls_keep_the_tracer_contract(monkeypatch):
+    # perfbench's tracer captures every matcher word by rebinding
+    # shaper.dm_encode, reads (bits, code) from its positional args and
+    # replays each bits array as one 1-D row through unrank_counted
+    config = SimConfig(
+        shaper=ShaperConfig(profile=ShapingProfile(m=4, probs=(0.05, 0.15, 0.3, 0.45)), n=256),
+        noise_std=1.0,
+        num_blocks=40,
+    )
+    calls = []
+    real = shaper.dm_encode
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shaper, "dm_encode", recording)
+    simulate.run(config)
+    codes = config.shaper.dm_codes
+    assert len(calls) == config.num_blocks * len(codes)
+    for args, kwargs in calls:
+        assert kwargs == {} and len(args) == 2
+        bits, code = args
+        assert isinstance(code, DmCode)
+        assert isinstance(bits, np.ndarray) and bits.shape == (code.k,)
+    assert Counter(codes.index(args[1]) for args, _ in calls) == {i: 40 for i in range(4)}
 
 
 def _run_child(code: str) -> str:

@@ -55,7 +55,9 @@ __all__ = [
 
 
 def weight_for(n: int, p: float) -> int:
-    """Target weight round(n*p), ties rounding half up."""
+    """Target weight round(n*p), ties rounding half up, for 0 <= p <= 1."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"p must lie in [0, 1], got {p}")
     return int(math.floor(n * p + 0.5))
 
 
@@ -122,21 +124,26 @@ def dm_code(n: int, w: int) -> DmCode:
     )
 
 
-def _validated_bits(word: Sequence[int], code: DmCode) -> np.ndarray:
-    bits = np.asarray(word, dtype=np.int64)
-    if bits.ndim != 1 or bits.size != code.n:
-        raise ParameterError(f"word must have length {code.n}, got shape {bits.shape}")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ParameterError("word elements must be 0 or 1")
-    weight = int(bits.sum())
-    if weight != code.w:
-        raise WeightError(f"word has weight {weight}, matcher requires {code.w}")
+def _bits(values: Sequence[int], size: int, name: str) -> np.ndarray:
+    """values as a 1-D array of size zeros and ones, in their own dtype.
+
+    A uint8 array is checked with one max; anything else is compared as it
+    is, before any cast, so 0.5 and -1 are refused rather than read as 0.
+    """
+    bits = np.asarray(values)
+    if bits.ndim != 1 or bits.size != size:
+        raise ParameterError(f"{name} must have length {size}, got shape {bits.shape}")
+    if bits.max(initial=0) > 1 if bits.dtype == np.uint8 else not ((bits == 0) | (bits == 1)).all():
+        raise ParameterError(f"{name} elements must be 0 or 1")
     return bits
 
 
 def rank(word: Sequence[int], code: DmCode) -> int:
     """Index of a weight-w word in [0, C(n, w))."""
-    bits = _validated_bits(word, code)
+    bits = _bits(word, code.n, "word")
+    weight = int(bits.sum())
+    if weight != code.w:
+        raise WeightError(f"word has weight {weight}, matcher requires {code.w}")
     n, w = code.n, code.w
     ones = np.flatnonzero(bits)
     ones = ones[ones - np.arange(w) < n - w]  # ones packed at the end add 0
@@ -262,17 +269,8 @@ def unrank(index: int, code: DmCode) -> np.ndarray:
 
 
 def dm_encode(info_bits: Sequence[int], code: DmCode) -> np.ndarray:
-    """Map k uniform bits (least significant first) to a fixed-weight word.
-
-    A uint8 array is checked with one max and packed as it is; anything
-    else is read as int64 first, so 0.5 reads as 0 and -1 is refused.
-    """
-    uint8 = isinstance(info_bits, np.ndarray) and info_bits.dtype == np.uint8
-    bits = info_bits if uint8 else np.asarray(info_bits, dtype=np.int64)
-    if bits.ndim != 1 or bits.size != code.k:
-        raise ParameterError(f"info must have {code.k} bits, got shape {bits.shape}")
-    if bits.max(initial=0) > 1 if uint8 else np.any((bits != 0) & (bits != 1)):
-        raise ParameterError("info elements must be 0 or 1")
+    """Map k uniform bits (least significant first) to a fixed-weight word."""
+    bits = _bits(info_bits, code.k, "info")
     packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
     return unrank(int.from_bytes(packed.tobytes(), "little"), code)
 

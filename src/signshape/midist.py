@@ -107,7 +107,8 @@ def sigma_for_snr(energy: float, snr_db: float) -> float:
 def snr_db_for(energy: float, noise_std: float) -> float:
     if not (0 < energy < math.inf and 0 < noise_std < math.inf):
         raise ParameterError("energy and noise_std must be positive and finite")
-    return 10.0 * math.log10(energy / (noise_std * noise_std))
+    # two logs: the ratio under- or overflows for noise_std far from 1
+    return 10.0 * math.log10(energy) - 20.0 * math.log10(noise_std)
 
 
 def awgn_mi(

@@ -4,11 +4,12 @@ Per symbol, m-1 uniform prefix bits pick one of P bit sources through the
 switch rule; the served bit, complemented and then flipped where the rule
 says so, becomes the sign bit. Source i is a word of ones density p_i,
 consumed front to back, so low p_i means low weight. The two operating
-modes share this switch and differ only in where the words come from:
+modes differ in where the words come from:
 
 * ideal-sources: each word is a seeded Bernoulli draw exactly as long as
-  the demand for its source, so the switch never overflows. Useful for
-  statistical validation.
+  the demand for its source, so the switch would serve every request from
+  its own source and is skipped: the draws go straight into the slots that
+  request the source. Useful for statistical validation.
 * block-dm: each word is a fixed-weight matcher output of length n/P.
   When a requested reservoir is empty the switch falls back to the lowest
   indexed nonempty one and counts the event as an overflow.
@@ -44,7 +45,7 @@ from .constellation import (
     profile_to_dict,
     selection_tables,
 )
-from .enumdm import DmCode, dm_code, dm_decode, dm_encode, weight_for
+from .enumdm import DmCode, _bits, dm_code, dm_decode, dm_encode, weight_for
 from .errors import IntegrityError, ParameterError
 
 __all__ = [
@@ -199,29 +200,6 @@ def _assemble(m: int, d: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
     return 2 * ranks - ((1 << m) - 1)
 
 
-def _serve_words(
-    config: ShaperConfig, d: np.ndarray, words: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols (B, n) and overflow counts (B,) of B blocks, one per row of d
-    and of each source's words, whose sign bits come from the words through
-    the switch. Each word is consumed front to back by the slots its source
-    serves; the sign bit is the complement of the consumed bit, flipped per d.
-    """
-    src_table, flip_table = selection_tables(config.profile.m, config.profile.num_distinct)
-    capacities = [word.shape[1] for word in words]
-    served, overflow = map(np.array, zip(*(_serve_requests(r, capacities) for r in src_table[d])))
-    word_bits = np.empty(d.shape, dtype=np.uint8)
-    for i, word in enumerate(words):
-        mask = served == i
-        slots = np.count_nonzero(mask, axis=1)
-        if (slots != word.shape[1]).any():
-            bad = slots[slots != word.shape[1]][0]
-            raise IntegrityError(f"reservoir {i} served {bad} bits, holds {word.shape[1]}")
-        word_bits[mask] = word.reshape(-1)  # row by row, chronological order
-    sign_bits = (1 - word_bits) ^ flip_table[d]
-    return _assemble(config.profile.m, d, sign_bits), overflow
-
-
 def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
     """Encode one block with ideal seeded Bernoulli sources.
 
@@ -231,19 +209,28 @@ def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
     """
     if config.mode != "ideal-sources":
         raise ParameterError(f"config mode is {config.mode!r}, not 'ideal-sources'")
-    m = config.profile.m
-    P = config.profile.num_distinct
-    children = np.random.SeedSequence(config.rng_seed).spawn(1 + P)
-    prefix_rng, *source_rngs = (np.random.default_rng(c) for c in children)
-    prefix = prefix_rng.integers(0, 2, size=(config.n, m - 1), dtype=np.uint8)
+    children = np.random.SeedSequence(config.rng_seed).spawn(1 + config.profile.num_distinct)
+    prefix_rng, *source_rngs = map(np.random.default_rng, children)
+    symbols = _ideal_rows(config, prefix_rng, source_rngs, 1)
+    return ShapedBlock(symbols=symbols[0], overflow_count=0, mode=config.mode)
+
+
+def _ideal_rows(config: ShaperConfig, prefix_rng, source_rngs, count: int) -> np.ndarray:
+    """Symbols (count, n) of count ideal-sources blocks, those that one-row
+    draws from prefix_rng and the source generators give in turn. The switch
+    is skipped, as each source's word exactly meets its demand: its draws go
+    straight into the slots that request it."""
+    m, n = config.profile.m, config.n
+    src_table, flip_table = selection_tables(m, config.profile.num_distinct)
+    # a draw per row: one uint8 draw of all the rows buffers its bits differently
+    prefix = np.stack([prefix_rng.integers(0, 2, (n, m - 1), np.uint8) for _ in range(count)])
     d = _prefix_decimals(prefix, m)
-    demand = np.bincount(selection_tables(m, P)[0][d], minlength=P)
-    words = [
-        rng.random(count) < p
-        for rng, count, p in zip(source_rngs, demand, config.profile.probs)
-    ]
-    symbols, overflow = _serve_words(config, d[None], [word[None] for word in words])
-    return ShapedBlock(symbols=symbols[0], overflow_count=int(overflow[0]), mode=config.mode)
+    requests = src_table[d]
+    word_bits = np.empty(d.shape, dtype=np.uint8)
+    for i, (rng, p) in enumerate(zip(source_rngs, config.profile.probs)):
+        mask = requests == i
+        word_bits[mask] = rng.random(np.count_nonzero(mask)) < p
+    return _assemble(m, d, (1 - word_bits) ^ flip_table[d])
 
 
 def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlock:
@@ -254,14 +241,7 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
     """
     if config.mode != "block-dm":
         raise ParameterError(f"config mode is {config.mode!r}, not 'block-dm'")
-    info = np.asarray(info_bits)
-    if info.ndim != 1 or info.size != config.info_length:
-        raise ParameterError(
-            f"info must have {config.info_length} bits, got {info.size}"
-        )
-    # checked before the cast, which would read 0.5 as 0 and overflow on -1
-    if not ((info == 0) | (info == 1)).all():
-        raise ParameterError("info elements must be 0 or 1")
+    info = _bits(info_bits, config.info_length, "info")
     symbols, overflow = _encode_dm_rows(config, info[None].astype(np.uint8, copy=False))
     return ShapedBlock(symbols=symbols[0], overflow_count=int(overflow[0]), mode=config.mode)
 
@@ -280,14 +260,27 @@ def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) ->
 
 def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symbols (B, n) and overflow counts (B,) of B blocks, one per row of
-    checked uint8 info bits laid out as for encode_block_dm."""
+    checked uint8 info bits laid out as for encode_block_dm. Each matcher word
+    is consumed front to back by the slots the switch has its source serve."""
+    m = config.profile.m
+    src_table, flip_table = selection_tables(m, config.profile.num_distinct)
     words = []
     offset = 0
     for code in config.dm_codes:
         words.append(np.stack([dm_encode(row, code) for row in info[:, offset : offset + code.k]]))
         offset += code.k
-    d = _prefix_decimals(info[:, offset:].reshape(len(info), config.n, -1), config.profile.m)
-    return _serve_words(config, d, words)
+    d = _prefix_decimals(info[:, offset:].reshape(len(info), config.n, -1), m)
+    capacities = [code.n for code in config.dm_codes]
+    served, overflow = map(np.array, zip(*(_serve_requests(r, capacities) for r in src_table[d])))
+    word_bits = np.empty(d.shape, dtype=np.uint8)
+    for i, word in enumerate(words):
+        mask = served == i
+        slots = np.count_nonzero(mask, axis=1)
+        if (slots != word.shape[1]).any():
+            bad = slots[slots != word.shape[1]][0]
+            raise IntegrityError(f"reservoir {i} served {bad} bits, holds {word.shape[1]}")
+        word_bits[mask] = word.reshape(-1)  # row by row, chronological order
+    return _assemble(m, d, (1 - word_bits) ^ flip_table[d]), overflow
 
 
 def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:

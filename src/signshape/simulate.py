@@ -1,22 +1,23 @@
 """Monte Carlo harness for the uncoded shaped chain over AWGN.
 
-Blocks go in chunks of max(1, 8192 // n): per chunk, one raw draw of the
-info bits, one batch encode, white Gaussian noise, a prior-free
-nearest-symbol decision and one vectorised statistics pass, so working
-memory is a few chunk-sized arrays whatever num_blocks is. The info and
-noise draws are those of a block-by-block loop, so the report equals that
-loop's. The demapper ignores the shaped prior on purpose; the harness
-validates the shaping chain, not receiver optimality.
+Blocks go in chunks of max(1, 8192 // n): per chunk, one batch encode,
+white Gaussian noise, a prior-free nearest-symbol decision and one
+vectorised statistics pass, so working memory is a few chunk-sized arrays
+whatever num_blocks is. The info bits (block-dm), the prefix and source
+draws (ideal-sources, from generators spawned once per run) and the noise
+are the streams of a block-by-block loop, so the report equals that loop's.
+The demapper ignores the shaped prior on purpose; the harness validates the
+shaping chain, not receiver optimality.
 
 The MI estimate is plug-in: Y is quantized to bins of width sigma/4 over
 +-(max symbol + 5 sigma) and I(X;Y) is read off the empirical joint
-histogram. At sigma = 0 it degenerates to the empirical input entropy.
-SimConfig raises ParameterError if the histogram would exceed 256 MB.
+histogram, whose row r holds only the 69 bins within 8.5 sigma of symbol r
+(a sample farther out counts in the edge bin): M x 69 int64 cells whatever
+sigma is. At sigma = 0 it degenerates to the empirical input entropy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,26 +29,17 @@ from .shaper import (
     _CHUNK_SYMBOLS,
     ShaperConfig,
     _encode_dm_rows,
+    _ideal_rows,
     _matcher_bits,
     _split_ranks,
     _split_symbols,
     _uniform_info,
     encode_block_dm,  # not called here; perfbench's tracer rebinds this name
-    encode_block_ideal,
 )
 
 __all__ = ["SimConfig", "SimReport", "run"]
 
-
-def _histogram_bins(M: int, sigma: float) -> tuple[float, float, int]:
-    """Half range, bin width and bin count of the MI histogram; ParameterError
-    when its M x bins int64 counts, which grow as 1/sigma, pass 256 MB (8M divides it)."""
-    half_range = float(M - 1) + 5.0 * sigma
-    bin_width = sigma / 4.0
-    bins = 2.0 * half_range / bin_width if bin_width else math.inf
-    if 8 * M * bins > 256 << 20:
-        raise ParameterError(f"noise_std = {sigma} needs a {M * bins / 2**17:.4g} MB histogram")
-    return half_range, bin_width, int(math.ceil(bins))
+_BAND = 34  # bins of sigma/4 a histogram row holds on each side of its symbol's bin
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,9 @@ class SimConfig:
             raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.num_blocks < 1:
             raise ParameterError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        if self.noise_std > 0:
-            _histogram_bins(1 << self.shaper.profile.m, self.noise_std)
+        # the MI histogram's bin indices reach about 8 (M - 1) / noise_std
+        if 0 < self.noise_std and 8 * ((1 << self.shaper.profile.m) - 1) >= 2**62 * self.noise_std:
+            raise ParameterError(f"noise_std = {self.noise_std} puts histogram bins beyond int64")
 
 
 @dataclass(frozen=True)
@@ -86,16 +79,21 @@ def _decide_ranks(y: np.ndarray, M: int) -> np.ndarray:
     return np.clip(np.ceil((y + (M - 1)) / 2.0 - 0.5).astype(np.int64), 0, M - 1)
 
 
-def _mi_from_joint(joint: np.ndarray) -> float:
-    total = joint.sum()
-    if total == 0:
-        return 0.0
-    pxy = joint / total
-    px = pxy.sum(axis=1, keepdims=True)
-    py = pxy.sum(axis=0, keepdims=True)
-    mask = pxy > 0
-    ratio = pxy[mask] / (px @ py)[mask]
-    return float((pxy[mask] * np.log2(ratio)).sum())
+def _band_mi(band: np.ndarray, first_bin: np.ndarray) -> float:
+    """Plug-in I(X;Y) of a joint histogram whose row r holds absolute bins
+    first_bin[r], first_bin[r] + 1, ...; the marginals are whole counts
+    divided once, and the sum runs over the nonzero cells in row order."""
+    rows, cols = band.nonzero()
+    counts = band[rows, cols]
+    # first_bin ascends, so the rows laid end to end, overlaps shared, number
+    # the bins 0, 1, ... in order, up to M x 69 whatever the absolute index
+    start = np.cumsum(np.minimum(np.diff(first_bin, prepend=first_bin[0]), band.shape[1]))
+    column = start[rows] + cols
+    total = counts.sum()
+    pxy = counts / total
+    px = band.sum(axis=1) / total
+    py = np.bincount(column, weights=counts) / total
+    return float((pxy * np.log2(pxy / (px[rows] * py[column]))).sum())
 
 
 def _entropy(pmf: np.ndarray) -> float:
@@ -115,13 +113,19 @@ def run(config: SimConfig) -> SimReport:
     seq = np.random.SeedSequence(config.rng_seed)
     noise_seq, data_seq = seq.spawn(2)
     noise_rng = np.random.default_rng(noise_seq)
-    data_rng = np.random.default_rng(data_seq)
-    if shaper_cfg.mode == "ideal-sources":
-        block_seeds = data_seq.generate_state(config.num_blocks, dtype=np.uint64)
+    if shaper_cfg.mode == "block-dm":
+        data_rng = np.random.default_rng(data_seq)
+    else:
+        children = data_seq.spawn(1 + shaper_cfg.profile.num_distinct)
+        prefix_rng, *source_rngs = map(np.random.default_rng, children)
 
     if sigma > 0:
-        half_range, bin_width, num_bins = _histogram_bins(M, sigma)
-        joint = np.zeros((M, num_bins), dtype=np.int64)
+        half_range = float(M - 1) + 5.0 * sigma
+        bin_width = sigma / 4.0
+        num_bins = math.ceil(2.0 * half_range / bin_width)
+        points = np.arange(-(M - 1), M, 2)
+        first_bin = np.floor((points + half_range) / bin_width).astype(np.int64) - _BAND
+        band = np.zeros((M, 2 * _BAND + 1), dtype=np.int64)
 
     sent_counts = np.zeros(M, dtype=np.int64)
     energy_sum = 0
@@ -137,13 +141,8 @@ def run(config: SimConfig) -> SimReport:
             info = _uniform_info(data_rng, shaper_cfg, count)
             symbols, overflow = _encode_dm_rows(shaper_cfg, info)
         else:
-            # only the ideal sources read rng_seed; a fresh config per block
-            blocks = [
-                encode_block_ideal(dataclasses.replace(shaper_cfg, rng_seed=int(s)))
-                for s in block_seeds[start : start + count]
-            ]
-            symbols = np.stack([block.symbols for block in blocks])
-            overflow = np.array([block.overflow_count for block in blocks])
+            symbols = _ideal_rows(shaper_cfg, prefix_rng, source_rngs, count)
+            overflow = np.zeros(count, dtype=np.int64)
         symbols = symbols.ravel()
         ranks, d, sign_bits = _split_symbols(symbols, m)
 
@@ -162,14 +161,17 @@ def run(config: SimConfig) -> SimReport:
         overflow_max = max(overflow_max, int(overflow.max()))
 
         if sigma > 0:
-            bins = np.floor((y + half_range) / bin_width).astype(np.int64)
-            bins = np.clip(bins, 0, num_bins - 1)
-            # not bincount(minlength=M * num_bins): that allocates a whole histogram
-            np.add.at(joint.reshape(-1), ranks * num_bins + bins, 1)
+            # in place: each chunk-sized temporary adds to the peak RSS
+            cells = np.floor((y + half_range) / bin_width).astype(np.int64)
+            np.clip(cells, 0, num_bins - 1, out=cells)
+            cells -= first_bin[ranks]
+            np.clip(cells, 0, 2 * _BAND, out=cells)
+            cells += ranks * (2 * _BAND + 1)
+            np.add.at(band.reshape(-1), cells, 1)
 
     total = n * config.num_blocks
     pmf = sent_counts / total
-    mi = _mi_from_joint(joint) if sigma > 0 else _entropy(pmf)
+    mi = _band_mi(band, first_bin) if sigma > 0 else _entropy(pmf)
     return SimReport(
         num_symbols=total,
         empirical_distribution=tuple(pmf.tolist()),

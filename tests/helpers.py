@@ -6,13 +6,12 @@ iterative Pascal recurrence instead of math.comb, exact rationals for the
 overflow expectation, brute-force enumeration for ranking order, a
 Pascal-table walk and a math.comb scan for unranking, a per-request
 loop for the reservoir switch, per-source masks for the ideal encoder, a
-block-by-block loop for the Monte Carlo harness, and the full M x (2M - 1)
-Toeplitz band for the quadrature MI.
+block-by-block loop with a dense joint histogram for the Monte Carlo
+harness, and the full M x (2M - 1) Toeplitz band for the quadrature MI.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -227,13 +226,12 @@ def loop_serve_requests(requests, capacities) -> tuple[np.ndarray, int]:
     return served, overflow
 
 
-def mask_encode_ideal(config) -> np.ndarray:
-    """Symbols of an ideal-sources block, each source's draws scattered
-    straight into the slots whose folded prefix selects it."""
+def mask_ideal_row(config, prefix_rng, source_rngs) -> np.ndarray:
+    """Symbols of one ideal-sources block drawn from these generators: n
+    rows of m - 1 prefix bits, and each source's draws scattered straight
+    into the slots whose folded prefix selects it."""
     m, probs, n = config.profile.m, config.profile.probs, config.n
     M = 1 << m
-    children = np.random.SeedSequence(config.rng_seed).spawn(1 + len(probs))
-    prefix_rng, *source_rngs = (np.random.default_rng(c) for c in children)
     prefix = prefix_rng.integers(0, 2, size=(n, m - 1), dtype=np.uint8)
     d = prefix.astype(np.int64) @ (1 << np.arange(m - 1))
     flip = d >= M // 4
@@ -246,15 +244,33 @@ def mask_encode_ideal(config) -> np.ndarray:
     return 2 * (d + (sign.astype(np.int64) << (m - 1))) - (M - 1)
 
 
+def mask_encode_ideal(config) -> np.ndarray:
+    """Symbols of the ideal-sources block seeded by config.rng_seed."""
+    children = np.random.SeedSequence(config.rng_seed).spawn(1 + config.profile.num_distinct)
+    prefix_rng, *source_rngs = (np.random.default_rng(c) for c in children)
+    return mask_ideal_row(config, prefix_rng, source_rngs)
+
+
+def dense_plugin_mi(joint: np.ndarray) -> float:
+    """Plug-in I(X;Y) of a whole joint histogram of counts, its marginals
+    whole counts divided once, summed over the nonzero cells in row order."""
+    total = joint.sum()
+    mask = joint > 0
+    pxy = joint[mask] / total
+    outer = np.outer(joint.sum(axis=1) / total, joint.sum(axis=0) / total)
+    return float((pxy * np.log2(pxy / outer[mask])).sum())
+
+
 def loop_simulate_run(config):
     """The Monte Carlo harness one block at a time: encode, add noise,
-    decide, and add each block's counts to the statistics."""
+    decide, and add each block's counts to the statistics. Ideal-sources
+    blocks are drawn one at a time from generators spawned once per run.
+    The MI histogram is the whole M x num_bins joint."""
     from signshape.constellation import selection_tables
     from signshape.shaper import (
         _matcher_bits, _split_ranks, _split_symbols, _uniform_info, encode_block_dm,
-        encode_block_ideal,
     )
-    from signshape.simulate import SimReport, _decide_ranks, _entropy, _mi_from_joint
+    from signshape.simulate import SimReport, _decide_ranks, _entropy
 
     shaper_cfg = config.shaper
     m = shaper_cfg.profile.m
@@ -266,8 +282,11 @@ def loop_simulate_run(config):
     seq = np.random.SeedSequence(config.rng_seed)
     noise_seq, data_seq = seq.spawn(2)
     noise_rng = np.random.default_rng(noise_seq)
-    data_rng = np.random.default_rng(data_seq)
-    block_seeds = data_seq.generate_state(config.num_blocks, dtype=np.uint64)
+    if shaper_cfg.mode == "block-dm":
+        data_rng = np.random.default_rng(data_seq)
+    else:
+        children = data_seq.spawn(1 + shaper_cfg.profile.num_distinct)
+        prefix_rng, *source_rngs = (np.random.default_rng(c) for c in children)
 
     if sigma > 0:
         half_range = float(M - 1) + 5.0 * sigma
@@ -286,12 +305,11 @@ def loop_simulate_run(config):
         if shaper_cfg.mode == "block-dm":
             info = _uniform_info(data_rng, shaper_cfg, 1)[0]
             block = encode_block_dm(shaper_cfg, info)
+            symbols, overflow = block.symbols, block.overflow_count
         else:
-            block = encode_block_ideal(
-                dataclasses.replace(shaper_cfg, rng_seed=int(block_seeds[b]))
-            )
-        ranks, d, sign_bits = _split_symbols(block.symbols, m)
-        x = np.asarray(block.symbols, dtype=float)
+            symbols, overflow = mask_ideal_row(shaper_cfg, prefix_rng, source_rngs), 0
+        ranks, d, sign_bits = _split_symbols(symbols, m)
+        x = np.asarray(symbols, dtype=float)
 
         noise = noise_rng.standard_normal(n)
         y = x + sigma * noise
@@ -304,8 +322,8 @@ def loop_simulate_run(config):
 
         np.add.at(sent_counts, ranks, 1)
         energy_sum += float((x * x).sum())
-        overflow_total += block.overflow_count
-        overflow_max = max(overflow_max, block.overflow_count)
+        overflow_total += overflow
+        overflow_max = max(overflow_max, overflow)
 
         if sigma > 0:
             bins = np.floor((y + half_range) / bin_width).astype(np.int64)
@@ -314,7 +332,7 @@ def loop_simulate_run(config):
 
     total = n * config.num_blocks
     pmf = sent_counts / total
-    mi = _mi_from_joint(joint) if sigma > 0 else _entropy(pmf)
+    mi = dense_plugin_mi(joint) if sigma > 0 else _entropy(pmf)
     return SimReport(
         num_symbols=total,
         empirical_distribution=tuple(pmf.tolist()),

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signshape
 from signshape import (
     ShapingProfile,
     effective_probabilities,
@@ -78,12 +83,46 @@ class TestExitCodes:
         # at 70 dB the window holds the offsets of up to 16 symbols
         assert main(["--out-dir", str(tmp_path), *command]) == 0
 
-    def test_histogram_memory_cap_is_2(self, tmp_path, capsys):
-        # 1024-ASK at sigma = 0.05 would need a 1.3 GB MI histogram
-        code = main(["--out-dir", str(tmp_path), "simulate", "--m", "10", "--P", "2",
-                     "--probs", "0.04", "0.24", "--n", "256", "--sigma", "0.05"])
+    def test_1024_ask_simulate_at_small_sigma_stays_small(self, tmp_path):
+        # a dense MI histogram needed 1.3 GB here; the band holds 1024 x 69
+        # cells. A wrapper process reads the command's own peak, not that of
+        # every child this test session has run.
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.run([sys.executable, '-m', 'signshape', *sys.argv[1:]]).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = str(Path(signshape.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", wrapper, "--out-dir", str(tmp_path), "simulate",
+             "--m", "10", "--P", "1", "--probs", "0.2", "--n", "256", "--blocks", "16",
+             "--sigma", "0.05"],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        code, peak_kib = map(int, result.stdout.split()[-2:])
+        assert code == 0
+        assert peak_kib / 1024 < 200
+
+    def test_sigma_beyond_int64_bins_is_2(self, tmp_path, capsys):
+        # snr_db_for used to divide by a noise power that underflows to 0 (exit 1)
+        code = main(["--out-dir", str(tmp_path), "simulate", "--m", "10", "--P", "1",
+                     "--probs", "0.2", "--n", "256", "--sigma", "1e-300"])
         assert code == 2
-        assert "MB histogram" in capsys.readouterr().err
+        assert "int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, p", [
+        ("bench", "nan"),  # used to exit 1 on ValueError
+        ("roundtrip", "inf"),  # used to exit 1 on OverflowError
+        ("roundtrip", "-0.1"),
+        ("bench", "1.5"),
+    ])
+    def test_density_outside_unit_interval_is_2(self, tmp_path, capsys, command, p):
+        code = main(["--out-dir", str(tmp_path), "dm", command, "--n", "64", "--p", p])
+        assert code == 2
+        assert "[0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, samples", [
         ("bench", "0"),  # used to divide by zero (exit 1)

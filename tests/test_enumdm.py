@@ -74,6 +74,13 @@ class TestWeightFor:
     def test_examples(self):
         assert weight_for(1024, 0.04) == 41
         assert weight_for(2048, 0.24) == 492
+        assert (weight_for(64, 0.0), weight_for(64, 1.0)) == (0, 64)
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf"), -0.01, 1.01])
+    def test_rejects_density_outside_unit_interval(self, p):
+        # nan raised ValueError and inf OverflowError in int(floor(n p + 0.5))
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            weight_for(64, p)
 
 
 class TestDmCode:
@@ -146,6 +153,25 @@ class TestRankUnrank:
         code = dm_code(4, 2)
         with pytest.raises(ParameterError):
             rank(np.array([2, 0, 0, 0]), code)
+
+    @pytest.mark.parametrize("word", [
+        [0.5, 1.5, 0, 0],  # weight 2, but was read as [0, 1, 0, 0]
+        [1.0, 0.5, 0.5, 0],
+        np.array([1, 1, 0, -1], dtype=np.int8),
+        np.array([1, 0, 0, 255], dtype=np.uint8),
+    ])
+    def test_values_checked_before_any_cast(self, word):
+        with pytest.raises(ParameterError, match="0 or 1"):
+            rank(word, dm_code(4, 2))
+
+    @pytest.mark.parametrize("word", [
+        [0.0, 1.0, 1.0, 0.0],
+        [False, True, True, False],
+        np.array([0, 1, 1, 0], dtype=np.uint8),
+        np.array([0, 1, 1, 0], dtype=np.int16),
+    ])
+    def test_binary_words_of_any_dtype(self, word):
+        assert rank(word, dm_code(4, 2)) == rank([0, 1, 1, 0], dm_code(4, 2)) == 2
 
     @pytest.mark.parametrize("n,w", [(6, 2), (9, 4), (10, 5), (12, 3)])
     def test_exhaustive_roundtrip(self, n, w):
@@ -295,11 +321,13 @@ class TestEncodeDecode:
     @staticmethod
     def int64_encode(info_bits, code):
         """dm_encode read through int64 for every dtype, as before its uint8
-        path: the word, or the ParameterError's message."""
-        bits = np.asarray(info_bits, dtype=np.int64)
+        path, but with the values checked as given, before the cast: the
+        word, or the ParameterError's message."""
+        given = np.asarray(info_bits)
+        bits = given.astype(np.int64)
         if bits.ndim != 1 or bits.size != code.k:
             return "shape"
-        if np.any((bits != 0) & (bits != 1)):
+        if np.any((given != 0) & (given != 1)):
             return "0 or 1"
         packed = np.packbits(bits.astype(np.uint8), bitorder="little")
         return unrank(int.from_bytes(packed.tobytes(), "little"), code).tolist()

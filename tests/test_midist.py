@@ -72,6 +72,11 @@ class TestChannelSpec:
         sigma = sigma_for_snr(dist.average_energy, 24.0)
         assert snr_db_for(dist.average_energy, sigma) == pytest.approx(24.0)
 
+    def test_snr_of_tiny_sigma_is_finite(self):
+        # energy / sigma^2 overflowed to inf here, and divided by 0 at 1e-300
+        assert snr_db_for(1.0, 1e-160) == pytest.approx(3200)
+        assert snr_db_for(1.0, 1e-300) == pytest.approx(6000)
+
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ParameterError):
             snr_db_for(uniform_dist(3).average_energy, 0.0)

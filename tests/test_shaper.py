@@ -32,12 +32,15 @@ from signshape.cli import main
 from signshape.shaper import (
     _assemble,
     _encode_dm_rows,
+    _ideal_rows,
     _serve_requests,
     _split_symbols,
     _uniform_info,
 )
 
-from helpers import exact_excess_expectation, loop_serve_requests, mask_encode_ideal
+from helpers import (
+    exact_excess_expectation, loop_serve_requests, mask_encode_ideal, mask_ideal_row,
+)
 
 
 def config(m=3, probs=(0.04, 0.24), n=256, seed=0, mode="block-dm"):
@@ -136,6 +139,18 @@ class TestServeRequests:
             np.testing.assert_array_equal(a, b)
             assert oa == ob
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16).flatmap(
+        lambda P: st.tuples(st.just(P), st.lists(st.integers(0, P - 1), min_size=1, max_size=300))
+    ))
+    def test_supply_equal_to_demand_serves_every_request_its_own(self, case):
+        # what lets ideal sources skip the switch
+        P, requests = case
+        requests = np.array(requests, dtype=np.int64)
+        served, overflow = _serve_requests(requests, np.bincount(requests, minlength=P).tolist())
+        np.testing.assert_array_equal(served, requests)
+        assert overflow == 0
+
     def test_three_sources_loop(self):
         requests = np.array([2, 2, 2, 0, 1, 2], dtype=np.int64)
         served, overflow = _serve_requests(requests, [2, 2, 2])
@@ -205,6 +220,22 @@ class TestIdealEncoding:
         block = encode_block_ideal(cfg)
         assert block.overflow_count == 0
         assert block.symbols.tobytes() == mask_encode_ideal(cfg).tobytes()
+
+    @pytest.mark.parametrize("m, probs, n", [(4, (0.1, 0.3), 66), (2, (0.2,), 130)])
+    def test_rows_are_one_row_draws_in_turn(self, m, probs, n):
+        # n (m - 1) is not a multiple of 4, where one uint8 draw of all the
+        # rows would not give the stream of one draw per row
+        cfg = config(m=m, probs=probs, n=n, mode="ideal-sources")
+
+        def generators():
+            children = np.random.SeedSequence(3).spawn(1 + len(probs))
+            return [np.random.default_rng(c) for c in children]
+
+        prefix_rng, *source_rngs = generators()
+        rows = _ideal_rows(cfg, prefix_rng, source_rngs, 3)
+        prefix_rng, *source_rngs = generators()
+        expected = [mask_ideal_row(cfg, prefix_rng, source_rngs) for _ in range(3)]
+        assert rows.tobytes() == np.stack(expected).tobytes()
 
     def test_mean_energy_close(self):
         cfg = config(m=5, probs=(0.04, 0.24), n=65536, mode="ideal-sources", seed=9)

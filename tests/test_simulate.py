@@ -19,9 +19,9 @@ from signshape import (
 )
 from signshape import shaper
 from signshape.shaper import _CHUNK_SYMBOLS
-from signshape.simulate import _decide_ranks
+from signshape.simulate import _BAND, _band_mi, _decide_ranks
 
-from helpers import loop_simulate_run
+from helpers import dense_plugin_mi, loop_simulate_run
 
 
 def sim(m=3, probs=(0.04, 0.24), n=256, blocks=8, sigma=1.0, mode="block-dm", seed=0):
@@ -149,16 +149,48 @@ class TestRun:
         with pytest.raises(ParameterError):
             SimConfig(shaper=sim().shaper, noise_std=sigma, num_blocks=1)
 
-    @pytest.mark.parametrize("sigma", [0.05, 0.24, 1e-300, 5e-324])
+    @pytest.mark.parametrize("sigma", [0.05, 0.24])
+    def test_1024_ask_runs_at_small_sigma(self, sigma):
+        # a dense 1024 x (8 * 1023 / sigma + 40) histogram would pass 256 MB here
+        report = run(sim(m=10, probs=(0.04, 0.24), n=256, blocks=2, sigma=sigma))
+        assert report.symbol_error_rate == 0.0
+        assert 0 < report.mi_estimate <= 10
+
+    @pytest.mark.parametrize("sigma", [1e-300, 5e-324])
     def test_rejects_oversized_histogram(self, sigma):
-        # 1024 x (8 * 1023 / sigma + 40) int64 cells pass 256 MB below sigma = 0.25006
-        with pytest.raises(ParameterError, match="MB histogram"):
+        # bin indices of about 8 * 1023 / sigma do not fit in int64
+        with pytest.raises(ParameterError, match="int64"):
             SimConfig(shaper=sim(m=10).shaper, noise_std=sigma, num_blocks=1)
 
     def test_histogram_cap_boundary(self):
-        # 32768 cells per symbol is exactly 256 MB at m = 10
-        SimConfig(shaper=sim(m=10).shaper, noise_std=0.2501, num_blocks=1)
+        # the smallest sigma accepted puts the top bin index near 2^62
+        edge = 8 * 1023 / 2**62
+        run(SimConfig(shaper=sim(m=10, n=2).shaper, noise_std=edge * 1.001, num_blocks=1))
+        with pytest.raises(ParameterError, match="int64"):
+            SimConfig(shaper=sim(m=10).shaper, noise_std=edge * 0.999, num_blocks=1)
         SimConfig(shaper=sim(m=10).shaper, noise_std=0.0, num_blocks=1)
+
+
+class TestBandMi:
+    """The band-stored histogram's MI against the same histogram stored whole."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_dense_histogram(self, data):
+        # rows that overlap, touch or lie apart, with every cell possibly
+        # filled, edge cells included
+        M = data.draw(st.integers(1, 8), label="M")
+        gaps = data.draw(st.lists(st.integers(0, 80), min_size=M - 1, max_size=M - 1))
+        first_bin = np.cumsum([data.draw(st.integers(-50, 50), label="first")] + gaps)
+        width = 2 * _BAND + 1
+        cells = st.lists(st.sampled_from([0, 0, 1, 2, 7, 1000]), min_size=width, max_size=width)
+        band = np.array(data.draw(st.lists(cells, min_size=M, max_size=M)), dtype=np.int64)
+        assume(band.any())
+        offset = first_bin.min()
+        joint = np.zeros((M, int(first_bin.max() - offset) + width), dtype=np.int64)
+        for r in range(M):
+            joint[r, first_bin[r] - offset :][:width] = band[r]
+        assert _band_mi(band, first_bin) == dense_plugin_mi(joint)
 
 
 class TestChunkedRun:
@@ -184,6 +216,13 @@ class TestChunkedRun:
         mode = data.draw(st.sampled_from(["block-dm", "ideal-sources"]))
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         cfg = sim(m=m, probs=probs, n=n, blocks=blocks, sigma=sigma, mode=mode, seed=seed)
+        assert run(cfg) == loop_simulate_run(cfg)
+
+    @pytest.mark.parametrize("mode", ["block-dm", "ideal-sources"])
+    @pytest.mark.parametrize("sigma", [0.02, 0.1, 0.3])
+    def test_histogram_rows_apart_at_small_sigma(self, mode, sigma):
+        # below sigma = 8 / 69 neighbouring rows share no bin
+        cfg = sim(m=5, probs=(0.04, 0.24), n=256, blocks=40, sigma=sigma, mode=mode, seed=4)
         assert run(cfg) == loop_simulate_run(cfg)
 
     @pytest.mark.parametrize("mode", ["block-dm", "ideal-sources"])

@@ -3,13 +3,18 @@
 Subcommands: optimize, dm {roundtrip, rate-loss, bench},
 shape {encode, decode, analyze-switch}, simulate, budget.
 
-Every run writes its outputs into --out-dir plus a JSON manifest recording
-the command, parameters, seed, package version, output paths, and wall
-clock time. Tabular results go to CSV, structured ones to JSON; --json or
---csv restricts writing to one of the two. A --config file (JSON object
-keyed by flag destination names) supplies defaults that explicit flags
-override. Exit codes: 0 success, 2 usage or parameter problems, 3
-integrity failures, 4 numerical failures.
+Every run writes its outputs into --out-dir, made at the first write so a
+refused run leaves nothing, plus a JSON manifest recording the command,
+parameters, seed, package version, output paths, and wall clock time.
+Commands with a table write it as CSV and their full results as JSON;
+--json or --csv selects one of the two, both flags write both, and a
+command's only result file is written whatever the flags. A --config file
+(JSON object keyed by flag destination names) supplies defaults that
+explicit flags override. Its values are parsed and checked as the flags
+would be, and a key that is no flag of the subcommand exits 2. Matchers
+are at most 2^16 symbols long, so dm rate-loss takes n <= 2^16 and budget
+n <= 2^17; switch analysis takes n <= 2^20. Exit codes: 0 success, 2 usage
+or parameter problems, 3 integrity failures, 4 numerical failures.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .constellation import (
     profile_to_dict,
 )
 from .enumdm import (
+    DmCode,
     dm_code,
     dm_complexity_bound,
     rank,
@@ -47,9 +53,7 @@ from .errors import (
     IntegrityError,
     NumericalError,
     ParameterError,
-    RangeError,
     ShapingError,
-    WeightError,
 )
 from .midist import (
     mi_curve_for_profile,
@@ -71,76 +75,68 @@ from .shaper import (
 )
 from .simulate import SimConfig, run as run_simulation
 
-_USAGE_EXIT = 2
-_INTEGRITY_EXIT = 3
-_NUMERICAL_EXIT = 4
-
 
 def _write_text(path: Path, text: str) -> None:
-    # temp file in the same directory so the final rename is atomic
+    # the directory is made here, at the first write, so a refused run
+    # leaves none; the temp file sits next to the target so the rename is atomic
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(path, buffer.getvalue())
+    return buffer.getvalue()
 
 
-def _random_code_index(rng: np.random.Generator, num_words: int) -> int:
-    """Uniform index below num_words, which may exceed the int64 range."""
-    if num_words <= 1:
-        return 0
+def _random_code_indices(seed: int, num_words: int, count: int):
+    """count uniform indices below num_words, which may exceed the int64 range."""
+    rng = np.random.default_rng(seed)
     bits = int(num_words - 1).bit_length()
-    while True:
+    while count:
         value = 0
         for chunk in rng.integers(0, 1 << 32, size=(bits + 31) // 32, dtype=np.uint64):
             value = (value << 32) | int(chunk)
         value &= (1 << bits) - 1
         if value < num_words:
-            return value
+            count -= 1
+            yield value
 
 
 class _Run:
-    """Collects output paths and writes the manifest at the end."""
+    """Writes one command's outputs, then the manifest that lists them."""
 
     def __init__(self, args: argparse.Namespace, name: str):
         self.args = args
         self.name = name
         self.out_dir = Path(args.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
         self.started = time.monotonic()
-        self.want_json = args.json or not args.csv
-        self.want_csv = args.csv or not args.json
 
-    def path(self, filename: str) -> Path:
-        p = self.out_dir / filename
-        self.outputs.append(str(p))
-        return p
+    def write(self, filename: str, text: str) -> Path:
+        path = self.out_dir / filename
+        _write_text(path, text)
+        self.outputs.append(str(path))
+        return path
 
-    def emit_json(self, filename: str, payload) -> None:
-        if self.want_json:
-            _write_json(self.path(filename), payload)
+    def emit(self, json_name: str, payload, csv: tuple | None = None) -> None:
+        """Write payload as JSON and csv, a (name, header, rows) table, as CSV.
 
-    def emit_csv(self, filename: str, header: list[str], rows: list[tuple]) -> None:
-        if self.want_csv:
-            _write_csv(self.path(filename), header, rows)
+        Where a command has both, --json or --csv selects one of them; a
+        command's only result file is written whatever the flags.
+        """
+        if csv is not None and (self.args.csv or not self.args.json):
+            name, header, rows = csv
+            self.write(name, _csv_text(header, rows))
+        if csv is None or self.args.json or not self.args.csv:
+            self.write(json_name, json.dumps(payload, indent=2) + "\n")
 
     def finish(self) -> None:
-        params = {
-            k: v
-            for k, v in sorted(vars(self.args).items())
-            if k != "func" and not k.startswith("_")
-        }
+        params = {k: v for k, v in sorted(vars(self.args).items()) if k != "func"}
         manifest = {
             "command": self.name,
             "argv": sys.argv[1:],
@@ -150,7 +146,8 @@ class _Run:
             "outputs": list(self.outputs),
             "duration_s": round(time.monotonic() - self.started, 6),
         }
-        _write_json(self.out_dir / f"{self.name}-manifest.json", manifest)
+        path = self.out_dir / f"{self.name}-manifest.json"
+        _write_text(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -176,35 +173,42 @@ def _require_work(flag: str, count: int, n: int) -> None:
         )
 
 
-def _pick_one(args: argparse.Namespace, first: str, second: str) -> str:
-    a = getattr(args, first, None)
-    b = getattr(args, second, None)
-    if (a is None) == (b is None):
-        raise ParameterError(f"give exactly one of --{first}/--{second}")
-    return first if a is not None else second
+def _noise_grid(args: argparse.Namespace) -> tuple[str, list[float]]:
+    """Which one of --snr and --sigma is given, and its values."""
+    if (args.snr is None) == (args.sigma is None):
+        raise ParameterError("give exactly one of --snr/--sigma")
+    return ("snr", args.snr) if args.snr is not None else ("sigma", args.sigma)
 
 
-def _profile_from_args(args: argparse.Namespace) -> ShapingProfile:
-    _require(args, "m", "P", "probs")
-    probs = tuple(float(p) for p in args.probs)
-    if len(probs) != args.P:
-        raise ParameterError(f"--P {args.P} but {len(probs)} probabilities given")
-    return ShapingProfile(m=args.m, probs=probs)
+def _shaper_from_args(args: argparse.Namespace) -> ShaperConfig:
+    """The shaper the profile flags --m --P --probs --n --mode describe."""
+    _require(args, "m", "P", "probs", "n")
+    if len(args.probs) != args.P:
+        raise ParameterError(f"--P {args.P} but {len(args.probs)} probabilities given")
+    profile = ShapingProfile(m=args.m, probs=tuple(args.probs))
+    return ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _code_from_args(args: argparse.Namespace) -> DmCode:
+    """The matcher --n --w --p describe, once --samples passed the work cap."""
+    _require(args, "n")
+    _require_work("samples", args.samples, args.n)
+    w = args.w if args.w is not None else weight_for(args.n, args.p)
+    return dm_code(args.n, w)
+
+
+def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "m", "P")
-    choice = _pick_one(args, "snr", "sigma")
-    runner = _Run(args, "optimize")
+    choice, grid = _noise_grid(args)
     key = "snr_db" if choice == "snr" else "noise_std"
     results = []
     warm = None
-    for value in getattr(args, choice):
+    for value in grid:
         result = optimize_profile(
             args.m,
             args.P,
             warm_start=warm,
-            **{key: float(value)},
+            **{key: value},
         )
         warm = result.profile.probs
         results.append(result)
@@ -218,37 +222,26 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     rows = [
         (r.snr_db, r.mi_bpcu, *[float(p) for p in r.profile.probs]) for r in results
     ]
-    runner.emit_csv("optimize-curve.csv", header, rows)
-    runner.emit_json(
+    run.emit(
         "optimize-results.json",
         [
             {**dataclasses.asdict(r), "profile": profile_to_dict(r.profile)}
             for r in results
         ],
+        csv=("optimize-curve.csv", header, rows),
     )
-    runner.finish()
-    return 0
 
 
-def _cmd_dm_roundtrip(args: argparse.Namespace) -> int:
-    _require(args, "n")
-    _require_work("samples", args.samples, args.n)
-    runner = _Run(args, "dm-roundtrip")
-    w = args.w if args.w is not None else weight_for(args.n, args.p)
-    code = dm_code(args.n, w)
+def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
+    code = _code_from_args(args)
     if args.exhaustive:
         if code.num_words > 2_000_000:
             raise ParameterError(
-                f"C({args.n},{w}) = {code.num_words} too large for --exhaustive"
+                f"C({code.n},{code.w}) = {code.num_words} too large for --exhaustive"
             )
         indices = range(code.num_words)
-        checked = code.num_words
     else:
-        rng = np.random.default_rng(args.seed)
-        checked = args.samples
-        indices = [
-            _random_code_index(rng, int(code.num_words)) for _ in range(checked)
-        ]
+        indices = list(_random_code_indices(args.seed, code.num_words, args.samples))
     for index in indices:
         word = unrank(int(index), code)
         if int(word.sum()) != code.w:
@@ -261,59 +254,43 @@ def _cmd_dm_roundtrip(args: argparse.Namespace) -> int:
         "w": code.w,
         "k": code.k,
         "num_words": str(code.num_words),
-        "checked": checked,
+        "checked": len(indices),
         "exhaustive": bool(args.exhaustive),
         "ok": True,
     }
-    runner.emit_json("dm-roundtrip.json", payload)
-    print(f"roundtrip ok: n={code.n} w={code.w} k={code.k} checked={checked}")
-    runner.finish()
-    return 0
+    run.emit("dm-roundtrip.json", payload)
+    print(f"roundtrip ok: n={code.n} w={code.w} k={code.k} checked={len(indices)}")
 
 
-def _reference_curve(args: argparse.Namespace):
+def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
+    _require(args, "n", "p")
     profile = ShapingProfile(m=args.ref_m, probs=tuple(args.ref_probs))
     if not 0 < args.ref_rate < args.ref_m:
         raise ParameterError(f"--ref-rate must lie in (0, --ref-m), got {args.ref_rate}")
-    # center the curve window on the capacity SNR for the operating rate
+    # center the reference curve's window on the capacity SNR for the operating rate
     center = 10.0 * math.log10(2.0 ** (2.0 * args.ref_rate) - 1.0)
     grid = np.arange(center - 3.0, center + 3.0 + 1e-9, 0.25)
-    return mi_curve_for_profile(profile, grid)
-
-
-def _cmd_dm_rate_loss(args: argparse.Namespace) -> int:
-    _require(args, "n", "p")
-    runner = _Run(args, "dm-rate-loss")
-    curve = _reference_curve(args)
+    curve = mi_curve_for_profile(profile, grid)
     rows = []
     for n in args.n:
         loss = rate_loss(n, args.p)
         level_db = rate_loss_to_db(loss, curve, args.ref_rate)
-        w = weight_for(n, args.p)
-        k = math.comb(n, w).bit_length() - 1
-        rows.append((n, w, k, loss, level_db))
-        print(f"n={n:6d}  w={w:6d}  rate loss {loss:.6f} bpcu  {level_db:.4f} dB")
+        code = dm_code(n, weight_for(n, args.p))  # the matcher rate_loss measured
+        rows.append((n, code.w, code.k, loss, level_db))
+        print(f"n={n:6d}  w={code.w:6d}  rate loss {loss:.6f} bpcu  {level_db:.4f} dB")
     header = ["n", "w", "k", "rate_loss_bpcu", "loss_db"]
-    runner.emit_csv("dm-rate-loss.csv", header, rows)
-    runner.emit_json(
+    run.emit(
         "dm-rate-loss.json",
         [dict(zip(header, row)) for row in rows],
+        csv=("dm-rate-loss.csv", header, rows),
     )
-    runner.finish()
-    return 0
 
 
-def _cmd_dm_bench(args: argparse.Namespace) -> int:
-    _require(args, "n")
-    _require_work("samples", args.samples, args.n)
-    runner = _Run(args, "dm-bench")
-    w = args.w if args.w is not None else weight_for(args.n, args.p)
-    code = dm_code(args.n, w)
-    rng = np.random.default_rng(args.seed)
+def _cmd_dm_bench(args: argparse.Namespace, run: _Run) -> None:
+    code = _code_from_args(args)
     total_comparisons = 0
     max_comparisons = 0
-    for _ in range(args.samples):
-        index = _random_code_index(rng, int(code.num_words))
+    for index in _random_code_indices(args.seed, code.num_words, args.samples):
         _, comparisons = unrank_counted(index, code)
         total_comparisons += comparisons
         max_comparisons = max(max_comparisons, comparisons)
@@ -331,14 +308,12 @@ def _cmd_dm_bench(args: argparse.Namespace) -> int:
         # the bound holds word by word, so the costliest word is checked
         "within_bound": max_comparisons <= bound_per_bit * code.n,
     }
-    runner.emit_json("dm-bench.json", payload)
+    run.emit("dm-bench.json", payload)
     print(
         f"bench: n={code.n} w={code.w} mean {mean_per_bit:.4f} "
         f"max {payload['max_comparisons_per_bit']:.4f} bound {bound_per_bit:.4f} "
         f"comparisons/bit"
     )
-    runner.finish()
-    return 0
 
 
 def _read_bits_file(path: str) -> np.ndarray:
@@ -349,13 +324,8 @@ def _read_bits_file(path: str) -> np.ndarray:
     return np.array([int(c) for c in bits], dtype=np.uint8)
 
 
-def _cmd_shape_encode(args: argparse.Namespace) -> int:
-    _require(args, "n")
-    runner = _Run(args, "shape-encode")
-    profile = _profile_from_args(args)
-    config = ShaperConfig(
-        profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode
-    )
+def _cmd_shape_encode(args: argparse.Namespace, run: _Run) -> None:
+    config = _shaper_from_args(args)
     if config.mode == "block-dm":
         if args.info_file:
             info = _read_bits_file(args.info_file)
@@ -363,42 +333,33 @@ def _cmd_shape_encode(args: argparse.Namespace) -> int:
             rng = np.random.default_rng(args.seed)
             info = rng.integers(0, 2, size=config.info_length, dtype=np.uint8)
         block = encode_block_dm(config, info)
-        info_path = runner.path("shape-info.txt")
-        _write_text(info_path, "".join(str(int(b)) for b in info) + "\n")
+        info_path = run.write("shape-info.txt", "".join(str(int(b)) for b in info) + "\n")
         print(f"info bits: {info.size} -> {info_path}")
     else:
         block = encode_block_ideal(config)
-    block_path = runner.path("shape-block.json")
-    _write_text(block_path, block_to_json(block, config) + "\n")
+    block_path = run.write("shape-block.json", block_to_json(block, config) + "\n")
     energy = float(np.mean(np.asarray(block.symbols, dtype=float) ** 2))
     print(
         f"encoded {config.n} symbols, mode {config.mode}, "
         f"overflow {block.overflow_count}, mean energy {energy:.3f} -> {block_path}"
     )
-    runner.finish()
-    return 0
 
 
-def _cmd_shape_decode(args: argparse.Namespace) -> int:
+def _cmd_shape_decode(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "block")
-    runner = _Run(args, "shape-decode")
     block, config = block_from_json(Path(args.block).read_text(encoding="utf-8"))
     info = decode_block(block, config)
-    out = runner.path("shape-decoded-info.txt")
-    _write_text(out, "".join(str(int(b)) for b in info) + "\n")
-    print(f"decoded {info.size} info bits -> {out}")
     if args.expect_info:
         expected = _read_bits_file(args.expect_info)
         if expected.size != info.size or np.any(expected != info):
             raise IntegrityError("decoded bits do not match --expect-info")
         print("decoded bits match the expected info")
-    runner.finish()
-    return 0
+    out = run.write("shape-decoded-info.txt", "".join(str(int(b)) for b in info) + "\n")
+    print(f"decoded {info.size} info bits -> {out}")
 
 
-def _cmd_shape_analyze_switch(args: argparse.Namespace) -> int:
+def _cmd_shape_analyze_switch(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "p1", "p2", "n")
-    runner = _Run(args, "shape-analyze-switch")
     profile = ShapingProfile(m=args.m, probs=(args.p1, args.p2))
     rows = []
     for n in args.n:
@@ -411,28 +372,22 @@ def _cmd_shape_analyze_switch(args: argparse.Namespace) -> int:
             f"p_eff=({p1_eff:.6f}, {p2_eff:.6f})  delta={delta_db:.5f} dB"
         )
     header = ["n", "epsilon", "p1_eff", "p2_eff", "delta_db"]
-    runner.emit_csv("switch-analysis.csv", header, rows)
-    runner.emit_json("switch-analysis.json", [dict(zip(header, r)) for r in rows])
-    runner.finish()
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    _require(args, "n")
-    _require_work("blocks", args.blocks, args.n)
-    choice = _pick_one(args, "snr", "sigma")
-    runner = _Run(args, "simulate")
-    profile = _profile_from_args(args)
-    shaper_cfg = ShaperConfig(
-        profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode
+    run.emit(
+        "switch-analysis.json",
+        [dict(zip(header, r)) for r in rows],
+        csv=("switch-analysis.csv", header, rows),
     )
-    energy = induced_distribution(profile).average_energy
+
+
+def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
+    shaper_cfg = _shaper_from_args(args)
+    _require_work("blocks", args.blocks, args.n)
+    choice, grid = _noise_grid(args)
+    energy = induced_distribution(shaper_cfg.profile).average_energy
     if choice == "snr":
-        sigmas = [(float(s), sigma_for_snr(energy, float(s))) for s in args.snr]
+        sigmas = [(s, sigma_for_snr(energy, s)) for s in grid]
     else:
-        sigmas = [
-            (snr_db_for(energy, s) if s > 0 else None, float(s)) for s in args.sigma
-        ]
+        sigmas = [(snr_db_for(energy, s) if s > 0 else None, s) for s in grid]
     reports = []
     # every config is checked before the first run
     sims = [
@@ -449,44 +404,35 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"mi {report.mi_estimate:.4f} bpcu  "
             f"overflow mean {report.overflow_mean:.2f}"
         )
-    runner.emit_json(
+    run.emit(
         "simulate-report.json",
         [
             {"snr_db": snr_db, "noise_std": sigma, **dataclasses.asdict(report)}
             for snr_db, sigma, report in reports
         ],
-    )
-    if len(reports) > 1:
-        runner.emit_csv(
+        csv=(
             "simulate-sweep.csv",
             ["snr_db", "ser", "mi_estimate"],
             [
                 (snr_db, report.symbol_error_rate, report.mi_estimate)
                 for snr_db, _, report in reports
             ],
-        )
-    runner.finish()
-    return 0
+        ),
+    )
 
 
-def _cmd_budget(args: argparse.Namespace) -> int:
+def _cmd_budget(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "m", "p1", "p2", "n", "snr")
-    runner = _Run(args, "budget")
     report = loss_budget(
         args.m, args.p1, args.p2, args.n, args.snr, asymptotic=args.asymptotic
     )
-    runner.emit_json("budget.json", dataclasses.asdict(report))
+    run.emit("budget.json", dataclasses.asdict(report))
     print(
         f"rate {report.operating_rate_bpcu:.4f} bpcu at {report.snr_db:.2f} dB: "
         f"quantization {report.quantization_db:.4f} dB + "
         f"matcher {report.matcher_db:.4f} dB + "
         f"switch {report.switch_db:.4f} dB = {report.total_db:.4f} dB"
     )
-    runner.finish()
-    return 0
-
-
-_COMMON_DESTS = ("seed", "out_dir", "json", "csv", "config")
 
 
 def _common_parent(real_defaults: bool) -> argparse.ArgumentParser:
@@ -513,6 +459,7 @@ def _common_parent(real_defaults: bool) -> argparse.ArgumentParser:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The top parser and the parsers of its nine leaf subcommands."""
     common = _common_parent(real_defaults=False)
     top = argparse.ArgumentParser(
         prog="signshape",
@@ -520,144 +467,144 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
         parents=[_common_parent(real_defaults=True)],
     )
     sub = top.add_subparsers(dest="command", required=True)
-    all_parsers: list[argparse.ArgumentParser] = [top]
+    leaves: list[argparse.ArgumentParser] = []
 
-    # "required" flags default to None and are checked by _require after the
-    # config merge, so a --config file can legitimately supply them
-    opt = sub.add_parser("optimize", parents=[common], help="optimize shaping profiles over SNR")
+    def leaf(subparsers, name: str, func, help: str, groups=()) -> argparse.ArgumentParser:
+        parser = subparsers.add_parser(name, parents=[common, *groups], help=help)
+        parser.set_defaults(func=func)
+        leaves.append(parser)
+        return parser
+
+    # Flag groups that several subcommands share. "Required" flags default
+    # to None and are checked by _require after the config merge, so a
+    # --config file can legitimately supply them.
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--m", type=int)
+    profile.add_argument("--P", type=int)
+    profile.add_argument("--probs", type=float, nargs="+")
+    profile.add_argument("--n", type=int)
+    profile.add_argument("--mode", choices=("block-dm", "ideal-sources"), default="block-dm")
+    noise = argparse.ArgumentParser(add_help=False)
+    grid = noise.add_mutually_exclusive_group()
+    grid.add_argument("--snr", type=float, nargs="+", help="SNR grid in dB")
+    grid.add_argument("--sigma", type=float, nargs="+", help="noise std grid")
+    matcher = argparse.ArgumentParser(add_help=False)
+    matcher.add_argument("--n", type=int)
+    matcher.add_argument("--w", type=int, default=None)
+    matcher.add_argument("--p", type=float, default=0.5)
+
+    opt = leaf(sub, "optimize", _cmd_optimize, "optimize shaping profiles over SNR", [noise])
     opt.add_argument("--m", type=int)
     opt.add_argument("--P", type=int)
-    group = opt.add_mutually_exclusive_group()
-    group.add_argument("--snr", type=float, nargs="+", help="SNR grid in dB")
-    group.add_argument("--sigma", type=float, nargs="+", help="noise std grid")
-    opt.set_defaults(func=_cmd_optimize)
-    all_parsers.append(opt)
 
     dm = sub.add_parser("dm", help="fixed-weight matcher tools")
     dm_sub = dm.add_subparsers(dest="dm_command", required=True)
 
-    rt = dm_sub.add_parser("roundtrip", parents=[common], help="verify rank/unrank bijectivity")
-    rt.add_argument("--n", type=int)
-    rt.add_argument("--w", type=int, default=None)
-    rt.add_argument("--p", type=float, default=0.5)
+    rt = leaf(dm_sub, "roundtrip", _cmd_dm_roundtrip, "verify rank/unrank bijectivity", [matcher])
     rt.add_argument("--exhaustive", action="store_true")
     rt.add_argument("--samples", type=int, default=10000)
-    rt.set_defaults(func=_cmd_dm_roundtrip)
-    all_parsers.append(rt)
 
-    rl = dm_sub.add_parser("rate-loss", parents=[common], help="finite-length rate loss table")
+    rl = leaf(dm_sub, "rate-loss", _cmd_dm_rate_loss, "finite-length rate loss table")
     rl.add_argument("--n", type=int, nargs="+")
     rl.add_argument("--p", type=float)
     rl.add_argument("--ref-m", type=int, default=5)
     rl.add_argument("--ref-probs", type=float, nargs="+", default=[0.04, 0.24])
     rl.add_argument("--ref-rate", type=float, default=3.0)
-    rl.set_defaults(func=_cmd_dm_rate_loss)
-    all_parsers.append(rl)
 
-    bench = dm_sub.add_parser("bench", parents=[common], help="measure unranking comparisons")
-    bench.add_argument("--n", type=int)
-    bench.add_argument("--w", type=int, default=None)
-    bench.add_argument("--p", type=float, default=0.5)
+    bench = leaf(dm_sub, "bench", _cmd_dm_bench, "measure unranking comparisons", [matcher])
     bench.add_argument("--samples", type=int, default=1000)
-    bench.set_defaults(func=_cmd_dm_bench)
-    all_parsers.append(bench)
 
     shape = sub.add_parser("shape", help="encode, decode, and switch analysis")
     shape_sub = shape.add_subparsers(dest="shape_command", required=True)
 
-    enc = shape_sub.add_parser("encode", parents=[common], help="encode one block")
-    enc.add_argument("--m", type=int)
-    enc.add_argument("--P", type=int)
-    enc.add_argument("--probs", type=float, nargs="+")
-    enc.add_argument("--n", type=int)
-    enc.add_argument("--mode", choices=("block-dm", "ideal-sources"), default="block-dm")
+    enc = leaf(shape_sub, "encode", _cmd_shape_encode, "encode one block", [profile])
     enc.add_argument("--info-file", default=None)
-    enc.set_defaults(func=_cmd_shape_encode)
-    all_parsers.append(enc)
 
-    dec = shape_sub.add_parser("decode", parents=[common], help="decode a block file")
+    dec = leaf(shape_sub, "decode", _cmd_shape_decode, "decode a block file")
     dec.add_argument("--block")
     dec.add_argument("--expect-info", default=None)
-    dec.set_defaults(func=_cmd_shape_decode)
-    all_parsers.append(dec)
 
-    ana = shape_sub.add_parser("analyze-switch", parents=[common], help="overflow impact table")
+    ana = leaf(shape_sub, "analyze-switch", _cmd_shape_analyze_switch, "overflow impact table")
     ana.add_argument("--p1", type=float)
     ana.add_argument("--p2", type=float)
     ana.add_argument("--n", type=int, nargs="+")
     ana.add_argument("--m", type=int, default=5)
-    ana.set_defaults(func=_cmd_shape_analyze_switch)
-    all_parsers.append(ana)
 
-    sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo AWGN simulation")
-    sim.add_argument("--m", type=int)
-    sim.add_argument("--P", type=int)
-    sim.add_argument("--probs", type=float, nargs="+")
-    sim.add_argument("--n", type=int)
+    sim = leaf(sub, "simulate", _cmd_simulate, "Monte Carlo AWGN simulation", [profile, noise])
     sim.add_argument("--blocks", type=int, default=16)
-    sim_group = sim.add_mutually_exclusive_group()
-    sim_group.add_argument("--snr", type=float, nargs="+")
-    sim_group.add_argument("--sigma", type=float, nargs="+")
-    sim.add_argument("--mode", choices=("block-dm", "ideal-sources"), default="block-dm")
-    sim.set_defaults(func=_cmd_simulate)
-    all_parsers.append(sim)
 
-    bud = sub.add_parser("budget", parents=[common], help="loss budget at an operating point")
+    # --m and --p1/--p2 as in analyze-switch, but --m has no default here
+    bud = leaf(sub, "budget", _cmd_budget, "loss budget at an operating point")
     bud.add_argument("--m", type=int)
     bud.add_argument("--p1", type=float)
     bud.add_argument("--p2", type=float)
     bud.add_argument("--n", type=int)
     bud.add_argument("--snr", type=float)
     bud.add_argument("--asymptotic", action="store_true")
-    bud.set_defaults(func=_cmd_budget)
-    all_parsers.append(bud)
 
-    return top, all_parsers
+    return top, leaves
+
+
+def _apply_config(path: str, top: argparse.ArgumentParser, leaf: argparse.ArgumentParser) -> None:
+    """Make a --config file's values defaults of the parser owning each key.
+
+    Common flags are parsed by the top parser and become its defaults only:
+    a leaf default would overwrite a flag given before the subcommand name.
+    """
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ParameterError("config file must hold a JSON object")
+    common = {action.dest for action in top._actions}
+    # the leaf's flags by destination name, the common ones among them
+    own = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
+    unknown = sorted(set(config) - set(own))
+    if unknown:
+        raise ParameterError(f"config key(s) {', '.join(unknown)} name no flag of {leaf.prog}")
+    before, after = [], []  # tokens for either side of the subcommand name
+    for key, value in config.items():
+        # true is a bare switch and false none; a list gives several values
+        flag = own[key].option_strings[0]
+        if own[key].nargs == 0 and isinstance(value, bool):
+            tokens = [flag] if value else []
+        elif isinstance(value, list):
+            tokens = [flag, *map(str, value)]
+        else:
+            tokens = [f"{flag}={value}"]  # "=" keeps a value such as -1e-05 one
+        (before if key in common else after).extend(tokens)
+    parsed, extra = top.parse_known_args([*before, *leaf.prog.split()[1:], *after])
+    if extra:
+        raise ParameterError(f"config {path} gives more values than its flags take: {extra}")
+    top.set_defaults(**{key: getattr(parsed, key) for key in config if key in common})
+    leaf.set_defaults(**{key: getattr(parsed, key) for key in config if key not in common})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    top, all_parsers = build_parser()
-    # a first parse finds --config, however abbreviated or placed; its
-    # values become defaults for the real parse, so explicit flags win
-    config_path = top.parse_args(argv).config
-    if config_path:
-        try:
-            overrides = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
-            return _USAGE_EXIT
-        if not isinstance(overrides, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return _USAGE_EXIT
-        # common flags merge only at the top level; leaf parsers would
-        # re-apply them into the fresh subnamespace and defeat CLI priority
-        leaf_overrides = {
-            k: v for k, v in overrides.items() if k not in _COMMON_DESTS
-        }
-        for parser in all_parsers:
-            if parser is all_parsers[0]:
-                parser.set_defaults(**overrides)
-            else:
-                parser.set_defaults(**leaf_overrides)
+    top, leaves = build_parser()
     args = top.parse_args(argv)
+    leaf = next(parser for parser in leaves if parser.get_default("func") is args.func)
     try:
-        return args.func(args)
-    except ParameterError as exc:
+        # the first parse found --config, however abbreviated or placed; its
+        # values become defaults for a second parse, so explicit flags win
+        if args.config:
+            _apply_config(args.config, top, leaf)
+            args = top.parse_args(argv)
+        run = _Run(args, "-".join(leaf.prog.split()[1:]))
+        args.func(args, run)
+        run.finish()
+        return 0
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except (WeightError, RangeError, IntegrityError) as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return _INTEGRITY_EXIT
+        return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return _NUMERICAL_EXIT
-    except ShapingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _INTEGRITY_EXIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+        return 4
+    except ShapingError as exc:  # WeightError, RangeError, IntegrityError
+        print(f"integrity error: {exc}", file=sys.stderr)
+        return 3
 
 
 def app() -> None:

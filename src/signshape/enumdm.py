@@ -41,7 +41,7 @@ from .errors import OutOfCodebookError, ParameterError, RangeError, WeightError
 
 __all__ = [
     "DmCode",
-    "MAX_MATCHER_LENGTH",
+    "binary_entropy",
     "dm_code",
     "weight_for",
     "rank",
@@ -297,16 +297,16 @@ def binary_entropy(p: float) -> float:
 
 
 def rate_loss(n: int, p: float) -> float:
-    """Gap H(p) - k/n between the ideal and the finite-length matcher rate."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    """Gap H(p) - k/n between the ideal and the finite-length matcher rate.
+
+    k is that of dm_code(n, w), so n is capped at MAX_MATCHER_LENGTH.
+    """
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie in (0, 1), got {p}")
-    w = weight_for(n, p)
-    if w < 1:
+    code = dm_code(n, weight_for(n, p))
+    if code.w < 1:
         raise ParameterError(f"round({n}*{p}) = 0; no ones to place")
-    k = math.comb(n, w).bit_length() - 1
-    return binary_entropy(p) - k / n
+    return binary_entropy(p) - code.k / n
 
 
 def dm_complexity_bound(n: int, p: float) -> float:

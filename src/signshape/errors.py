@@ -4,6 +4,16 @@ Every error raised on purpose derives from ShapingError so callers can
 catch one base class. The CLI maps the branches to distinct exit codes.
 """
 
+__all__ = [
+    "IntegrityError",
+    "NumericalError",
+    "OutOfCodebookError",
+    "ParameterError",
+    "RangeError",
+    "ShapingError",
+    "WeightError",
+]
+
 
 class ShapingError(Exception):
     """Base class for all errors raised by this package."""

@@ -327,10 +327,11 @@ def switch_excess_expectation(n: int) -> float:
 
     Closed form (n/4) C(n, n/2) 2^-n as a running double-precision product:
     exact at n = 2 and 4, within 3.3e-15 relative of the exact rational for
-    every even n <= 4096, and well under 1e-9 through n = 2^20.
+    every even n <= 4096, and well under 1e-9 through n = 2^20. The product
+    takes O(n) memory, so n is capped at that 2^20.
     """
-    if n < 2 or n % 2:
-        raise ParameterError(f"n must be even and >= 2, got {n}")
+    if n < 2 or n % 2 or n > 1 << 20:
+        raise ParameterError(f"n must be even and in [2, {1 << 20}], got {n}")
     i = np.arange(1, n // 2 + 1, dtype=float)
     central = float(np.prod((2.0 * i - 1.0) / (2.0 * i)))  # C(n, n/2) / 2^n
     return n / 4.0 * central

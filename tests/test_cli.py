@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -421,3 +422,187 @@ class TestManifest:
         }
         assert manifest["params"]["samples"] == 10
         assert manifest["duration_s"] >= 0
+
+
+def exit_code(argv):
+    """main's exit code, also where argparse itself exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# a quick run of each of the nine subcommands, keyed by its manifest name
+SUBCOMMANDS = {
+    "optimize": ["optimize", "--m", "3", "--P", "1", "--snr", "8"],
+    "dm-roundtrip": ["dm", "roundtrip", "--n", "16", "--w", "4", "--samples", "5"],
+    "dm-rate-loss": ["dm", "rate-loss", "--n", "64", "--p", "0.2"],
+    "dm-bench": ["dm", "bench", "--n", "64", "--samples", "5"],
+    "shape-encode": ["shape", "encode", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+                     "--n", "64"],
+    "shape-decode": ["shape", "decode", "--block", "{block}"],
+    "shape-analyze-switch": ["shape", "analyze-switch", "--p1", "0.04", "--p2", "0.24",
+                             "--n", "64"],
+    "simulate": ["simulate", "--m", "3", "--P", "2", "--probs", "0.04", "0.24", "--n", "64",
+                 "--blocks", "2", "--snr", "10"],
+    "budget": ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "512",
+               "--snr", "17"],
+}
+
+# the commands that write both formats: (JSON file, CSV file)
+BOTH_FORMATS = {
+    "optimize": ("optimize-results.json", "optimize-curve.csv"),
+    "dm-rate-loss": ("dm-rate-loss.json", "dm-rate-loss.csv"),
+    "shape-analyze-switch": ("switch-analysis.json", "switch-analysis.csv"),
+    "simulate": ("simulate-report.json", "simulate-sweep.csv"),
+}
+
+
+@pytest.fixture
+def block_file(tmp_path):
+    out = tmp_path / "encoded"
+    assert main(["--out-dir", str(out), *SUBCOMMANDS["shape-encode"]]) == 0
+    return out / "shape-block.json"
+
+
+class TestRunLifecycle:
+    @pytest.mark.parametrize("flags", [["--csv"], ["--json"]], ids=["csv", "json"])
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_every_subcommand_keeps_a_result(self, tmp_path, block_file, name, flags):
+        # with --csv, budget, dm roundtrip, dm bench and a single-point
+        # simulate used to write only their manifest
+        out = tmp_path / "out"
+        argv = [arg.format(block=block_file) for arg in SUBCOMMANDS[name]]
+        assert main(["--out-dir", str(out), *flags, *argv]) == 0
+        manifest = read_json(out / f"{name}-manifest.json")
+        assert manifest["command"] == name
+        results = sorted(p.name for p in out.iterdir() if p.name != f"{name}-manifest.json")
+        assert results
+        assert sorted(Path(p).name for p in manifest["outputs"]) == results
+
+    @pytest.mark.parametrize("flags, wanted", [
+        ([], (0, 1)),
+        (["--json"], (0,)),
+        (["--csv"], (1,)),
+        (["--json", "--csv"], (0, 1)),
+    ], ids=["neither", "json", "csv", "both"])
+    @pytest.mark.parametrize("name", list(BOTH_FORMATS))
+    def test_format_flags_select(self, tmp_path, name, flags, wanted):
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *flags, *SUBCOMMANDS[name]]) == 0
+        files = {p.name for p in out.iterdir()}
+        assert files == {f"{name}-manifest.json", *(BOTH_FORMATS[name][i] for i in wanted)}
+
+    def test_single_point_simulate_writes_its_sweep_csv(self, tmp_path):
+        assert main(["--out-dir", str(tmp_path), *SUBCOMMANDS["simulate"]]) == 0
+        rows = read_csv(tmp_path / "simulate-sweep.csv")
+        report = read_json(tmp_path / "simulate-report.json")
+        assert rows[0] == ["snr_db", "ser", "mi_estimate"]
+        assert [float(v) for v in rows[1]] == [
+            10.0, report[0]["symbol_error_rate"], report[0]["mi_estimate"]
+        ]
+
+    @pytest.mark.parametrize("command", [
+        ["shape", "decode", "--block", "missing.json"],
+        ["dm", "bench", "--n", "64", "--samples", "0"],
+    ], ids=["missing-block", "no-samples"])
+    def test_refused_run_creates_no_out_dir(self, tmp_path, command):
+        out = tmp_path / "not" / "yet"
+        assert main(["--out-dir", str(out), *command]) == 2
+        assert not (tmp_path / "not").exists()
+
+    def test_failed_decode_check_creates_no_out_dir(self, tmp_path, block_file):
+        # the decoded bits used to be written before --expect-info was checked
+        wrong = tmp_path / "wrong.txt"
+        wrong.write_text("0" * len((block_file.parent / "shape-info.txt").read_text().strip()))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "shape", "decode", "--block", str(block_file),
+                     "--expect-info", str(wrong)]) == 3
+        assert not out.exists()
+
+    def test_budget_m_has_no_default(self, tmp_path, capsys):
+        # analyze-switch defaults --m to 5; budget must not
+        code = main(["--out-dir", str(tmp_path), "budget", "--p1", "0.04", "--p2", "0.24",
+                     "--n", "512", "--snr", "17"])
+        assert code == 2
+        assert "--m" in capsys.readouterr().err
+
+
+class TestConfigParsedLikeFlags:
+    def write(self, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    def test_scalar_for_a_list_flag(self, tmp_path):
+        # both used to exit 1 on a TypeError traceback
+        cfg = self.write(tmp_path, {"m": 3, "P": 1, "probs": 0.2})
+        assert main(["--out-dir", str(tmp_path), "--config", cfg, "shape", "encode",
+                     "--n", "64"]) == 0
+        assert read_json(tmp_path / "shape-encode-manifest.json")["params"]["probs"] == [0.2]
+        cfg = self.write(tmp_path, {"snr": 17})
+        assert main(["--out-dir", str(tmp_path), "--config", cfg, "optimize", "--m", "3",
+                     "--P", "1"]) == 0
+        (result,) = read_json(tmp_path / "optimize-results.json")
+        assert result["snr_db"] == 17.0
+
+    def test_negative_exponent_value(self, tmp_path):
+        # on a command line "--snr -1e-05" reads as a flag; the config passes it whole
+        cfg = self.write(tmp_path, {"snr": -1e-05})
+        assert main(["--out-dir", str(tmp_path), "--config", cfg, "optimize", "--m", "3",
+                     "--P", "1"]) == 0
+        assert read_json(tmp_path / "optimize-results.json")[0]["snr_db"] == -1e-05
+
+    def test_switches(self, tmp_path):
+        cfg = self.write(tmp_path, {"exhaustive": True, "json": True, "csv": False})
+        assert main(["--out-dir", str(tmp_path), "--config", cfg, "dm", "roundtrip",
+                     "--n", "10", "--w", "3"]) == 0
+        assert read_json(tmp_path / "dm-roundtrip.json")["checked"] == 120
+        params = read_json(tmp_path / "dm-roundtrip-manifest.json")["params"]
+        assert (params["json"], params["csv"]) == (True, False)
+
+    @pytest.mark.parametrize("config, command", [
+        ({"n": [64, 128]}, ["dm", "roundtrip"]),
+        ({"mode": "bogus"}, ["simulate", "--m", "3", "--P", "1", "--probs", "0.2",
+                             "--n", "64", "--snr", "10"]),
+        ({"sampels": 5}, ["dm", "bench", "--n", "64"]),  # used to run 1000 samples
+        ({"block": "x.json"}, ["dm", "bench", "--n", "64"]),  # a flag of another command
+        ({"samples": "many"}, ["dm", "bench", "--n", "64"]),
+        ({"exhaustive": "yes"}, ["dm", "roundtrip", "--n", "10", "--w", "3"]),
+        ({"seed": 1.5}, ["dm", "bench", "--n", "64"]),
+    ], ids=["list-for-scalar", "bad-choice", "unknown-key", "foreign-key", "bad-int",
+            "bad-switch", "float-seed"])
+    def test_bad_value_is_2(self, tmp_path, config, command):
+        out = tmp_path / "out"
+        cfg = self.write(tmp_path, config)
+        assert exit_code(["--out-dir", str(out), "--config", cfg, *command]) == 2
+        assert not out.exists()
+
+
+class TestLengthCaps:
+    @pytest.mark.parametrize("command", [
+        ["dm", "rate-loss", "--n", "65537", "--p", "0.24"],
+        ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "131074",
+         "--snr", "17"],
+    ], ids=["rate-loss", "budget"])
+    def test_matcher_length_cap_is_2(self, tmp_path, capsys, command):
+        # dm rate-loss at n = 10^7 used to spend minutes in one exact binomial
+        assert main(["--out-dir", str(tmp_path), *command]) == 2
+        assert "65536" in capsys.readouterr().err
+
+    def test_switch_analysis_cap_is_2_before_allocating(self, tmp_path):
+        # n = 10^9 would need about 11 GB; the child's address space is
+        # capped at 2 GB, so a missing check fails with MemoryError (exit 1)
+        # instead of taking the memory
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        src = str(Path(signshape.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        result = subprocess.run(
+            [sys.executable, "-m", "signshape", "--out-dir", str(tmp_path), "shape",
+             "analyze-switch", "--p1", "0.04", "--p2", "0.24", "--n", str(10**9)],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "1048576" in result.stderr

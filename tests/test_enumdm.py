@@ -375,6 +375,15 @@ class TestRates:
         with pytest.raises(ParameterError):
             rate_loss(10, 0.001)
 
+    def test_rate_loss_takes_the_matchers_length_cap(self):
+        # k comes from dm_code, so rate_loss refuses what the matcher does
+        # instead of running one exact binomial per call at any n
+        n = MAX_MATCHER_LENGTH
+        code = dm_code(n, weight_for(n, 0.24))
+        assert rate_loss(n, 0.24) == binary_entropy(0.24) - code.k / n
+        with pytest.raises(ParameterError, match="65536"):
+            rate_loss(MAX_MATCHER_LENGTH + 1, 0.24)
+
     def test_complexity_bounds(self):
         assert dm_complexity_bound(1024, 0.04) == 1.0
         assert dm_complexity_bound(1024, 0.0) == 0.0

@@ -509,6 +509,22 @@ class TestSwitchExpectation:
         with pytest.raises(ParameterError):
             switch_excess_expectation(3)
 
+    def test_length_cap(self):
+        # the running product takes O(n) memory; 2^20 is the range the
+        # docstring vouches for
+        n = 1 << 20
+        assert switch_excess_expectation(n) == pytest.approx(
+            math.sqrt(n / (8.0 * math.pi)), rel=1e-6
+        )
+        prof = ShapingProfile(m=5, probs=(0.04, 0.24))
+        for call in (
+            lambda: switch_excess_expectation(n + 2),
+            lambda: effective_probabilities(0.04, 0.24, n + 2),
+            lambda: switch_energy_loss(prof, 2 * n),
+        ):
+            with pytest.raises(ParameterError, match="1048576"):
+                call()
+
 
 class TestEffectiveProbabilities:
     def test_moves_toward_midpoint(self):

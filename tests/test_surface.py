@@ -220,3 +220,16 @@ def test_runs_with_scipy_unimportable(tmp_path):
         "print('ok', len(curve.profiles), 'scipy' in sys.modules)\n"
     )
     assert _run_child(child).splitlines()[-1] == "ok 2 False"
+
+
+def test_import_does_not_load_the_cli():
+    # the library and perfbench never pay for the command line front end, so
+    # changes confined to signshape.cli cannot move the benchmark
+    child = (
+        "import sys\n"
+        "import signshape\n"
+        "print(sorted(m for m in sys.modules if m.startswith('signshape')))\n"
+    )
+    loaded = _run_child(child).splitlines()[-1]
+    assert "signshape.cli" not in loaded
+    assert "signshape.simulate" in loaded

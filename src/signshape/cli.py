@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 import time
 from pathlib import Path
@@ -34,11 +35,7 @@ import numpy as np
 
 from . import __version__
 from .budget import loss_budget
-from .constellation import (
-    ShapingProfile,
-    induced_distribution,
-    profile_to_dict,
-)
+from .constellation import ShapingProfile, induced_distribution
 from .enumdm import (
     DmCode,
     dm_code,
@@ -93,20 +90,6 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
     return buffer.getvalue()
 
 
-def _random_code_indices(seed: int, num_words: int, count: int):
-    """count uniform indices below num_words, which may exceed the int64 range."""
-    rng = np.random.default_rng(seed)
-    bits = int(num_words - 1).bit_length()
-    while count:
-        value = 0
-        for chunk in rng.integers(0, 1 << 32, size=(bits + 31) // 32, dtype=np.uint64):
-            value = (value << 32) | int(chunk)
-        value &= (1 << bits) - 1
-        if value < num_words:
-            count -= 1
-            yield value
-
-
 class _Run:
     """Writes one command's outputs, then the manifest that lists them."""
 
@@ -157,19 +140,20 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ParameterError(f"missing required option(s): {flags}")
 
 
-# Most symbols one `dm roundtrip` or `dm bench` (--samples x n) or one
-# `simulate` SNR point (--blocks x n) may work through: a few minutes at the
-# 1-5 us per symbol these commands take on one x86-64 core.
+# Most symbols one `dm roundtrip` or `dm bench` (--samples or C(n, w) words
+# of n) or one `simulate` SNR point (--blocks x n) may work through: a few
+# minutes at the 1-5 us per symbol these commands take on one x86-64 core.
 _MAX_WORK = 1 << 27
 
 
 def _require_work(flag: str, count: int, n: int) -> None:
+    # count may be C(n, w), too long for str(): the message gives sizes
     if count < 1:
         raise ParameterError(f"--{flag} must be at least 1, got {count}")
     if count * n > _MAX_WORK:
         raise ParameterError(
-            f"--{flag} {count} at n = {n} is {count * n} symbols, above the "
-            f"{_MAX_WORK} one run may take"
+            f"--{flag} at n = {n} asks for at least 2^{(count * n).bit_length() - 1} "
+            f"symbols, above the 2^{_MAX_WORK.bit_length() - 1} one run may take"
         )
 
 
@@ -190,11 +174,14 @@ def _shaper_from_args(args: argparse.Namespace) -> ShaperConfig:
 
 
 def _code_from_args(args: argparse.Namespace) -> DmCode:
-    """The matcher --n --w --p describe, once --samples passed the work cap."""
+    """The matcher --n --w --p describe, once its words passed the work cap."""
     _require(args, "n")
-    _require_work("samples", args.samples, args.n)
-    w = args.w if args.w is not None else weight_for(args.n, args.p)
-    return dm_code(args.n, w)
+    code = dm_code(args.n, args.w if args.w is not None else weight_for(args.n, args.p))
+    if getattr(args, "exhaustive", False):
+        _require_work("exhaustive", code.num_words, code.n)
+    else:
+        _require_work("samples", args.samples, code.n)
+    return code
 
 
 def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
@@ -225,7 +212,10 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
     run.emit(
         "optimize-results.json",
         [
-            {**dataclasses.asdict(r), "profile": profile_to_dict(r.profile)}
+            {
+                **dataclasses.asdict(r),
+                "profile": {"m": args.m, "P": args.P, "probs": list(r.profile.probs)},
+            }
             for r in results
         ],
         csv=("optimize-curve.csv", header, rows),
@@ -235,25 +225,22 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
 def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
     code = _code_from_args(args)
     if args.exhaustive:
-        if code.num_words > 2_000_000:
-            raise ParameterError(
-                f"C({code.n},{code.w}) = {code.num_words} too large for --exhaustive"
-            )
         indices = range(code.num_words)
     else:
-        indices = list(_random_code_indices(args.seed, code.num_words, args.samples))
+        rng = random.Random(args.seed)  # randrange takes C(n, w) of any size
+        indices = [rng.randrange(code.num_words) for _ in range(args.samples)]
+    # rank refuses a word of the wrong weight (WeightError, exit 3); an
+    # index may have more digits than str() converts, so give its size
     for index in indices:
-        word = unrank(int(index), code)
-        if int(word.sum()) != code.w:
-            raise IntegrityError(f"index {index} produced weight {int(word.sum())}")
-        back = rank(word, code)
-        if back != index:
-            raise IntegrityError(f"rank(unrank({index})) = {back}")
+        if rank(unrank(index, code), code) != index:
+            raise IntegrityError(
+                f"rank(unrank(i)) != i for a {index.bit_length()}-bit index i "
+                f"at (n, w) = ({code.n}, {code.w})"
+            )
     payload = {
         "n": code.n,
         "w": code.w,
         "k": code.k,
-        "num_words": str(code.num_words),
         "checked": len(indices),
         "exhaustive": bool(args.exhaustive),
         "ok": True,
@@ -290,8 +277,9 @@ def _cmd_dm_bench(args: argparse.Namespace, run: _Run) -> None:
     code = _code_from_args(args)
     total_comparisons = 0
     max_comparisons = 0
-    for index in _random_code_indices(args.seed, code.num_words, args.samples):
-        _, comparisons = unrank_counted(index, code)
+    rng = random.Random(args.seed)
+    for _ in range(args.samples):
+        _, comparisons = unrank_counted(rng.randrange(code.num_words), code)
         total_comparisons += comparisons
         max_comparisons = max(max_comparisons, comparisons)
     realized_p = code.w / code.n

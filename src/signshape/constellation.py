@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "induced_pmf",
     "induced_distribution",
     "selection_tables",
-    "profile_to_dict",
 ]
 
 _MAX_BIT_LEVELS = 16
@@ -119,20 +118,12 @@ class SymbolDistribution:
     def pmf(self) -> np.ndarray:
         return np.asarray(self.probabilities, dtype=float)
 
-    @classmethod
-    def from_pmf(cls, pmf: Iterable[float], symbols: Iterable[int]) -> "SymbolDistribution":
-        p = np.asarray(list(pmf), dtype=float)
-        x = np.asarray(list(symbols), dtype=float)
-        if p.shape != x.shape:
-            raise ParameterError("pmf and symbol list differ in length")
-        return cls(probabilities=tuple(p.tolist()), average_energy=float(p @ (x * x)))
-
 
 def induced_pmf(m: int, probs: Sequence[float]) -> np.ndarray:
     """Raw induced pmf over the 2^m symbols, unvalidated fast path.
 
-    Optimizer inner loops call this with plain tuples; everything else
-    should go through induced_distribution.
+    The optimizer, the switch loss and the MI curves call this with plain
+    tuples; induced_distribution adds the checks and the mean energy.
     """
     # P(sign bit = 0 | d) for d = 0..M/2-1: each p_i repeated over its
     # group, then the reversed complement, which makes the mirror exact
@@ -149,7 +140,8 @@ def induced_distribution(profile: ShapingProfile) -> SymbolDistribution:
     holds bit for bit.
     """
     pmf = induced_pmf(profile.m, profile.probs)
-    return SymbolDistribution.from_pmf(pmf, build_ask(profile.m).symbols)
+    x = build_ask(profile.m).points()
+    return SymbolDistribution(tuple(pmf.tolist()), average_energy=float(pmf @ (x * x)))
 
 
 @lru_cache(maxsize=None)
@@ -170,6 +162,3 @@ def selection_tables(m: int, num_distinct: int) -> tuple[np.ndarray, np.ndarray]
     flip.setflags(write=False)
     return src, flip
 
-
-def profile_to_dict(profile: ShapingProfile) -> dict:
-    return {"m": profile.m, "P": profile.num_distinct, "probs": list(profile.probs)}

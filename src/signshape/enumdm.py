@@ -15,14 +15,15 @@ ranges and a word takes at most n probes: about one per output bit on
 dense words and, from `_walk_start`'s estimate, about one per one on
 sparse words.
 
-No binomial table is stored; a matcher holds O(n) numbers. A probe decides
-C(t, r) <= remainder by comparing ln t! - ln (t - r)! with ln remainder +
-ln r!, stepping on while the left side is above the right by more than a
-tie margin. Where the walk stops, the exact binomial the next one needs
-anyway settles the one probe that can fall inside the margin. The exact
-binomials the walks and rank need are carried from one one to the next by
-ratios of falling factorials, so every index and word is exactly that of a
-Pascal-table walk.
+No binomial table is stored: a matcher is four integers, n, w, k and
+C(n, w), and one module table of ln t!, grown to the longest matcher
+unranked so far, serves every matcher. A probe decides C(t, r) <= remainder
+by comparing ln t! - ln (t - r)! with ln remainder + ln r!, stepping on
+while the left side is above the right by more than a tie margin. Where
+the walk stops, the exact binomial the next one needs anyway settles the
+one probe that can fall inside the margin. The exact binomials the walks
+and rank need are carried from one one to the next by ratios of falling
+factorials, so every index and word is exactly that of a Pascal-table walk.
 For long, dense words rank combines the ratios of a run of ones first and
 divides its long running term once per run rather than once per one.
 """
@@ -96,15 +97,14 @@ _RUN_BITS = 512
 class DmCode:
     """One fixed-weight matcher: length n, weight w, input size k.
 
-    `num_words` is C(n, w) exactly; `log_factorials[t]` is ln t! for
-    t = 0..n, which the unranking probes compare in. Memory is O(n).
+    `num_words` is C(n, w) exactly. The ln t! values the unranking probes
+    compare in live in one module table shared by every matcher.
     """
 
     n: int
     w: int
     k: int
     num_words: int = field(repr=False)
-    log_factorials: tuple[float, ...] = field(repr=False, compare=False)
 
 
 @lru_cache(maxsize=64)
@@ -115,13 +115,23 @@ def dm_code(n: int, w: int) -> DmCode:
     if not 0 <= w <= n:
         raise ParameterError(f"w must be in [0, {n}], got {w}")
     num_words = math.comb(n, w)
-    return DmCode(
-        n=n,
-        w=w,
-        k=num_words.bit_length() - 1,
-        num_words=num_words,
-        log_factorials=tuple(math.lgamma(t + 1) for t in range(n + 1)),
-    )
+    return DmCode(n=n, w=w, k=num_words.bit_length() - 1, num_words=num_words)
+
+
+# ln t! for t < len, at most MAX_MATCHER_LENGTH + 1 floats shared by every
+# matcher. Growing replaces the tuple rather than extending it in place, so
+# a caller that checked the tuple it holds can index it whatever others do.
+_log_factorials: tuple[float, ...] = ()
+
+
+def _log_factorial_table(n: int) -> tuple[float, ...]:
+    """The shared ln t! table, grown first if it stops short of t = n."""
+    global _log_factorials
+    table = _log_factorials
+    if len(table) <= n:
+        table = tuple(math.lgamma(t + 1) for t in range(n + 1))
+        _log_factorials = table
+    return table
 
 
 def _bits(values: Sequence[int], size: int, name: str) -> np.ndarray:
@@ -215,9 +225,11 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
     """
     if not isinstance(index, int) or isinstance(index, bool):
         raise ParameterError(f"index must be an integer, got {index!r}")
-    if index < 0 or index >= code.num_words:
-        raise RangeError(f"index {index} outside [0, {code.num_words})")
-    n, log_fact = code.n, code.log_factorials
+    # an index may have more digits than str() converts: report its size
+    if not 0 <= index < code.num_words:
+        size = "negative" if index < 0 else f"{index.bit_length()}-bit"
+        raise RangeError(f"{size} index outside [0, C({code.n}, {code.w}))")
+    n, log_fact = code.n, _log_factorial_table(code.n)
     ones = []
     rem = index
     upper = n  # exclusive bound on t: the previous one's t
@@ -257,7 +269,7 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
         ones.append(n - 1 - t)
         upper = t
     if rem != 0:
-        raise RangeError(f"index {index} has no weight-{code.w} decomposition")
+        raise RangeError(f"{index.bit_length()}-bit index has no weight-{code.w} decomposition")
     bits = np.zeros(n, dtype=np.uint8)
     bits[ones] = 1
     return bits, comparisons
@@ -284,7 +296,7 @@ def dm_decode(word: Sequence[int], code: DmCode) -> np.ndarray:
     value = rank(word, code)
     if value >> code.k:
         raise OutOfCodebookError(
-            f"rank {value} >= 2^{code.k}; word is outside the encoder image"
+            f"{value.bit_length()}-bit rank >= 2^{code.k}; word is outside the encoder image"
         )
     packed = np.frombuffer(value.to_bytes((code.k + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=code.k, bitorder="little")

@@ -42,7 +42,6 @@ from .constellation import (
     ShapingProfile,
     build_ask,
     induced_pmf,
-    profile_to_dict,
     selection_tables,
 )
 from .enumdm import DmCode, _bits, dm_code, dm_decode, dm_encode, weight_for
@@ -394,7 +393,9 @@ def block_to_json(block: ShapedBlock, config: ShaperConfig) -> str:
     return json.dumps(
         {
             "header": {
-                **profile_to_dict(config.profile),
+                "m": config.profile.m,
+                "P": config.profile.num_distinct,
+                "probs": list(config.profile.probs),
                 "n": config.n,
                 "mode": config.mode,
                 "seed": config.rng_seed,

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,27 @@ def read_json(path):
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_measured(*argv):
+    """(exit code, peak MB) of `signshape *argv` in a child process. A
+    wrapper process reads the command's own peak, not that of every child
+    this test session has run."""
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run([sys.executable, '-m', 'signshape', *sys.argv[1:]]).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(signshape.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    result = subprocess.run(
+        [sys.executable, "-c", wrapper, *argv],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    code, peak_kib = map(int, result.stdout.split()[-2:])
+    return code, peak_kib / 1024
 
 
 class TestExitCodes:
@@ -86,26 +108,13 @@ class TestExitCodes:
 
     def test_1024_ask_simulate_at_small_sigma_stays_small(self, tmp_path):
         # a dense MI histogram needed 1.3 GB here; the band holds 1024 x 69
-        # cells. A wrapper process reads the command's own peak, not that of
-        # every child this test session has run.
-        wrapper = (
-            "import resource, subprocess, sys\n"
-            "code = subprocess.run([sys.executable, '-m', 'signshape', *sys.argv[1:]]).returncode\n"
-            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        # cells
+        code, peak_mb = run_measured(
+            "--out-dir", str(tmp_path), "simulate", "--m", "10", "--P", "1",
+            "--probs", "0.2", "--n", "256", "--blocks", "16", "--sigma", "0.05",
         )
-        src = str(Path(signshape.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        result = subprocess.run(
-            [sys.executable, "-c", wrapper, "--out-dir", str(tmp_path), "simulate",
-             "--m", "10", "--P", "1", "--probs", "0.2", "--n", "256", "--blocks", "16",
-             "--sigma", "0.05"],
-            env=env, capture_output=True, text=True, timeout=300, check=True,
-        )
-        code, peak_kib = map(int, result.stdout.split()[-2:])
         assert code == 0
-        assert peak_kib / 1024 < 200
+        assert peak_mb < 200
 
     def test_sigma_beyond_int64_bins_is_2(self, tmp_path, capsys):
         # snr_db_for used to divide by a noise power that underflows to 0 (exit 1)
@@ -147,6 +156,26 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path), *command, flag, count]) == 2
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_exhaustive_above_work_cap_is_2(self, tmp_path, capsys):
+        # 1 999 000 words of 2000 symbols: this ran for minutes, as the cap
+        # looked at --samples, which --exhaustive ignores
+        started = time.monotonic()
+        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
+                     "--n", "2000", "--w", "2", "--exhaustive"]) == 2
+        assert time.monotonic() - started < 1
+        err = capsys.readouterr().err
+        assert "--exhaustive" in err
+        assert "--samples" not in err
+
+    def test_codes_past_str_digit_limit(self, tmp_path, capsys):
+        # C(n, w) here has over 4300 decimal digits, which str() refuses:
+        # both runs used to exit 1 on ValueError
+        out = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "65536"]
+        assert main([*out, "--p", "0.04", "--samples", "1"]) == 0
+        assert "num_words" not in read_json(tmp_path / "dm-roundtrip.json")
+        assert main([*out, "--p", "0.24", "--samples", "1", "--exhaustive"]) == 2
+        assert "--exhaustive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("snr", ["-4000", "-inf"])
     def test_snr_without_noise_level_is_2(self, tmp_path, capsys, snr):
@@ -244,6 +273,16 @@ class TestDmCommands:
         assert rows[0] == ["n", "w", "k", "rate_loss_bpcu", "loss_db"]
         assert len(rows) == 3
         assert float(rows[1][4]) == pytest.approx(0.04, abs=0.01)
+
+    def test_rate_loss_near_length_limit_stays_small(self, tmp_path):
+        # each matcher kept its own 65 537 ln t! values, and dm_code's cache
+        # kept 64 matchers: 193 MB here
+        lengths = [str(n) for n in range(65410, 65537, 2)]
+        code, peak_mb = run_measured(
+            "--out-dir", str(tmp_path), "dm", "rate-loss", "--p", "0.24", "--n", *lengths
+        )
+        assert code == 0
+        assert peak_mb < 50
 
     def test_bench(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "dm", "bench",

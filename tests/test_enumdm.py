@@ -1,5 +1,7 @@
 """Enumerative fixed-weight matcher tests."""
 
+import dataclasses
+import json
 import math
 import os
 import random
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signshape import (
+    DmCode,
     OutOfCodebookError,
     ParameterError,
     RangeError,
@@ -83,7 +86,24 @@ class TestWeightFor:
             weight_for(64, p)
 
 
+def run_child(script, *args):
+    """stdout of a fresh interpreter running script with args, the package
+    under test on its path."""
+    src = str(Path(enumdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True,
+        text=True, timeout=300, check=True,
+    ).stdout
+
+
 class TestDmCode:
+    def test_fields_are_four_integers(self):
+        # ln t! lives in one module table shared by every matcher
+        assert [f.name for f in dataclasses.fields(DmCode)] == ["n", "w", "k", "num_words"]
+
     def test_sizes(self):
         code = dm_code(8, 3)
         assert code.num_words == 56
@@ -138,6 +158,16 @@ class TestRankUnrank:
             unrank(6, code)
         with pytest.raises(RangeError):
             unrank(-1, code)
+
+    def test_errors_past_str_digit_limit_stay_classified(self):
+        # C(20000, 4800) has over 4300 decimal digits, which str() refuses:
+        # both used to raise ValueError from their messages
+        code = dm_code(20000, 4800)
+        with pytest.raises(RangeError):
+            unrank(code.num_words, code)
+        leading_ones = np.repeat(np.uint8([1, 0]), [code.w, code.n - code.w])
+        with pytest.raises(OutOfCodebookError):
+            dm_decode(leading_ones, code)
 
     def test_wrong_weight_rejected(self):
         code = dm_code(4, 2)
@@ -262,6 +292,38 @@ class TestAgainstReferences:
             assert comparisons / code.w <= math.ceil(math.log2(code.n)) + 2
 
 
+class TestSharedLogFactorials:
+    # builds the codes of the lengths given, in that order, and prints the
+    # ones and probe counts of fixed indices, then the ln t! table's length
+    CHILD = (
+        "import json, random, sys\n"
+        "from signshape import dm_code, enumdm, unrank_counted, weight_for\n"
+        "out = {}\n"
+        "for n in map(int, sys.argv[1:]):\n"
+        "    for p in (0.04, 0.24):\n"
+        "        code = dm_code(n, weight_for(n, p))\n"
+        "        rng = random.Random(n)\n"
+        "        indices = [0, (1 << code.k) - 1, code.num_words - 1]\n"
+        "        indices += [rng.randrange(code.num_words) for _ in range(4)]\n"
+        "        rows = [unrank_counted(i, code) for i in indices]\n"
+        "        out[f'{n} {p}'] = [(w.nonzero()[0].tolist(), c) for w, c in rows]\n"
+        "print(json.dumps([out, len(enumdm._log_factorials)]))\n"
+    )
+
+    def test_build_order_does_not_matter(self):
+        lengths = [4096, 128, 1024]
+        fresh = {}
+        for n in lengths:
+            words, table = json.loads(run_child(self.CHILD, str(n)))
+            assert table == n + 1
+            fresh.update(words)
+        # descending builds one table; ascending grows it after each code
+        for order in (lengths, sorted(lengths)):
+            words, table = json.loads(run_child(self.CHILD, *map(str, order)))
+            assert words == fresh
+            assert table == max(lengths) + 1
+
+
 class TestMemory:
     def test_n16384_block_roundtrip_stays_small(self):
         # two length-8192 matchers; a Pascal table per matcher needed > 5 GB,
@@ -277,15 +339,7 @@ class TestMemory:
             "assert np.array_equal(decode_block(block, cfg), info)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        src = str(Path(enumdm.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        result = subprocess.run(
-            [sys.executable, "-c", child], env=env, capture_output=True,
-            text=True, timeout=300, check=True,
-        )
-        peak_mb = int(result.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+        peak_mb = int(run_child(child).split()[-1]) / 1024  # ru_maxrss is in KiB
         assert peak_mb < 250
 
 

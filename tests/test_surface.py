@@ -62,7 +62,6 @@ PUBLIC = [
     "mi_curve_optimized",
     "mi_gap_db",
     "optimize_profile",
-    "profile_to_dict",
     "rank",
     "rate_loss",
     "rate_loss_to_db",

@@ -38,18 +38,11 @@ class BudgetReport:
     total_db: float
 
 
-def loss_budget(
-    m: int,
-    p1: float,
-    p2: float,
-    n: int,
-    snr_db: float,
-    asymptotic: bool = False,
-) -> BudgetReport:
+def loss_budget(m: int, p1: float, p2: float, n: int, snr_db: float) -> BudgetReport:
     """Budget for a two-source profile at block length n and the given SNR.
 
-    `asymptotic` zeroes the finite-length components (matcher and switch),
-    leaving only the quantization gap.
+    The matcher and switch components vanish as n grows, so
+    `quantization_db` alone is the budget for infinitely long blocks.
     """
     profile = ShapingProfile(m=m, probs=(p1, p2))
     if n < 2 or n % 2:
@@ -65,13 +58,9 @@ def loss_budget(
     rate = curve.rate_at_snr(snr_db)
     capacity_snr_db = 10.0 * math.log10(2.0 ** (2.0 * rate) - 1.0)
     quantization_db = snr_db - capacity_snr_db
-    if asymptotic:
-        matcher_db = 0.0
-        switch_db = 0.0
-    else:
-        mean_loss = (rate_loss(n // 2, p1) + rate_loss(n // 2, p2)) / 2.0
-        matcher_db = rate_loss_to_db(mean_loss, curve, rate)
-        switch_db = switch_energy_loss(profile, n)
+    mean_loss = (rate_loss(n // 2, p1) + rate_loss(n // 2, p2)) / 2.0
+    matcher_db = rate_loss_to_db(mean_loss, curve, rate)
+    switch_db = switch_energy_loss(profile, n)
     return BudgetReport(
         snr_db=float(snr_db),
         operating_rate_bpcu=float(rate),

@@ -50,7 +50,6 @@ from .errors import (
     IntegrityError,
     NumericalError,
     ParameterError,
-    ShapingError,
 )
 from .midist import (
     mi_curve_for_profile,
@@ -229,7 +228,7 @@ def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
     else:
         rng = random.Random(args.seed)  # randrange takes C(n, w) of any size
         indices = [rng.randrange(code.num_words) for _ in range(args.samples)]
-    # rank refuses a word of the wrong weight (WeightError, exit 3); an
+    # rank refuses a word of the wrong weight (IntegrityError, exit 3); an
     # index may have more digits than str() converts, so give its size
     for index in indices:
         if rank(unrank(index, code), code) != index:
@@ -411,9 +410,7 @@ def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
 
 def _cmd_budget(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "m", "p1", "p2", "n", "snr")
-    report = loss_budget(
-        args.m, args.p1, args.p2, args.n, args.snr, asymptotic=args.asymptotic
-    )
+    report = loss_budget(args.m, args.p1, args.p2, args.n, args.snr)
     run.emit("budget.json", dataclasses.asdict(report))
     print(
         f"rate {report.operating_rate_bpcu:.4f} bpcu at {report.snr_db:.2f} dB: "
@@ -528,7 +525,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     bud.add_argument("--p2", type=float)
     bud.add_argument("--n", type=int)
     bud.add_argument("--snr", type=float)
-    bud.add_argument("--asymptotic", action="store_true")
 
     return top, leaves
 
@@ -590,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except ShapingError as exc:  # WeightError, RangeError, IntegrityError
+    except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
 

@@ -38,11 +38,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfCodebookError, ParameterError, RangeError, WeightError
+from .errors import IntegrityError, ParameterError
 
 __all__ = [
     "DmCode",
-    "binary_entropy",
     "dm_code",
     "weight_for",
     "rank",
@@ -149,11 +148,11 @@ def _bits(values: Sequence[int], size: int, name: str) -> np.ndarray:
 
 
 def rank(word: Sequence[int], code: DmCode) -> int:
-    """Index of a weight-w word in [0, C(n, w))."""
+    """Index of a weight-w word in [0, C(n, w)); other weights raise IntegrityError."""
     bits = _bits(word, code.n, "word")
     weight = int(bits.sum())
     if weight != code.w:
-        raise WeightError(f"word has weight {weight}, matcher requires {code.w}")
+        raise IntegrityError(f"word has weight {weight}, matcher requires {code.w}")
     n, w = code.n, code.w
     ones = np.flatnonzero(bits)
     ones = ones[ones - np.arange(w) < n - w]  # ones packed at the end add 0
@@ -228,7 +227,7 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
     # an index may have more digits than str() converts: report its size
     if not 0 <= index < code.num_words:
         size = "negative" if index < 0 else f"{index.bit_length()}-bit"
-        raise RangeError(f"{size} index outside [0, C({code.n}, {code.w}))")
+        raise ParameterError(f"{size} index outside [0, C({code.n}, {code.w}))")
     n, log_fact = code.n, _log_factorial_table(code.n)
     ones = []
     rem = index
@@ -268,8 +267,8 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
         rem -= term
         ones.append(n - 1 - t)
         upper = t
-    if rem != 0:
-        raise RangeError(f"{index.bit_length()}-bit index has no weight-{code.w} decomposition")
+    if rem != 0:  # every index in range decomposes: a fault in the walk
+        raise IntegrityError(f"{index.bit_length()}-bit index has no weight-{code.w} decomposition")
     bits = np.zeros(n, dtype=np.uint8)
     bits[ones] = 1
     return bits, comparisons
@@ -291,18 +290,18 @@ def dm_decode(word: Sequence[int], code: DmCode) -> np.ndarray:
     """Recover the k info bits of an encoder output.
 
     Weight-valid words whose rank is >= 2^k were never produced by
-    dm_encode and raise OutOfCodebookError.
+    dm_encode and raise IntegrityError.
     """
     value = rank(word, code)
     if value >> code.k:
-        raise OutOfCodebookError(
+        raise IntegrityError(
             f"{value.bit_length()}-bit rank >= 2^{code.k}; word is outside the encoder image"
         )
     packed = np.frombuffer(value.to_bytes((code.k + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=code.k, bitorder="little")
 
 
-def binary_entropy(p: float) -> float:
+def _binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return float(-(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)))
@@ -318,7 +317,7 @@ def rate_loss(n: int, p: float) -> float:
     code = dm_code(n, weight_for(n, p))
     if code.w < 1:
         raise ParameterError(f"round({n}*{p}) = 0; no ones to place")
-    return binary_entropy(p) - code.k / n
+    return _binary_entropy(p) - code.k / n
 
 
 def dm_complexity_bound(n: int, p: float) -> float:

@@ -287,8 +287,8 @@ def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
 
     Replays the switch from the decoded prefixes, reassembles each matcher
     word in consumption order, checks its weight, and unranks. Corruption
-    surfaces as IntegrityError (wrong weight, impossible symbol) or
-    OutOfCodebookError (weight-valid word outside the encoder image).
+    surfaces as IntegrityError: an impossible symbol, a wrong weight, or a
+    weight-valid word outside the encoder image.
     Detection is best effort: a corrupted block that is itself a valid
     encoding (negating a symbol always is, since the folded pair shares a
     source and the matcher bit is sign-invariant) decodes silently to

@@ -83,17 +83,27 @@ def _band_mi(band: np.ndarray, first_bin: np.ndarray) -> float:
     """Plug-in I(X;Y) of a joint histogram whose row r holds absolute bins
     first_bin[r], first_bin[r] + 1, ...; the marginals are whole counts
     divided once, and the sum runs over the nonzero cells in row order."""
-    rows, cols = band.nonzero()
-    counts = band[rows, cols]
+    per_row = np.count_nonzero(band, axis=1)
+    column = np.flatnonzero(band)  # row by row
+    counts = band.ravel()[column]
     # first_bin ascends, so the rows laid end to end, overlaps shared, number
     # the bins 0, 1, ... in order, up to M x 69 whatever the absolute index
     start = np.cumsum(np.minimum(np.diff(first_bin, prepend=first_bin[0]), band.shape[1]))
-    column = start[rows] + cols
+    column %= band.shape[1]
+    column += np.repeat(start, per_row)
     total = counts.sum()
-    pxy = counts / total
     px = band.sum(axis=1) / total
     py = np.bincount(column, weights=counts) / total
-    return float((pxy * np.log2(pxy / (px[rows] * py[column]))).sum())
+    # pxy * log2(pxy / (px * py)) per cell in one reused array; with column
+    # dropped first, at most three arrays of the cells' size are alive
+    terms = py[column]
+    del column
+    terms *= np.repeat(px, per_row)
+    pxy = counts / total
+    np.divide(pxy, terms, out=terms)
+    np.log2(terms, out=terms)
+    terms *= pxy
+    return float(terms.sum())
 
 
 def _entropy(pmf: np.ndarray) -> float:

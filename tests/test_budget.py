@@ -30,11 +30,13 @@ class TestLossBudget:
         assert report.switch_db == pytest.approx(0.015, abs=0.02)
         assert report.total_db == pytest.approx(0.145, abs=0.02)
 
-    def test_asymptotic_drops_finite_length_terms(self):
-        report = loss_budget(5, 0.04, 0.24, 2048, 17.0, asymptotic=True)
-        assert report.matcher_db == 0.0
-        assert report.switch_db == 0.0
-        assert report.total_db == report.quantization_db
+    def test_quantization_is_the_long_block_budget(self):
+        # quantization_db does not depend on n; the finite-length terms
+        # shrink toward it as n grows
+        short = loss_budget(5, 0.04, 0.24, 512, 17.0)
+        long = loss_budget(5, 0.04, 0.24, 131072, 17.0)
+        assert short.quantization_db == long.quantization_db
+        assert long.matcher_db + long.switch_db < short.matcher_db + short.switch_db
 
     def test_matcher_term_is_average_of_halves(self):
         n = 2048

@@ -14,7 +14,10 @@ import pytest
 
 import signshape
 from signshape import (
+    NumericalError,
     ShapingProfile,
+    cli,
+    dm_code,
     effective_probabilities,
     switch_energy_loss,
 )
@@ -204,6 +207,38 @@ class TestExitCodes:
                      "--block", str(block)])
         assert code == 3
 
+    def test_word_outside_the_encoder_image_is_3(self, tmp_path, capsys):
+        # one source serves every symbol in order, and all-zero info makes
+        # its word rank 0, the w ones packed at the end; swapping symbols
+        # for their same-prefix partners (s -/+ M flips the sign bit, so the
+        # matcher bit) moves the ones to the front: rank C(n, w) - 1 >= 2^k
+        n, w, M = 64, 15, 8
+        info = tmp_path / "zeros.txt"
+        info.write_text("0" * (dm_code(n, w).k + n * 2) + "\n")
+        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3", "--P", "1",
+                     "--probs", "0.24", "--n", str(n), "--info-file", str(info)]) == 0
+        payload = read_json(tmp_path / "shape-block.json")
+        symbols = payload["symbols"]
+        for j in [*range(w), *range(n - w, n)]:
+            symbols[j] += -M if symbols[j] > 0 else M
+        block = tmp_path / "bent.json"
+        block.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["--out-dir", str(tmp_path / "out"), "shape", "decode",
+                     "--block", str(block)])
+        assert code == 3
+        assert "outside the encoder image" in capsys.readouterr().err
+
+    def test_numerical_error_is_4(self, tmp_path, monkeypatch, capsys):
+        def fails(*args):
+            raise NumericalError("no convergence")
+
+        monkeypatch.setattr(cli, "loss_budget", fails)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *SUBCOMMANDS["budget"]]) == 4
+        assert "numerical error: no convergence" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, index, value, expected",
         [
@@ -389,14 +424,6 @@ class TestBudgetCommand:
                      "--snr", "17"]) == 0
         payload = read_json(tmp_path / "budget.json")
         assert payload["total_db"] == pytest.approx(0.145, abs=0.02)
-
-    def test_asymptotic_flag(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "budget", "--m", "5",
-                     "--p1", "0.04", "--p2", "0.24", "--n", "2048",
-                     "--snr", "17", "--asymptotic"]) == 0
-        payload = read_json(tmp_path / "budget.json")
-        assert payload["matcher_db"] == 0.0
-        assert payload["switch_db"] == 0.0
 
 
 class TestConfigMerge:

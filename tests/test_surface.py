@@ -30,9 +30,7 @@ PUBLIC = [
     "MiCurve",
     "NumericalError",
     "OptimizationResult",
-    "OutOfCodebookError",
     "ParameterError",
-    "RangeError",
     "ShapedBlock",
     "ShaperConfig",
     "ShapingError",
@@ -40,9 +38,7 @@ PUBLIC = [
     "SimConfig",
     "SimReport",
     "SymbolDistribution",
-    "WeightError",
     "awgn_mi",
-    "binary_entropy",
     "block_from_json",
     "block_to_json",
     "build_ask",
@@ -81,7 +77,7 @@ SIGNATURES = {
     "optimize_profile": ["m", "num_distinct", "noise_std", "snr_db", "warm_start"],
     "mi_curve_for_profile": ["profile", "snr_db_grid"],
     "mi_curve_optimized": ["m", "num_distinct", "snr_db_grid"],
-    "loss_budget": ["m", "p1", "p2", "n", "snr_db", "asymptotic"],
+    "loss_budget": ["m", "p1", "p2", "n", "snr_db"],
     "encode_block_ideal": ["config"],
 }
 

@@ -44,7 +44,7 @@ from .constellation import (
     induced_pmf,
     selection_tables,
 )
-from .enumdm import DmCode, _bits, dm_code, dm_decode, dm_encode, weight_for
+from .enumdm import MAX_MATCHER_LENGTH, DmCode, _bits, dm_code, dm_decode, dm_encode, weight_for
 from .errors import IntegrityError, ParameterError
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _MODES = ("ideal-sources", "block-dm")
-_CHUNK_SYMBOLS = 8192  # batch loops take max(1, _CHUNK_SYMBOLS // n) blocks at a time
+_CHUNK_SYMBOLS = 8192  # _block_chunks yields max(1, _CHUNK_SYMBOLS // n) blocks at a time
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,9 @@ class ShaperConfig:
             raise ParameterError(f"n must be even and >= 2, got {self.n}")
         if self.n % P:
             raise ParameterError(f"n = {self.n} not divisible by P = {P}")
+        # one cap in both modes: a matcher's length, or an ideal source's share
+        if self.n // P > MAX_MATCHER_LENGTH:
+            raise ParameterError(f"n / P = {self.n // P} > {MAX_MATCHER_LENGTH}, the length cap")
 
     @cached_property
     def constellation(self) -> Constellation:
@@ -107,7 +110,6 @@ class ShapedBlock:
 
     symbols: np.ndarray
     overflow_count: int
-    mode: str
 
     def __post_init__(self) -> None:
         self.symbols = np.asarray(self.symbols, dtype=np.int64)
@@ -148,8 +150,9 @@ def _split_symbols(symbols, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return (ranks, *_split_ranks(ranks, m))
 
 
-def _matcher_bits(d: np.ndarray, sign_bits: np.ndarray, flip_table: np.ndarray) -> np.ndarray:
-    """The matcher bit each symbol consumed: its unflipped sign bit, complemented."""
+def _matcher_bits(ranks: np.ndarray, m: int, flip_table: np.ndarray) -> np.ndarray:
+    """The matcher bit each rank's symbol consumed: its unflipped sign bit, complemented."""
+    d, sign_bits = _split_ranks(ranks, m)
     return 1 - (sign_bits ^ flip_table[d])
 
 
@@ -208,10 +211,8 @@ def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
     """
     if config.mode != "ideal-sources":
         raise ParameterError(f"config mode is {config.mode!r}, not 'ideal-sources'")
-    children = np.random.SeedSequence(config.rng_seed).spawn(1 + config.profile.num_distinct)
-    prefix_rng, *source_rngs = map(np.random.default_rng, children)
-    symbols = _ideal_rows(config, prefix_rng, source_rngs, 1)
-    return ShapedBlock(symbols=symbols[0], overflow_count=0, mode=config.mode)
+    symbols, _ = next(_block_chunks(config, np.random.SeedSequence(config.rng_seed), 1))
+    return ShapedBlock(symbols=symbols[0], overflow_count=0)
 
 
 def _ideal_rows(config: ShaperConfig, prefix_rng, source_rngs, count: int) -> np.ndarray:
@@ -242,7 +243,7 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
         raise ParameterError(f"config mode is {config.mode!r}, not 'block-dm'")
     info = _bits(info_bits, config.info_length, "info")
     symbols, overflow = _encode_dm_rows(config, info[None].astype(np.uint8, copy=False))
-    return ShapedBlock(symbols=symbols[0], overflow_count=int(overflow[0]), mode=config.mode)
+    return ShapedBlock(symbols=symbols[0], overflow_count=int(overflow[0]))
 
 
 def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) -> np.ndarray:
@@ -282,6 +283,26 @@ def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple[np.ndarray,
     return _assemble(m, d, (1 - word_bits) ^ flip_table[d]), overflow
 
 
+def _block_chunks(config: ShaperConfig, seq: np.random.SeedSequence, num_blocks: int):
+    """The num_blocks blocks seeded by seq, as (symbols (B, n), overflow (B,))
+    chunks of B = max(1, _CHUNK_SYMBOLS // n) blocks, the last one partial.
+    Block-dm reads the info bits from default_rng(seq); ideal-sources spawns
+    a prefix generator and one per source from seq. Either way a chunk holds
+    the blocks those generators give one at a time."""
+    if config.mode == "block-dm":
+        rng = np.random.default_rng(seq)
+    else:
+        children = seq.spawn(1 + config.profile.num_distinct)
+        prefix_rng, *source_rngs = map(np.random.default_rng, children)
+    rows = max(1, _CHUNK_SYMBOLS // config.n)
+    for start in range(0, num_blocks, rows):
+        count = min(rows, num_blocks - start)
+        if config.mode == "block-dm":
+            yield _encode_dm_rows(config, _uniform_info(rng, config, count))
+        else:
+            yield _ideal_rows(config, prefix_rng, source_rngs, count), np.zeros(count, np.int64)
+
+
 def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
     """Invert encode_block_dm on noiseless symbols.
 
@@ -296,17 +317,15 @@ def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
     """
     if config.mode != "block-dm":
         raise ParameterError(f"config mode is {config.mode!r}, not 'block-dm'")
-    if block.mode != "block-dm":
-        raise ParameterError(f"block mode is {block.mode!r}, not 'block-dm'")
     m = config.profile.m
     if block.symbols.size != config.n:
         raise ParameterError(f"block has {block.symbols.size} symbols, config n = {config.n}")
-    _, d, sign_bits = _split_symbols(block.symbols, m)
+    ranks, d, _ = _split_symbols(block.symbols, m)
 
     codes = config.dm_codes
     src_table, flip_table = selection_tables(m, config.profile.num_distinct)
     served, _ = _serve_requests(src_table[d], [c.n for c in codes])
-    matcher_bits = _matcher_bits(d, sign_bits, flip_table)
+    matcher_bits = _matcher_bits(ranks, m, flip_table)
 
     chunks = []
     for i, code in enumerate(codes):
@@ -373,18 +392,17 @@ def empirical_source_frequencies(
     """
     if config.mode != "block-dm":
         raise ParameterError("frequency measurement requires block-dm mode")
+    if num_blocks < 1:
+        raise ParameterError(f"num_blocks must be >= 1, got {num_blocks}")
     m = config.profile.m
     P = config.profile.num_distinct
     src_table, flip_table = selection_tables(m, P)
-    rng = np.random.default_rng(seed)
     ones = np.zeros(P)
     counts = np.zeros(P, dtype=np.int64)
-    rows = max(1, _CHUNK_SYMBOLS // config.n)
-    for start in range(0, num_blocks, rows):
-        info = _uniform_info(rng, config, min(rows, num_blocks - start))
-        _, d, sign_bits = _split_symbols(_encode_dm_rows(config, info)[0], m)
+    for symbols, _ in _block_chunks(config, np.random.SeedSequence(seed), num_blocks):
+        ranks, d, _ = _split_symbols(symbols, m)
         requested = src_table[d].ravel()
-        ones += np.bincount(requested, _matcher_bits(d, sign_bits, flip_table).ravel(), P)
+        ones += np.bincount(requested, _matcher_bits(ranks, m, flip_table).ravel(), P)
         counts += np.bincount(requested, minlength=P)
     return ones / np.maximum(counts, 1), counts
 
@@ -437,5 +455,4 @@ def block_from_json(text: str) -> tuple[ShapedBlock, ShaperConfig]:
     if any(isinstance(s, bool) for s in doc["symbols"]):
         raise IntegrityError("block contains values that are not integers")
     _split_symbols(symbols, config.profile.m)  # raises on non-points
-    block = ShapedBlock(symbols=symbols, overflow_count=overflow_count, mode=config.mode)
-    return block, config
+    return ShapedBlock(symbols=symbols, overflow_count=overflow_count), config

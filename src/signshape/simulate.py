@@ -1,11 +1,13 @@
 """Monte Carlo harness for the uncoded shaped chain over AWGN.
 
-Blocks go in chunks of max(1, 8192 // n): per chunk, one batch encode,
-white Gaussian noise, a prior-free nearest-symbol decision and one
-vectorised statistics pass, so working memory is a few chunk-sized arrays
-whatever num_blocks is. The info bits (block-dm), the prefix and source
-draws (ideal-sources, from generators spawned once per run) and the noise
-are the streams of a block-by-block loop, so the report equals that loop's.
+The blocks come from `shaper._block_chunks`, the chunked, seeded block
+stream that also serves `encode_block_ideal` and
+`empirical_source_frequencies`: it alone knows the chunk size, the seeding
+and which encoder each mode runs. Per chunk the harness adds white Gaussian
+noise, makes a prior-free nearest-symbol decision and runs one vectorised
+statistics pass, so working memory is a few chunk-sized arrays whatever
+num_blocks is. The block stream and the noise are those of a block-by-block
+loop, so the report equals that loop's.
 The demapper ignores the shaped prior on purpose; the harness validates the
 shaping chain, not receiver optimality.
 
@@ -26,14 +28,10 @@ import numpy as np
 from .constellation import selection_tables
 from .errors import ParameterError
 from .shaper import (
-    _CHUNK_SYMBOLS,
     ShaperConfig,
-    _encode_dm_rows,
-    _ideal_rows,
+    _block_chunks,
     _matcher_bits,
-    _split_ranks,
     _split_symbols,
-    _uniform_info,
     encode_block_dm,  # not called here; perfbench's tracer rebinds this name
 )
 
@@ -123,11 +121,6 @@ def run(config: SimConfig) -> SimReport:
     seq = np.random.SeedSequence(config.rng_seed)
     noise_seq, data_seq = seq.spawn(2)
     noise_rng = np.random.default_rng(noise_seq)
-    if shaper_cfg.mode == "block-dm":
-        data_rng = np.random.default_rng(data_seq)
-    else:
-        children = data_seq.spawn(1 + shaper_cfg.profile.num_distinct)
-        prefix_rng, *source_rngs = map(np.random.default_rng, children)
 
     if sigma > 0:
         half_range = float(M - 1) + 5.0 * sigma
@@ -144,25 +137,17 @@ def run(config: SimConfig) -> SimReport:
     overflow_total = 0
     overflow_max = 0
 
-    rows = max(1, _CHUNK_SYMBOLS // n)
-    for start in range(0, config.num_blocks, rows):
-        count = min(rows, config.num_blocks - start)
-        if shaper_cfg.mode == "block-dm":
-            info = _uniform_info(data_rng, shaper_cfg, count)
-            symbols, overflow = _encode_dm_rows(shaper_cfg, info)
-        else:
-            symbols = _ideal_rows(shaper_cfg, prefix_rng, source_rngs, count)
-            overflow = np.zeros(count, dtype=np.int64)
+    for symbols, overflow in _block_chunks(shaper_cfg, data_seq, config.num_blocks):
         symbols = symbols.ravel()
-        ranks, d, sign_bits = _split_symbols(symbols, m)
+        ranks, _, _ = _split_symbols(symbols, m)
 
-        # one draw of count * n normals is the stream of count draws of n
-        y = symbols + sigma * noise_rng.standard_normal(count * n)
+        # one draw of a chunk's normals is the stream of one draw of n per block
+        y = symbols + sigma * noise_rng.standard_normal(symbols.size)
 
         decided_ranks = _decide_ranks(y, M)
         symbol_errors += int(np.count_nonzero(decided_ranks != ranks))
-        sent_bits = _matcher_bits(d, sign_bits, flip_table)
-        decided_bits = _matcher_bits(*_split_ranks(decided_ranks, m), flip_table)
+        sent_bits = _matcher_bits(ranks, m, flip_table)
+        decided_bits = _matcher_bits(decided_ranks, m, flip_table)
         shaping_bit_errors += int(np.count_nonzero(sent_bits != decided_bits))
 
         sent_counts += np.bincount(ranks, minlength=M)

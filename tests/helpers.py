@@ -7,7 +7,9 @@ overflow expectation, brute-force enumeration for ranking order, a
 Pascal-table walk and a math.comb scan for unranking, a per-request
 loop for the reservoir switch, per-source masks for the ideal encoder, a
 block-by-block loop with a dense joint histogram for the Monte Carlo
-harness, and the full M x (2M - 1) Toeplitz band for the quadrature MI.
+harness, a block-by-block loop with per-source masks for the measured
+source frequencies, and the full M x (2M - 1) Toeplitz band for the
+quadrature MI.
 """
 
 from __future__ import annotations
@@ -251,6 +253,30 @@ def mask_encode_ideal(config) -> np.ndarray:
     return mask_ideal_row(config, prefix_rng, source_rngs)
 
 
+def loop_source_frequencies(config, num_blocks: int, seed: int):
+    """empirical_source_frequencies one block at a time: each block's info
+    bits are one row from default_rng(seed), and each symbol adds its matcher
+    bit to the ones and count of the source its folded prefix requests."""
+    from signshape.shaper import _uniform_info, encode_block_dm
+
+    m, P = config.profile.m, config.profile.num_distinct
+    M = 1 << m
+    rng = np.random.default_rng(seed)
+    ones = np.zeros(P)
+    counts = np.zeros(P, dtype=np.int64)
+    for _ in range(num_blocks):
+        symbols = encode_block_dm(config, _uniform_info(rng, config, 1)[0]).symbols
+        rank = (symbols + (M - 1)) // 2
+        d, sign = rank % (M // 2), rank // (M // 2)
+        flip = d >= M // 4
+        src = np.where(flip, M // 2 - 1 - d, d) // (M // (4 * P))
+        bit = 1 - (sign ^ flip)
+        for i in range(P):
+            ones[i] += int(bit[src == i].sum())
+            counts[i] += int(np.count_nonzero(src == i))
+    return ones / np.maximum(counts, 1), counts
+
+
 def dense_plugin_mi(joint: np.ndarray) -> float:
     """Plug-in I(X;Y) of a whole joint histogram of counts, its marginals
     whole counts divided once, summed over the nonzero cells in row order."""
@@ -268,7 +294,7 @@ def loop_simulate_run(config):
     The MI histogram is the whole M x num_bins joint."""
     from signshape.constellation import selection_tables
     from signshape.shaper import (
-        _matcher_bits, _split_ranks, _split_symbols, _uniform_info, encode_block_dm,
+        _matcher_bits, _split_symbols, _uniform_info, encode_block_dm,
     )
     from signshape.simulate import SimReport, _decide_ranks, _entropy
 
@@ -308,7 +334,7 @@ def loop_simulate_run(config):
             symbols, overflow = block.symbols, block.overflow_count
         else:
             symbols, overflow = mask_ideal_row(shaper_cfg, prefix_rng, source_rngs), 0
-        ranks, d, sign_bits = _split_symbols(symbols, m)
+        ranks, _, _ = _split_symbols(symbols, m)
         x = np.asarray(symbols, dtype=float)
 
         noise = noise_rng.standard_normal(n)
@@ -316,8 +342,8 @@ def loop_simulate_run(config):
 
         decided_ranks = _decide_ranks(y, M)
         symbol_errors += int((decided_ranks != ranks).sum())
-        sent_bits = _matcher_bits(d, sign_bits, flip_table)
-        decided_bits = _matcher_bits(*_split_ranks(decided_ranks, m), flip_table)
+        sent_bits = _matcher_bits(ranks, m, flip_table)
+        decided_bits = _matcher_bits(decided_ranks, m, flip_table)
         shaping_bit_errors += int((sent_bits != decided_bits).sum())
 
         np.add.at(sent_counts, ranks, 1)

@@ -323,8 +323,8 @@ class TestDmCommands:
         assert main(["--out-dir", str(tmp_path), "dm", "bench",
                      "--n", "256", "--p", "0.1", "--samples", "50"]) == 0
         payload = read_json(tmp_path / "dm-bench.json")
-        assert payload["within_bound"] is True
-        assert payload["mean_comparisons_per_bit"] <= payload["bound_per_bit"]
+        mean, worst = payload["mean_comparisons_per_bit"], payload["max_comparisons_per_bit"]
+        assert 0 < mean <= worst <= 1
 
 
 class TestShapeCommands:
@@ -656,19 +656,33 @@ class TestLengthCaps:
         assert main(["--out-dir", str(tmp_path), *command]) == 2
         assert "65536" in capsys.readouterr().err
 
-    def test_switch_analysis_cap_is_2_before_allocating(self, tmp_path):
-        # n = 10^9 would need about 11 GB; the child's address space is
-        # capped at 2 GB, so a missing check fails with MemoryError (exit 1)
-        # instead of taking the memory
+    @staticmethod
+    def run_capped(tmp_path, *command):
+        """The CLI in a child whose address space is capped at 2 GB, so a
+        missing check fails with MemoryError (exit 1) instead of taking the
+        memory."""
         limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         src = str(Path(signshape.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p
         ))
-        result = subprocess.run(
-            [sys.executable, "-m", "signshape", "--out-dir", str(tmp_path), "shape",
-             "analyze-switch", "--p1", "0.04", "--p2", "0.24", "--n", str(10**9)],
+        return subprocess.run(
+            [sys.executable, "-m", "signshape", "--out-dir", str(tmp_path), *command],
             env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit,
         )
+
+    def test_switch_analysis_cap_is_2_before_allocating(self, tmp_path):
+        # n = 10^9 would need about 11 GB
+        result = self.run_capped(tmp_path, "shape", "analyze-switch", "--p1", "0.04",
+                                 "--p2", "0.24", "--n", str(10**9))
         assert result.returncode == 2, result.stderr
         assert "1048576" in result.stderr
+
+    @pytest.mark.parametrize("mode", ["ideal-sources", "block-dm"])
+    def test_shape_length_cap_is_2_before_allocating(self, tmp_path, mode):
+        # ideal-sources at n = 4 * 10^9 asked for 7.45 GiB; both modes now
+        # refuse n / P above the matcher length cap when the config is built
+        result = self.run_capped(tmp_path, "shape", "encode", "--mode", mode, "--m", "3",
+                                 "--P", "1", "--probs", "0.2", "--n", str(4 * 10**9))
+        assert result.returncode == 2, result.stderr
+        assert "65536" in result.stderr

@@ -30,16 +30,18 @@ from signshape import (
 )
 from signshape.cli import main
 from signshape.shaper import (
+    _CHUNK_SYMBOLS,
     _assemble,
+    _block_chunks,
     _encode_dm_rows,
-    _ideal_rows,
     _serve_requests,
     _split_symbols,
     _uniform_info,
 )
 
 from helpers import (
-    exact_excess_expectation, loop_serve_requests, mask_encode_ideal, mask_ideal_row,
+    exact_excess_expectation, loop_serve_requests, loop_source_frequencies, mask_encode_ideal,
+    mask_ideal_row,
 )
 
 
@@ -70,6 +72,15 @@ class TestShaperConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ParameterError):
             config(mode="stream")
+
+    @pytest.mark.parametrize("mode", ["ideal-sources", "block-dm"])
+    def test_length_cap_in_both_modes(self, mode):
+        # n / P = 65536 is the longest matcher; ideal-sources takes the same cap
+        config(m=3, probs=(0.2,), n=65536, mode=mode)
+        config(m=3, probs=(0.1, 0.4), n=131072, mode=mode)
+        for probs, n in [((0.2,), 65538), ((0.1, 0.4), 131076), ((0.2,), 4 * 10**9)]:
+            with pytest.raises(ParameterError, match="65536"):
+                config(m=3, probs=probs, n=n, mode=mode)
 
 
 class TestSymbolCodec:
@@ -226,16 +237,12 @@ class TestIdealEncoding:
         # n (m - 1) is not a multiple of 4, where one uint8 draw of all the
         # rows would not give the stream of one draw per row
         cfg = config(m=m, probs=probs, n=n, mode="ideal-sources")
-
-        def generators():
-            children = np.random.SeedSequence(3).spawn(1 + len(probs))
-            return [np.random.default_rng(c) for c in children]
-
-        prefix_rng, *source_rngs = generators()
-        rows = _ideal_rows(cfg, prefix_rng, source_rngs, 3)
-        prefix_rng, *source_rngs = generators()
+        ((rows, overflow),) = _block_chunks(cfg, np.random.SeedSequence(3), 3)
+        children = np.random.SeedSequence(3).spawn(1 + len(probs))
+        prefix_rng, *source_rngs = [np.random.default_rng(c) for c in children]
         expected = [mask_ideal_row(cfg, prefix_rng, source_rngs) for _ in range(3)]
         assert rows.tobytes() == np.stack(expected).tobytes()
+        assert overflow.tolist() == [0, 0, 0]
 
     def test_mean_energy_close(self):
         cfg = config(m=5, probs=(0.04, 0.24), n=65536, mode="ideal-sources", seed=9)
@@ -374,9 +381,7 @@ class TestBlockDmEncoding:
         symbols = np.asarray(block.symbols).copy()
         rank = (symbols[7] + 7) // 2
         symbols[7] = 2 * ((rank + 4) % 8) - 7
-        bad = ShapedBlock(
-            symbols=symbols, overflow_count=block.overflow_count, mode=block.mode
-        )
+        bad = ShapedBlock(symbols=symbols, overflow_count=block.overflow_count)
         with pytest.raises(IntegrityError):
             decode_block(bad, cfg)
 
@@ -391,9 +396,7 @@ class TestBlockDmEncoding:
         block = encode_block_dm(cfg, info)
         symbols = np.asarray(block.symbols).copy()
         symbols[7] = -symbols[7]
-        bent = ShapedBlock(
-            symbols=symbols, overflow_count=block.overflow_count, mode=block.mode
-        )
+        bent = ShapedBlock(symbols=symbols, overflow_count=block.overflow_count)
         decoded = decode_block(bent, cfg)
         shaping_len = sum(c.k for c in cfg.dm_codes)
         np.testing.assert_array_equal(decoded[:shaping_len], info[:shaping_len])
@@ -424,7 +427,7 @@ class TestBlockDmEncoding:
                 bent = symbols.copy()
                 bent[position] = point
                 try:
-                    decoded = decode_block(ShapedBlock(bent, 0, "block-dm"), cfg)
+                    decoded = decode_block(ShapedBlock(bent, 0), cfg)
                 except IntegrityError:
                     raised += 1
                     continue
@@ -438,9 +441,7 @@ class TestBlockDmEncoding:
         block = encode_block_dm(cfg, info)
         symbols = np.asarray(block.symbols).copy()
         symbols[0] = 9
-        bad = ShapedBlock(
-            symbols=symbols, overflow_count=block.overflow_count, mode=block.mode
-        )
+        bad = ShapedBlock(symbols=symbols, overflow_count=block.overflow_count)
         with pytest.raises(IntegrityError):
             decode_block(bad, cfg)
 
@@ -578,6 +579,29 @@ class TestSwitchEnergyLoss:
 
 
 class TestEmpiricalFrequencies:
+    @pytest.mark.parametrize("m, probs, n, blocks", [
+        (3, (0.2,), 256, 37),
+        (5, (0.04, 0.24), 256, 37),
+        (5, (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0), 256, 37),
+        (3, (0.1, 0.4), 8200, 3),
+    ], ids=["P1", "P2", "P8", "P2-one-block-chunks"])
+    def test_matches_block_loop(self, m, probs, n, blocks):
+        # 37 blocks of 256 symbols end on a partial chunk; n = 8200 puts one
+        # block in each chunk
+        assert blocks % max(1, _CHUNK_SYMBOLS // n) or _CHUNK_SYMBOLS < n
+        cfg = config(m=m, probs=probs, n=n)
+        for seed in (0, 9301):
+            freqs, counts = empirical_source_frequencies(cfg, blocks, seed)
+            ref_freqs, ref_counts = loop_source_frequencies(cfg, blocks, seed)
+            assert freqs.tolist() == ref_freqs.tolist()
+            assert counts.tolist() == ref_counts.tolist()
+
+    @pytest.mark.parametrize("blocks", [0, -3])
+    def test_num_blocks_below_one_rejected(self, blocks):
+        # both used to return zero frequencies and counts
+        with pytest.raises(ParameterError, match="num_blocks"):
+            empirical_source_frequencies(config(), blocks)
+
     def test_matches_effective_probabilities(self):
         cfg = config(m=5, probs=(0.04, 0.24), n=2048, seed=0)
         freqs, counts = empirical_source_frequencies(cfg, num_blocks=100, seed=1)

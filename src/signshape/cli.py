@@ -59,6 +59,7 @@ from .midist import (
 )
 from .shaper import (
     ShaperConfig,
+    _uniform_info,
     block_from_json,
     block_to_json,
     decode_block,
@@ -309,9 +310,8 @@ def _cmd_shape_encode(args: argparse.Namespace, run: _Run) -> None:
     if config.mode == "block-dm":
         if args.info_file:
             info = _read_bits_file(args.info_file)
-        else:
-            rng = np.random.default_rng(args.seed)
-            info = rng.integers(0, 2, size=config.info_length, dtype=np.uint8)
+        else:  # block 0 of the stream on --seed, as encode_block_ideal writes
+            info = _uniform_info(np.random.default_rng(args.seed), config, 1)[0]
         block = encode_block_dm(config, info)
         info_path = run.write("shape-info.txt", "".join(str(int(b)) for b in info) + "\n")
         print(f"info bits: {info.size} -> {info_path}")

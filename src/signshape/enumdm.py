@@ -310,13 +310,10 @@ def _binary_entropy(p: float) -> float:
 def rate_loss(n: int, p: float) -> float:
     """Gap H(p) - k/n between the ideal and the finite-length matcher rate.
 
-    k is that of dm_code(n, w), so n is capped at MAX_MATCHER_LENGTH.
+    k is that of dm_code(n, w), so n is capped at MAX_MATCHER_LENGTH; a
+    matcher of weight 0 or n carries k = 0 bits.
     """
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0, 1), got {p}")
     code = dm_code(n, weight_for(n, p))
-    if code.w < 1:
-        raise ParameterError(f"round({n}*{p}) = 0; no ones to place")
     return _binary_entropy(p) - code.k / n
 
 

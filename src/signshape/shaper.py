@@ -6,13 +6,16 @@ says so, becomes the sign bit. Source i is a word of ones density p_i,
 consumed front to back, so low p_i means low weight. The two operating
 modes differ in where the words come from:
 
-* ideal-sources: each word is a seeded Bernoulli draw exactly as long as
-  the demand for its source, so the switch would serve every request from
-  its own source and is skipped: the draws go straight into the slots that
-  request the source. Useful for statistical validation.
+* ideal-sources: each slot draws its own Bernoulli(p_i) bit for the source
+  i it requests, so every source's word is exactly as long as its demand,
+  the switch would serve every request from its own source and is skipped.
+  Useful for statistical validation.
 * block-dm: each word is a fixed-weight matcher output of length n/P.
   When a requested reservoir is empty the switch falls back to the lowest
   indexed nonempty one and counts the event as an overflow.
+
+Both modes draw a block from one seeding rule: block b of seed s is the
+b-th run of raw 64-bit words from default_rng(s) (`_block_chunks`).
 
 The decoder replays the same consumption state machine from the decoded
 prefix bits, so it needs no side channel. The replay construction (and its
@@ -203,33 +206,26 @@ def _assemble(m: int, d: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
 
 
 def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
-    """Encode one block with ideal seeded Bernoulli sources.
-
-    The prefix bits come from config.rng_seed, and so does each source's
-    word: ones density p_i, exactly as long as the demand for that source,
-    so the switch never overflows.
-    """
+    """Encode one block with ideal seeded Bernoulli sources: block 0 of the
+    stream seeded by config.rng_seed. The switch never overflows."""
     if config.mode != "ideal-sources":
         raise ParameterError(f"config mode is {config.mode!r}, not 'ideal-sources'")
-    symbols, _ = next(_block_chunks(config, np.random.SeedSequence(config.rng_seed), 1))
+    symbols, _ = next(_block_chunks(config, config.rng_seed, 1))
     return ShapedBlock(symbols=symbols[0], overflow_count=0)
 
 
-def _ideal_rows(config: ShaperConfig, prefix_rng, source_rngs, count: int) -> np.ndarray:
-    """Symbols (count, n) of count ideal-sources blocks, those that one-row
-    draws from prefix_rng and the source generators give in turn. The switch
-    is skipped, as each source's word exactly meets its demand: its draws go
-    straight into the slots that request it."""
+def _ideal_rows(config: ShaperConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Symbols (count, n) of count ideal-sources blocks, one raw draw of
+    n + ceil((m-1) n / 64) 64-bit words per row. A row's first n words are
+    the doubles rng.random would make of them, one per slot, its matcher bit
+    1 where the double is below p of the source its prefix requests; the
+    rest are its prefix bits, unpacked as by _uniform_info. The switch is
+    skipped, as each source's word exactly meets its demand."""
     m, n = config.profile.m, config.n
     src_table, flip_table = selection_tables(m, config.profile.num_distinct)
-    # a draw per row: one uint8 draw of all the rows buffers its bits differently
-    prefix = np.stack([prefix_rng.integers(0, 2, (n, m - 1), np.uint8) for _ in range(count)])
-    d = _prefix_decimals(prefix, m)
-    requests = src_table[d]
-    word_bits = np.empty(d.shape, dtype=np.uint8)
-    for i, (rng, p) in enumerate(zip(source_rngs, config.profile.probs)):
-        mask = requests == i
-        word_bits[mask] = rng.random(np.count_nonzero(mask)) < p
+    raw = rng.bit_generator.random_raw((count, n + -(-(m - 1) * n // 64)))
+    d = _prefix_decimals(_raw_bits(raw[:, n:], (m - 1) * n).reshape(count, n, m - 1), m)
+    word_bits = (raw[:, :n] >> 11) * 2.0**-53 < np.asarray(config.profile.probs)[src_table[d]]
     return _assemble(m, d, (1 - word_bits) ^ flip_table[d])
 
 
@@ -246,16 +242,18 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
     return ShapedBlock(symbols=symbols[0], overflow_count=int(overflow[0]))
 
 
-def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) -> np.ndarray:
-    """Info bits of count blocks as a (count, L) uint8 array, L = info_length.
+def _raw_bits(raw: np.ndarray, length: int) -> np.ndarray:
+    """The first length bits of each row of 64-bit words, least significant
+    bit of the first word first, as a uint8 array."""
+    words = np.ascontiguousarray(raw, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=1, count=length, bitorder="little")
 
-    One raw draw of ceil(L / 64) 64-bit words per row, unpacked least
-    significant bit first. A row reads only its own words, so the rows are
-    what count one-row draws would give, one after another.
-    """
+
+def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) -> np.ndarray:
+    """Info bits of count blocks as a (count, L) uint8 array, L = info_length,
+    from one raw draw of ceil(L / 64) 64-bit words per row."""
     L = config.info_length
-    raw = rng.bit_generator.random_raw((count, -(-L // 64))).astype("<u8", copy=False)
-    return np.unpackbits(raw.view(np.uint8), axis=1, count=L, bitorder="little")
+    return _raw_bits(rng.bit_generator.random_raw((count, -(-L // 64))), L)
 
 
 def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,24 +281,21 @@ def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple[np.ndarray,
     return _assemble(m, d, (1 - word_bits) ^ flip_table[d]), overflow
 
 
-def _block_chunks(config: ShaperConfig, seq: np.random.SeedSequence, num_blocks: int):
-    """The num_blocks blocks seeded by seq, as (symbols (B, n), overflow (B,))
-    chunks of B = max(1, _CHUNK_SYMBOLS // n) blocks, the last one partial.
-    Block-dm reads the info bits from default_rng(seq); ideal-sources spawns
-    a prefix generator and one per source from seq. Either way a chunk holds
-    the blocks those generators give one at a time."""
-    if config.mode == "block-dm":
-        rng = np.random.default_rng(seq)
-    else:
-        children = seq.spawn(1 + config.profile.num_distinct)
-        prefix_rng, *source_rngs = map(np.random.default_rng, children)
+def _block_chunks(config: ShaperConfig, seed: int | np.random.SeedSequence, num_blocks: int):
+    """The num_blocks blocks seeded by seed (an int or a SeedSequence), as
+    (symbols (B, n), overflow (B,)) chunks of B = max(1, _CHUNK_SYMBOLS // n)
+    blocks, the last one partial. Row b of the stream is the b-th run of raw
+    64-bit words from default_rng(seed): block-dm reads them as info bits,
+    ideal-sources as slot doubles and prefix bits. A row reads only its own
+    words, so a chunk holds the blocks one-row draws give in turn."""
+    rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK_SYMBOLS // config.n)
     for start in range(0, num_blocks, rows):
         count = min(rows, num_blocks - start)
         if config.mode == "block-dm":
             yield _encode_dm_rows(config, _uniform_info(rng, config, count))
         else:
-            yield _ideal_rows(config, prefix_rng, source_rngs, count), np.zeros(count, np.int64)
+            yield _ideal_rows(config, rng, count), np.zeros(count, np.int64)
 
 
 def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
@@ -387,11 +382,9 @@ def empirical_source_frequencies(
 
     Encodes num_blocks random blocks and pools, for every source index i,
     the served matcher bits of the symbols whose switch rule requested i.
-    Returns (frequencies, counts). Under overflow these converge to the
-    effective densities rather than the raw p_i.
+    Returns (frequencies, counts). Ideal sources converge to the p_i; under
+    block-dm overflow the frequencies converge to the effective densities.
     """
-    if config.mode != "block-dm":
-        raise ParameterError("frequency measurement requires block-dm mode")
     if num_blocks < 1:
         raise ParameterError(f"num_blocks must be >= 1, got {num_blocks}")
     m = config.profile.m
@@ -399,7 +392,7 @@ def empirical_source_frequencies(
     src_table, flip_table = selection_tables(m, P)
     ones = np.zeros(P)
     counts = np.zeros(P, dtype=np.int64)
-    for symbols, _ in _block_chunks(config, np.random.SeedSequence(seed), num_blocks):
+    for symbols, _ in _block_chunks(config, seed, num_blocks):
         ranks, d, _ = _split_symbols(symbols, m)
         requested = src_table[d].ravel()
         ones += np.bincount(requested, _matcher_bits(ranks, m, flip_table).ravel(), P)

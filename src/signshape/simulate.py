@@ -2,12 +2,13 @@
 
 The blocks come from `shaper._block_chunks`, the chunked, seeded block
 stream that also serves `encode_block_ideal` and
-`empirical_source_frequencies`: it alone knows the chunk size, the seeding
-and which encoder each mode runs. Per chunk the harness adds white Gaussian
-noise, makes a prior-free nearest-symbol decision and runs one vectorised
-statistics pass, so working memory is a few chunk-sized arrays whatever
-num_blocks is. The block stream and the noise are those of a block-by-block
-loop, so the report equals that loop's.
+`empirical_source_frequencies`: it alone knows the chunk size, how a seed
+becomes blocks and which encoder each mode runs. SeedSequence(rng_seed)
+spawns the noise seed and the data seed the stream reads. Per chunk the
+harness adds white Gaussian noise, makes a prior-free nearest-symbol
+decision and runs one vectorised statistics pass, so working memory is a
+few chunk-sized arrays whatever num_blocks is. The block stream and the
+noise are those of a block-by-block loop, so the report equals that loop's.
 The demapper ignores the shaped prior on purpose; the harness validates the
 shaping chain, not receiver optimality.
 

@@ -5,11 +5,12 @@ library: trapezoid integration instead of Gauss-Hermite quadrature, an
 iterative Pascal recurrence instead of math.comb, exact rationals for the
 overflow expectation, brute-force enumeration for ranking order, a
 Pascal-table walk and a math.comb scan for unranking, a per-request
-loop for the reservoir switch, per-source masks for the ideal encoder, a
-block-by-block loop with a dense joint histogram for the Monte Carlo
-harness, a block-by-block loop with per-source masks for the measured
-source frequencies, and the full M x (2M - 1) Toeplitz band for the
-quadrature MI.
+loop for the reservoir switch, per-source masks over rng.random doubles
+and prefix words read bit by bit for the ideal encoder, a block-by-block
+loop with a dense joint histogram for the Monte Carlo harness, a
+block-by-block loop with per-source masks for the measured source
+frequencies, and the full M x (2M - 1) Toeplitz band for the quadrature
+MI.
 """
 
 from __future__ import annotations
@@ -228,44 +229,56 @@ def loop_serve_requests(requests, capacities) -> tuple[np.ndarray, int]:
     return served, overflow
 
 
-def mask_ideal_row(config, prefix_rng, source_rngs) -> np.ndarray:
-    """Symbols of one ideal-sources block drawn from these generators: n
-    rows of m - 1 prefix bits, and each source's draws scattered straight
-    into the slots whose folded prefix selects it."""
+def mask_ideal_row(config, rng) -> np.ndarray:
+    """Symbols of the next ideal-sources block drawn from rng: n doubles
+    from rng.random, then ceil((m-1) n / 64) raw words read bit by bit as n
+    rows of m - 1 prefix bits. Each source's mask picks the slots whose
+    folded prefix selects it, and their doubles below p_i are ones."""
     m, probs, n = config.profile.m, config.profile.probs, config.n
     M = 1 << m
-    prefix = prefix_rng.integers(0, 2, size=(n, m - 1), dtype=np.uint8)
-    d = prefix.astype(np.int64) @ (1 << np.arange(m - 1))
+    doubles = rng.random(n)
+    words = rng.bit_generator.random_raw(-(-(m - 1) * n // 64))
+    stream = [(int(w) >> j) & 1 for w in words for j in range(64)]
+    prefix = np.array(stream[: (m - 1) * n], dtype=np.int64).reshape(n, m - 1)
+    d = prefix @ (1 << np.arange(m - 1))
     flip = d >= M // 4
     src = np.where(flip, M // 2 - 1 - d, d) // (M // (4 * len(probs)))
     source_bits = np.empty(n, dtype=np.uint8)
     for i, p in enumerate(probs):
         mask = src == i
-        source_bits[mask] = source_rngs[i].random(int(mask.sum())) >= p
+        source_bits[mask] = doubles[mask] >= p
     sign = source_bits ^ flip
     return 2 * (d + (sign.astype(np.int64) << (m - 1))) - (M - 1)
 
 
 def mask_encode_ideal(config) -> np.ndarray:
     """Symbols of the ideal-sources block seeded by config.rng_seed."""
-    children = np.random.SeedSequence(config.rng_seed).spawn(1 + config.profile.num_distinct)
-    prefix_rng, *source_rngs = (np.random.default_rng(c) for c in children)
-    return mask_ideal_row(config, prefix_rng, source_rngs)
+    return mask_ideal_row(config, np.random.default_rng(config.rng_seed))
+
+
+def next_block(config, rng) -> tuple[np.ndarray, int]:
+    """Symbols and overflow count of the next block of either mode drawn
+    from rng on its own: block-dm encodes one row of info bits, ideal
+    sources are masked as by mask_ideal_row."""
+    from signshape.shaper import _uniform_info, encode_block_dm
+
+    if config.mode == "ideal-sources":
+        return mask_ideal_row(config, rng), 0
+    block = encode_block_dm(config, _uniform_info(rng, config, 1)[0])
+    return block.symbols, block.overflow_count
 
 
 def loop_source_frequencies(config, num_blocks: int, seed: int):
-    """empirical_source_frequencies one block at a time: each block's info
-    bits are one row from default_rng(seed), and each symbol adds its matcher
-    bit to the ones and count of the source its folded prefix requests."""
-    from signshape.shaper import _uniform_info, encode_block_dm
-
+    """empirical_source_frequencies one block at a time: each block is the
+    next from default_rng(seed), and each symbol adds its matcher bit to the
+    ones and count of the source its folded prefix requests."""
     m, P = config.profile.m, config.profile.num_distinct
     M = 1 << m
     rng = np.random.default_rng(seed)
     ones = np.zeros(P)
     counts = np.zeros(P, dtype=np.int64)
     for _ in range(num_blocks):
-        symbols = encode_block_dm(config, _uniform_info(rng, config, 1)[0]).symbols
+        symbols, _ = next_block(config, rng)
         rank = (symbols + (M - 1)) // 2
         d, sign = rank % (M // 2), rank // (M // 2)
         flip = d >= M // 4
@@ -289,13 +302,11 @@ def dense_plugin_mi(joint: np.ndarray) -> float:
 
 def loop_simulate_run(config):
     """The Monte Carlo harness one block at a time: encode, add noise,
-    decide, and add each block's counts to the statistics. Ideal-sources
-    blocks are drawn one at a time from generators spawned once per run.
-    The MI histogram is the whole M x num_bins joint."""
+    decide, and add each block's counts to the statistics. Both modes draw
+    their blocks one at a time from one generator on the data seed. The MI
+    histogram is the whole M x num_bins joint."""
     from signshape.constellation import selection_tables
-    from signshape.shaper import (
-        _matcher_bits, _split_symbols, _uniform_info, encode_block_dm,
-    )
+    from signshape.shaper import _matcher_bits, _split_symbols
     from signshape.simulate import SimReport, _decide_ranks, _entropy
 
     shaper_cfg = config.shaper
@@ -308,11 +319,7 @@ def loop_simulate_run(config):
     seq = np.random.SeedSequence(config.rng_seed)
     noise_seq, data_seq = seq.spawn(2)
     noise_rng = np.random.default_rng(noise_seq)
-    if shaper_cfg.mode == "block-dm":
-        data_rng = np.random.default_rng(data_seq)
-    else:
-        children = data_seq.spawn(1 + shaper_cfg.profile.num_distinct)
-        prefix_rng, *source_rngs = (np.random.default_rng(c) for c in children)
+    data_rng = np.random.default_rng(data_seq)
 
     if sigma > 0:
         half_range = float(M - 1) + 5.0 * sigma
@@ -328,12 +335,7 @@ def loop_simulate_run(config):
     overflow_max = 0
 
     for b in range(config.num_blocks):
-        if shaper_cfg.mode == "block-dm":
-            info = _uniform_info(data_rng, shaper_cfg, 1)[0]
-            block = encode_block_dm(shaper_cfg, info)
-            symbols, overflow = block.symbols, block.overflow_count
-        else:
-            symbols, overflow = mask_ideal_row(shaper_cfg, prefix_rng, source_rngs), 0
+        symbols, overflow = next_block(shaper_cfg, data_rng)
         ranks, _, _ = _split_symbols(symbols, m)
         x = np.asarray(symbols, dtype=float)
 

@@ -15,14 +15,17 @@ import pytest
 import signshape
 from signshape import (
     NumericalError,
+    ShaperConfig,
     ShapingProfile,
     cli,
     dm_code,
     effective_probabilities,
+    encode_block_ideal,
     switch_energy_loss,
 )
 from signshape.cli import _MAX_WORK, main
 from signshape.enumdm import MAX_MATCHER_LENGTH
+from signshape.shaper import _uniform_info
 
 
 def read_json(path):
@@ -350,6 +353,25 @@ class TestShapeCommands:
         b = (b_dir / "shape-block.json").read_text()
         assert a == b
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_block_dm_seed_gives_block_0_of_the_stream(self, tmp_path, seed):
+        assert main(["--out-dir", str(tmp_path), "--seed", str(seed), "shape", "encode",
+                     "--m", "4", "--P", "2", "--probs", "0.1", "0.3", "--n", "130"]) == 0
+        config = ShaperConfig(profile=ShapingProfile(m=4, probs=(0.1, 0.3)), n=130)
+        expected = _uniform_info(np.random.default_rng(seed), config, 1)[0]
+        info = (tmp_path / "shape-info.txt").read_text().strip()
+        assert info == "".join(map(str, expected))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_ideal_seed_gives_block_0_of_the_stream(self, tmp_path, seed):
+        assert main(["--out-dir", str(tmp_path), "--seed", str(seed), "shape", "encode",
+                     "--mode", "ideal-sources", "--m", "4", "--P", "2",
+                     "--probs", "0.1", "0.3", "--n", "130"]) == 0
+        config = ShaperConfig(profile=ShapingProfile(m=4, probs=(0.1, 0.3)), n=130,
+                              rng_seed=seed, mode="ideal-sources")
+        payload = read_json(tmp_path / "shape-block.json")
+        assert payload["symbols"] == encode_block_ideal(config).symbols.tolist()
+
     def test_analyze_switch_table(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "shape", "analyze-switch",
                      "--p1", "0.04", "--p2", "0.24", "--n", "256", "1024"]) == 0
@@ -424,6 +446,16 @@ class TestBudgetCommand:
                      "--snr", "17"]) == 0
         payload = read_json(tmp_path / "budget.json")
         assert payload["total_db"] == pytest.approx(0.145, abs=0.02)
+
+    @pytest.mark.parametrize("flags", [
+        ["--m", "5", "--p1", "0", "--p2", "0.24", "--n", "2048", "--snr", "17"],
+        ["--m", "3", "--p1", "0.1", "--p2", "0.3", "--n", "2", "--snr", "10"],
+    ], ids=["p1=0", "n=2"])
+    def test_budget_with_empty_matchers(self, tmp_path, flags):
+        # a weight-0 matcher carries no bits; both used to exit 2
+        assert main(["--out-dir", str(tmp_path), "budget", *flags]) == 0
+        payload = read_json(tmp_path / "budget.json")
+        assert payload["matcher_db"] >= 0.0
 
 
 class TestConfigMerge:

@@ -422,9 +422,10 @@ class TestRates:
         expected = _binary_entropy(0.14) - 579 / 1000
         assert rate_loss(1000, 0.14) == pytest.approx(expected, abs=1e-12)
 
-    def test_rate_loss_rejects_degenerate(self):
-        with pytest.raises(ParameterError):
-            rate_loss(10, 0.001)
+    @pytest.mark.parametrize("n, p", [(10, 0.001), (10, 0.0), (10, 1.0), (1, 0.3)])
+    def test_rate_loss_of_an_empty_matcher_is_the_entropy(self, n, p):
+        # round(n p) is 0 or n: the matcher carries k = 0 bits
+        assert rate_loss(n, p) == _binary_entropy(p)
 
     def test_rate_loss_takes_the_matchers_length_cap(self):
         # k comes from dm_code, so rate_loss refuses what the matcher does

@@ -41,7 +41,7 @@ from signshape.shaper import (
 
 from helpers import (
     exact_excess_expectation, loop_serve_requests, loop_source_frequencies, mask_encode_ideal,
-    mask_ideal_row,
+    mask_ideal_row, next_block,
 )
 
 
@@ -234,15 +234,28 @@ class TestIdealEncoding:
 
     @pytest.mark.parametrize("m, probs, n", [(4, (0.1, 0.3), 66), (2, (0.2,), 130)])
     def test_rows_are_one_row_draws_in_turn(self, m, probs, n):
-        # n (m - 1) is not a multiple of 4, where one uint8 draw of all the
-        # rows would not give the stream of one draw per row
+        # n (m - 1) is not a multiple of 64, so each row's last prefix word
+        # is only partly read and the next row must start on a fresh word
         cfg = config(m=m, probs=probs, n=n, mode="ideal-sources")
         ((rows, overflow),) = _block_chunks(cfg, np.random.SeedSequence(3), 3)
-        children = np.random.SeedSequence(3).spawn(1 + len(probs))
-        prefix_rng, *source_rngs = [np.random.default_rng(c) for c in children]
-        expected = [mask_ideal_row(cfg, prefix_rng, source_rngs) for _ in range(3)]
+        rng = np.random.default_rng(3)
+        expected = [mask_ideal_row(cfg, rng) for _ in range(3)]
         assert rows.tobytes() == np.stack(expected).tobytes()
         assert overflow.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("mode", ["block-dm", "ideal-sources"])
+    def test_stream_is_one_block_draws_in_turn(self, mode):
+        # n = 130 does not divide 8192: 63 blocks fill a chunk and 70 blocks
+        # end on a partial one
+        cfg = config(m=3, probs=(0.1, 0.4), n=130, mode=mode)
+        chunks = list(_block_chunks(cfg, np.random.SeedSequence(11), 70))
+        assert [len(rows) for rows, _ in chunks] == [63, 7]
+        rng = np.random.default_rng(11)
+        expected = [next_block(cfg, rng) for _ in range(70)]
+        symbols = np.concatenate([rows for rows, _ in chunks])
+        overflow = np.concatenate([o for _, o in chunks])
+        assert symbols.tobytes() == np.stack([s for s, _ in expected]).tobytes()
+        assert overflow.tolist() == [o for _, o in expected]
 
     def test_mean_energy_close(self):
         cfg = config(m=5, probs=(0.04, 0.24), n=65536, mode="ideal-sources", seed=9)
@@ -601,6 +614,22 @@ class TestEmpiricalFrequencies:
         # both used to return zero frequencies and counts
         with pytest.raises(ParameterError, match="num_blocks"):
             empirical_source_frequencies(config(), blocks)
+
+    @pytest.mark.parametrize("probs", [(0.04, 0.24), (0.0, 0.05, 0.3, 1.0)])
+    def test_ideal_matches_block_loop(self, probs):
+        cfg = config(m=4, probs=probs, n=256, mode="ideal-sources")
+        freqs, counts = empirical_source_frequencies(cfg, 37, 9301)
+        ref_freqs, ref_counts = loop_source_frequencies(cfg, 37, 9301)
+        assert freqs.tolist() == ref_freqs.tolist()
+        assert counts.tolist() == ref_counts.tolist()
+
+    def test_ideal_sources_give_the_nominal_densities(self):
+        # no switch, so each source serves its own p_i
+        cfg = config(m=5, probs=(0.04, 0.24), n=2048, mode="ideal-sources")
+        freqs, counts = empirical_source_frequencies(cfg, num_blocks=100, seed=1)
+        for i, p in enumerate(cfg.profile.probs):
+            sd = math.sqrt(p * (1 - p) / counts[i])
+            assert abs(freqs[i] - p) <= 3.0 * sd, i
 
     def test_matches_effective_probabilities(self):
         cfg = config(m=5, probs=(0.04, 0.24), n=2048, seed=0)

@@ -13,8 +13,10 @@ command's only result file is written whatever the flags. A --config file
 explicit flags override. Its values are parsed and checked as the flags
 would be, and a key that is no flag of the subcommand exits 2. Matchers
 are at most 2^16 symbols long, so dm rate-loss takes n <= 2^16 and budget
-n <= 2^17; switch analysis takes n <= 2^20. Exit codes: 0 success, 2 usage
-or parameter problems, 3 integrity failures, 4 numerical failures.
+n <= 2^17; switch analysis takes n <= 2^20. dm roundtrip, dm bench and one
+simulate SNR point take at most 2^27 symbols of work, a word or block
+counting as at least 32. Exit codes: 0 success, 2 usage or parameter
+problems, 3 integrity failures, 4 numerical failures.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -51,8 +54,8 @@ from .errors import (
     ParameterError,
 )
 from .midist import (
+    _warm_sweep,
     mi_curve_for_profile,
-    optimize_profile,
     rate_loss_to_db,
     sigma_for_snr,
     snr_db_for,
@@ -139,28 +142,31 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ParameterError(f"missing required option(s): {flags}")
 
 
-# Most symbols one `dm roundtrip` or `dm bench` (--samples or C(n, w) words
-# of n) or one `simulate` SNR point (--blocks x n) may work through: a few
-# minutes at the 1-5 us per symbol these commands take on one x86-64 core.
+# Most symbols one `dm roundtrip` or `dm bench` (--samples or C(n, w) words of n) or one
+# `simulate` SNR point (--blocks x n) may work through, a word or block counting as at least
+# _MIN_ITEM_COST: its fixed 13-25 us costs as much as 32 symbols at the 0.5-1.5 us per symbol
+# these commands take on one x86-64 core. That is 1-3 minutes (17 for n = 2^16 at p = 1/2).
 _MAX_WORK = 1 << 27
+_MIN_ITEM_COST = 32
 
 
 def _require_work(flag: str, count: int, n: int) -> None:
     # count may be C(n, w), too long for str(): the message gives sizes
     if count < 1:
         raise ParameterError(f"--{flag} must be at least 1, got {count}")
-    if count * n > _MAX_WORK:
+    work = count * max(n, _MIN_ITEM_COST)
+    if work > _MAX_WORK:
         raise ParameterError(
-            f"--{flag} at n = {n} asks for at least 2^{(count * n).bit_length() - 1} "
-            f"symbols, above the 2^{_MAX_WORK.bit_length() - 1} one run may take"
+            f"--{flag} at n = {n} asks for at least 2^{work.bit_length() - 1} symbols of work, "
+            f"above the 2^{_MAX_WORK.bit_length() - 1} one run may take"
         )
 
 
 def _noise_grid(args: argparse.Namespace) -> tuple[str, list[float]]:
-    """Which one of --snr and --sigma is given, and its values."""
+    """Which one of --snr and --sigma is given, as "snr_db" or "noise_std", and its values."""
     if (args.snr is None) == (args.sigma is None):
         raise ParameterError("give exactly one of --snr/--sigma")
-    return ("snr", args.snr) if args.snr is not None else ("sigma", args.sigma)
+    return ("snr_db", args.snr) if args.snr is not None else ("noise_std", args.sigma)
 
 
 def _shaper_from_args(args: argparse.Namespace) -> ShaperConfig:
@@ -172,31 +178,24 @@ def _shaper_from_args(args: argparse.Namespace) -> ShaperConfig:
     return ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
 
 
-def _code_from_args(args: argparse.Namespace) -> DmCode:
-    """The matcher --n --w --p describe, once its words passed the work cap."""
+def _words_from_args(args: argparse.Namespace) -> tuple[DmCode, int, Iterable[int]]:
+    """The matcher --n --w --p describe, and how many and which word indices to check once
+    they passed the work cap: all, or --samples lazy draws from random.Random(--seed)."""
     _require(args, "n")
     code = dm_code(args.n, args.w if args.w is not None else weight_for(args.n, args.p))
     if getattr(args, "exhaustive", False):
         _require_work("exhaustive", code.num_words, code.n)
-    else:
-        _require_work("samples", args.samples, code.n)
-    return code
+        return code, code.num_words, range(code.num_words)
+    _require_work("samples", args.samples, code.n)
+    rng = random.Random(args.seed)  # randrange takes C(n, w) of any size
+    return code, args.samples, (rng.randrange(code.num_words) for _ in range(args.samples))
 
 
 def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "m", "P")
-    choice, grid = _noise_grid(args)
-    key = "snr_db" if choice == "snr" else "noise_std"
+    key, grid = _noise_grid(args)
     results = []
-    warm = None
-    for value in grid:
-        result = optimize_profile(
-            args.m,
-            args.P,
-            warm_start=warm,
-            **{key: value},
-        )
-        warm = result.profile.probs
+    for result in _warm_sweep(args.m, args.P, key, grid):
         results.append(result)
         probs = ", ".join(f"{p:.4f}" for p in result.profile.probs)
         print(
@@ -222,12 +221,7 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
-    code = _code_from_args(args)
-    if args.exhaustive:
-        indices = range(code.num_words)
-    else:
-        rng = random.Random(args.seed)  # randrange takes C(n, w) of any size
-        indices = [rng.randrange(code.num_words) for _ in range(args.samples)]
+    code, count, indices = _words_from_args(args)
     # rank refuses a word of the wrong weight (IntegrityError, exit 3); an
     # index may have more digits than str() converts, so give its size
     for index in indices:
@@ -240,12 +234,12 @@ def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
         "n": code.n,
         "w": code.w,
         "k": code.k,
-        "checked": len(indices),
+        "checked": count,
         "exhaustive": bool(args.exhaustive),
         "ok": True,
     }
     run.emit("dm-roundtrip.json", payload)
-    print(f"roundtrip ok: n={code.n} w={code.w} k={code.k} checked={len(indices)}")
+    print(f"roundtrip ok: n={code.n} w={code.w} k={code.k} checked={count}")
 
 
 def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
@@ -273,15 +267,14 @@ def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_dm_bench(args: argparse.Namespace, run: _Run) -> None:
-    code = _code_from_args(args)
+    code, count, indices = _words_from_args(args)
     total_comparisons = 0
     max_comparisons = 0
-    rng = random.Random(args.seed)
-    for _ in range(args.samples):
-        _, comparisons = unrank_counted(rng.randrange(code.num_words), code)
+    for index in indices:
+        _, comparisons = unrank_counted(index, code)
         total_comparisons += comparisons
         max_comparisons = max(max_comparisons, comparisons)
-    mean_per_bit = total_comparisons / (args.samples * code.n)
+    mean_per_bit = total_comparisons / (count * code.n)
     payload = {
         "n": code.n,
         "w": code.w,
@@ -298,8 +291,10 @@ def _cmd_dm_bench(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _read_bits_file(path: str) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
-    bits = [c for c in text if c in "01"]
+    bits = "".join(Path(path).read_text(encoding="utf-8").split())  # whitespace is skipped
+    bad = bits.lstrip("01")  # the text from its first character that is no bit on
+    if bad:
+        raise ParameterError(f"{path} holds {bad[0]!r}: only 0, 1 and whitespace may appear")
     if not bits:
         raise ParameterError(f"no 0/1 characters found in {path}")
     return np.array([int(c) for c in bits], dtype=np.uint8)
@@ -362,9 +357,9 @@ def _cmd_shape_analyze_switch(args: argparse.Namespace, run: _Run) -> None:
 def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
     shaper_cfg = _shaper_from_args(args)
     _require_work("blocks", args.blocks, args.n)
-    choice, grid = _noise_grid(args)
+    key, grid = _noise_grid(args)
     energy = induced_distribution(shaper_cfg.profile).average_energy
-    if choice == "snr":
+    if key == "snr_db":
         sigmas = [(s, sigma_for_snr(energy, s)) for s in grid]
     else:
         sigmas = [(snr_db_for(energy, s) if s > 0 else None, s) for s in grid]

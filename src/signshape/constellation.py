@@ -132,6 +132,15 @@ def induced_pmf(m: int, probs: Sequence[float]) -> np.ndarray:
     return np.concatenate([neg, neg[::-1]])
 
 
+def _induced_pmf_pullback(m: int, num_distinct: int, dpmf: np.ndarray) -> np.ndarray:
+    """induced_pmf backwards: the gradient in the P probabilities of a function
+    whose gradient in the pmf is dpmf (induced_pmf is affine in them)."""
+    # fold the mirrored halves, then the complemented quarters, then sum each source's group
+    half = (dpmf + dpmf[::-1])[: dpmf.size // 2]
+    quarter = (half - half[::-1])[: half.size // 2]
+    return quarter.reshape(num_distinct, -1).sum(axis=1) * 0.5 ** (m - 1)
+
+
 def induced_distribution(profile: ShapingProfile) -> SymbolDistribution:
     """Symbol distribution induced by a shaping profile.
 

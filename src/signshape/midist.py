@@ -30,12 +30,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .constellation import ShapingProfile, build_ask, induced_pmf
+from .constellation import ShapingProfile, _induced_pmf_pullback, build_ask, induced_pmf
 from .errors import NumericalError, ParameterError
 
 __all__ = [
@@ -394,8 +394,10 @@ def optimize_profile(
 
     x = build_ask(m).points()
     energies = x * x
-    M = x.size
     evaluations = 0
+
+    def sigma_of(energy: float) -> float:  # the noise a profile of this energy meets
+        return float(noise_std) if snr_db is None else sigma_for_snr(energy, float(snr_db))
 
     def objective(probs: Sequence[float]) -> tuple[float, np.ndarray]:
         """Negated MI and its gradient in the P probabilities."""
@@ -403,39 +405,25 @@ def optimize_profile(
         evaluations += 1
         pmf = induced_pmf(m, probs)
         energy = float(pmf @ energies)
-        if noise_std is not None:
-            sigma = float(noise_std)
-        else:
-            sigma = sigma_for_snr(energy, float(snr_db))
+        sigma = sigma_of(energy)
         value, dpmf, dsigma = awgn_mi(x, pmf, sigma, grad=True)
         if snr_db is not None:
             dpmf = dpmf + dsigma * sigma / (2.0 * energy) * energies
-        # induced_pmf backwards: fold the mirrored halves, then the
-        # complemented quarters, then sum each source's group
-        half = dpmf[: M // 2] + dpmf[M // 2 :][::-1]
-        quarter = half[: M // 4] - half[M // 4 :][::-1]
-        return -value, quarter.reshape(num_distinct, -1).sum(axis=1) * -(0.5 ** (m - 1))
+        return -value, -_induced_pmf_pullback(m, num_distinct, dpmf)
 
     probs, neg_mi, descent = _minimize_on_box(objective, start)
     best = ShapingProfile(m=m, probs=tuple(probs))
     # the KKT residual drops the ascent components that point out of the box
     ascent = np.clip(-descent, np.where(probs > 0, -np.inf, 0), np.where(probs < 1, np.inf, 0))
     energy = float(induced_pmf(m, best.probs) @ energies)
-    if noise_std is not None:
-        out_sigma = float(noise_std)
-        out_snr = snr_db_for(energy, out_sigma)
-        mode = "fixed-noise"
-    else:
-        out_sigma = sigma_for_snr(energy, float(snr_db))
-        out_snr = float(snr_db)
-        mode = "fixed-snr"
+    sigma = sigma_of(energy)
     return OptimizationResult(
         profile=best,
         mi_bpcu=-neg_mi,
-        snr_db=out_snr,
-        noise_std=out_sigma,
+        snr_db=snr_db_for(energy, sigma) if snr_db is None else float(snr_db),
+        noise_std=sigma,
         evaluations=evaluations,
-        mode=mode,
+        mode="fixed-noise" if snr_db is None else "fixed-snr",
         kkt_residual=float(np.abs(ascent).max()),
     )
 
@@ -453,27 +441,29 @@ def mi_curve_for_profile(
     return MiCurve(snr_db=tuple(grid), mi_bpcu=tuple(values))
 
 
+def _warm_sweep(
+    m: int, num_distinct: int, key: str, grid: Iterable[float]
+) -> Iterator[OptimizationResult]:
+    """optimize_profile at each grid value of key, "snr_db" or "noise_std",
+    each run warm-started from the profile before it."""
+    warm = None
+    for value in grid:
+        result = optimize_profile(m, num_distinct, warm_start=warm, **{key: value})
+        warm = result.profile.probs
+        yield result
+
+
 def mi_curve_optimized(
     m: int,
     num_distinct: int,
     snr_db_grid: Iterable[float],
 ) -> MiCurve:
     """Curve of per-SNR optimized profiles, warm starting along the grid."""
-    grid = [float(s) for s in snr_db_grid]
-    values: list[float] = []
-    profiles: list[ShapingProfile] = []
-    warm: tuple[float, ...] | None = None
-    for snr in grid:
-        result = optimize_profile(
-            m, num_distinct, snr_db=snr, warm_start=warm
-        )
-        warm = result.profile.probs
-        values.append(result.mi_bpcu)
-        profiles.append(result.profile)
+    results = list(_warm_sweep(m, num_distinct, "snr_db", map(float, snr_db_grid)))
     return MiCurve(
-        snr_db=tuple(grid),
-        mi_bpcu=tuple(values),
-        profiles=tuple(profiles),
+        snr_db=tuple(r.snr_db for r in results),
+        mi_bpcu=tuple(r.mi_bpcu for r in results),
+        profiles=tuple(r.profile for r in results),
     )
 
 
@@ -488,10 +478,11 @@ def rate_loss_to_db(
     """Convert a rate loss to dB using the curve slope at the operating rate.
 
     The slope dR/dSNR is a central difference over +-0.25 dB around the
-    SNR where the curve reaches operating_rate.
+    SNR where the curve reaches operating_rate. A negative loss, a rate gain,
+    converts the same way to negative dB; NaN and +-inf raise ParameterError.
     """
-    if rate_loss_bpcu < 0.0:
-        raise ParameterError(f"rate loss must be >= 0, got {rate_loss_bpcu}")
+    if not math.isfinite(rate_loss_bpcu):
+        raise ParameterError(f"rate loss must be finite, got {rate_loss_bpcu}")
     if rate_loss_bpcu == 0.0:
         return 0.0
     snr = reference_curve.snr_at_rate(operating_rate)

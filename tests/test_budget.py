@@ -82,3 +82,7 @@ class TestLossBudget:
     def test_rejects_bad_profile(self):
         with pytest.raises(ParameterError):
             loss_budget(5, -0.1, 0.24, 2048, 17.0)
+
+    def test_rejects_odd_n(self):
+        with pytest.raises(ParameterError, match="even"):
+            loss_budget(5, 0.04, 0.24, 2047, 17.0)

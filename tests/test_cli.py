@@ -174,6 +174,45 @@ class TestExitCodes:
         assert "--exhaustive" in err
         assert "--samples" not in err
 
+    @pytest.mark.parametrize("command", ["roundtrip", "bench"])
+    def test_work_cap_charges_32_symbols_a_word_at_small_n(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # at n = 1 a word's fixed cost dominates: 2^27 words ran for half an
+        # hour, and roundtrip built a 1 GiB list of their indices first
+        argv = ["--out-dir", str(tmp_path), "dm", command, "--n", "1", "--samples"]
+        started = time.monotonic()
+        for samples in (1 << 27, _MAX_WORK // cli._MIN_ITEM_COST + 1):
+            assert main([*argv, str(samples)]) == 2
+            assert "--samples" in capsys.readouterr().err
+        assert time.monotonic() - started < 1
+        assert not list(tmp_path.iterdir())
+        # the largest accepted count runs up to a minute, so it is checked
+        # here on a cap scaled down to 1000 words of at most 32 symbols
+        cli._require_work("samples", _MAX_WORK // cli._MIN_ITEM_COST, 1)
+        monkeypatch.setattr(cli, "_MAX_WORK", cli._MIN_ITEM_COST * 1000)
+        assert main([*argv, "1000"]) == 0
+        assert main([*argv, "1001"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--m", "3", "--P", "1"], "--snr/--sigma"),
+        (["shape", "encode", "--m", "5", "--P", "3", "--probs", "0.04", "0.24", "--n", "96"],
+         "--P 3"),
+        (["shape", "encode", "--m", "3", "--P", "2", "--probs", "0.04", "0.24", "--n", "64",
+          "--info-file", "{blank}"], "no 0/1"),
+        (["--config", "{missing}", "dm", "bench", "--n", "8"], "cannot read config"),
+        (["--config", "{garbled}", "dm", "bench", "--n", "8"], "cannot read config"),
+    ], ids=["no-noise-grid", "P-not-len-probs", "info-without-bits", "config-missing",
+            "config-not-json"])
+    def test_refused_arguments_are_2(self, tmp_path, capsys, argv, message):
+        files = {name: tmp_path / name for name in ("blank", "missing", "garbled")}
+        files["blank"].write_text(" \n\t\n")
+        files["garbled"].write_text("{not json")
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *(arg.format(**files) for arg in argv)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_codes_past_str_digit_limit(self, tmp_path, capsys):
         # C(n, w) here has over 4300 decimal digits, which str() refuses:
         # both runs used to exit 1 on ValueError
@@ -342,6 +381,27 @@ class TestShapeCommands:
         expected = (tmp_path / "shape-info.txt").read_text().strip()
         assert decoded == expected
 
+    def test_info_files_hold_bits_and_whitespace_only(self, tmp_path, capsys):
+        # any other character was dropped, so "0120" was read as "010"
+        encode = ["shape", "encode", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+                  "--n", "64"]
+        assert main(["--out-dir", str(tmp_path), *encode]) == 0
+        bits = (tmp_path / "shape-info.txt").read_text().strip()
+        spaced, bad = tmp_path / "spaced.txt", tmp_path / "bad.txt"
+        spaced.write_text(" ".join(bits[:10]) + "\n\t" + bits[10:] + "\n")
+        bad.write_text(bits[:3] + "2" + bits[3:])
+        block = str(tmp_path / "shape-block.json")
+        again = tmp_path / "again"
+        assert main(["--out-dir", str(again), *encode, "--info-file", str(spaced)]) == 0
+        assert (again / "shape-block.json").read_text() == Path(block).read_text()
+        decode = ["shape", "decode", "--block", block, "--expect-info"]
+        assert main(["--out-dir", str(again), *decode, str(spaced)]) == 0
+        refused = tmp_path / "refused"
+        for argv in ([*encode, "--info-file", str(bad)], [*decode, str(bad)]):
+            assert main(["--out-dir", str(refused), *argv]) == 2
+            assert "'2'" in capsys.readouterr().err
+        assert not refused.exists()
+
     def test_encode_deterministic_in_seed(self, tmp_path):
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
@@ -456,6 +516,13 @@ class TestBudgetCommand:
         assert main(["--out-dir", str(tmp_path), "budget", *flags]) == 0
         payload = read_json(tmp_path / "budget.json")
         assert payload["matcher_db"] >= 0.0
+
+    def test_budget_with_a_rate_gain(self, tmp_path):
+        # rate_loss(1024, 0.0006) is -0.0025, as round(n p) overshoots n p:
+        # rate_loss_to_db refused it (exit 2)
+        assert main(["--out-dir", str(tmp_path), "budget", "--m", "5", "--p1", "0.0006",
+                     "--p2", "0.0006", "--n", "2048", "--snr", "17"]) == 0
+        assert read_json(tmp_path / "budget.json")["matcher_db"] < 0.0
 
 
 class TestConfigMerge:

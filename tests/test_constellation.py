@@ -13,11 +13,13 @@ from hypothesis import given, strategies as st
 from signshape import (
     ParameterError,
     ShapingProfile,
+    SymbolDistribution,
     build_ask,
     induced_distribution,
     induced_pmf,
     selection_tables,
 )
+from signshape.constellation import _induced_pmf_pullback
 from signshape.shaper import _assemble, _prefix_bits, _prefix_decimals, _split_symbols
 
 
@@ -128,6 +130,13 @@ class TestShapingProfile:
             ShapingProfile(m=3, probs=(0.1, 0.2, 0.3, 0.4))
 
 
+class TestSymbolDistribution:
+    @pytest.mark.parametrize("probs", [(0.6, 0.5, -0.1), (0.5, 0.6)], ids=["negative", "sum"])
+    def test_rejects_entries_that_are_no_pmf(self, probs):
+        with pytest.raises(ParameterError):
+            SymbolDistribution(probs, average_energy=1.0)
+
+
 class TestInducedDistribution:
     def test_8ask_example(self):
         pmf = induced_pmf(3, (0.1, 0.4))
@@ -152,6 +161,16 @@ class TestInducedDistribution:
         # outer quarter of the constellation carries little mass
         assert pmf[:4].sum() < 0.02
         assert pmf[12:20].sum() > 0.4
+
+    @pytest.mark.parametrize("m, P", [(2, 1), (3, 2), (5, 2), (5, 8), (6, 16)])
+    def test_pullback_is_the_transpose_of_induced_pmf(self, m, P):
+        # induced_pmf is affine in the probabilities, so its pull-back of a
+        # pmf gradient g meets g @ (induced_pmf(p + v) - induced_pmf(p)) for any v
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            p, v, g = rng.random(P), rng.normal(size=P), rng.normal(size=1 << m)
+            change = g @ (induced_pmf(m, p + v) - induced_pmf(m, p))
+            assert _induced_pmf_pullback(m, P, g) @ v == pytest.approx(change, rel=1e-12)
 
     def test_average_energy(self):
         dist = induced_distribution(ShapingProfile(m=2, probs=(0.0,)))

@@ -156,6 +156,11 @@ class TestRankUnrank:
         with pytest.raises(ParameterError):
             unrank(-1, code)
 
+    @pytest.mark.parametrize("index", [1.0, True])
+    def test_unrank_counted_takes_only_int_indices(self, index):
+        with pytest.raises(ParameterError, match="integer"):
+            unrank_counted(index, dm_code(4, 2))
+
     def test_errors_past_str_digit_limit_stay_classified(self):
         # C(20000, 4800) has over 4300 decimal digits, which str() refuses:
         # both used to raise ValueError from their messages
@@ -439,6 +444,11 @@ class TestRates:
     def test_complexity_bounds(self):
         assert dm_complexity_bound(1024, 0.04) == 1.0
         assert dm_complexity_bound(1024, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n, p", [(0, 0.5), (8, -0.1), (8, 1.5)])
+    def test_complexity_bound_rejects_bad_arguments(self, n, p):
+        with pytest.raises(ParameterError):
+            dm_complexity_bound(n, p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

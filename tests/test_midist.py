@@ -86,6 +86,11 @@ class TestChannelSpec:
         with pytest.raises(ParameterError):
             snr_db_for(uniform_dist(3).average_energy, sigma)
 
+    @pytest.mark.parametrize("energy", [0.0, -1.0])
+    def test_sigma_for_snr_rejects_nonpositive_energy(self, energy):
+        with pytest.raises(ParameterError, match="energy"):
+            sigma_for_snr(energy, 10.0)
+
 
 class TestAwgnMi:
     def test_uniform_32ask_24db_frozen_value(self):
@@ -180,6 +185,10 @@ class TestAwgnMi:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ParameterError):
             awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), -1.0)
+
+    def test_rejects_pmf_of_another_length(self):
+        with pytest.raises(ParameterError, match="equal length"):
+            awgn_mi(np.array([-1.0, 1.0]), np.array([0.25, 0.25, 0.5]), 1.0)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_rejects_non_finite_sigma(self, sigma):
@@ -436,6 +445,15 @@ class TestMiCurve:
         with pytest.raises(ParameterError):
             MiCurve(snr_db=(1.0, 1.0), mi_bpcu=(0.5, 0.5))
 
+    @pytest.mark.parametrize("mi, match", [
+        ((0.5,), "aligned"),
+        ((0.5, 0.4), "nondecreasing"),
+        ((-0.1, 0.0), "nonnegative"),
+    ], ids=["misaligned", "decreasing", "negative"])
+    def test_rejects_samples_that_are_no_mi_curve(self, mi, match):
+        with pytest.raises(ParameterError, match=match):
+            MiCurve(snr_db=(1.0, 2.0), mi_bpcu=mi)
+
 
 def _pchip_cases():
     # the curves criteria 3, 4b, 5 and 6 look up
@@ -609,6 +627,19 @@ class TestOptimize:
         result = optimize_profile(m, 2, noise_std, snr_db=snr_db)
         assert result.mi_bpcu >= grid_best - 1e-9
 
+    def test_failed_line_search_returns_the_start(self):
+        # the gradient claims descent where the function climbs, so no step
+        # passes Armijo's test: after _MAX_HALVINGS halvings the start returns
+        calls = []
+
+        def uphill(x):
+            calls.append(x)
+            return float(x.sum()), -np.ones_like(x)
+
+        x, f, g = midist._minimize_on_box(uphill, np.full(3, 0.5))
+        np.testing.assert_array_equal(x, 0.5)
+        assert (f, len(calls)) == (1.5, 1 + midist._MAX_HALVINGS)
+
     def test_active_bound_is_exact(self):
         # at sigma = 5 the optimum of 16-ASK sits on the p1 = 1 face
         result = optimize_profile(4, 2, 5.0)
@@ -717,8 +748,18 @@ class TestGapsAndSlope:
         # the curve climbs roughly 0.16 bpcu per dB here
         assert one == pytest.approx(0.005 / 0.16, rel=0.25)
 
-    def test_rate_loss_to_db_rejects_negative(self):
+    def test_rate_loss_to_db_on_a_flat_curve_is_numerical_error(self):
+        # the rate just above the 1 to 3 dB plateau is reached at 2.1 dB, where
+        # the curve's central difference is 0
+        curve = MiCurve(snr_db=(0.0, 1.0, 2.0, 3.0, 4.0), mi_bpcu=(0.0, 1.0, 1.0, 1.0, 1 + 2e-12))
+        with pytest.raises(NumericalError, match="slope"):
+            rate_loss_to_db(0.01, curve, 1 + 1e-12)
+
+    def test_rate_loss_to_db_negative_is_a_gain(self):
+        # rate_loss(64, 0.01) is -0.013: round(n p) overshoots n p
         grid = np.arange(14.0, 20.01, 0.5)
         curve = mi_curve_for_profile(ShapingProfile(m=5, probs=(0.04, 0.24)), grid)
-        with pytest.raises(ParameterError):
-            rate_loss_to_db(-0.001, curve, 3.0)
+        assert rate_loss_to_db(-0.001, curve, 3.0) == -rate_loss_to_db(0.001, curve, 3.0)
+        for loss in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                rate_loss_to_db(loss, curve, 3.0)

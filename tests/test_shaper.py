@@ -384,6 +384,20 @@ class TestBlockDmEncoding:
         with pytest.raises(ParameterError):
             decode_block(block, cfg)
 
+    @pytest.mark.parametrize("mode, encode", [
+        ("ideal-sources", lambda cfg: encode_block_dm(cfg, np.zeros(8, dtype=np.uint8))),
+        ("block-dm", encode_block_ideal),
+    ], ids=["dm-on-ideal", "ideal-on-dm"])
+    def test_mode_mismatch_on_encode(self, mode, encode):
+        with pytest.raises(ParameterError, match="mode"):
+            encode(config(mode=mode))
+
+    def test_wrong_symbol_count_on_decode(self):
+        cfg = config()
+        block = encode_block_dm(cfg, np.zeros(cfg.info_length, dtype=np.uint8))
+        with pytest.raises(ParameterError, match="symbols"):
+            decode_block(ShapedBlock(block.symbols[:-1], block.overflow_count), cfg)
+
     def test_corrupted_sign_bit_detected(self):
         # swapping a symbol for its same-prefix partner flips exactly one
         # recovered matcher bit, so one reservoir weight comes out wrong
@@ -554,6 +568,11 @@ class TestEffectiveProbabilities:
         p1e, p2e = effective_probabilities(0.04, 0.24, 2**20)
         assert p1e == pytest.approx(0.04, abs=2e-4)
 
+    @pytest.mark.parametrize("p1, p2", [(-0.1, 0.24), (0.04, 1.5)])
+    def test_rejects_probability_outside_unit_interval(self, p1, p2):
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            effective_probabilities(p1, p2, 256)
+
 
 class TestSwitchEnergyLoss:
     def test_positive_for_shaped_profiles(self):
@@ -668,6 +687,18 @@ class TestBlockSerialization:
         doc = json.loads(block_to_json(block, cfg))
         change(doc)
         with pytest.raises(ParameterError):
+            block_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("P", 3, "header P"),
+        ("n", 63, "n must be even"),  # ShaperConfig's own error, passed on as it is
+    ])
+    def test_header_checks_keep_their_message(self, field, value, message):
+        cfg = config(m=3, probs=(0.04, 0.24), n=64, seed=8)
+        block = encode_block_dm(cfg, np.zeros(cfg.info_length, dtype=np.uint8))
+        doc = json.loads(block_to_json(block, cfg))
+        doc["header"][field] = value
+        with pytest.raises(ParameterError, match=message):
             block_from_json(json.dumps(doc))
 
     def test_invalid_json_is_parameter_error(self):

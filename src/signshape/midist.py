@@ -276,6 +276,9 @@ class MiCurve:
         snr = np.asarray(self.snr_db)
         keep = np.concatenate([[True], np.diff(mi) > 1e-12])
         mi, snr = mi[keep], snr[keep]
+        if mi.size < 2 or mi[-1] < rate_bpcu <= self.mi_bpcu[-1]:
+            raise ParameterError(f"MI stops rising at {snr[-1]} dB ({mi[-1]:.6f} bpcu), saturated "
+                                 f"or vanished: no SNR on the curve reaches rate {rate_bpcu}")
         if not mi[0] <= rate_bpcu <= mi[-1]:
             raise ParameterError(
                 f"rate {rate_bpcu} outside curve MI range [{mi[0]:.6f}, {mi[-1]:.6f}]"

@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -161,42 +163,55 @@ def _matcher_bits(ranks: np.ndarray, m: int, flip_table: np.ndarray) -> np.ndarr
 
 def _serve_requests(
     requests: np.ndarray, capacities: Sequence[int]
-) -> tuple[np.ndarray, int]:
-    """Which reservoir serves each request, plus the overflow count.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which reservoir serves each request of rows (..., n), one per block,
+    and each row's overflow count.
 
     A request takes a bit from its own reservoir while that lasts, else from
-    the absorber: the lowest-indexed reservoir with bits left. Until it
-    absorbs, a reservoir serves only its own requests, so the ones it turns
-    away are known up front. Each absorber, in one pass, serves those and
-    the requests for the reservoirs below it until it runs dry.
+    the absorber: the lowest-indexed reservoir with bits left. At P = 2, in
+    one pass over all rows, that is the other reservoir from a row's first
+    request for a dry one on. Otherwise, row by row: until it absorbs, a
+    reservoir serves only its own requests, so the ones it turns away are
+    known up front. Each absorber, in one pass, serves those and the
+    requests for the reservoirs below it until it runs dry.
     """
-    n = requests.size
+    n = requests.shape[-1]
     if n != sum(capacities):
         raise IntegrityError(
             f"demand {n} != supply {int(sum(capacities))}; cannot serve"
         )
     P = len(capacities)
-    served = requests.astype(np.int64)
-    turned = np.full(P, n)  # each source's first request its own reservoir turns away
-    for s in (np.bincount(requests, minlength=P) > capacities).nonzero()[0]:
-        turned[s] = (requests == s).nonzero()[0][capacities[s]]
-    start = turned.min()
-    done = np.bincount(requests[:start], minlength=P)
-    for k in range(P):
-        left = capacities[k] - done[k]  # so far k served only its own requests
-        if left <= 0:
-            continue
-        if left == n - start:  # it holds every bit left: supply equals demand
-            served[start:] = k
-            break
-        tail = requests[start:]
-        stream = start + ((tail <= k) | (turned[tail] <= np.arange(start, n))).nonzero()[0]
-        served[stream[:left]] = k
-        if stream.size == left:
-            break
-        done += np.bincount(tail[: stream[left] - start], minlength=P)
-        start = stream[left]
-    return served, int(np.count_nonzero(served != requests))
+    rows = requests.reshape(-1, n).astype(np.int64, copy=False)
+    if P == 2:
+        # At most one reservoir runs dry, the one asked for more than it holds. Narrow
+        # temporaries: five int64 ones made glibc regrow the heap per n = 8192 decode, +7%.
+        ones = np.cumsum(rows, axis=1, dtype=np.int32)
+        zeros_dry = ones < np.arange(1 - capacities[0], n + 1 - capacities[0], dtype=np.int32)
+        served = np.where((ones > capacities[1]) | zeros_dry, ones[:, -1:] <= capacities[1], rows)
+    else:
+        served = rows.copy()
+        for row, out in zip(rows, served):
+            turned = np.full(P, n)  # each source's first request its own reservoir turns away
+            for s in (np.bincount(row, minlength=P) > capacities).nonzero()[0]:
+                turned[s] = (row == s).nonzero()[0][capacities[s]]
+            start = turned.min()
+            done = np.bincount(row[:start], minlength=P)
+            for k in range(P):
+                left = capacities[k] - done[k]  # so far k served only its own requests
+                if left <= 0:
+                    continue
+                if left == n - start:  # it holds every bit left: supply equals demand
+                    out[start:] = k
+                    break
+                tail = row[start:]
+                stream = start + ((tail <= k) | (turned[tail] <= np.arange(start, n))).nonzero()[0]
+                out[stream[:left]] = k
+                if stream.size == left:
+                    break
+                done += np.bincount(tail[: stream[left] - start], minlength=P)
+                start = stream[left]
+    overflow = np.count_nonzero(served != rows, axis=1)
+    return served.reshape(requests.shape), overflow.reshape(requests.shape[:-1])
 
 
 def _assemble(m: int, d: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
@@ -256,27 +271,56 @@ def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) ->
     return _raw_bits(rng.bit_generator.random_raw((count, -(-L // 64))), L)
 
 
+# Largest code, in n (w + 1) binomials, whose words _encode_dm_rows unranks
+# from a table, at most 0.31 MB (n = 273, w = 29): n = 256 at m = 5
+# (length-128 matchers, 768 and 4096 entries) fits, n = 8192 keeps the walk.
+_TABLE_CAP = 1 << 13
+
+
+@lru_cache(maxsize=64)
+def _binomial_columns(n: int, w: int) -> tuple[list[int], ...]:
+    """The columns C(t, r), t < n, for r = w down to 1, built by ratios along t."""
+    # C(t, r) = C(t - 1, r) t / (t - r); at r = n one entry past t = n - 1, never bisected
+    return tuple(
+        [0] * r + list(accumulate(range(r + 1, n), lambda c, t: c * t // (t - r), initial=1))
+        for r in range(w, 0, -1)
+    )
+
+
+def _unrank_rows(code: DmCode, bits: np.ndarray) -> np.ndarray:
+    """Words (B, n) of code from rows of k info bits, least significant
+    first: a bisection of a table column per one, or over _TABLE_CAP the walk."""
+    if code.n * (code.w + 1) > _TABLE_CAP:
+        return np.stack([dm_encode(row, code) for row in bits])
+    columns = _binomial_columns(code.n, code.w)
+    ts = []
+    for row in np.packbits(bits, axis=1, bitorder="little"):
+        rem, t = int.from_bytes(row.tobytes(), "little"), code.n
+        for column in columns:  # the largest t below the last with C(t, r) <= rem
+            t = bisect_right(column, rem, 0, t) - 1
+            rem -= column[t]
+            ts.append(t)
+    words = np.zeros((len(bits), code.n), dtype=np.uint8)
+    words[np.arange(len(bits)).repeat(code.w), code.n - 1 - np.array(ts, dtype=np.intp)] = 1
+    return words
+
+
 def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols (B, n) and overflow counts (B,) of B blocks, one per row of
-    checked uint8 info bits laid out as for encode_block_dm. Each matcher word
-    is consumed front to back by the slots the switch has its source serve."""
+    """Symbols (B, n) and overflow counts (B,) of B blocks, one per row of checked uint8
+    info bits laid out as for encode_block_dm: one _unrank_rows call per matcher, one
+    _serve_requests call for all B, each word consumed front to back by the slots it serves."""
     m = config.profile.m
     src_table, flip_table = selection_tables(m, config.profile.num_distinct)
-    words = []
-    offset = 0
-    for code in config.dm_codes:
-        words.append(np.stack([dm_encode(row, code) for row in info[:, offset : offset + code.k]]))
-        offset += code.k
-    d = _prefix_decimals(info[:, offset:].reshape(len(info), config.n, -1), m)
-    capacities = [code.n for code in config.dm_codes]
-    served, overflow = map(np.array, zip(*(_serve_requests(r, capacities) for r in src_table[d])))
+    codes = config.dm_codes
+    ends = np.cumsum([0] + [code.k for code in codes])
+    words = [_unrank_rows(code, info[:, a:b]) for code, a, b in zip(codes, ends, ends[1:])]
+    d = _prefix_decimals(info[:, ends[-1] :].reshape(len(info), config.n, -1), m)
+    served, overflow = _serve_requests(src_table[d], [code.n for code in codes])
     word_bits = np.empty(d.shape, dtype=np.uint8)
     for i, word in enumerate(words):
         mask = served == i
-        slots = np.count_nonzero(mask, axis=1)
-        if (slots != word.shape[1]).any():
-            bad = slots[slots != word.shape[1]][0]
-            raise IntegrityError(f"reservoir {i} served {bad} bits, holds {word.shape[1]}")
+        if (np.count_nonzero(mask, axis=1) != word.shape[1]).any():
+            raise IntegrityError(f"reservoir {i} served other than its {word.shape[1]} bits")
         word_bits[mask] = word.reshape(-1)  # row by row, chronological order
     return _assemble(m, d, (1 - word_bits) ^ flip_table[d]), overflow
 
@@ -322,15 +366,7 @@ def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
     served, _ = _serve_requests(src_table[d], [c.n for c in codes])
     matcher_bits = _matcher_bits(ranks, m, flip_table)
 
-    chunks = []
-    for i, code in enumerate(codes):
-        word = matcher_bits[np.flatnonzero(served == i)]
-        weight = int(word.sum())
-        if weight != code.w:
-            raise IntegrityError(
-                f"reservoir {i} reassembled with weight {weight}, expected {code.w}"
-            )
-        chunks.append(dm_decode(word, code))
+    chunks = [dm_decode(matcher_bits[np.flatnonzero(served == i)], c) for i, c in enumerate(codes)]
     chunks.append(_prefix_bits(d, m).reshape(-1))
     return np.concatenate(chunks)
 

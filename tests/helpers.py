@@ -5,12 +5,13 @@ library: trapezoid integration instead of Gauss-Hermite quadrature, an
 iterative Pascal recurrence instead of math.comb, exact rationals for the
 overflow expectation, brute-force enumeration for ranking order, a
 Pascal-table walk and a math.comb scan for unranking, a per-request
-loop for the reservoir switch, per-source masks over rng.random doubles
-and prefix words read bit by bit for the ideal encoder, a block-by-block
-loop with a dense joint histogram for the Monte Carlo harness, a
-block-by-block loop with per-source masks for the measured source
-frequencies, and the full M x (2M - 1) Toeplitz band for the quadrature
-MI.
+loop for the reservoir switch, the scan and the loop over info bits read
+bit by bit for the block-dm encoder, per-source masks over rng.random
+doubles and prefix words read bit by bit for the ideal encoder, a
+block-by-block loop with a dense joint histogram for the Monte Carlo
+harness, a block-by-block loop with per-source masks for the measured
+source frequencies, and the full M x (2M - 1) Toeplitz band for the
+quadrature MI.
 """
 
 from __future__ import annotations
@@ -258,14 +259,30 @@ def mask_encode_ideal(config) -> np.ndarray:
 
 def next_block(config, rng) -> tuple[np.ndarray, int]:
     """Symbols and overflow count of the next block of either mode drawn
-    from rng on its own: block-dm encodes one row of info bits, ideal
-    sources are masked as by mask_ideal_row."""
-    from signshape.shaper import _uniform_info, encode_block_dm
-
+    from rng on its own. Ideal sources are masked as by mask_ideal_row. A
+    block-dm block reads ceil(L / 64) raw words bit by bit as its L info
+    bits: each matcher's k bits, least significant first, are its index for
+    comb_greedy_unrank, and the rest are n rows of m - 1 prefix bits. The
+    switch is loop_serve_requests, and each slot takes the next bit of the
+    word that serves it."""
     if config.mode == "ideal-sources":
         return mask_ideal_row(config, rng), 0
-    block = encode_block_dm(config, _uniform_info(rng, config, 1)[0])
-    return block.symbols, block.overflow_count
+    m, n, codes = config.profile.m, config.n, config.dm_codes
+    M = 1 << m
+    length = sum(code.k for code in codes) + (m - 1) * n
+    words = rng.bit_generator.random_raw(-(-length // 64))
+    stream = [(int(w) >> j) & 1 for w in words for j in range(64)][:length]
+    reservoirs = []
+    for code in codes:
+        bits, stream = stream[: code.k], stream[code.k :]
+        index = sum(bit << j for j, bit in enumerate(bits))
+        reservoirs.append(iter(comb_greedy_unrank(index, code.n, code.w).tolist()))
+    d = np.array(stream, dtype=np.int64).reshape(n, m - 1) @ (1 << np.arange(m - 1))
+    flip = d >= M // 4
+    src = np.where(flip, M // 2 - 1 - d, d) // (M // (4 * len(codes)))
+    served, overflow = loop_serve_requests(src, [code.n for code in codes])
+    source_bits = np.array([1 - next(reservoirs[s]) for s in served], dtype=np.int64)
+    return 2 * (d + ((source_bits ^ flip) << (m - 1))) - (M - 1), overflow
 
 
 def loop_source_frequencies(config, num_blocks: int, seed: int):

@@ -86,3 +86,10 @@ class TestLossBudget:
     def test_rejects_odd_n(self):
         with pytest.raises(ParameterError, match="even"):
             loss_budget(5, 0.04, 0.24, 2047, 17.0)
+
+    @pytest.mark.parametrize("m, snr_db", [(3, 30.0), (5, 40.0)])
+    def test_saturated_mi_refused(self, m, snr_db):
+        # the MI curve no longer rises at the operating point, so the matcher
+        # loss has no dB value; (3, 30 dB) raised IndexError
+        with pytest.raises(ParameterError, match="saturated"):
+            loss_budget(m, 0.04, 0.24, 2048, snr_db)

@@ -89,6 +89,18 @@ class TestExitCodes:
         # both used to die in np.arange with a traceback (exit 1)
         assert main(["--out-dir", str(tmp_path), *command, value]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["budget", "--m", "3", "--p1", "0.04", "--p2", "0.24", "--n", "2048", "--snr", "30"],
+        ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "2048", "--snr", "40"],
+        ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "2048", "--snr", "-400"],
+        ["dm", "rate-loss", "--n", "64", "--p", "0.2", "--ref-rate", "1e-12"],
+    ], ids=["budget-8-ask-30db", "budget-32-ask-40db", "budget-minus-400db", "rate-loss-tiny-rate"])
+    def test_flat_mi_curve_is_2(self, tmp_path, capsys, command):
+        # where MI no longer rises the matcher loss has no dB value; the
+        # first and third exited 1 with an IndexError
+        assert main(["--out-dir", str(tmp_path), *command]) == 2
+        assert "saturated" in capsys.readouterr().err
+
     def test_mi_memory_cap_is_2(self, tmp_path, capsys):
         # at 20 dB the uniform start's noise puts 4096-ASK's symbols 0.008
         # noise standard deviations apart: every offset is in the window,

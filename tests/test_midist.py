@@ -441,6 +441,18 @@ class TestMiCurve:
         with pytest.raises(ParameterError):
             curve.snr_at_rate(2.99)
 
+    @pytest.mark.parametrize("mi, rate", [
+        ((0.5, 0.5, 0.5), 0.5),
+        ((0.2, 0.5, 0.5 + 5e-13), 0.5 + 5e-13),
+    ], ids=["flat", "flat-tail"])
+    def test_no_rise_at_the_rate_refused(self, mi, rate):
+        # a flat curve kept one sample, and _pchip indexed an empty slope array
+        curve = MiCurve(snr_db=(0.0, 1.0, 2.0), mi_bpcu=mi)
+        with pytest.raises(ParameterError, match="saturated"):
+            curve.snr_at_rate(rate)
+        with pytest.raises(ParameterError, match="saturated"):
+            rate_loss_to_db(0.01, curve, rate)
+
     def test_requires_increasing_snr(self):
         with pytest.raises(ParameterError):
             MiCurve(snr_db=(1.0, 1.0), mi_bpcu=(0.5, 0.5))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,15 +29,19 @@ from signshape import (
     switch_energy_loss,
     switch_excess_expectation,
 )
+from signshape import shaper
 from signshape.cli import main
+from signshape.enumdm import dm_code, unrank
 from signshape.shaper import (
     _CHUNK_SYMBOLS,
+    _TABLE_CAP,
     _assemble,
     _block_chunks,
     _encode_dm_rows,
     _serve_requests,
     _split_symbols,
     _uniform_info,
+    _unrank_rows,
 )
 
 from helpers import (
@@ -174,6 +179,80 @@ class TestServeRequests:
         requests = np.array([0, 0, 1, 1], dtype=np.int64)
         with pytest.raises(IntegrityError):
             _serve_requests(requests, [1, 2])
+
+    @pytest.mark.parametrize("capacities", [[3, 3], [2, 4], [0, 6], [6, 0]])
+    def test_two_source_rows_match_loop(self, capacities):
+        # every row of 6 requests in one batch: rows with no overflow, rows
+        # that overflow at slot 0 (an empty reservoir) and rows that ask
+        # one source only are all among them
+        rows = (np.arange(64)[:, None] >> np.arange(6)) & 1
+        served, overflow = _serve_requests(rows, capacities)
+        assert served.shape == rows.shape and overflow.shape == (64,)
+        first = []
+        for row, row_served, row_overflow in zip(rows, served, overflow):
+            want, want_overflow = loop_serve_requests(row, capacities)
+            np.testing.assert_array_equal(row_served, want)
+            assert row_overflow == want_overflow
+            first.append(int(np.argmax(row_served != row)) if row_overflow else None)
+        assert None in first
+        assert (0 in first) == (0 in capacities)
+
+    @pytest.mark.parametrize("P", [2, 3, 4, 8])
+    def test_batch_matches_rows(self, P):
+        # a batch is served as its rows are one at a time, and as the loop
+        rng = np.random.default_rng(P)
+        n = 12 * P
+        rows = rng.choice(P, size=(50, n), p=rng.dirichlet(np.ones(P)))
+        supply = rng.multinomial(n, rng.dirichlet(np.ones(P))).tolist()
+        served, overflow = _serve_requests(rows, supply)
+        for row, row_served, row_overflow in zip(rows, served, overflow):
+            one, one_overflow = _serve_requests(row, supply)
+            want, want_overflow = loop_serve_requests(row, supply)
+            np.testing.assert_array_equal(row_served, one)
+            np.testing.assert_array_equal(row_served, want)
+            assert row_overflow == one_overflow == want_overflow
+
+
+def _index_rows(code, indices) -> np.ndarray:
+    """The k info bits of each index, least significant first, one row each."""
+    return np.array(
+        [[(index >> j) & 1 for j in range(code.k)] for index in indices], dtype=np.uint8
+    ).reshape(len(indices), code.k)
+
+
+class TestTableUnrank:
+    """_unrank_rows gives the words of enumdm.unrank's walk, from a table
+    for codes of at most _TABLE_CAP = n (w + 1) entries, else by the walk."""
+
+    @pytest.mark.parametrize("n, w", [
+        (256, 31), (128, 63), (4096, 1), (8192, 0),
+        (8191, 0), (127, 63), (90, 89),
+        (2731, 2), (8193, 0), (4097, 1),
+        (90, 0), (90, 1), (90, 90), (1, 0), (1, 1), (2, 1),
+    ])
+    def test_words_match_the_walk(self, monkeypatch, n, w):
+        # at the cap, just under it, one entry over it (those take the
+        # walk), and w in {0, 1, n - 1, n}
+        code = dm_code(n, w)
+        draw = random.Random(n * (n + 1) + w).getrandbits
+        indices = [0, (1 << code.k) - 1] + [draw(code.k) for _ in range(6)]
+        walks, walk = [], shaper.dm_encode
+        monkeypatch.setattr(shaper, "dm_encode", lambda bits, c: walks.append(c) or walk(bits, c))
+        words = _unrank_rows(code, _index_rows(code, indices))
+        assert len(walks) == (len(indices) if n * (w + 1) > _TABLE_CAP else 0)
+        assert words.shape == (len(indices), n) and words.dtype == np.uint8
+        for index, word in zip(indices, words):
+            np.testing.assert_array_equal(word, unrank(index, code))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_codes_match_the_walk(self, data):
+        n = data.draw(st.integers(1, 600), label="n")
+        code = dm_code(n, data.draw(st.integers(0, n), label="w"))
+        indices = data.draw(st.lists(st.integers(0, (1 << code.k) - 1), min_size=1, max_size=5))
+        words = _unrank_rows(code, _index_rows(code, indices))
+        for index, word in zip(indices, words):
+            np.testing.assert_array_equal(word, unrank(index, code))
 
 
 class TestIdealEncoding:

@@ -138,12 +138,9 @@ def test_benchmark_names_resolve(monkeypatch):
 def test_matcher_calls_keep_the_tracer_contract(monkeypatch):
     # perfbench's tracer captures every matcher word by rebinding
     # shaper.dm_encode, reads (bits, code) from its positional args and
-    # replays each bits array as one 1-D row through unrank_counted
-    config = SimConfig(
-        shaper=ShaperConfig(profile=ShapingProfile(m=4, probs=(0.05, 0.15, 0.3, 0.45)), n=256),
-        noise_std=1.0,
-        num_blocks=40,
-    )
+    # replays each bits array as one 1-D row through unrank_counted. Only
+    # codes over the table cap make those calls: n = 8192's length-4096
+    # matchers do, n = 256's unrank from a table and make none.
     calls = []
     real = shaper.dm_encode
 
@@ -152,6 +149,18 @@ def test_matcher_calls_keep_the_tracer_contract(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(shaper, "dm_encode", recording)
+    short = SimConfig(
+        shaper=ShaperConfig(profile=ShapingProfile(m=4, probs=(0.05, 0.15, 0.3, 0.45)), n=256),
+        noise_std=1.0,
+        num_blocks=40,
+    )
+    simulate.run(short)
+    assert calls == []
+    config = SimConfig(
+        shaper=ShaperConfig(profile=ShapingProfile(m=5, probs=(0.04, 0.24)), n=8192),
+        noise_std=1.0,
+        num_blocks=3,
+    )
     simulate.run(config)
     codes = config.shaper.dm_codes
     assert len(calls) == config.num_blocks * len(codes)
@@ -160,7 +169,7 @@ def test_matcher_calls_keep_the_tracer_contract(monkeypatch):
         bits, code = args
         assert isinstance(code, DmCode)
         assert isinstance(bits, np.ndarray) and bits.shape == (code.k,)
-    assert Counter(codes.index(args[1]) for args, _ in calls) == {i: 40 for i in range(4)}
+    assert Counter(codes.index(args[1]) for args, _ in calls) == {i: 3 for i in range(2)}
 
 
 def _run_child(code: str) -> str:

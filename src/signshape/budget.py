@@ -19,7 +19,7 @@ import numpy as np
 from .constellation import ShapingProfile
 from .enumdm import rate_loss
 from .errors import ParameterError
-from .midist import mi_curve_for_profile, rate_loss_to_db
+from .midist import _capacity_snr_db, mi_curve_for_profile, rate_loss_to_db
 from .shaper import switch_energy_loss
 
 __all__ = ["BudgetReport", "loss_budget"]
@@ -56,8 +56,7 @@ def loss_budget(m: int, p1: float, p2: float, n: int, snr_db: float) -> BudgetRe
     )
     curve = mi_curve_for_profile(profile, grid)
     rate = curve.rate_at_snr(snr_db)
-    capacity_snr_db = 10.0 * math.log10(2.0 ** (2.0 * rate) - 1.0)
-    quantization_db = snr_db - capacity_snr_db
+    quantization_db = snr_db - _capacity_snr_db(rate)
     mean_loss = (rate_loss(n // 2, p1) + rate_loss(n // 2, p2)) / 2.0
     matcher_db = rate_loss_to_db(mean_loss, curve, rate)
     switch_db = switch_energy_loss(profile, n)

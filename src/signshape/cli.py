@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: optimize, dm {roundtrip, rate-loss, bench},
+Subcommands: optimize, dm {roundtrip, rate-loss},
 shape {encode, decode, analyze-switch}, simulate, budget.
 
 Every run writes its outputs into --out-dir, made at the first write so a
@@ -13,10 +13,10 @@ command's only result file is written whatever the flags. A --config file
 explicit flags override. Its values are parsed and checked as the flags
 would be, and a key that is no flag of the subcommand exits 2. Matchers
 are at most 2^16 symbols long, so dm rate-loss takes n <= 2^16 and budget
-n <= 2^17; switch analysis takes n <= 2^20. dm roundtrip, dm bench and one
-simulate SNR point take at most 2^27 symbols of work, a word or block
-counting as at least 32. Exit codes: 0 success, 2 usage or parameter
-problems, 3 integrity failures, 4 numerical failures.
+n <= 2^17; switch analysis takes n <= 2^20. dm roundtrip, which also counts
+its unranking probes, and one simulate SNR point take at most 2^27 symbols
+of work, a word or block counting as at least 32. Exit codes: 0 success,
+2 usage or parameter problems, 3 integrity failures, 4 numerical failures.
 """
 
 from __future__ import annotations
@@ -26,34 +26,25 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import random
 import sys
 import time
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from . import __version__
 from .budget import loss_budget
 from .constellation import ShapingProfile, induced_distribution
-from .enumdm import (
-    DmCode,
-    dm_code,
-    rank,
-    rate_loss,
-    unrank,
-    unrank_counted,
-    weight_for,
-)
+from .enumdm import dm_code, rank, rate_loss, unrank_counted, weight_for
 from .errors import (
     IntegrityError,
     NumericalError,
     ParameterError,
 )
 from .midist import (
+    _capacity_snr_db,
     _warm_sweep,
     mi_curve_for_profile,
     rate_loss_to_db,
@@ -142,7 +133,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ParameterError(f"missing required option(s): {flags}")
 
 
-# Most symbols one `dm roundtrip` or `dm bench` (--samples or C(n, w) words of n) or one
+# Most symbols one `dm roundtrip` (--samples or C(n, w) words of n) or one
 # `simulate` SNR point (--blocks x n) may work through, a word or block counting as at least
 # _MIN_ITEM_COST: its fixed 13-25 us costs as much as 32 symbols at the 0.5-1.5 us per symbol
 # these commands take on one x86-64 core. That is 1-3 minutes (17 for n = 2^16 at p = 1/2).
@@ -178,19 +169,6 @@ def _shaper_from_args(args: argparse.Namespace) -> ShaperConfig:
     return ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
 
 
-def _words_from_args(args: argparse.Namespace) -> tuple[DmCode, int, Iterable[int]]:
-    """The matcher --n --w --p describe, and how many and which word indices to check once
-    they passed the work cap: all, or --samples lazy draws from random.Random(--seed)."""
-    _require(args, "n")
-    code = dm_code(args.n, args.w if args.w is not None else weight_for(args.n, args.p))
-    if getattr(args, "exhaustive", False):
-        _require_work("exhaustive", code.num_words, code.n)
-        return code, code.num_words, range(code.num_words)
-    _require_work("samples", args.samples, code.n)
-    rng = random.Random(args.seed)  # randrange takes C(n, w) of any size
-    return code, args.samples, (rng.randrange(code.num_words) for _ in range(args.samples))
-
-
 def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "m", "P")
     key, grid = _noise_grid(args)
@@ -221,15 +199,29 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
-    code, count, indices = _words_from_args(args)
+    _require(args, "n")
+    code = dm_code(args.n, args.w if args.w is not None else weight_for(args.n, args.p))
+    # every word index, or --samples lazy draws from random.Random(--seed)
+    if args.exhaustive:
+        _require_work("exhaustive", code.num_words, code.n)
+        count, indices = code.num_words, range(code.num_words)
+    else:
+        _require_work("samples", args.samples, code.n)
+        rng = random.Random(args.seed)  # randrange takes C(n, w) of any size
+        count = args.samples
+        indices = (rng.randrange(code.num_words) for _ in range(count))
+    total_comparisons = max_comparisons = 0
     # rank refuses a word of the wrong weight (IntegrityError, exit 3); an
     # index may have more digits than str() converts, so give its size
     for index in indices:
-        if rank(unrank(index, code), code) != index:
+        word, comparisons = unrank_counted(index, code)
+        if rank(word, code) != index:
             raise IntegrityError(
                 f"rank(unrank(i)) != i for a {index.bit_length()}-bit index i "
                 f"at (n, w) = ({code.n}, {code.w})"
             )
+        total_comparisons += comparisons
+        max_comparisons = max(max_comparisons, comparisons)
     payload = {
         "n": code.n,
         "w": code.w,
@@ -237,9 +229,15 @@ def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
         "checked": count,
         "exhaustive": bool(args.exhaustive),
         "ok": True,
+        "mean_comparisons_per_bit": total_comparisons / (count * code.n),
+        "max_comparisons_per_bit": max_comparisons / code.n,
     }
     run.emit("dm-roundtrip.json", payload)
-    print(f"roundtrip ok: n={code.n} w={code.w} k={code.k} checked={count}")
+    print(
+        f"roundtrip ok: n={code.n} w={code.w} k={code.k} checked={count}, "
+        f"mean {payload['mean_comparisons_per_bit']:.4f} "
+        f"max {payload['max_comparisons_per_bit']:.4f} comparisons/bit"
+    )
 
 
 def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
@@ -248,7 +246,7 @@ def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
     if not 0 < args.ref_rate < args.ref_m:
         raise ParameterError(f"--ref-rate must lie in (0, --ref-m), got {args.ref_rate}")
     # center the reference curve's window on the capacity SNR for the operating rate
-    center = 10.0 * math.log10(2.0 ** (2.0 * args.ref_rate) - 1.0)
+    center = _capacity_snr_db(args.ref_rate)
     grid = np.arange(center - 3.0, center + 3.0 + 1e-9, 0.25)
     curve = mi_curve_for_profile(profile, grid)
     rows = []
@@ -263,30 +261,6 @@ def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
         "dm-rate-loss.json",
         [dict(zip(header, row)) for row in rows],
         csv=("dm-rate-loss.csv", header, rows),
-    )
-
-
-def _cmd_dm_bench(args: argparse.Namespace, run: _Run) -> None:
-    code, count, indices = _words_from_args(args)
-    total_comparisons = 0
-    max_comparisons = 0
-    for index in indices:
-        _, comparisons = unrank_counted(index, code)
-        total_comparisons += comparisons
-        max_comparisons = max(max_comparisons, comparisons)
-    mean_per_bit = total_comparisons / (count * code.n)
-    payload = {
-        "n": code.n,
-        "w": code.w,
-        "k": code.k,
-        "samples": args.samples,
-        "mean_comparisons_per_bit": mean_per_bit,
-        "max_comparisons_per_bit": max_comparisons / code.n,
-    }
-    run.emit("dm-bench.json", payload)
-    print(
-        f"bench: n={code.n} w={code.w} mean {mean_per_bit:.4f} "
-        f"max {payload['max_comparisons_per_bit']:.4f} comparisons/bit"
     )
 
 
@@ -432,7 +406,7 @@ def _common_parent(real_defaults: bool) -> argparse.ArgumentParser:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The top parser and the parsers of its nine leaf subcommands."""
+    """The top parser and the parsers of its eight leaf subcommands."""
     common = _common_parent(real_defaults=False)
     top = argparse.ArgumentParser(
         prog="signshape",
@@ -461,10 +435,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     grid = noise.add_mutually_exclusive_group()
     grid.add_argument("--snr", type=float, nargs="+", help="SNR grid in dB")
     grid.add_argument("--sigma", type=float, nargs="+", help="noise std grid")
-    matcher = argparse.ArgumentParser(add_help=False)
-    matcher.add_argument("--n", type=int)
-    matcher.add_argument("--w", type=int, default=None)
-    matcher.add_argument("--p", type=float, default=0.5)
 
     opt = leaf(sub, "optimize", _cmd_optimize, "optimize shaping profiles over SNR", [noise])
     opt.add_argument("--m", type=int)
@@ -473,7 +443,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     dm = sub.add_parser("dm", help="fixed-weight matcher tools")
     dm_sub = dm.add_subparsers(dest="dm_command", required=True)
 
-    rt = leaf(dm_sub, "roundtrip", _cmd_dm_roundtrip, "verify rank/unrank bijectivity", [matcher])
+    rt = leaf(dm_sub, "roundtrip", _cmd_dm_roundtrip, "check rank/unrank, count probes")
+    rt.add_argument("--n", type=int)
+    rt.add_argument("--w", type=int, default=None)
+    rt.add_argument("--p", type=float, default=0.5)
     rt.add_argument("--exhaustive", action="store_true")
     rt.add_argument("--samples", type=int, default=10000)
 
@@ -483,9 +456,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     rl.add_argument("--ref-m", type=int, default=5)
     rl.add_argument("--ref-probs", type=float, nargs="+", default=[0.04, 0.24])
     rl.add_argument("--ref-rate", type=float, default=3.0)
-
-    bench = leaf(dm_sub, "bench", _cmd_dm_bench, "measure unranking comparisons", [matcher])
-    bench.add_argument("--samples", type=int, default=1000)
 
     shape = sub.add_parser("shape", help="encode, decode, and switch analysis")
     shape_sub = shape.add_subparsers(dest="shape_command", required=True)

@@ -111,6 +111,12 @@ def snr_db_for(energy: float, noise_std: float) -> float:
     return 10.0 * math.log10(energy) - 20.0 * math.log10(noise_std)
 
 
+def _capacity_snr_db(rate: float) -> float:
+    """The SNR at which the Gaussian-input capacity 1/2 log2(1 + SNR) is rate > 0;
+    expm1 keeps 2^(2 rate) - 1 positive where 2^(2 rate) rounds to 1."""
+    return 10.0 * math.log10(math.expm1(2.0 * rate * math.log(2.0)))
+
+
 def awgn_mi(
     x: Sequence[float],
     pmf: Sequence[float],
@@ -482,13 +488,20 @@ def rate_loss_to_db(
 
     The slope dR/dSNR is a central difference over +-0.25 dB around the
     SNR where the curve reaches operating_rate. A negative loss, a rate gain,
-    converts the same way to negative dB; NaN and +-inf raise ParameterError.
+    converts the same way to negative dB; NaN and +-inf raise ParameterError,
+    as does a loss of at least operating_rate (MI vanished, far below 0 dB)
+    where the curve still rises.
     """
     if not math.isfinite(rate_loss_bpcu):
         raise ParameterError(f"rate loss must be finite, got {rate_loss_bpcu}")
     if rate_loss_bpcu == 0.0:
         return 0.0
-    snr = reference_curve.snr_at_rate(operating_rate)
+    snr = reference_curve.snr_at_rate(operating_rate)  # first, to name a flat curve
+    if rate_loss_bpcu >= operating_rate:
+        raise ParameterError(
+            f"rate loss {rate_loss_bpcu:.3g} bpcu is at least the operating rate "
+            f"{operating_rate:.3g} bpcu"
+        )
     lo = reference_curve.rate_at_snr(snr - _SLOPE_HALF_STEP_DB)
     hi = reference_curve.rate_at_snr(snr + _SLOPE_HALF_STEP_DB)
     slope = (hi - lo) / (2.0 * _SLOPE_HALF_STEP_DB)

@@ -87,6 +87,12 @@ class TestLossBudget:
         with pytest.raises(ParameterError, match="even"):
             loss_budget(5, 0.04, 0.24, 2047, 17.0)
 
+    def test_matcher_loss_of_the_whole_rate_refused(self):
+        # at -100 dB the rate is 7e-11 bpcu and the mean matcher loss 0.0045:
+        # the matcher term read 271143460 dB
+        with pytest.raises(ParameterError, match="operating rate"):
+            loss_budget(5, 0.04, 0.24, 2048, -100.0)
+
     @pytest.mark.parametrize("m, snr_db", [(3, 30.0), (5, 40.0)])
     def test_saturated_mi_refused(self, m, snr_db):
         # the MI curve no longer rises at the operating point, so the matcher

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -24,8 +26,10 @@ from signshape import (
     switch_energy_loss,
 )
 from signshape.cli import _MAX_WORK, main
-from signshape.enumdm import MAX_MATCHER_LENGTH
+from signshape.enumdm import MAX_MATCHER_LENGTH, unrank_counted, weight_for
 from signshape.shaper import _uniform_info
+
+from helpers import pascal_unrank_counted
 
 
 def read_json(path):
@@ -101,6 +105,21 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path), *command]) == 2
         assert "saturated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, message", [
+        (["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "2048", "--snr", "-100"],
+         "operating rate"),
+        (["dm", "rate-loss", "--n", "800", "--p", "0.14", "--ref-rate", "1e-6"],
+         "operating rate"),
+        (["dm", "rate-loss", "--n", "800", "--p", "0.14", "--ref-rate", "1e-20"], "saturated"),
+    ], ids=["budget-minus-100db", "rate-loss-rate-1e-6", "rate-loss-rate-1e-20"])
+    def test_near_zero_operating_rate_is_2(self, tmp_path, capsys, command, message):
+        # the first two reported 271143460 dB and 29250 dB (exit 0); at rate
+        # 1e-20, 2^(2 rate) - 1 rounded to 0 and log10 raised (exit 1)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *command]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mi_memory_cap_is_2(self, tmp_path, capsys):
         # at 20 dB the uniform start's noise puts 4096-ASK's symbols 0.008
         # noise standard deviations apart: every offset is in the window,
@@ -142,22 +161,22 @@ class TestExitCodes:
         assert "int64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, p", [
-        ("bench", "nan"),  # used to exit 1 on ValueError
+        ("roundtrip", "nan"),  # used to exit 1 on ValueError
         ("roundtrip", "inf"),  # used to exit 1 on OverflowError
         ("roundtrip", "-0.1"),
-        ("bench", "1.5"),
+        ("rate-loss", "1.5"),
     ])
     def test_density_outside_unit_interval_is_2(self, tmp_path, capsys, command, p):
         code = main(["--out-dir", str(tmp_path), "dm", command, "--n", "64", "--p", p])
         assert code == 2
         assert "[0, 1]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, samples", [
-        ("bench", "0"),  # used to divide by zero (exit 1)
-        ("roundtrip", "-1"),  # used to exit 0 reporting checked=-1
-    ])
-    def test_samples_below_one_is_2(self, tmp_path, capsys, command, samples):
-        code = main(["--out-dir", str(tmp_path), "dm", command, "--n", "64",
+    @pytest.mark.parametrize("samples", [
+        "0",  # used to divide by zero (exit 1)
+        "-1",  # used to exit 0 reporting checked=-1
+    ], ids=["roundtrip-0", "roundtrip--1"])
+    def test_samples_below_one_is_2(self, tmp_path, capsys, samples):
+        code = main(["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "64",
                      "--samples", samples])
         assert code == 2
         assert "--samples" in capsys.readouterr().err
@@ -165,10 +184,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         (["dm", "roundtrip", "--n", "8192"], "--samples"),
-        (["dm", "bench", "--n", "8192"], "--samples"),
         (["simulate", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
           "--n", "8192", "--sigma", "0.5"], "--blocks"),
-    ], ids=["roundtrip-samples", "bench-samples", "simulate-blocks"])
+    ], ids=["roundtrip-samples", "simulate-blocks"])
     def test_work_above_cap_is_2(self, tmp_path, capsys, command, flag):
         count = str(_MAX_WORK // 8192 + 1)
         assert main(["--out-dir", str(tmp_path), *command, flag, count]) == 2
@@ -186,13 +204,10 @@ class TestExitCodes:
         assert "--exhaustive" in err
         assert "--samples" not in err
 
-    @pytest.mark.parametrize("command", ["roundtrip", "bench"])
-    def test_work_cap_charges_32_symbols_a_word_at_small_n(
-        self, tmp_path, capsys, monkeypatch, command
-    ):
+    def test_work_cap_charges_32_symbols_a_word_at_small_n(self, tmp_path, capsys, monkeypatch):
         # at n = 1 a word's fixed cost dominates: 2^27 words ran for half an
         # hour, and roundtrip built a 1 GiB list of their indices first
-        argv = ["--out-dir", str(tmp_path), "dm", command, "--n", "1", "--samples"]
+        argv = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "1", "--samples"]
         started = time.monotonic()
         for samples in (1 << 27, _MAX_WORK // cli._MIN_ITEM_COST + 1):
             assert main([*argv, str(samples)]) == 2
@@ -212,8 +227,8 @@ class TestExitCodes:
          "--P 3"),
         (["shape", "encode", "--m", "3", "--P", "2", "--probs", "0.04", "0.24", "--n", "64",
           "--info-file", "{blank}"], "no 0/1"),
-        (["--config", "{missing}", "dm", "bench", "--n", "8"], "cannot read config"),
-        (["--config", "{garbled}", "dm", "bench", "--n", "8"], "cannot read config"),
+        (["--config", "{missing}", "dm", "roundtrip", "--n", "8"], "cannot read config"),
+        (["--config", "{garbled}", "dm", "roundtrip", "--n", "8"], "cannot read config"),
     ], ids=["no-noise-grid", "P-not-len-probs", "info-without-bits", "config-missing",
             "config-not-json"])
     def test_refused_arguments_are_2(self, tmp_path, capsys, argv, message):
@@ -344,6 +359,9 @@ class TestDmCommands:
         payload = read_json(tmp_path / "dm-roundtrip.json")
         assert payload["ok"] is True
         assert payload["checked"] == 120
+        counts = [pascal_unrank_counted(i, 10, 3)[1] for i in range(120)]
+        assert payload["mean_comparisons_per_bit"] == sum(counts) / (120 * 10)
+        assert payload["max_comparisons_per_bit"] == max(counts) / 10
         manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
         assert manifest["command"] == "dm-roundtrip"
         assert str(tmp_path / "dm-roundtrip.json") in manifest["outputs"]
@@ -373,12 +391,24 @@ class TestDmCommands:
         assert code == 0
         assert peak_mb < 50
 
-    def test_bench(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "dm", "bench",
+    def test_roundtrip_counts_probes_of_its_draws(self, tmp_path):
+        assert main(["--out-dir", str(tmp_path), "--seed", "7", "dm", "roundtrip",
                      "--n", "256", "--p", "0.1", "--samples", "50"]) == 0
-        payload = read_json(tmp_path / "dm-bench.json")
+        payload = read_json(tmp_path / "dm-roundtrip.json")
+        code = dm_code(256, weight_for(256, 0.1))
+        rng = random.Random(7)
+        counts = [unrank_counted(rng.randrange(math.comb(256, code.w)), code)[1]
+                  for _ in range(50)]
         mean, worst = payload["mean_comparisons_per_bit"], payload["max_comparisons_per_bit"]
+        assert mean == sum(counts) / (50 * 256)
+        assert worst == max(counts) / 256
         assert 0 < mean <= worst <= 1
+
+    def test_bench_is_gone(self, tmp_path):
+        # dm roundtrip reports the probe counts dm bench wrote to dm-bench.json
+        out = tmp_path / "out"
+        assert exit_code(["--out-dir", str(out), "dm", "bench", "--n", "64"]) == 2
+        assert not out.exists()
 
 
 class TestShapeCommands:
@@ -590,9 +620,9 @@ class TestConfigMerge:
 
 class TestManifest:
     def test_manifest_fields(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "dm", "bench", "--n", "64",
+        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "64",
                      "--p", "0.1", "--samples", "10"]) == 0
-        manifest = read_json(tmp_path / "dm-bench-manifest.json")
+        manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
         assert set(manifest) == {
             "command", "argv", "params", "seed", "version", "outputs",
             "duration_s",
@@ -609,12 +639,11 @@ def exit_code(argv):
         return exc.code
 
 
-# a quick run of each of the nine subcommands, keyed by its manifest name
+# a quick run of each of the eight subcommands, keyed by its manifest name
 SUBCOMMANDS = {
     "optimize": ["optimize", "--m", "3", "--P", "1", "--snr", "8"],
     "dm-roundtrip": ["dm", "roundtrip", "--n", "16", "--w", "4", "--samples", "5"],
     "dm-rate-loss": ["dm", "rate-loss", "--n", "64", "--p", "0.2"],
-    "dm-bench": ["dm", "bench", "--n", "64", "--samples", "5"],
     "shape-encode": ["shape", "encode", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
                      "--n", "64"],
     "shape-decode": ["shape", "decode", "--block", "{block}"],
@@ -646,7 +675,7 @@ class TestRunLifecycle:
     @pytest.mark.parametrize("flags", [["--csv"], ["--json"]], ids=["csv", "json"])
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_every_subcommand_keeps_a_result(self, tmp_path, block_file, name, flags):
-        # with --csv, budget, dm roundtrip, dm bench and a single-point
+        # with --csv, budget, dm roundtrip and a single-point
         # simulate used to write only their manifest
         out = tmp_path / "out"
         argv = [arg.format(block=block_file) for arg in SUBCOMMANDS[name]]
@@ -681,7 +710,7 @@ class TestRunLifecycle:
 
     @pytest.mark.parametrize("command", [
         ["shape", "decode", "--block", "missing.json"],
-        ["dm", "bench", "--n", "64", "--samples", "0"],
+        ["dm", "roundtrip", "--n", "64", "--samples", "0"],
     ], ids=["missing-block", "no-samples"])
     def test_refused_run_creates_no_out_dir(self, tmp_path, command):
         out = tmp_path / "not" / "yet"
@@ -742,11 +771,11 @@ class TestConfigParsedLikeFlags:
         ({"n": [64, 128]}, ["dm", "roundtrip"]),
         ({"mode": "bogus"}, ["simulate", "--m", "3", "--P", "1", "--probs", "0.2",
                              "--n", "64", "--snr", "10"]),
-        ({"sampels": 5}, ["dm", "bench", "--n", "64"]),  # used to run 1000 samples
-        ({"block": "x.json"}, ["dm", "bench", "--n", "64"]),  # a flag of another command
-        ({"samples": "many"}, ["dm", "bench", "--n", "64"]),
+        ({"sampels": 5}, ["dm", "roundtrip", "--n", "64"]),  # used to run the default samples
+        ({"block": "x.json"}, ["dm", "roundtrip", "--n", "64"]),  # a flag of another command
+        ({"samples": "many"}, ["dm", "roundtrip", "--n", "64"]),
         ({"exhaustive": "yes"}, ["dm", "roundtrip", "--n", "10", "--w", "3"]),
-        ({"seed": 1.5}, ["dm", "bench", "--n", "64"]),
+        ({"seed": 1.5}, ["dm", "roundtrip", "--n", "64"]),
     ], ids=["list-for-scalar", "bad-choice", "unknown-key", "foreign-key", "bad-int",
             "bad-switch", "float-seed"])
     def test_bad_value_is_2(self, tmp_path, config, command):

@@ -31,7 +31,7 @@ from signshape import (
 )
 from signshape import midist
 from signshape.constellation import induced_pmf
-from signshape.midist import _pchip
+from signshape.midist import _capacity_snr_db, _pchip
 
 from helpers import full_band_awgn_mi, full_band_exp_table, trapezoid_mi
 
@@ -76,6 +76,13 @@ class TestChannelSpec:
         # energy / sigma^2 overflowed to inf here, and divided by 0 at 1e-300
         assert snr_db_for(1.0, 1e-160) == pytest.approx(3200)
         assert snr_db_for(1.0, 1e-300) == pytest.approx(6000)
+
+    def test_capacity_snr(self):
+        # 10 log10(2^(2r) - 1) as budget and dm rate-loss wrote it; at
+        # r = 1e-20, 2^(2r) rounds to 1 and that form took log10(0)
+        for rate in (0.5, 3.0, 4.5):
+            assert _capacity_snr_db(rate) == 10.0 * math.log10(2.0 ** (2.0 * rate) - 1.0)
+        assert _capacity_snr_db(1e-20) == pytest.approx(10.0 * math.log10(2e-20 * math.log(2)))
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ParameterError):
@@ -766,6 +773,17 @@ class TestGapsAndSlope:
         curve = MiCurve(snr_db=(0.0, 1.0, 2.0, 3.0, 4.0), mi_bpcu=(0.0, 1.0, 1.0, 1.0, 1 + 2e-12))
         with pytest.raises(NumericalError, match="slope"):
             rate_loss_to_db(0.01, curve, 1 + 1e-12)
+
+    def test_rate_loss_to_db_refuses_a_loss_of_the_whole_rate(self):
+        # the slope there is about 2e-11 bpcu/dB: 0.0045 bpcu read as 3e8 dB
+        curve = mi_curve_for_profile(ShapingProfile(m=5, probs=(0.04, 0.24)),
+                                     np.arange(-102.0, -97.99, 0.25))
+        rate = curve.rate_at_snr(-100.0)
+        with pytest.raises(ParameterError, match=r"rate loss 0\.0045 bpcu .* rate 7\.21e-11 bpcu"):
+            rate_loss_to_db(0.0045, curve, rate)
+        with pytest.raises(ParameterError, match="operating rate"):
+            rate_loss_to_db(rate, curve, rate)
+        assert rate_loss_to_db(rate / 2, curve, rate) > 0
 
     def test_rate_loss_to_db_negative_is_a_gain(self):
         # rate_loss(64, 0.01) is -0.013: round(n p) overshoots n p

@@ -21,7 +21,7 @@ The decoder replays the same consumption state machine from the decoded
 prefix bits, so it needs no side channel. The replay construction (and its
 fallback bookkeeping) is this implementation's choice; only the encoder
 side rule is externally given. Symbols are read back only through
-`_split_symbols`, the checked inverse of `_assemble`.
+`_split_symbols`, the checked inverse of 2 `_assemble` - (M-1).
 
 Overflow perturbs the served bit statistics. For P = 2 the expected excess
 demand is eps(n) = (n/4) C(n, n/2) 2^-n, the effective densities are
@@ -129,7 +129,8 @@ def _prefix_decimals(prefix: np.ndarray, m: int) -> np.ndarray:
 
 def _prefix_bits(d: np.ndarray, m: int) -> np.ndarray:
     """The m-1 prefix bits of each d, least significant first, one row each."""
-    return ((d[:, None] >> np.arange(m - 1)) & 1).astype(np.uint8)
+    pairs = d.astype("<u2").view(np.uint8).reshape(-1, 2)  # d < 2^15: two bytes each
+    return np.unpackbits(pairs, axis=1, count=m - 1, bitorder="little")
 
 
 def _split_ranks(ranks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +139,7 @@ def _split_ranks(ranks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_symbols(symbols, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ranks, prefixes d and sign bits of 2^m-ASK symbols; inverts _assemble.
+    """Ranks, prefixes d and sign bits of 2^m-ASK symbols; inverts 2 _assemble - (M-1).
 
     Raises IntegrityError unless every value is an integer constellation
     point, i.e. an odd integer in [-(M-1), M-1].
@@ -191,9 +192,15 @@ def _serve_requests(
     else:
         served = rows.copy()
         for row, out in zip(rows, served):
+            counts = np.bincount(row, minlength=P)
+            over = (counts > capacities).nonzero()[0]
+            if not over.size:  # every reservoir holds just its own requests
+                continue
             turned = np.full(P, n)  # each source's first request its own reservoir turns away
-            for s in (np.bincount(row, minlength=P) > capacities).nonzero()[0]:
-                turned[s] = (row == s).nonzero()[0][capacities[s]]
+            # in a stable (radix) sort of the row, s's requests start at counts[:s].sum()
+            order = np.argsort(row.astype(np.min_scalar_type(P - 1)), kind="stable")
+            turned[over] = order[(np.cumsum(counts) - counts + capacities)[over]]
+            late = turned[row] <= np.arange(n)  # turned away by its own reservoir
             start = turned.min()
             done = np.bincount(row[:start], minlength=P)
             for k in range(P):
@@ -204,7 +211,7 @@ def _serve_requests(
                     out[start:] = k
                     break
                 tail = row[start:]
-                stream = start + ((tail <= k) | (turned[tail] <= np.arange(start, n))).nonzero()[0]
+                stream = start + ((tail <= k) | late[start:]).nonzero()[0]
                 out[stream[:left]] = k
                 if stream.size == left:
                     break
@@ -215,9 +222,8 @@ def _serve_requests(
 
 
 def _assemble(m: int, d: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
-    """Symbols 2r - (M-1) of rank r = d + sign * 2^(m-1), d the prefix value."""
-    ranks = d + (sign_bits.astype(np.int64) << (m - 1))
-    return 2 * ranks - ((1 << m) - 1)
+    """Ranks r = d + sign * 2^(m-1), d the prefix value; the symbol is 2r - (M-1)."""
+    return d + (sign_bits.astype(np.int64) << (m - 1))
 
 
 def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
@@ -225,13 +231,13 @@ def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
     stream seeded by config.rng_seed. The switch never overflows."""
     if config.mode != "ideal-sources":
         raise ParameterError(f"config mode is {config.mode!r}, not 'ideal-sources'")
-    symbols, _ = next(_block_chunks(config, config.rng_seed, 1))
-    return ShapedBlock(symbols=symbols[0], overflow_count=0)
+    ranks, _, _ = next(_block_chunks(config, config.rng_seed, 1))
+    return ShapedBlock(symbols=2 * ranks[0] - ((1 << config.profile.m) - 1), overflow_count=0)
 
 
-def _ideal_rows(config: ShaperConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Symbols (count, n) of count ideal-sources blocks, one raw draw of
-    n + ceil((m-1) n / 64) 64-bit words per row. A row's first n words are
+def _ideal_rows(config: ShaperConfig, rng: np.random.Generator, count: int) -> tuple:
+    """Ranks and matcher bits (count, n) of count ideal-sources blocks, one raw draw
+    of n + ceil((m-1) n / 64) 64-bit words per row. A row's first n words are
     the doubles rng.random would make of them, one per slot, its matcher bit
     1 where the double is below p of the source its prefix requests; the
     rest are its prefix bits, unpacked as by _uniform_info. The switch is
@@ -240,8 +246,9 @@ def _ideal_rows(config: ShaperConfig, rng: np.random.Generator, count: int) -> n
     src_table, flip_table = selection_tables(m, config.profile.num_distinct)
     raw = rng.bit_generator.random_raw((count, n + -(-(m - 1) * n // 64)))
     d = _prefix_decimals(_raw_bits(raw[:, n:], (m - 1) * n).reshape(count, n, m - 1), m)
-    word_bits = (raw[:, :n] >> 11) * 2.0**-53 < np.asarray(config.profile.probs)[src_table[d]]
-    return _assemble(m, d, (1 - word_bits) ^ flip_table[d])
+    bits = (raw[:, :n] >> 11) * 2.0**-53 < np.asarray(config.profile.probs)[src_table[d]]
+    bits = bits.view(np.uint8)
+    return _assemble(m, d, (1 - bits) ^ flip_table[d]), bits
 
 
 def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlock:
@@ -253,8 +260,8 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
     if config.mode != "block-dm":
         raise ParameterError(f"config mode is {config.mode!r}, not 'block-dm'")
     info = _bits(info_bits, config.info_length, "info")
-    symbols, overflow = _encode_dm_rows(config, info[None].astype(np.uint8, copy=False))
-    return ShapedBlock(symbols=symbols[0], overflow_count=int(overflow[0]))
+    ranks, _, overflow = _encode_dm_rows(config, info[None].astype(np.uint8, copy=False))
+    return ShapedBlock(2 * ranks[0] - ((1 << config.profile.m) - 1), int(overflow[0]))
 
 
 def _raw_bits(raw: np.ndarray, length: int) -> np.ndarray:
@@ -278,21 +285,33 @@ _TABLE_CAP = 1 << 13
 
 
 @lru_cache(maxsize=64)
-def _binomial_columns(n: int, w: int) -> tuple[list[int], ...]:
-    """The columns C(t, r), t < n, for r = w down to 1, built by ratios along t."""
-    # C(t, r) = C(t - 1, r) t / (t - r); at r = n one entry past t = n - 1, never bisected
-    return tuple(
-        [0] * r + list(accumulate(range(r + 1, n), lambda c, t: c * t // (t - r), initial=1))
-        for r in range(w, 0, -1)
+def _binomial_columns(code: DmCode) -> tuple:
+    """The columns C(t, r), t < n, for r = w down to 1, built by ratios along t: lists,
+    or int64 arrays clipped at C(n, w) < 2^63, which every remainder stays below."""
+    # C(t, r) = C(t - 1, r) t / (t - r); at r = n one entry past t = n - 1, never found
+    columns = tuple(
+        [0] * r + list(accumulate(range(r + 1, code.n), lambda c, t: c * t // (t - r), initial=1))
+        for r in range(code.w, 0, -1)
     )
+    if code.k >= 63:
+        return columns
+    return tuple(np.array([min(c, code.num_words) for c in column], np.int64) for column in columns)
 
 
 def _unrank_rows(code: DmCode, bits: np.ndarray) -> np.ndarray:
-    """Words (B, n) of code from rows of k info bits, least significant
-    first: a bisection of a table column per one, or over _TABLE_CAP the walk."""
+    """Positions (B, w), ascending, of the ones of code's words from rows of k info bits,
+    least significant first: under _TABLE_CAP a table search per one, over all rows at
+    once where C(n, w) < 2^63, else row by row; over it one dm_encode walk per word."""
     if code.n * (code.w + 1) > _TABLE_CAP:
-        return np.stack([dm_encode(row, code) for row in bits])
-    columns = _binomial_columns(code.n, code.w)
+        return np.stack([np.flatnonzero(dm_encode(row, code)) for row in bits])
+    columns = _binomial_columns(code)
+    if code.k < 63:
+        rem = bits.astype(np.int64) @ (1 << np.arange(code.k, dtype=np.int64))
+        ts = np.empty((len(bits), code.w), dtype=np.int64)
+        for j, column in enumerate(columns):  # the largest t with C(t, r) <= rem
+            ts[:, j] = t = column.searchsorted(rem, side="right") - 1
+            rem -= column[t]
+        return code.n - 1 - ts
     ts = []
     for row in np.packbits(bits, axis=1, bitorder="little"):
         rem, t = int.from_bytes(row.tobytes(), "little"), code.n
@@ -300,38 +319,40 @@ def _unrank_rows(code: DmCode, bits: np.ndarray) -> np.ndarray:
             t = bisect_right(column, rem, 0, t) - 1
             rem -= column[t]
             ts.append(t)
-    words = np.zeros((len(bits), code.n), dtype=np.uint8)
-    words[np.arange(len(bits)).repeat(code.w), code.n - 1 - np.array(ts, dtype=np.intp)] = 1
-    return words
+    return code.n - 1 - np.array(ts, dtype=np.int64).reshape(len(bits), code.w)
 
 
-def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols (B, n) and overflow counts (B,) of B blocks, one per row of checked uint8
-    info bits laid out as for encode_block_dm: one _unrank_rows call per matcher, one
-    _serve_requests call for all B, each word consumed front to back by the slots it serves."""
-    m = config.profile.m
+def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple:
+    """Ranks (B, n), served matcher bits (B, n) uint8 and overflow counts (B,) of B blocks,
+    one per row of checked uint8 info bits laid out as for encode_block_dm: one
+    _serve_requests call for all B, then per matcher one _unrank_rows call whose ones are
+    set at the slots that serve it, each word consumed front to back."""
+    B, n, m = len(info), config.n, config.profile.m
     src_table, flip_table = selection_tables(m, config.profile.num_distinct)
     codes = config.dm_codes
     ends = np.cumsum([0] + [code.k for code in codes])
-    words = [_unrank_rows(code, info[:, a:b]) for code, a, b in zip(codes, ends, ends[1:])]
-    d = _prefix_decimals(info[:, ends[-1] :].reshape(len(info), config.n, -1), m)
+    d = _prefix_decimals(info[:, ends[-1] :].reshape(B, n, -1), m)
     served, overflow = _serve_requests(src_table[d], [code.n for code in codes])
-    word_bits = np.empty(d.shape, dtype=np.uint8)
-    for i, word in enumerate(words):
-        mask = served == i
-        if (np.count_nonzero(mask, axis=1) != word.shape[1]).any():
-            raise IntegrityError(f"reservoir {i} served other than its {word.shape[1]} bits")
-        word_bits[mask] = word.reshape(-1)  # row by row, chronological order
-    return _assemble(m, d, (1 - word_bits) ^ flip_table[d]), overflow
+    rows = np.arange(B)[:, None]
+    bits = np.zeros(d.shape, dtype=np.uint8)
+    for i, (code, a, b) in enumerate(zip(codes, ends, ends[1:])):
+        slots = np.flatnonzero(served == i)  # row by row, chronological order
+        # given the total, each row holds code.n slots iff its first and last lie in it
+        if slots.size != B * code.n or (slots.reshape(B, -1)[:, [0, -1]] // n != rows).any():
+            raise IntegrityError(f"reservoir {i} served other than its {code.n} bits")
+        ones = _unrank_rows(code, info[:, a:b])
+        bits.reshape(-1)[np.take_along_axis(slots.reshape(B, -1), ones, axis=1)] = 1
+    return _assemble(m, d, (1 - bits) ^ flip_table[d]), bits, overflow
 
 
 def _block_chunks(config: ShaperConfig, seed: int | np.random.SeedSequence, num_blocks: int):
     """The num_blocks blocks seeded by seed (an int or a SeedSequence), as
-    (symbols (B, n), overflow (B,)) chunks of B = max(1, _CHUNK_SYMBOLS // n)
-    blocks, the last one partial. Row b of the stream is the b-th run of raw
-    64-bit words from default_rng(seed): block-dm reads them as info bits,
-    ideal-sources as slot doubles and prefix bits. A row reads only its own
-    words, so a chunk holds the blocks one-row draws give in turn."""
+    (ranks (B, n), served matcher bits (B, n) uint8, overflow (B,)) chunks of
+    B = max(1, _CHUNK_SYMBOLS // n) blocks, the last one partial; rank r is symbol
+    2r - (M-1). Row b of the stream is the b-th run of raw 64-bit words from
+    default_rng(seed): block-dm reads them as info bits, ideal-sources as slot doubles
+    and prefix bits. A row reads only its own words, so a chunk holds the blocks
+    one-row draws give in turn."""
     rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK_SYMBOLS // config.n)
     for start in range(0, num_blocks, rows):
@@ -339,7 +360,7 @@ def _block_chunks(config: ShaperConfig, seed: int | np.random.SeedSequence, num_
         if config.mode == "block-dm":
             yield _encode_dm_rows(config, _uniform_info(rng, config, count))
         else:
-            yield _ideal_rows(config, rng, count), np.zeros(count, np.int64)
+            yield *_ideal_rows(config, rng, count), np.zeros(count, np.int64)
 
 
 def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
@@ -425,13 +446,12 @@ def empirical_source_frequencies(
         raise ParameterError(f"num_blocks must be >= 1, got {num_blocks}")
     m = config.profile.m
     P = config.profile.num_distinct
-    src_table, flip_table = selection_tables(m, P)
+    src_table, _ = selection_tables(m, P)
     ones = np.zeros(P)
     counts = np.zeros(P, dtype=np.int64)
-    for symbols, _ in _block_chunks(config, seed, num_blocks):
-        ranks, d, _ = _split_symbols(symbols, m)
-        requested = src_table[d].ravel()
-        ones += np.bincount(requested, _matcher_bits(ranks, m, flip_table).ravel(), P)
+    for ranks, bits, _ in _block_chunks(config, seed, num_blocks):
+        requested = src_table[_split_ranks(ranks, m)[0]].ravel()
+        ones += np.bincount(requested, bits.ravel(), P)
         counts += np.bincount(requested, minlength=P)
     return ones / np.maximum(counts, 1), counts
 

@@ -1,14 +1,14 @@
 """Monte Carlo harness for the uncoded shaped chain over AWGN.
 
 The blocks come from `shaper._block_chunks`, the chunked, seeded block
-stream that also serves `encode_block_ideal` and
-`empirical_source_frequencies`: it alone knows the chunk size, how a seed
-becomes blocks and which encoder each mode runs. SeedSequence(rng_seed)
-spawns the noise seed and the data seed the stream reads. Per chunk the
-harness adds white Gaussian noise, makes a prior-free nearest-symbol
-decision and runs one vectorised statistics pass, so working memory is a
-few chunk-sized arrays whatever num_blocks is. The block stream and the
-noise are those of a block-by-block loop, so the report equals that loop's.
+stream that also serves `encode_block_ideal` and `empirical_source_frequencies`:
+it alone knows the chunk size, how a seed becomes blocks and which encoder each
+mode runs, and it yields ranks and served matcher bits, read here as they are.
+SeedSequence(rng_seed) spawns the noise seed and the data seed the stream reads.
+Per chunk the harness adds white Gaussian noise, makes a prior-free nearest-symbol
+decision and runs one vectorised statistics pass (the energy comes from the rank
+counts), so working memory is a few chunk-sized arrays whatever num_blocks is.
+The stream and the noise are a block-by-block loop's, so the report equals its.
 The demapper ignores the shaped prior on purpose; the harness validates the
 shaping chain, not receiver optimality.
 
@@ -32,7 +32,6 @@ from .shaper import (
     ShaperConfig,
     _block_chunks,
     _matcher_bits,
-    _split_symbols,
     encode_block_dm,  # not called here; perfbench's tracer rebinds this name
 )
 
@@ -118,6 +117,8 @@ def run(config: SimConfig) -> SimReport:
     n = shaper_cfg.n
     sigma = float(config.noise_std)
     _, flip_table = selection_tables(m, shaper_cfg.profile.num_distinct)
+    bit_of_rank = _matcher_bits(np.arange(M), m, flip_table)  # a decided rank's matcher bit
+    points = np.arange(-(M - 1), M, 2)
 
     seq = np.random.SeedSequence(config.rng_seed)
     noise_seq, data_seq = seq.spawn(2)
@@ -127,32 +128,24 @@ def run(config: SimConfig) -> SimReport:
         half_range = float(M - 1) + 5.0 * sigma
         bin_width = sigma / 4.0
         num_bins = math.ceil(2.0 * half_range / bin_width)
-        points = np.arange(-(M - 1), M, 2)
         first_bin = np.floor((points + half_range) / bin_width).astype(np.int64) - _BAND
         band = np.zeros((M, 2 * _BAND + 1), dtype=np.int64)
 
     sent_counts = np.zeros(M, dtype=np.int64)
-    energy_sum = 0
     symbol_errors = 0
     shaping_bit_errors = 0
     overflow_total = 0
     overflow_max = 0
 
-    for symbols, overflow in _block_chunks(shaper_cfg, data_seq, config.num_blocks):
-        symbols = symbols.ravel()
-        ranks, _, _ = _split_symbols(symbols, m)
-
+    for ranks, sent_bits, overflow in _block_chunks(shaper_cfg, data_seq, config.num_blocks):
         # one draw of a chunk's normals is the stream of one draw of n per block
-        y = symbols + sigma * noise_rng.standard_normal(symbols.size)
+        y = points[ranks] + sigma * noise_rng.standard_normal(ranks.shape)
 
         decided_ranks = _decide_ranks(y, M)
         symbol_errors += int(np.count_nonzero(decided_ranks != ranks))
-        sent_bits = _matcher_bits(ranks, m, flip_table)
-        decided_bits = _matcher_bits(decided_ranks, m, flip_table)
-        shaping_bit_errors += int(np.count_nonzero(sent_bits != decided_bits))
+        shaping_bit_errors += int(np.count_nonzero(sent_bits != bit_of_rank[decided_ranks]))
 
-        sent_counts += np.bincount(ranks, minlength=M)
-        energy_sum += int(symbols @ symbols)  # exact: the symbols are integers
+        sent_counts += np.bincount(ranks.ravel(), minlength=M)
         overflow_total += int(overflow.sum())
         overflow_max = max(overflow_max, int(overflow.max()))
 
@@ -167,6 +160,7 @@ def run(config: SimConfig) -> SimReport:
 
     total = n * config.num_blocks
     pmf = sent_counts / total
+    energy_sum = sent_counts.astype(object) @ points**2  # exact: Python ints
     mi = _band_mi(band, first_bin) if sigma > 0 else _entropy(pmf)
     return SimReport(
         num_symbols=total,

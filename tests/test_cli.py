@@ -335,12 +335,22 @@ class TestExitCodes:
                      "--block", str(tmp_path / "nope.json")])
         assert code == 2
 
-    def test_range_error_is_3(self, tmp_path):
-        # exhaustive roundtrip guard trips ParameterError -> 2, but a bad
-        # weight in rank() maps to 3; easiest trigger is decode mismatch
-        code = main(["--out-dir", str(tmp_path), "dm", "roundtrip",
-                     "--n", "8", "--w", "3", "--exhaustive"])
-        assert code == 0
+    def test_range_error_is_3(self, tmp_path, capsys):
+        # moving one symbol by -/+M keeps its prefix and flips its sign bit,
+        # so its matcher bit: the one matcher of P = 1 then reads a word of
+        # the wrong weight, which rank refuses
+        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3", "--P", "1",
+                     "--probs", "0.24", "--n", "64"]) == 0
+        payload = read_json(tmp_path / "shape-block.json")
+        symbols = payload["symbols"]
+        symbols[0] += -8 if symbols[0] > 0 else 8
+        block = tmp_path / "moved.json"
+        block.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["--out-dir", str(tmp_path / "out"), "shape", "decode",
+                     "--block", str(block)])
+        assert code == 3
+        assert "matcher requires" in capsys.readouterr().err
 
     def test_matcher_length_limit_is_2(self, tmp_path):
         too_long = MAX_MATCHER_LENGTH + 1

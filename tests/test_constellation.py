@@ -79,8 +79,10 @@ class TestLabels:
             assert (label[-1] == 0) == (symbol < 0)
 
     def test_symbol_for_label(self):
-        # labels (0, 0) and (1, 1): prefix d = 0 and 1, sign bit 0 and 1
-        assert _assemble(2, np.array([0, 1]), np.array([0, 1])).tolist() == [-3, 3]
+        # labels (0, 0) and (1, 1): prefix d = 0 and 1, sign bit 0 and 1, are
+        # ranks 0 and 3, the symbols 2r - 3
+        ranks = _assemble(2, np.array([0, 1]), np.array([0, 1]))
+        assert (2 * ranks - 3).tolist() == [-3, 3]
 
 
 class TestDecimalValue:

@@ -38,6 +38,7 @@ from signshape.shaper import (
     _assemble,
     _block_chunks,
     _encode_dm_rows,
+    _matcher_bits,
     _serve_requests,
     _split_symbols,
     _uniform_info,
@@ -94,8 +95,8 @@ class TestSymbolCodec:
         M = 1 << m
         ranks = np.arange(M)
         d, sign = ranks % (M // 2), ranks // (M // 2)
-        symbols = _assemble(m, d, sign.astype(np.uint8))
-        np.testing.assert_array_equal(symbols, 2 * ranks - (M - 1))
+        np.testing.assert_array_equal(_assemble(m, d, sign.astype(np.uint8)), ranks)
+        symbols = 2 * ranks - (M - 1)
         got_ranks, got_d, got_sign = _split_symbols(symbols, m)
         np.testing.assert_array_equal(got_ranks, ranks)
         np.testing.assert_array_equal(got_d, d)
@@ -220,8 +221,16 @@ def _index_rows(code, indices) -> np.ndarray:
     ).reshape(len(indices), code.k)
 
 
+def _stream_rows(cfg, ranks, bits):
+    """Symbols of a chunk's ranks, after checking its bits are theirs."""
+    _, flip_table = selection_tables(cfg.profile.m, cfg.profile.num_distinct)
+    np.testing.assert_array_equal(bits, _matcher_bits(ranks, cfg.profile.m, flip_table))
+    assert bits.dtype == np.uint8
+    return 2 * ranks - ((1 << cfg.profile.m) - 1)
+
+
 class TestTableUnrank:
-    """_unrank_rows gives the words of enumdm.unrank's walk, from a table
+    """_unrank_rows gives the ones of enumdm.unrank's walk, from a table
     for codes of at most _TABLE_CAP = n (w + 1) entries, else by the walk."""
 
     @pytest.mark.parametrize("n, w", [
@@ -238,11 +247,49 @@ class TestTableUnrank:
         indices = [0, (1 << code.k) - 1] + [draw(code.k) for _ in range(6)]
         walks, walk = [], shaper.dm_encode
         monkeypatch.setattr(shaper, "dm_encode", lambda bits, c: walks.append(c) or walk(bits, c))
-        words = _unrank_rows(code, _index_rows(code, indices))
+        positions = _unrank_rows(code, _index_rows(code, indices))
         assert len(walks) == (len(indices) if n * (w + 1) > _TABLE_CAP else 0)
-        assert words.shape == (len(indices), n) and words.dtype == np.uint8
-        for index, word in zip(indices, words):
-            np.testing.assert_array_equal(word, unrank(index, code))
+        assert positions.shape == (len(indices), w) and positions.dtype.kind == "i"
+        for index, row in zip(indices, positions):
+            np.testing.assert_array_equal(row, np.flatnonzero(unrank(index, code)))
+
+    @pytest.mark.parametrize("n, w, k", [(66, 33, 62), (67, 33, 63), (128, 5, 27)])
+    def test_int64_boundary(self, monkeypatch, n, w, k):
+        # C(66, 33) = 7.2e18 < 2^63 searches int64 columns, all rows at once;
+        # C(67, 33) = 1.4e19 bisects Python ints row by row; (128, 5) is the
+        # p = 0.04 matcher of n = 256 at m = 5
+        code = dm_code(n, w)
+        assert code.k == k
+        draw = random.Random(n).getrandbits
+        indices = [0, (1 << k) - 1] + [draw(k) for _ in range(30)]
+        bisections, bisect = [], shaper.bisect_right
+        monkeypatch.setattr(shaper, "bisect_right", lambda *a: bisections.append(a) or bisect(*a))
+        positions = _unrank_rows(code, _index_rows(code, indices))
+        assert len(bisections) == (len(indices) * w if k == 63 else 0)
+        for index, row in zip(indices, positions):
+            np.testing.assert_array_equal(row, np.flatnonzero(unrank(index, code)))
+
+    def test_three_paths_in_one_chunk(self, monkeypatch):
+        # at n / P = 128, p = 0.04 (w = 5) searches int64 columns, p = 0.24
+        # and 0.45 (w = 31, 58) bisect Python ints, and p = 0.5 (w = 64)
+        # is over the cap and walks
+        cfg = config(m=4, probs=(0.04, 0.24, 0.5, 0.45), n=512)
+        assert [c.w for c in cfg.dm_codes] == [5, 31, 64, 58]
+        walks, walk = [], shaper.dm_encode
+        monkeypatch.setattr(shaper, "dm_encode", lambda bits, c: walks.append(c) or walk(bits, c))
+        bisections, bisect = [], shaper.bisect_right
+        monkeypatch.setattr(shaper, "bisect_right", lambda *a: bisections.append(a) or bisect(*a))
+        info = _uniform_info(np.random.default_rng(8), cfg, 6)
+        ranks, bits, overflow = _encode_dm_rows(cfg, info)
+        assert walks == [cfg.dm_codes[2]] * 6 and len(bisections) == (31 + 58) * 6
+        monkeypatch.undo()
+        symbols = _stream_rows(cfg, ranks, bits)
+        rng = np.random.default_rng(8)
+        for row, row_symbols, row_overflow in zip(info, symbols, overflow):
+            block = encode_block_dm(cfg, row)
+            want, want_overflow = next_block(cfg, rng)
+            assert row_symbols.tobytes() == block.symbols.tobytes() == want.tobytes()
+            assert row_overflow == block.overflow_count == want_overflow
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -250,9 +297,9 @@ class TestTableUnrank:
         n = data.draw(st.integers(1, 600), label="n")
         code = dm_code(n, data.draw(st.integers(0, n), label="w"))
         indices = data.draw(st.lists(st.integers(0, (1 << code.k) - 1), min_size=1, max_size=5))
-        words = _unrank_rows(code, _index_rows(code, indices))
-        for index, word in zip(indices, words):
-            np.testing.assert_array_equal(word, unrank(index, code))
+        positions = _unrank_rows(code, _index_rows(code, indices))
+        for index, row in zip(indices, positions):
+            np.testing.assert_array_equal(row, np.flatnonzero(unrank(index, code)))
 
 
 class TestIdealEncoding:
@@ -316,10 +363,10 @@ class TestIdealEncoding:
         # n (m - 1) is not a multiple of 64, so each row's last prefix word
         # is only partly read and the next row must start on a fresh word
         cfg = config(m=m, probs=probs, n=n, mode="ideal-sources")
-        ((rows, overflow),) = _block_chunks(cfg, np.random.SeedSequence(3), 3)
+        ((ranks, bits, overflow),) = _block_chunks(cfg, np.random.SeedSequence(3), 3)
         rng = np.random.default_rng(3)
         expected = [mask_ideal_row(cfg, rng) for _ in range(3)]
-        assert rows.tobytes() == np.stack(expected).tobytes()
+        assert _stream_rows(cfg, ranks, bits).tobytes() == np.stack(expected).tobytes()
         assert overflow.tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("mode", ["block-dm", "ideal-sources"])
@@ -328,11 +375,11 @@ class TestIdealEncoding:
         # end on a partial one
         cfg = config(m=3, probs=(0.1, 0.4), n=130, mode=mode)
         chunks = list(_block_chunks(cfg, np.random.SeedSequence(11), 70))
-        assert [len(rows) for rows, _ in chunks] == [63, 7]
+        assert [len(ranks) for ranks, _, _ in chunks] == [63, 7]
         rng = np.random.default_rng(11)
         expected = [next_block(cfg, rng) for _ in range(70)]
-        symbols = np.concatenate([rows for rows, _ in chunks])
-        overflow = np.concatenate([o for _, o in chunks])
+        symbols = np.concatenate([_stream_rows(cfg, ranks, bits) for ranks, bits, _ in chunks])
+        overflow = np.concatenate([o for _, _, o in chunks])
         assert symbols.tobytes() == np.stack([s for s, _ in expected]).tobytes()
         assert overflow.tolist() == [o for _, o in expected]
 
@@ -419,12 +466,21 @@ class TestBlockDmEncoding:
         info = np.random.default_rng(seed).integers(
             0, 2, size=(rows, cfg.info_length), dtype=np.uint8
         )
-        symbols, overflow = _encode_dm_rows(cfg, info)
-        assert symbols.shape == (rows, n) and overflow.shape == (rows,)
+        ranks, bits, overflow = _encode_dm_rows(cfg, info)
+        assert ranks.shape == (rows, n) and overflow.shape == (rows,)
+        symbols = _stream_rows(cfg, ranks, bits)
         for row, row_symbols, row_overflow in zip(info, symbols, overflow):
             block = encode_block_dm(cfg, row)
             np.testing.assert_array_equal(row_symbols, block.symbols)
             assert row_overflow == block.overflow_count
+
+    def test_rows_served_unevenly_raise(self, monkeypatch):
+        # a switch whose counts balance over the chunk but not in each row
+        cfg = config(m=3, probs=(0.04, 0.24), n=8)
+        uneven = np.array([[0] * 6 + [1] * 2, [0] * 2 + [1] * 6])
+        monkeypatch.setattr(shaper, "_serve_requests", lambda requests, supply: (uneven, [0, 0]))
+        with pytest.raises(IntegrityError, match="reservoir 0 served other than its 4 bits"):
+            _encode_dm_rows(cfg, np.zeros((2, cfg.info_length), dtype=np.uint8))
 
     def test_p1_single_source(self):
         cfg = ShaperConfig(profile=ShapingProfile(m=3, probs=(0.2,)), n=64, rng_seed=4)

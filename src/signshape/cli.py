@@ -15,7 +15,7 @@ would be, and a key that is no flag of the subcommand exits 2. Matchers
 are at most 2^16 symbols long, so dm rate-loss takes n <= 2^16 and budget
 n <= 2^17; switch analysis takes n <= 2^20. dm roundtrip, which also counts
 its unranking probes, and one simulate SNR point take at most 2^27 symbols
-of work, a word or block counting as at least 32. Exit codes: 0 success,
+of work, short and long words or blocks counting more. Exit codes: 0 success,
 2 usage or parameter problems, 3 integrity failures, 4 numerical failures.
 """
 
@@ -133,10 +133,10 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ParameterError(f"missing required option(s): {flags}")
 
 
-# Most symbols one `dm roundtrip` (--samples or C(n, w) words of n) or one
-# `simulate` SNR point (--blocks x n) may work through, a word or block counting as at least
-# _MIN_ITEM_COST: its fixed 13-25 us costs as much as 32 symbols at the 0.5-1.5 us per symbol
-# these commands take on one x86-64 core. That is 1-3 minutes (17 for n = 2^16 at p = 1/2).
+# Most symbols one `dm roundtrip` (--samples or C(n, w) words of n) or one `simulate` SNR
+# point (--blocks x n) may work through. A word or block of n counts as max(n, 32) symbols
+# (its fixed 13-25 us is 32 symbols at 0.5-1.5 us each on one x86-64 core), n / 2^13 times
+# over above 2^13, where big-integer steps grow with n: a run at the cap takes 1-3 minutes.
 _MAX_WORK = 1 << 27
 _MIN_ITEM_COST = 32
 
@@ -145,7 +145,7 @@ def _require_work(flag: str, count: int, n: int) -> None:
     # count may be C(n, w), too long for str(): the message gives sizes
     if count < 1:
         raise ParameterError(f"--{flag} must be at least 1, got {count}")
-    work = count * max(n, _MIN_ITEM_COST)
+    work = count * max(n, _MIN_ITEM_COST) * max(n, 1 << 13) >> 13
     if work > _MAX_WORK:
         raise ParameterError(
             f"--{flag} at n = {n} asks for at least 2^{work.bit_length() - 1} symbols of work, "

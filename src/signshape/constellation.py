@@ -5,9 +5,9 @@ An M-ASK constellation (M = 2^m) uses the odd integers -(M-1), ..., -1, +1,
 first; the decimal value of a full m-bit label equals the rank of its symbol
 in that ascending order, and the last bit b_m acts as the sign bit (b_m = 0
 selects the negative half). The first m-1 bits form the prefix, of decimal
-value d, so the symbol of rank d + b_m 2^(m-1) is 2 rank - (M-1). The
-shaper module holds the one codec between symbols and (d, b_m):
-`shaper._assemble` and its checked inverse `shaper._split_symbols`.
+value d, so the symbol of rank d + b_m 2^(m-1) is 2 rank - (M-1). In the
+shaper, `_ranks` alone turns d and a served matcher bit into a rank,
+`_matcher_bits` inverts it and `_split_symbols` checks symbols into ranks.
 
 A shaping profile holds the P distinct sign-bit probabilities p_1..p_P.
 Convention adopted here (the source material leaves it open): p_i is the

@@ -20,8 +20,8 @@ b-th run of raw 64-bit words from default_rng(s) (`_block_chunks`).
 The decoder replays the same consumption state machine from the decoded
 prefix bits, so it needs no side channel. The replay construction (and its
 fallback bookkeeping) is this implementation's choice; only the encoder
-side rule is externally given. Symbols are read back only through
-`_split_symbols`, the checked inverse of 2 `_assemble` - (M-1).
+side rule is externally given. A served bit becomes a rank r, symbol 2r - (M-1),
+only in `_ranks`; `_split_symbols` and `_matcher_bits` read the symbols back.
 
 Overflow perturbs the served bit statistics. For P = 2 the expected excess
 demand is eps(n) = (n/4) C(n, n/2) 2^-n, the effective densities are
@@ -117,7 +117,7 @@ class ShapedBlock:
     overflow_count: int
 
     def __post_init__(self) -> None:
-        self.symbols = np.asarray(self.symbols, dtype=np.int64)
+        self.symbols = _integers(self.symbols)
         self.symbols.setflags(write=False)
 
 
@@ -133,33 +133,34 @@ def _prefix_bits(d: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(pairs, axis=1, count=m - 1, bitorder="little")
 
 
-def _split_ranks(ranks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix d (the low m-1 label bits) and sign bit (the last) of each rank."""
-    return ranks & ((1 << (m - 1)) - 1), (ranks >> (m - 1)).astype(np.uint8)
-
-
-def _split_symbols(symbols, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ranks, prefixes d and sign bits of 2^m-ASK symbols; inverts 2 _assemble - (M-1).
-
-    Raises IntegrityError unless every value is an integer constellation
-    point, i.e. an odd integer in [-(M-1), M-1].
-    """
+def _integers(symbols) -> np.ndarray:
+    """symbols as an int64 array; IntegrityError unless their dtype is a signed integer."""
     arr = np.asarray(symbols)
     if arr.dtype.kind != "i":
         raise IntegrityError("block contains values that are not integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def _split_symbols(symbols, m: int) -> np.ndarray:
+    """Ranks r of 2^m-ASK symbols 2r - (M-1); IntegrityError unless every value is an
+    integer constellation point, i.e. an odd integer in [-(M-1), M-1]."""
     M = 1 << m
-    shifted = arr.astype(np.int64, copy=False) + (M - 1)
+    shifted = _integers(symbols) + (M - 1)
     # zero exactly when shifted is even and in [0, 2M), i.e. a rank times 2
     if np.any(shifted & -(2 * M - 1)):
         raise IntegrityError("block contains values outside the constellation")
-    ranks = shifted >> 1
-    return (ranks, *_split_ranks(ranks, m))
+    return shifted >> 1
+
+
+def _ranks(d: np.ndarray, bits: np.ndarray, m: int, flip_table: np.ndarray) -> np.ndarray:
+    """Ranks d + s 2^(m-1), s each served matcher bit complemented, flipped by flip_table[d]."""
+    return d + (((1 - bits) ^ flip_table[d]).astype(np.int64) << (m - 1))
 
 
 def _matcher_bits(ranks: np.ndarray, m: int, flip_table: np.ndarray) -> np.ndarray:
-    """The matcher bit each rank's symbol consumed: its unflipped sign bit, complemented."""
-    d, sign_bits = _split_ranks(ranks, m)
-    return 1 - (sign_bits ^ flip_table[d])
+    """The matcher bit each rank's symbol consumed; inverts _ranks."""
+    d = ranks & ((1 << (m - 1)) - 1)
+    return 1 - ((ranks >> (m - 1)).astype(np.uint8) ^ flip_table[d])
 
 
 def _serve_requests(
@@ -221,11 +222,6 @@ def _serve_requests(
     return served.reshape(requests.shape), overflow.reshape(requests.shape[:-1])
 
 
-def _assemble(m: int, d: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
-    """Ranks r = d + sign * 2^(m-1), d the prefix value; the symbol is 2r - (M-1)."""
-    return d + (sign_bits.astype(np.int64) << (m - 1))
-
-
 def encode_block_ideal(config: ShaperConfig) -> ShapedBlock:
     """Encode one block with ideal seeded Bernoulli sources: block 0 of the
     stream seeded by config.rng_seed. The switch never overflows."""
@@ -248,7 +244,7 @@ def _ideal_rows(config: ShaperConfig, rng: np.random.Generator, count: int) -> t
     d = _prefix_decimals(_raw_bits(raw[:, n:], (m - 1) * n).reshape(count, n, m - 1), m)
     bits = (raw[:, :n] >> 11) * 2.0**-53 < np.asarray(config.profile.probs)[src_table[d]]
     bits = bits.view(np.uint8)
-    return _assemble(m, d, (1 - bits) ^ flip_table[d]), bits
+    return _ranks(d, bits, m, flip_table), bits
 
 
 def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlock:
@@ -286,40 +282,46 @@ _TABLE_CAP = 1 << 13
 
 @lru_cache(maxsize=64)
 def _binomial_columns(code: DmCode) -> tuple:
-    """The columns C(t, r), t < n, for r = w down to 1, built by ratios along t: lists,
-    or int64 arrays clipped at C(n, w) < 2^63, which every remainder stays below."""
+    """The columns C(t, r), t < n, for r = w down to 1, built by ratios along t: Python-int
+    lists while a step's remainder can reach 2^63 - 1, then int64 arrays clipped there."""
     # C(t, r) = C(t - 1, r) t / (t - r); at r = n one entry past t = n - 1, never found
-    columns = tuple(
+    columns = [
         [0] * r + list(accumulate(range(r + 1, code.n), lambda c, t: c * t // (t - r), initial=1))
         for r in range(code.w, 0, -1)
-    )
-    if code.k >= 63:
-        return columns
-    return tuple(np.array([min(c, code.num_words) for c in column], np.int64) for column in columns)
+    ]
+    # the step placing the one with r ones left meets a remainder below 2^k and,
+    # after the first step, below C(n - 1, r) too, so below the least of these
+    bounds = accumulate([1 << code.k] + [column[-1] for column in columns[1:]], min)
+    big = sum(bound >> 63 > 0 for bound in bounds)
+    clip = (1 << 63) - 1  # above every remainder of the int64 steps
+    return columns[:big], [np.array([min(c, clip) for c in col], np.int64) for col in columns[big:]]
 
 
 def _unrank_rows(code: DmCode, bits: np.ndarray) -> np.ndarray:
     """Positions (B, w), ascending, of the ones of code's words from rows of k info bits,
-    least significant first: under _TABLE_CAP a table search per one, over all rows at
-    once where C(n, w) < 2^63, else row by row; over it one dm_encode walk per word."""
+    least significant first: under _TABLE_CAP a table search per one, row by row until the
+    remainder fits int64, then for all rows at once; over it one dm_encode walk per word."""
     if code.n * (code.w + 1) > _TABLE_CAP:
         return np.stack([np.flatnonzero(dm_encode(row, code)) for row in bits])
-    columns = _binomial_columns(code)
-    if code.k < 63:
+    big, small = _binomial_columns(code)
+    ts = np.empty((len(bits), code.w), dtype=np.int64)
+    if big:
+        lead = []  # row by row, t on each of the big columns, then the remainder
+        for row in np.packbits(bits, axis=1, bitorder="little"):
+            rem, t = int.from_bytes(row.tobytes(), "little"), code.n
+            for column in big:  # the largest t below the last with C(t, r) <= rem
+                t = bisect_right(column, rem, 0, t) - 1
+                rem -= column[t]
+                lead.append(t)
+            lead.append(rem)
+        lead = np.array(lead, dtype=np.int64).reshape(len(bits), -1)
+        ts[:, : len(big)], rem = lead[:, :-1], lead[:, -1]
+    else:
         rem = bits.astype(np.int64) @ (1 << np.arange(code.k, dtype=np.int64))
-        ts = np.empty((len(bits), code.w), dtype=np.int64)
-        for j, column in enumerate(columns):  # the largest t with C(t, r) <= rem
-            ts[:, j] = t = column.searchsorted(rem, side="right") - 1
-            rem -= column[t]
-        return code.n - 1 - ts
-    ts = []
-    for row in np.packbits(bits, axis=1, bitorder="little"):
-        rem, t = int.from_bytes(row.tobytes(), "little"), code.n
-        for column in columns:  # the largest t below the last with C(t, r) <= rem
-            t = bisect_right(column, rem, 0, t) - 1
-            rem -= column[t]
-            ts.append(t)
-    return code.n - 1 - np.array(ts, dtype=np.int64).reshape(len(bits), code.w)
+    for j, column in enumerate(small, len(big)):  # the largest t with C(t, r) <= rem
+        ts[:, j] = t = column.searchsorted(rem, side="right") - 1
+        rem -= column[t]
+    return code.n - 1 - ts
 
 
 def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple:
@@ -342,7 +344,7 @@ def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple:
             raise IntegrityError(f"reservoir {i} served other than its {code.n} bits")
         ones = _unrank_rows(code, info[:, a:b])
         bits.reshape(-1)[np.take_along_axis(slots.reshape(B, -1), ones, axis=1)] = 1
-    return _assemble(m, d, (1 - bits) ^ flip_table[d]), bits, overflow
+    return _ranks(d, bits, m, flip_table), bits, overflow
 
 
 def _block_chunks(config: ShaperConfig, seed: int | np.random.SeedSequence, num_blocks: int):
@@ -380,8 +382,8 @@ def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:
     m = config.profile.m
     if block.symbols.size != config.n:
         raise ParameterError(f"block has {block.symbols.size} symbols, config n = {config.n}")
-    ranks, d, _ = _split_symbols(block.symbols, m)
-
+    ranks = _split_symbols(block.symbols, m)
+    d = ranks & ((1 << (m - 1)) - 1)
     codes = config.dm_codes
     src_table, flip_table = selection_tables(m, config.profile.num_distinct)
     served, _ = _serve_requests(src_table[d], [c.n for c in codes])
@@ -420,9 +422,7 @@ def effective_probabilities(p1: float, p2: float, n: int) -> tuple[float, float]
 def switch_energy_loss(profile: ShapingProfile, n: int) -> float:
     """Energy penalty 10 log10(E'/E) of overflow, two-source profiles only."""
     if profile.num_distinct != 2:
-        raise ParameterError(
-            "switch energy analysis is defined for exactly two sources"
-        )
+        raise ParameterError("switch energy analysis is defined for exactly two sources")
     p1, p2 = profile.probs
     p1_eff, p2_eff = effective_probabilities(p1, p2, n)
     m = profile.m
@@ -444,13 +444,12 @@ def empirical_source_frequencies(
     """
     if num_blocks < 1:
         raise ParameterError(f"num_blocks must be >= 1, got {num_blocks}")
-    m = config.profile.m
-    P = config.profile.num_distinct
+    m, P = config.profile.m, config.profile.num_distinct
     src_table, _ = selection_tables(m, P)
     ones = np.zeros(P)
     counts = np.zeros(P, dtype=np.int64)
     for ranks, bits, _ in _block_chunks(config, seed, num_blocks):
-        requested = src_table[_split_ranks(ranks, m)[0]].ravel()
+        requested = src_table[ranks & ((1 << (m - 1)) - 1)].ravel()
         ones += np.bincount(requested, bits.ravel(), P)
         counts += np.bincount(requested, minlength=P)
     return ones / np.maximum(counts, 1), counts

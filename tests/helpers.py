@@ -353,7 +353,7 @@ def loop_simulate_run(config):
 
     for b in range(config.num_blocks):
         symbols, overflow = next_block(shaper_cfg, data_rng)
-        ranks, _, _ = _split_symbols(symbols, m)
+        ranks = _split_symbols(symbols, m)
         x = np.asarray(symbols, dtype=float)
 
         noise = noise_rng.standard_normal(n)

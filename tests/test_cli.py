@@ -221,6 +221,21 @@ class TestExitCodes:
         assert main([*argv, "1000"]) == 0
         assert main([*argv, "1001"]) == 2
 
+    @pytest.mark.parametrize("n, largest", [(8192, 16384), (16384, 4096), (65534, 256), (65536, 256)])
+    @pytest.mark.parametrize("command, flag", [
+        (["dm", "roundtrip", "--p", "0.5"], "--samples"),
+        (["simulate", "--m", "3", "--P", "1", "--probs", "0.5", "--sigma", "0.5"], "--blocks"),
+    ], ids=["roundtrip", "simulate"])
+    def test_work_cap_charges_long_words_by_their_length(self, tmp_path, capsys, command, flag,
+                                                         n, largest):
+        # a dense word's time grows as n^2 above 2^13, so 2^27 / n words of
+        # 2^16 took 17 minutes; counting each n / 2^13 times holds it to 2
+        cli._require_work(flag[2:], largest, n)
+        argv = ["--out-dir", str(tmp_path), *command, "--n", str(n), flag, str(largest + 1)]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, message", [
         (["optimize", "--m", "3", "--P", "1"], "--snr/--sigma"),
         (["shape", "encode", "--m", "5", "--P", "3", "--probs", "0.04", "0.24", "--n", "96"],

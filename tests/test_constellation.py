@@ -1,7 +1,8 @@
 """Constellation geometry, labelling, and source-selection tests.
 
-Labels are checked through the shaper's symbol codec, which is the one
-place the package maps symbols to (prefix d, sign bit) and back.
+Labels are checked through the shaper's codec: `_split_symbols` reads a
+symbol's rank, whose bits are its label, and `_ranks` is the one place the
+package turns a prefix d and a served matcher bit into a rank.
 """
 
 import itertools
@@ -20,12 +21,13 @@ from signshape import (
     selection_tables,
 )
 from signshape.constellation import _induced_pmf_pullback
-from signshape.shaper import _assemble, _prefix_bits, _prefix_decimals, _split_symbols
+from signshape.shaper import _prefix_bits, _prefix_decimals, _ranks, _split_symbols
 
 
 def labels(symbols, m):
-    """Full m-bit labels, least significant bit first, via the codec."""
-    _, d, sign = _split_symbols(np.asarray(symbols), m)
+    """Full m-bit labels, least significant bit first: prefix d, then the sign bit."""
+    ranks = _split_symbols(np.asarray(symbols), m)
+    d, sign = ranks % (1 << (m - 1)), ranks >> (m - 1)
     return [tuple(row) + (int(b),) for row, b in zip(_prefix_bits(d, m).tolist(), sign)]
 
 
@@ -60,9 +62,8 @@ class TestBuildAsk:
 class TestLabels:
     def test_rank_roundtrip_8ask(self):
         c = build_ask(3)
-        ranks, d, sign = _split_symbols(np.asarray(c.symbols), 3)
+        ranks = _split_symbols(np.asarray(c.symbols), 3)
         np.testing.assert_array_equal(ranks, np.arange(8))
-        np.testing.assert_array_equal(d + 4 * sign, np.arange(8))
         # the decimal value of each label is the rank of its symbol
         for r, label in enumerate(labels(c.symbols, 3)):
             assert sum(b << i for i, b in enumerate(label)) == r
@@ -80,8 +81,10 @@ class TestLabels:
 
     def test_symbol_for_label(self):
         # labels (0, 0) and (1, 1): prefix d = 0 and 1, sign bit 0 and 1, are
-        # ranks 0 and 3, the symbols 2r - 3
-        ranks = _assemble(2, np.array([0, 1]), np.array([0, 1]))
+        # ranks 0 and 3, the symbols 2r - 3; both serve a matcher bit 1, the
+        # outer side of their prefix pair, d = 1 flipped
+        _, flip_table = selection_tables(2, 1)
+        ranks = _ranks(np.array([0, 1]), np.array([1, 1], dtype=np.uint8), 2, flip_table)
         assert (2 * ranks - 3).tolist() == [-3, 3]
 
 

@@ -35,10 +35,10 @@ from signshape.enumdm import dm_code, unrank
 from signshape.shaper import (
     _CHUNK_SYMBOLS,
     _TABLE_CAP,
-    _assemble,
     _block_chunks,
     _encode_dm_rows,
     _matcher_bits,
+    _ranks,
     _serve_requests,
     _split_symbols,
     _uniform_info,
@@ -91,16 +91,20 @@ class TestShaperConfig:
 
 class TestSymbolCodec:
     @given(st.integers(2, 10), st.data())
-    def test_inverts_assemble_and_rejects_non_points(self, m, data):
+    def test_ranks_round_trip_and_rejects_non_points(self, m, data):
+        # each prefix d with each served bit is one rank, and _matcher_bits reads the bit back
         M = 1 << m
+        d = np.tile(np.arange(M // 2), 2)
+        bits = np.repeat(np.array([0, 1], dtype=np.uint8), M // 2)
+        for P in [P for P in range(1, M // 4 + 1) if (M // 4) % P == 0]:
+            _, flip_table = selection_tables(m, P)
+            ranks = _ranks(d, bits, m, flip_table)
+            assert sorted(ranks.tolist()) == list(range(M))
+            np.testing.assert_array_equal(ranks % (M // 2), d)
+            np.testing.assert_array_equal(_matcher_bits(ranks, m, flip_table), bits)
         ranks = np.arange(M)
-        d, sign = ranks % (M // 2), ranks // (M // 2)
-        np.testing.assert_array_equal(_assemble(m, d, sign.astype(np.uint8)), ranks)
         symbols = 2 * ranks - (M - 1)
-        got_ranks, got_d, got_sign = _split_symbols(symbols, m)
-        np.testing.assert_array_equal(got_ranks, ranks)
-        np.testing.assert_array_equal(got_d, d)
-        np.testing.assert_array_equal(got_sign, sign)
+        np.testing.assert_array_equal(_split_symbols(symbols, m), ranks)
         # one bad value among good ones: an even integer, an odd integer
         # outside [-(M-1), M-1], or a value that is not an integer at all
         bad = data.draw(
@@ -256,23 +260,40 @@ class TestTableUnrank:
     @pytest.mark.parametrize("n, w, k", [(66, 33, 62), (67, 33, 63), (128, 5, 27)])
     def test_int64_boundary(self, monkeypatch, n, w, k):
         # C(66, 33) = 7.2e18 < 2^63 searches int64 columns, all rows at once;
-        # C(67, 33) = 1.4e19 bisects Python ints row by row; (128, 5) is the
-        # p = 0.04 matcher of n = 256 at m = 5
+        # C(67, 33) = 1.4e19 bisects its first step row by row, as its remainder
+        # may reach 2^63, and the rest as int64; (128, 5) is the p = 0.04
+        # matcher of n = 256 at m = 5
         code = dm_code(n, w)
         assert code.k == k
-        draw = random.Random(n).getrandbits
-        indices = [0, (1 << k) - 1] + [draw(k) for _ in range(30)]
+        self._check_row_steps(monkeypatch, code, 1 if k == 63 else 0)
+
+    @pytest.mark.parametrize("n, w, steps", [
+        (66, 31, 0), (67, 31, 1), (68, 31, 2), (69, 31, 4), (127, 31, 17), (128, 31, 17),
+        (68, 40, 1), (69, 40, 13), (127, 14, 0), (127, 15, 1), (128, 58, 44),
+        (80, 58, 37), (80, 59, 1), (80, 60, 0), (100, 80, 63),
+    ])
+    def test_row_steps_where_their_count_changes(self, monkeypatch, n, w, steps):
+        # a step runs row by row while its remainder may reach 2^63: below
+        # 2^k at the first and below C(n - 1, r) too after it; w > n / 2 in
+        # the last four, where C(n - 1, r) grows as r falls from w
+        self._check_row_steps(monkeypatch, dm_code(n, w), steps)
+
+    @staticmethod
+    def _check_row_steps(monkeypatch, code, steps):
+        """Words of code equal the walk's, with steps bisections a row."""
+        draw = random.Random(code.n).getrandbits
+        indices = [0, (1 << code.k) - 1] + [draw(code.k) for _ in range(30)]
         bisections, bisect = [], shaper.bisect_right
         monkeypatch.setattr(shaper, "bisect_right", lambda *a: bisections.append(a) or bisect(*a))
         positions = _unrank_rows(code, _index_rows(code, indices))
-        assert len(bisections) == (len(indices) * w if k == 63 else 0)
+        assert len(bisections) == len(indices) * steps
         for index, row in zip(indices, positions):
             np.testing.assert_array_equal(row, np.flatnonzero(unrank(index, code)))
 
-    def test_three_paths_in_one_chunk(self, monkeypatch):
-        # at n / P = 128, p = 0.04 (w = 5) searches int64 columns, p = 0.24
-        # and 0.45 (w = 31, 58) bisect Python ints, and p = 0.5 (w = 64)
-        # is over the cap and walks
+    def test_row_steps_and_walks_in_one_chunk(self, monkeypatch):
+        # at n / P = 128, p = 0.04 (w = 5) searches int64 columns for all rows,
+        # p = 0.24 and 0.45 (w = 31, 58) bisect their first 17 and 44 steps row
+        # by row, and p = 0.5 (w = 64) is over the cap and walks
         cfg = config(m=4, probs=(0.04, 0.24, 0.5, 0.45), n=512)
         assert [c.w for c in cfg.dm_codes] == [5, 31, 64, 58]
         walks, walk = [], shaper.dm_encode
@@ -281,7 +302,7 @@ class TestTableUnrank:
         monkeypatch.setattr(shaper, "bisect_right", lambda *a: bisections.append(a) or bisect(*a))
         info = _uniform_info(np.random.default_rng(8), cfg, 6)
         ranks, bits, overflow = _encode_dm_rows(cfg, info)
-        assert walks == [cfg.dm_codes[2]] * 6 and len(bisections) == (31 + 58) * 6
+        assert walks == [cfg.dm_codes[2]] * 6 and len(bisections) == (17 + 44) * 6
         monkeypatch.undo()
         symbols = _stream_rows(cfg, ranks, bits)
         rng = np.random.default_rng(8)
@@ -606,6 +627,22 @@ class TestBlockDmEncoding:
         bad = ShapedBlock(symbols=symbols, overflow_count=block.overflow_count)
         with pytest.raises(IntegrityError):
             decode_block(bad, cfg)
+
+    @pytest.mark.parametrize("dtype", [float, bool, np.uint64])
+    def test_block_of_non_integers_refused(self, dtype):
+        # a float block whose positive symbols gained 0.5 was once stored
+        # truncated, and decode_block returned the info with no alarm
+        cfg = config(m=3, probs=(0.04, 0.24), n=8)
+        info = np.random.default_rng(3).integers(0, 2, cfg.info_length, dtype=np.uint8)
+        symbols = encode_block_dm(cfg, info).symbols
+        bent = symbols.astype(dtype)
+        if dtype is float:
+            assert (symbols > 0).any()
+            bent[symbols > 0] += 0.5
+        with pytest.raises(IntegrityError, match="not integers"):
+            ShapedBlock(bent, 0)
+        # narrower signed integers are read as int64
+        assert ShapedBlock(symbols.astype(np.int8), 0).symbols.dtype == np.int64
 
 
 class TestUniformInfo:

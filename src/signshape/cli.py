@@ -6,15 +6,15 @@ shape {encode, decode, analyze-switch}, simulate, budget.
 Every run writes its outputs into --out-dir, made at the first write so a
 refused run leaves nothing, plus a JSON manifest recording the command,
 parameters, seed, package version, output paths, and wall clock time.
-Commands with a table write it as CSV and their full results as JSON;
---json or --csv selects one of the two, both flags write both, and a
-command's only result file is written whatever the flags. A --config file
-(JSON object keyed by flag destination names) supplies defaults that
-explicit flags override. Its values are parsed and checked as the flags
-would be, and a key that is no flag of the subcommand exits 2. Matchers
-are at most 2^16 symbols long, so dm rate-loss takes n <= 2^16 and budget
-n <= 2^17; switch analysis takes n <= 2^20. dm roundtrip, which also counts
-its unranking probes, and one simulate SNR point take at most 2^27 symbols
+Commands with a table write it as CSV and their full results as JSON,
+always both. Every option takes a value. A --config file (JSON object
+keyed by flag destination names) supplies defaults that explicit flags
+override. Its values are parsed and checked as the flags would be, and a
+key that is no flag of the subcommand exits 2. Matchers are at most 2^16
+symbols long, so dm rate-loss takes n <= 2^16 and budget n <= 2^17;
+switch analysis takes n <= 2^20. dm roundtrip checks min(--samples, C(n, w))
+words, every word once where --samples covers the codebook, and counts its
+unranking probes; it and one simulate SNR point take at most 2^27 symbols
 of work, short and long words or blocks counting more. Exit codes: 0 success,
 2 usage or parameter problems, 3 integrity failures, 4 numerical failures.
 """
@@ -100,16 +100,11 @@ class _Run:
         return path
 
     def emit(self, json_name: str, payload, csv: tuple | None = None) -> None:
-        """Write payload as JSON and csv, a (name, header, rows) table, as CSV.
-
-        Where a command has both, --json or --csv selects one of them; a
-        command's only result file is written whatever the flags.
-        """
-        if csv is not None and (self.args.csv or not self.args.json):
+        """Write payload as JSON and csv, a (name, header, rows) table, as CSV."""
+        if csv is not None:
             name, header, rows = csv
             self.write(name, _csv_text(header, rows))
-        if csv is None or self.args.json or not self.args.csv:
-            self.write(json_name, json.dumps(payload, indent=2) + "\n")
+        self.write(json_name, json.dumps(payload, indent=2) + "\n")
 
     def finish(self) -> None:
         params = {k: v for k, v in sorted(vars(self.args).items()) if k != "func"}
@@ -133,7 +128,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ParameterError(f"missing required option(s): {flags}")
 
 
-# Most symbols one `dm roundtrip` (--samples or C(n, w) words of n) or one `simulate` SNR
+# Most symbols one `dm roundtrip` (min(--samples, C(n, w)) words of n) or one `simulate` SNR
 # point (--blocks x n) may work through. A word or block of n counts as max(n, 32) symbols
 # (its fixed 13-25 us is 32 symbols at 0.5-1.5 us each on one x86-64 core), n / 2^13 times
 # over above 2^13, where big-integer steps grow with n: a run at the cap takes 1-3 minutes.
@@ -142,7 +137,6 @@ _MIN_ITEM_COST = 32
 
 
 def _require_work(flag: str, count: int, n: int) -> None:
-    # count may be C(n, w), too long for str(): the message gives sizes
     if count < 1:
         raise ParameterError(f"--{flag} must be at least 1, got {count}")
     work = count * max(n, _MIN_ITEM_COST) * max(n, 1 << 13) >> 13
@@ -201,14 +195,15 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
 def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "n")
     code = dm_code(args.n, args.w if args.w is not None else weight_for(args.n, args.p))
-    # every word index, or --samples lazy draws from random.Random(--seed)
-    if args.exhaustive:
-        _require_work("exhaustive", code.num_words, code.n)
-        count, indices = code.num_words, range(code.num_words)
+    count = min(args.samples, code.num_words)
+    _require_work("samples", count, code.n)
+    # every word index once where --samples covers the codebook, else --samples
+    # lazy draws from random.Random(--seed)
+    exhaustive = count == code.num_words
+    if exhaustive:
+        indices = range(count)
     else:
-        _require_work("samples", args.samples, code.n)
         rng = random.Random(args.seed)  # randrange takes C(n, w) of any size
-        count = args.samples
         indices = (rng.randrange(code.num_words) for _ in range(count))
     total_comparisons = max_comparisons = 0
     # rank refuses a word of the wrong weight (IntegrityError, exit 3); an
@@ -227,7 +222,7 @@ def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
         "w": code.w,
         "k": code.k,
         "checked": count,
-        "exhaustive": bool(args.exhaustive),
+        "exhaustive": exhaustive,
         "ok": True,
         "mean_comparisons_per_bit": total_comparisons / (count * code.n),
         "max_comparisons_per_bit": max_comparisons / code.n,
@@ -392,14 +387,6 @@ def _common_parent(real_defaults: bool) -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=default(0), help="run seed")
     common.add_argument("--out-dir", default=default("."), help="output directory")
     common.add_argument(
-        "--json", action="store_true", default=default(False),
-        help="write only JSON outputs",
-    )
-    common.add_argument(
-        "--csv", action="store_true", default=default(False),
-        help="write only CSV outputs",
-    )
-    common.add_argument(
         "--config", default=default(None), help="JSON file of default flag values"
     )
     return common
@@ -447,7 +434,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     rt.add_argument("--n", type=int)
     rt.add_argument("--w", type=int, default=None)
     rt.add_argument("--p", type=float, default=0.5)
-    rt.add_argument("--exhaustive", action="store_true")
     rt.add_argument("--samples", type=int, default=10000)
 
     rl = leaf(dm_sub, "rate-loss", _cmd_dm_rate_loss, "finite-length rate loss table")
@@ -507,11 +493,9 @@ def _apply_config(path: str, top: argparse.ArgumentParser, leaf: argparse.Argume
         raise ParameterError(f"config key(s) {', '.join(unknown)} name no flag of {leaf.prog}")
     before, after = [], []  # tokens for either side of the subcommand name
     for key, value in config.items():
-        # true is a bare switch and false none; a list gives several values
+        # a list gives several values
         flag = own[key].option_strings[0]
-        if own[key].nargs == 0 and isinstance(value, bool):
-            tokens = [flag] if value else []
-        elif isinstance(value, list):
+        if isinstance(value, list):
             tokens = [flag, *map(str, value)]
         else:
             tokens = [f"{flag}={value}"]  # "=" keeps a value such as -1e-05 one

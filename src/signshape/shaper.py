@@ -111,13 +111,13 @@ class ShaperConfig:
 
 @dataclass(eq=False)
 class ShapedBlock:
-    """One encoded block; the symbol array is frozen after construction."""
+    """One encoded block; the symbol array is a frozen copy of the one given."""
 
     symbols: np.ndarray
     overflow_count: int
 
     def __post_init__(self) -> None:
-        self.symbols = _integers(self.symbols)
+        self.symbols = _integers(self.symbols).copy()  # the caller's array stays writeable
         self.symbols.setflags(write=False)
 
 
@@ -275,7 +275,8 @@ def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) ->
 
 
 # Largest code, in n (w + 1) binomials, whose words _encode_dm_rows unranks
-# from a table, at most 0.31 MB (n = 273, w = 29): n = 256 at m = 5
+# from a table, which holds at most 0.25 MB (n = 210, w = 38; tracemalloc over
+# every code under the cap), so the cache at most 16 MB: n = 256 at m = 5
 # (length-128 matchers, 768 and 4096 entries) fits, n = 8192 keeps the walk.
 _TABLE_CAP = 1 << 13
 

@@ -1,5 +1,6 @@
 """Command line interface tests: exit codes, outputs, manifests, config."""
 
+import argparse
 import csv
 import json
 import math
@@ -194,29 +195,30 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_exhaustive_above_work_cap_is_2(self, tmp_path, capsys):
-        # 1 999 000 words of 2000 symbols: this ran for minutes, as the cap
-        # looked at --samples, which --exhaustive ignores
+        # every one of the 1 999 000 words of 2000 symbols: a separate
+        # exhaustive check once ran for minutes past the cap
         started = time.monotonic()
-        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
-                     "--n", "2000", "--w", "2", "--exhaustive"]) == 2
+        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "2000", "--w", "2",
+                     "--samples", str(math.comb(2000, 2))]) == 2
         assert time.monotonic() - started < 1
-        err = capsys.readouterr().err
-        assert "--exhaustive" in err
-        assert "--samples" not in err
+        assert "--samples" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_work_cap_charges_32_symbols_a_word_at_small_n(self, tmp_path, capsys, monkeypatch):
         # at n = 1 a word's fixed cost dominates: 2^27 words ran for half an
-        # hour, and roundtrip built a 1 GiB list of their indices first
-        argv = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "1", "--samples"]
+        # hour, and roundtrip built a 1 GiB list of their indices first; a
+        # codebook of C(30, 15) words lets every count here be drawn
+        argv = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "30", "--w", "15",
+                "--samples"]
         started = time.monotonic()
         for samples in (1 << 27, _MAX_WORK // cli._MIN_ITEM_COST + 1):
             assert main([*argv, str(samples)]) == 2
             assert "--samples" in capsys.readouterr().err
         assert time.monotonic() - started < 1
         assert not list(tmp_path.iterdir())
-        # the largest accepted count runs up to a minute, so it is checked
+        # the largest accepted count runs for minutes, so it is checked
         # here on a cap scaled down to 1000 words of at most 32 symbols
-        cli._require_work("samples", _MAX_WORK // cli._MIN_ITEM_COST, 1)
+        cli._require_work("samples", _MAX_WORK // cli._MIN_ITEM_COST, 30)
         monkeypatch.setattr(cli, "_MAX_WORK", cli._MIN_ITEM_COST * 1000)
         assert main([*argv, "1000"]) == 0
         assert main([*argv, "1001"]) == 2
@@ -261,8 +263,8 @@ class TestExitCodes:
         out = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "65536"]
         assert main([*out, "--p", "0.04", "--samples", "1"]) == 0
         assert "num_words" not in read_json(tmp_path / "dm-roundtrip.json")
-        assert main([*out, "--p", "0.24", "--samples", "1", "--exhaustive"]) == 2
-        assert "--exhaustive" in capsys.readouterr().err
+        assert main([*out, "--p", "0.24", "--samples", "257"]) == 2
+        assert "--samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("snr", ["-4000", "-inf"])
     def test_snr_without_noise_level_is_2(self, tmp_path, capsys, snr):
@@ -379,10 +381,12 @@ class TestExitCodes:
 
 class TestDmCommands:
     def test_roundtrip_output(self, tmp_path):
+        # the default --samples covers all C(10, 3) = 120 words, each checked once
         assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
-                     "--n", "10", "--w", "3", "--exhaustive"]) == 0
+                     "--n", "10", "--w", "3"]) == 0
         payload = read_json(tmp_path / "dm-roundtrip.json")
         assert payload["ok"] is True
+        assert payload["exhaustive"] is True
         assert payload["checked"] == 120
         counts = [pascal_unrank_counted(i, 10, 3)[1] for i in range(120)]
         assert payload["mean_comparisons_per_bit"] == sum(counts) / (120 * 10)
@@ -428,6 +432,52 @@ class TestDmCommands:
         assert mean == sum(counts) / (50 * 256)
         assert worst == max(counts) / 256
         assert 0 < mean <= worst <= 1
+
+    @pytest.mark.parametrize("argv, code, wall_s", [
+        # --n up to the matcher length cap, one word of work at the scaled cap
+        pytest.param(["--n", "65536", "--w", "3", "--samples", "1"], 0, 5, id="n-cap"),
+        pytest.param(["--n", "65537", "--w", "3", "--samples", "1"], 2, 1, id="n-cap+1"),
+        pytest.param(["--n", "0"], 2, 1, id="n-0"),
+        pytest.param(["--n", "-1"], 2, 1, id="n--1"),
+        # --w up to n
+        pytest.param(["--n", "16", "--w", "16"], 0, 1, id="w-cap"),
+        pytest.param(["--n", "16", "--w", "17"], 2, 1, id="w-cap+1"),
+        pytest.param(["--n", "16", "--w", "0"], 0, 1, id="w-0"),
+        pytest.param(["--n", "16", "--w", "-1"], 2, 1, id="w--1"),
+        # --p in [0, 1]
+        pytest.param(["--n", "16", "--p", "1"], 0, 1, id="p-cap"),
+        pytest.param(["--n", "16", "--p", "2"], 2, 1, id="p-cap+1"),
+        pytest.param(["--n", "16", "--p", "0"], 0, 1, id="p-0"),
+        pytest.param(["--n", "16", "--p", "-1"], 2, 1, id="p--1"),
+        pytest.param(["--n", "16", "--p", "nan"], 2, 1, id="p-nan"),
+        pytest.param(["--n", "16", "--p", "inf"], 2, 1, id="p-inf"),
+        # --samples up to the work cap: 64 words of 8192 at the scaled cap
+        pytest.param(["--n", "8192", "--p", "0.04", "--samples", "64"], 0, 5, id="samples-cap"),
+        pytest.param(["--n", "8192", "--p", "0.04", "--samples", "65"], 2, 1,
+                     id="samples-cap+1"),
+        pytest.param(["--n", "16", "--samples", "0"], 2, 1, id="samples-0"),
+        pytest.param(["--n", "16", "--samples", "-1"], 2, 1, id="samples--1"),
+        # --samples around C(10, 3) = 120: drawn below it, every word once from it on
+        pytest.param(["--n", "10", "--w", "3", "--samples", "119"], 0, 1, id="samples-C-1"),
+        pytest.param(["--n", "10", "--w", "3", "--samples", "120"], 0, 1, id="samples-C"),
+        pytest.param(["--n", "10", "--w", "3", "--samples", "121"], 0, 1, id="samples-C+1"),
+    ])
+    def test_roundtrip_flag_table(self, tmp_path, monkeypatch, argv, code, wall_s):
+        # a run at the real cap takes minutes, so accepted rows run at a cap
+        # scaled down to one word of 2^16 symbols
+        monkeypatch.setattr(cli, "_MAX_WORK", 1 << 19)
+        out = tmp_path / "out"
+        started = time.monotonic()
+        assert exit_code(["--out-dir", str(out), "dm", "roundtrip", *argv]) == code
+        assert time.monotonic() - started < wall_s
+        if code:
+            assert not out.exists()
+            return
+        payload = read_json(out / "dm-roundtrip.json")
+        words = math.comb(payload["n"], payload["w"])
+        samples = int(argv[argv.index("--samples") + 1]) if "--samples" in argv else 10000
+        assert payload["checked"] == min(samples, words)
+        assert payload["exhaustive"] is (samples >= words)
 
     def test_bench_is_gone(self, tmp_path):
         # dm roundtrip reports the probe counts dm bench wrote to dm-bench.json
@@ -558,12 +608,6 @@ class TestOptimizeCommand:
             main(["--out-dir", str(tmp_path), "optimize", "--coarse-step", "0.02",
                   "--m", "3", "--P", "2", "--snr", "10"])
         assert excinfo.value.code == 2
-
-    def test_json_only_flag(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "--json", "optimize",
-                     "--m", "3", "--P", "1", "--snr", "8"]) == 0
-        assert not (tmp_path / "optimize-curve.csv").exists()
-        assert (tmp_path / "optimize-results.json").exists()
 
 
 class TestBudgetCommand:
@@ -697,32 +741,44 @@ def block_file(tmp_path):
 
 
 class TestRunLifecycle:
-    @pytest.mark.parametrize("flags", [["--csv"], ["--json"]], ids=["csv", "json"])
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
-    def test_every_subcommand_keeps_a_result(self, tmp_path, block_file, name, flags):
-        # with --csv, budget, dm roundtrip and a single-point
-        # simulate used to write only their manifest
+    def test_every_subcommand_keeps_a_result(self, tmp_path, block_file, name):
+        # a table command writes both its JSON and its CSV file
         out = tmp_path / "out"
         argv = [arg.format(block=block_file) for arg in SUBCOMMANDS[name]]
-        assert main(["--out-dir", str(out), *flags, *argv]) == 0
+        assert main(["--out-dir", str(out), *argv]) == 0
         manifest = read_json(out / f"{name}-manifest.json")
         assert manifest["command"] == name
         results = sorted(p.name for p in out.iterdir() if p.name != f"{name}-manifest.json")
         assert results
         assert sorted(Path(p).name for p in manifest["outputs"]) == results
+        if name in BOTH_FORMATS:
+            assert results == sorted(BOTH_FORMATS[name])
 
-    @pytest.mark.parametrize("flags, wanted", [
-        ([], (0, 1)),
-        (["--json"], (0,)),
-        (["--csv"], (1,)),
-        (["--json", "--csv"], (0, 1)),
-    ], ids=["neither", "json", "csv", "both"])
-    @pytest.mark.parametrize("name", list(BOTH_FORMATS))
-    def test_format_flags_select(self, tmp_path, name, flags, wanted):
+    @pytest.mark.parametrize("argv", [
+        ["--json", *SUBCOMMANDS["optimize"]],
+        [*SUBCOMMANDS["simulate"], "--csv"],
+        ["dm", "roundtrip", "--n", "10", "--w", "3", "--exhaustive"],
+    ], ids=["json", "csv", "exhaustive"])
+    def test_switches_are_gone(self, tmp_path, capsys, argv):
+        # the files and checks they selected are all written and made by default
         out = tmp_path / "out"
-        assert main(["--out-dir", str(out), *flags, *SUBCOMMANDS[name]]) == 0
-        files = {p.name for p in out.iterdir()}
-        assert files == {f"{name}-manifest.json", *(BOTH_FORMATS[name][i] for i in wanted)}
+        assert exit_code(["--out-dir", str(out), *argv]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_option_takes_a_value(self):
+        # an on/off option doubles the configurations to test; -h is the one kept
+        top, leaves = cli.build_parser()
+        parsers, switches = [top], []
+        for parser in parsers:  # grows by each subcommand parser reached
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                elif action.nargs == 0 and action.option_strings != ["-h", "--help"]:
+                    switches.append((parser.prog, *action.option_strings))
+        assert all(leaf in parsers for leaf in leaves)
+        assert switches == []
 
     def test_single_point_simulate_writes_its_sweep_csv(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), *SUBCOMMANDS["simulate"]]) == 0
@@ -784,14 +840,6 @@ class TestConfigParsedLikeFlags:
                      "--P", "1"]) == 0
         assert read_json(tmp_path / "optimize-results.json")[0]["snr_db"] == -1e-05
 
-    def test_switches(self, tmp_path):
-        cfg = self.write(tmp_path, {"exhaustive": True, "json": True, "csv": False})
-        assert main(["--out-dir", str(tmp_path), "--config", cfg, "dm", "roundtrip",
-                     "--n", "10", "--w", "3"]) == 0
-        assert read_json(tmp_path / "dm-roundtrip.json")["checked"] == 120
-        params = read_json(tmp_path / "dm-roundtrip-manifest.json")["params"]
-        assert (params["json"], params["csv"]) == (True, False)
-
     @pytest.mark.parametrize("config, command", [
         ({"n": [64, 128]}, ["dm", "roundtrip"]),
         ({"mode": "bogus"}, ["simulate", "--m", "3", "--P", "1", "--probs", "0.2",
@@ -799,7 +847,9 @@ class TestConfigParsedLikeFlags:
         ({"sampels": 5}, ["dm", "roundtrip", "--n", "64"]),  # used to run the default samples
         ({"block": "x.json"}, ["dm", "roundtrip", "--n", "64"]),  # a flag of another command
         ({"samples": "many"}, ["dm", "roundtrip", "--n", "64"]),
-        ({"exhaustive": "yes"}, ["dm", "roundtrip", "--n", "10", "--w", "3"]),
+        # keys of the removed switches
+        ({"exhaustive": True, "json": True, "csv": False}, ["dm", "roundtrip", "--n", "10",
+                                                            "--w", "3"]),
         ({"seed": 1.5}, ["dm", "roundtrip", "--n", "64"]),
     ], ids=["list-for-scalar", "bad-choice", "unknown-key", "foreign-key", "bad-int",
             "bad-switch", "float-seed"])

@@ -644,6 +644,15 @@ class TestBlockDmEncoding:
         # narrower signed integers are read as int64
         assert ShapedBlock(symbols.astype(np.int8), 0).symbols.dtype == np.int64
 
+    def test_block_keeps_its_own_symbols(self):
+        # the block used to freeze and keep the caller's int64 array itself
+        a = np.array([1, -1, 3, -3])
+        b = ShapedBlock(a, 0)
+        assert b.symbols is not a
+        a[0] = 5
+        assert b.symbols.tolist() == [1, -1, 3, -3]
+        assert not b.symbols.flags.writeable
+
 
 class TestUniformInfo:
     """A chunk's info bits: one raw draw, row by row as one-row draws."""

@@ -741,9 +741,11 @@ def block_file(tmp_path):
 
 
 class TestRunLifecycle:
+    @pytest.mark.parametrize("suffix", [".csv", ".json"], ids=["csv", "json"])
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
-    def test_every_subcommand_keeps_a_result(self, tmp_path, block_file, name):
-        # a table command writes both its JSON and its CSV file
+    def test_every_subcommand_keeps_a_result(self, tmp_path, block_file, name, suffix):
+        # every subcommand keeps a result listed in its manifest; only table
+        # commands write a CSV, and each kept file of the format reads back
         out = tmp_path / "out"
         argv = [arg.format(block=block_file) for arg in SUBCOMMANDS[name]]
         assert main(["--out-dir", str(out), *argv]) == 0
@@ -752,18 +754,36 @@ class TestRunLifecycle:
         results = sorted(p.name for p in out.iterdir() if p.name != f"{name}-manifest.json")
         assert results
         assert sorted(Path(p).name for p in manifest["outputs"]) == results
+        kept = [r for r in results if r.endswith(suffix)]
         if name in BOTH_FORMATS:
-            assert results == sorted(BOTH_FORMATS[name])
+            assert kept == [f for f in BOTH_FORMATS[name] if f.endswith(suffix)]
+        elif suffix == ".csv":
+            assert kept == []
+        for result in kept:
+            (read_json if suffix == ".json" else read_csv)(out / result)
 
-    @pytest.mark.parametrize("argv", [
-        ["--json", *SUBCOMMANDS["optimize"]],
-        [*SUBCOMMANDS["simulate"], "--csv"],
-        ["dm", "roundtrip", "--n", "10", "--w", "3", "--exhaustive"],
-    ], ids=["json", "csv", "exhaustive"])
-    def test_switches_are_gone(self, tmp_path, capsys, argv):
-        # the files and checks they selected are all written and made by default
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--csv"], ["--json", "--csv"]],
+                             ids=["neither", "json", "csv", "both"])
+    @pytest.mark.parametrize("name", list(BOTH_FORMATS))
+    def test_format_flags_select(self, tmp_path, capsys, name, flags):
+        # --json and --csv are gone: without them a table command writes both
+        # files, and with either the run is refused before its out-dir is made
         out = tmp_path / "out"
-        assert exit_code(["--out-dir", str(out), *argv]) == 2
+        code = exit_code(["--out-dir", str(out), *flags, *SUBCOMMANDS[name]])
+        if flags:
+            assert code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert {p.name for p in out.iterdir()} == {f"{name}-manifest.json",
+                                                       *BOTH_FORMATS[name]}
+
+    def test_exhaustive_is_gone(self, tmp_path, capsys):
+        # --samples covering the codebook checks every word, as --exhaustive did
+        out = tmp_path / "out"
+        assert exit_code(["--out-dir", str(out), "dm", "roundtrip", "--n", "10", "--w", "3",
+                          "--exhaustive"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Subcommands: optimize, dm {roundtrip, rate-loss},
-shape {encode, decode, analyze-switch}, simulate, budget.
+shape {encode, decode, analyze-switch}, simulate, budget. A profile is
+--m --probs (P their count, two for analyze-switch and budget; optimize
+alone takes --P), a matcher --n --p (weight round(n p)).
 
 Every run writes its outputs into --out-dir, made at the first write so a
 refused run leaves nothing, plus a JSON manifest recording the command,
@@ -131,7 +133,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 # Most symbols one `dm roundtrip` (min(--samples, C(n, w)) words of n) or one `simulate` SNR
 # point (--blocks x n) may work through. A word or block of n counts as max(n, 32) symbols
 # (its fixed 13-25 us is 32 symbols at 0.5-1.5 us each on one x86-64 core), n / 2^13 times
-# over above 2^13, where big-integer steps grow with n: a run at the cap takes 1-3 minutes.
+# over above 2^13, where big-integer steps grow with n. A run at the cap took 1.6-3.8 minutes
+# on a shared 2-vCPU x86-64 host whose speed varied 2.8x between sessions (README): allow 11.
 _MAX_WORK = 1 << 27
 _MIN_ITEM_COST = 32
 
@@ -154,13 +157,10 @@ def _noise_grid(args: argparse.Namespace) -> tuple[str, list[float]]:
     return ("snr_db", args.snr) if args.snr is not None else ("noise_std", args.sigma)
 
 
-def _shaper_from_args(args: argparse.Namespace) -> ShaperConfig:
-    """The shaper the profile flags --m --P --probs --n --mode describe."""
-    _require(args, "m", "P", "probs", "n")
-    if len(args.probs) != args.P:
-        raise ParameterError(f"--P {args.P} but {len(args.probs)} probabilities given")
-    profile = ShapingProfile(m=args.m, probs=tuple(args.probs))
-    return ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
+def _profile_from_args(args: argparse.Namespace, *required: str) -> ShapingProfile:
+    """The profile --m --probs describe, P being the number of --probs."""
+    _require(args, "m", "probs", *required)
+    return ShapingProfile(m=args.m, probs=tuple(args.probs))
 
 
 def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
@@ -194,7 +194,7 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
 
 def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
     _require(args, "n")
-    code = dm_code(args.n, args.w if args.w is not None else weight_for(args.n, args.p))
+    code = dm_code(args.n, weight_for(args.n, args.p))
     count = min(args.samples, code.num_words)
     _require_work("samples", count, code.n)
     # every word index once where --samples covers the codebook, else --samples
@@ -270,7 +270,10 @@ def _read_bits_file(path: str) -> np.ndarray:
 
 
 def _cmd_shape_encode(args: argparse.Namespace, run: _Run) -> None:
-    config = _shaper_from_args(args)
+    profile = _profile_from_args(args, "n")
+    config = ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
+    if args.info_file and config.mode != "block-dm":
+        raise ParameterError(f"--info-file takes block-dm mode; {config.mode} draws its own bits")
     if config.mode == "block-dm":
         if args.info_file:
             info = _read_bits_file(args.info_file)
@@ -303,11 +306,10 @@ def _cmd_shape_decode(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_shape_analyze_switch(args: argparse.Namespace, run: _Run) -> None:
-    _require(args, "p1", "p2", "n")
-    profile = ShapingProfile(m=args.m, probs=(args.p1, args.p2))
+    profile = _profile_from_args(args, "n")
     rows = []
     for n in args.n:
-        delta_db = switch_energy_loss(profile, n)  # rejects P != 2 first
+        delta_db = switch_energy_loss(profile, n)
         epsilon = switch_excess_expectation(n)
         p1_eff, p2_eff = effective_probabilities(*profile.probs, n)
         rows.append((n, epsilon, p1_eff, p2_eff, delta_db))
@@ -324,7 +326,8 @@ def _cmd_shape_analyze_switch(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
-    shaper_cfg = _shaper_from_args(args)
+    profile = _profile_from_args(args, "n")
+    shaper_cfg = ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
     _require_work("blocks", args.blocks, args.n)
     key, grid = _noise_grid(args)
     energy = induced_distribution(shaper_cfg.profile).average_energy
@@ -366,8 +369,8 @@ def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_budget(args: argparse.Namespace, run: _Run) -> None:
-    _require(args, "m", "p1", "p2", "n", "snr")
-    report = loss_budget(args.m, args.p1, args.p2, args.n, args.snr)
+    profile = _profile_from_args(args, "n", "snr")
+    report = loss_budget(profile.m, *profile.probs, args.n, args.snr)
     run.emit("budget.json", dataclasses.asdict(report))
     print(
         f"rate {report.operating_rate_bpcu:.4f} bpcu at {report.snr_db:.2f} dB: "
@@ -414,7 +417,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     # --config file can legitimately supply them.
     profile = argparse.ArgumentParser(add_help=False)
     profile.add_argument("--m", type=int)
-    profile.add_argument("--P", type=int)
     profile.add_argument("--probs", type=float, nargs="+")
     profile.add_argument("--n", type=int)
     profile.add_argument("--mode", choices=("block-dm", "ideal-sources"), default="block-dm")
@@ -432,7 +434,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     rt = leaf(dm_sub, "roundtrip", _cmd_dm_roundtrip, "check rank/unrank, count probes")
     rt.add_argument("--n", type=int)
-    rt.add_argument("--w", type=int, default=None)
     rt.add_argument("--p", type=float, default=0.5)
     rt.add_argument("--samples", type=int, default=10000)
 
@@ -454,19 +455,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     dec.add_argument("--expect-info", default=None)
 
     ana = leaf(shape_sub, "analyze-switch", _cmd_shape_analyze_switch, "overflow impact table")
-    ana.add_argument("--p1", type=float)
-    ana.add_argument("--p2", type=float)
+    ana.add_argument("--probs", type=float, nargs=2)
     ana.add_argument("--n", type=int, nargs="+")
     ana.add_argument("--m", type=int, default=5)
 
     sim = leaf(sub, "simulate", _cmd_simulate, "Monte Carlo AWGN simulation", [profile, noise])
     sim.add_argument("--blocks", type=int, default=16)
 
-    # --m and --p1/--p2 as in analyze-switch, but --m has no default here
+    # --m and two --probs as in analyze-switch, but --m has no default here
     bud = leaf(sub, "budget", _cmd_budget, "loss budget at an operating point")
     bud.add_argument("--m", type=int)
-    bud.add_argument("--p1", type=float)
-    bud.add_argument("--p2", type=float)
+    bud.add_argument("--probs", type=float, nargs=2)
     bud.add_argument("--n", type=int)
     bud.add_argument("--snr", type=float)
 

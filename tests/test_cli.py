@@ -78,7 +78,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     @pytest.mark.parametrize("command", [
-        ["simulate", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+        ["simulate", "--m", "3", "--probs", "0.04", "0.24",
          "--n", "64", "--blocks", "2"],
         ["optimize", "--m", "3", "--P", "2"],
     ], ids=["simulate", "optimize"])
@@ -87,7 +87,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", [
-        ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "512", "--snr"],
+        ["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "512", "--snr"],
         ["dm", "rate-loss", "--n", "64", "--p", "0.2", "--ref-rate"],
     ], ids=["budget-snr", "rate-loss-ref-rate"])
     def test_non_finite_value_is_2(self, tmp_path, command, value):
@@ -95,9 +95,9 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path), *command, value]) == 2
 
     @pytest.mark.parametrize("command", [
-        ["budget", "--m", "3", "--p1", "0.04", "--p2", "0.24", "--n", "2048", "--snr", "30"],
-        ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "2048", "--snr", "40"],
-        ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "2048", "--snr", "-400"],
+        ["budget", "--m", "3", "--probs", "0.04", "0.24", "--n", "2048", "--snr", "30"],
+        ["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "2048", "--snr", "40"],
+        ["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "2048", "--snr", "-400"],
         ["dm", "rate-loss", "--n", "64", "--p", "0.2", "--ref-rate", "1e-12"],
     ], ids=["budget-8-ask-30db", "budget-32-ask-40db", "budget-minus-400db", "rate-loss-tiny-rate"])
     def test_flat_mi_curve_is_2(self, tmp_path, capsys, command):
@@ -107,7 +107,7 @@ class TestExitCodes:
         assert "saturated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, message", [
-        (["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "2048", "--snr", "-100"],
+        (["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "2048", "--snr", "-100"],
          "operating rate"),
         (["dm", "rate-loss", "--n", "800", "--p", "0.14", "--ref-rate", "1e-6"],
          "operating rate"),
@@ -138,7 +138,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["optimize", "--m", "12", "--P", "2", "--snr", "70"],
-        ["budget", "--m", "12", "--p1", "0.04", "--p2", "0.24", "--n", "512", "--snr", "70"],
+        ["budget", "--m", "12", "--probs", "0.04", "0.24", "--n", "512", "--snr", "70"],
     ], ids=["optimize", "budget"])
     def test_4096_ask_runs_where_its_window_is_narrow(self, tmp_path, command):
         # at 70 dB the window holds the offsets of up to 16 symbols
@@ -148,16 +148,16 @@ class TestExitCodes:
         # a dense MI histogram needed 1.3 GB here; the band holds 1024 x 69
         # cells
         code, peak_mb = run_measured(
-            "--out-dir", str(tmp_path), "simulate", "--m", "10", "--P", "1",
-            "--probs", "0.2", "--n", "256", "--blocks", "16", "--sigma", "0.05",
+            "--out-dir", str(tmp_path), "simulate", "--m", "10", "--probs", "0.2",
+            "--n", "256", "--blocks", "16", "--sigma", "0.05",
         )
         assert code == 0
         assert peak_mb < 200
 
     def test_sigma_beyond_int64_bins_is_2(self, tmp_path, capsys):
         # snr_db_for used to divide by a noise power that underflows to 0 (exit 1)
-        code = main(["--out-dir", str(tmp_path), "simulate", "--m", "10", "--P", "1",
-                     "--probs", "0.2", "--n", "256", "--sigma", "1e-300"])
+        code = main(["--out-dir", str(tmp_path), "simulate", "--m", "10", "--probs", "0.2",
+                     "--n", "256", "--sigma", "1e-300"])
         assert code == 2
         assert "int64" in capsys.readouterr().err
 
@@ -185,7 +185,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         (["dm", "roundtrip", "--n", "8192"], "--samples"),
-        (["simulate", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+        (["simulate", "--m", "3", "--probs", "0.04", "0.24",
           "--n", "8192", "--sigma", "0.5"], "--blocks"),
     ], ids=["roundtrip-samples", "simulate-blocks"])
     def test_work_above_cap_is_2(self, tmp_path, capsys, command, flag):
@@ -198,7 +198,7 @@ class TestExitCodes:
         # every one of the 1 999 000 words of 2000 symbols: a separate
         # exhaustive check once ran for minutes past the cap
         started = time.monotonic()
-        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "2000", "--w", "2",
+        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "2000", "--p", "0.001",
                      "--samples", str(math.comb(2000, 2))]) == 2
         assert time.monotonic() - started < 1
         assert "--samples" in capsys.readouterr().err
@@ -208,7 +208,7 @@ class TestExitCodes:
         # at n = 1 a word's fixed cost dominates: 2^27 words ran for half an
         # hour, and roundtrip built a 1 GiB list of their indices first; a
         # codebook of C(30, 15) words lets every count here be drawn
-        argv = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "30", "--w", "15",
+        argv = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "30", "--p", "0.5",
                 "--samples"]
         started = time.monotonic()
         for samples in (1 << 27, _MAX_WORK // cli._MIN_ITEM_COST + 1):
@@ -226,7 +226,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("n, largest", [(8192, 16384), (16384, 4096), (65534, 256), (65536, 256)])
     @pytest.mark.parametrize("command, flag", [
         (["dm", "roundtrip", "--p", "0.5"], "--samples"),
-        (["simulate", "--m", "3", "--P", "1", "--probs", "0.5", "--sigma", "0.5"], "--blocks"),
+        (["simulate", "--m", "3", "--probs", "0.5", "--sigma", "0.5"], "--blocks"),
     ], ids=["roundtrip", "simulate"])
     def test_work_cap_charges_long_words_by_their_length(self, tmp_path, capsys, command, flag,
                                                          n, largest):
@@ -240,13 +240,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["optimize", "--m", "3", "--P", "1"], "--snr/--sigma"),
-        (["shape", "encode", "--m", "5", "--P", "3", "--probs", "0.04", "0.24", "--n", "96"],
-         "--P 3"),
-        (["shape", "encode", "--m", "3", "--P", "2", "--probs", "0.04", "0.24", "--n", "64",
+        (["shape", "encode", "--m", "3", "--probs", "0.04", "0.24", "--n", "64",
           "--info-file", "{blank}"], "no 0/1"),
+        # ideal-sources draws its own bits: the file was ignored, missing or not (exit 0)
+        (["shape", "encode", "--mode", "ideal-sources", "--m", "3", "--probs", "0.2",
+          "--n", "64", "--info-file", "{missing}"], "--info-file"),
         (["--config", "{missing}", "dm", "roundtrip", "--n", "8"], "cannot read config"),
         (["--config", "{garbled}", "dm", "roundtrip", "--n", "8"], "cannot read config"),
-    ], ids=["no-noise-grid", "P-not-len-probs", "info-without-bits", "config-missing",
+    ], ids=["no-noise-grid", "info-without-bits", "info-file-ideal-sources", "config-missing",
             "config-not-json"])
     def test_refused_arguments_are_2(self, tmp_path, capsys, argv, message):
         files = {name: tmp_path / name for name in ("blank", "missing", "garbled")}
@@ -276,13 +277,13 @@ class TestExitCodes:
 
     def test_missing_required_is_2(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "budget", "--m", "5",
-                     "--p1", "0.04", "--n", "128", "--snr", "17"])
+                     "--n", "128", "--snr", "17"])
         assert code == 2
 
     def test_integrity_error_is_3(self, tmp_path):
         block = tmp_path / "bad.json"
         encode = main(["--out-dir", str(tmp_path), "shape", "encode",
-                       "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+                       "--m", "3", "--probs", "0.04", "0.24",
                        "--n", "64"])
         assert encode == 0
         text = (tmp_path / "shape-block.json").read_text()
@@ -301,8 +302,8 @@ class TestExitCodes:
         n, w, M = 64, 15, 8
         info = tmp_path / "zeros.txt"
         info.write_text("0" * (dm_code(n, w).k + n * 2) + "\n")
-        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3", "--P", "1",
-                     "--probs", "0.24", "--n", str(n), "--info-file", str(info)]) == 0
+        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3", "--probs", "0.24",
+                     "--n", str(n), "--info-file", str(info)]) == 0
         payload = read_json(tmp_path / "shape-block.json")
         symbols = payload["symbols"]
         for j in [*range(w), *range(n - w, n)]:
@@ -339,7 +340,7 @@ class TestExitCodes:
         # once an uncaught ValueError (exit 1) or, for 1.5, a silent
         # truncation to 1
         assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3",
-                     "--P", "2", "--probs", "0.04", "0.24", "--n", "64"]) == 0
+                     "--probs", "0.04", "0.24", "--n", "64"]) == 0
         payload = read_json(tmp_path / "shape-block.json")
         payload[field][index] = value
         block = tmp_path / "bad.json"
@@ -356,8 +357,8 @@ class TestExitCodes:
         # moving one symbol by -/+M keeps its prefix and flips its sign bit,
         # so its matcher bit: the one matcher of P = 1 then reads a word of
         # the wrong weight, which rank refuses
-        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3", "--P", "1",
-                     "--probs", "0.24", "--n", "64"]) == 0
+        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3", "--probs", "0.24",
+                     "--n", "64"]) == 0
         payload = read_json(tmp_path / "shape-block.json")
         symbols = payload["symbols"]
         symbols[0] += -8 if symbols[0] > 0 else 8
@@ -372,10 +373,10 @@ class TestExitCodes:
     def test_matcher_length_limit_is_2(self, tmp_path):
         too_long = MAX_MATCHER_LENGTH + 1
         assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
-                     "--n", str(too_long), "--w", "3"]) == 2
+                     "--n", str(too_long), "--p", "0.001"]) == 2
         # P = 2 gives each matcher n/2 symbols
         assert main(["--out-dir", str(tmp_path), "shape", "encode",
-                     "--m", "5", "--P", "2", "--probs", "0.04", "0.24",
+                     "--m", "5", "--probs", "0.04", "0.24",
                      "--n", str(2 * too_long)]) == 2
 
 
@@ -383,7 +384,7 @@ class TestDmCommands:
     def test_roundtrip_output(self, tmp_path):
         # the default --samples covers all C(10, 3) = 120 words, each checked once
         assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
-                     "--n", "10", "--w", "3"]) == 0
+                     "--n", "10", "--p", "0.3"]) == 0
         payload = read_json(tmp_path / "dm-roundtrip.json")
         assert payload["ok"] is True
         assert payload["exhaustive"] is True
@@ -435,15 +436,16 @@ class TestDmCommands:
 
     @pytest.mark.parametrize("argv, code, wall_s", [
         # --n up to the matcher length cap, one word of work at the scaled cap
-        pytest.param(["--n", "65536", "--w", "3", "--samples", "1"], 0, 5, id="n-cap"),
-        pytest.param(["--n", "65537", "--w", "3", "--samples", "1"], 2, 1, id="n-cap+1"),
+        pytest.param(["--n", "65536", "--p", "0.00005", "--samples", "1"], 0, 5, id="n-cap"),
+        pytest.param(["--n", "65537", "--p", "0.00005", "--samples", "1"], 2, 1, id="n-cap+1"),
         pytest.param(["--n", "0"], 2, 1, id="n-0"),
         pytest.param(["--n", "-1"], 2, 1, id="n--1"),
-        # --w up to n
-        pytest.param(["--n", "16", "--w", "16"], 0, 1, id="w-cap"),
-        pytest.param(["--n", "16", "--w", "17"], 2, 1, id="w-cap+1"),
-        pytest.param(["--n", "16", "--w", "0"], 0, 1, id="w-0"),
-        pytest.param(["--n", "16", "--w", "-1"], 2, 1, id="w--1"),
+        # the weight round(n p) reaches 0 and n inside [0, 1], and --w is gone
+        pytest.param(["--n", "16", "--p", "0.97"], 0, 1, id="w-cap"),
+        pytest.param(["--n", "16", "--p", "1.0001"], 2, 1, id="w-cap+1"),
+        pytest.param(["--n", "16", "--p", "0.03"], 0, 1, id="w-0"),
+        pytest.param(["--n", "16", "--p", "-0.0001"], 2, 1, id="w--1"),
+        pytest.param(["--n", "16", "--w", "4"], 2, 1, id="w-flag"),
         # --p in [0, 1]
         pytest.param(["--n", "16", "--p", "1"], 0, 1, id="p-cap"),
         pytest.param(["--n", "16", "--p", "2"], 2, 1, id="p-cap+1"),
@@ -458,9 +460,9 @@ class TestDmCommands:
         pytest.param(["--n", "16", "--samples", "0"], 2, 1, id="samples-0"),
         pytest.param(["--n", "16", "--samples", "-1"], 2, 1, id="samples--1"),
         # --samples around C(10, 3) = 120: drawn below it, every word once from it on
-        pytest.param(["--n", "10", "--w", "3", "--samples", "119"], 0, 1, id="samples-C-1"),
-        pytest.param(["--n", "10", "--w", "3", "--samples", "120"], 0, 1, id="samples-C"),
-        pytest.param(["--n", "10", "--w", "3", "--samples", "121"], 0, 1, id="samples-C+1"),
+        pytest.param(["--n", "10", "--p", "0.3", "--samples", "119"], 0, 1, id="samples-C-1"),
+        pytest.param(["--n", "10", "--p", "0.3", "--samples", "120"], 0, 1, id="samples-C"),
+        pytest.param(["--n", "10", "--p", "0.3", "--samples", "121"], 0, 1, id="samples-C+1"),
     ])
     def test_roundtrip_flag_table(self, tmp_path, monkeypatch, argv, code, wall_s):
         # a run at the real cap takes minutes, so accepted rows run at a cap
@@ -474,6 +476,8 @@ class TestDmCommands:
             assert not out.exists()
             return
         payload = read_json(out / "dm-roundtrip.json")
+        p = float(argv[argv.index("--p") + 1]) if "--p" in argv else 0.5
+        assert payload["w"] == weight_for(payload["n"], p)
         words = math.comb(payload["n"], payload["w"])
         samples = int(argv[argv.index("--samples") + 1]) if "--samples" in argv else 10000
         assert payload["checked"] == min(samples, words)
@@ -489,7 +493,7 @@ class TestDmCommands:
 class TestShapeCommands:
     def test_encode_decode_roundtrip(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "--seed", "9", "shape",
-                     "encode", "--m", "3", "--P", "2", "--probs", "0.04",
+                     "encode", "--m", "3", "--probs", "0.04",
                      "0.24", "--n", "256"]) == 0
         assert main(["--out-dir", str(tmp_path), "shape", "decode",
                      "--block", str(tmp_path / "shape-block.json"),
@@ -500,7 +504,7 @@ class TestShapeCommands:
 
     def test_info_files_hold_bits_and_whitespace_only(self, tmp_path, capsys):
         # any other character was dropped, so "0120" was read as "010"
-        encode = ["shape", "encode", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+        encode = ["shape", "encode", "--m", "3", "--probs", "0.04", "0.24",
                   "--n", "64"]
         assert main(["--out-dir", str(tmp_path), *encode]) == 0
         bits = (tmp_path / "shape-info.txt").read_text().strip()
@@ -524,7 +528,7 @@ class TestShapeCommands:
         b_dir = tmp_path / "b"
         for d in (a_dir, b_dir):
             assert main(["--out-dir", str(d), "--seed", "4", "shape",
-                         "encode", "--m", "3", "--P", "2", "--probs",
+                         "encode", "--m", "3", "--probs",
                          "0.04", "0.24", "--n", "128"]) == 0
         a = (a_dir / "shape-block.json").read_text()
         b = (b_dir / "shape-block.json").read_text()
@@ -533,7 +537,7 @@ class TestShapeCommands:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_block_dm_seed_gives_block_0_of_the_stream(self, tmp_path, seed):
         assert main(["--out-dir", str(tmp_path), "--seed", str(seed), "shape", "encode",
-                     "--m", "4", "--P", "2", "--probs", "0.1", "0.3", "--n", "130"]) == 0
+                     "--m", "4", "--probs", "0.1", "0.3", "--n", "130"]) == 0
         config = ShaperConfig(profile=ShapingProfile(m=4, probs=(0.1, 0.3)), n=130)
         expected = _uniform_info(np.random.default_rng(seed), config, 1)[0]
         info = (tmp_path / "shape-info.txt").read_text().strip()
@@ -542,8 +546,8 @@ class TestShapeCommands:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_ideal_seed_gives_block_0_of_the_stream(self, tmp_path, seed):
         assert main(["--out-dir", str(tmp_path), "--seed", str(seed), "shape", "encode",
-                     "--mode", "ideal-sources", "--m", "4", "--P", "2",
-                     "--probs", "0.1", "0.3", "--n", "130"]) == 0
+                     "--mode", "ideal-sources", "--m", "4", "--probs", "0.1", "0.3",
+                     "--n", "130"]) == 0
         config = ShaperConfig(profile=ShapingProfile(m=4, probs=(0.1, 0.3)), n=130,
                               rng_seed=seed, mode="ideal-sources")
         payload = read_json(tmp_path / "shape-block.json")
@@ -551,7 +555,7 @@ class TestShapeCommands:
 
     def test_analyze_switch_table(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "shape", "analyze-switch",
-                     "--p1", "0.04", "--p2", "0.24", "--n", "256", "1024"]) == 0
+                     "--probs", "0.04", "0.24", "--n", "256", "1024"]) == 0
         rows = read_csv(tmp_path / "switch-analysis.csv")
         assert rows[0] == ["n", "epsilon", "p1_eff", "p2_eff", "delta_db"]
         eps_256 = float(rows[1][1])
@@ -568,7 +572,7 @@ class TestShapeCommands:
 class TestSimulateCommand:
     def test_single_point(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "simulate", "--m", "3",
-                     "--P", "2", "--probs", "0.04", "0.24", "--n", "128",
+                     "--probs", "0.04", "0.24", "--n", "128",
                      "--blocks", "2", "--snr", "12"]) == 0
         payload = read_json(tmp_path / "simulate-report.json")
         assert len(payload) == 1
@@ -577,7 +581,7 @@ class TestSimulateCommand:
 
     def test_sweep_csv(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "simulate", "--m", "3",
-                     "--P", "2", "--probs", "0.04", "0.24", "--n", "128",
+                     "--probs", "0.04", "0.24", "--n", "128",
                      "--blocks", "2", "--snr", "8", "12", "16"]) == 0
         rows = read_csv(tmp_path / "simulate-sweep.csv")
         assert rows[0] == ["snr_db", "ser", "mi_estimate"]
@@ -613,14 +617,14 @@ class TestOptimizeCommand:
 class TestBudgetCommand:
     def test_budget_json(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "budget", "--m", "5",
-                     "--p1", "0.04", "--p2", "0.24", "--n", "2048",
+                     "--probs", "0.04", "0.24", "--n", "2048",
                      "--snr", "17"]) == 0
         payload = read_json(tmp_path / "budget.json")
         assert payload["total_db"] == pytest.approx(0.145, abs=0.02)
 
     @pytest.mark.parametrize("flags", [
-        ["--m", "5", "--p1", "0", "--p2", "0.24", "--n", "2048", "--snr", "17"],
-        ["--m", "3", "--p1", "0.1", "--p2", "0.3", "--n", "2", "--snr", "10"],
+        ["--m", "5", "--probs", "0", "0.24", "--n", "2048", "--snr", "17"],
+        ["--m", "3", "--probs", "0.1", "0.3", "--n", "2", "--snr", "10"],
     ], ids=["p1=0", "n=2"])
     def test_budget_with_empty_matchers(self, tmp_path, flags):
         # a weight-0 matcher carries no bits; both used to exit 2
@@ -631,15 +635,44 @@ class TestBudgetCommand:
     def test_budget_with_a_rate_gain(self, tmp_path):
         # rate_loss(1024, 0.0006) is -0.0025, as round(n p) overshoots n p:
         # rate_loss_to_db refused it (exit 2)
-        assert main(["--out-dir", str(tmp_path), "budget", "--m", "5", "--p1", "0.0006",
-                     "--p2", "0.0006", "--n", "2048", "--snr", "17"]) == 0
+        assert main(["--out-dir", str(tmp_path), "budget", "--m", "5", "--probs", "0.0006",
+                     "0.0006", "--n", "2048", "--snr", "17"]) == 0
         assert read_json(tmp_path / "budget.json")["matcher_db"] < 0.0
+
+    @pytest.mark.parametrize("probs, n, code, wall_s", [
+        # --probs takes exactly two values, each in [0, 1]
+        pytest.param(["0.04"], 2048, 2, 1, id="probs-1"),
+        pytest.param(["0.04", "0.24"], 2048, 0, 5, id="probs-2"),
+        pytest.param(["0.04", "0.24", "0.1"], 2048, 2, 1, id="probs-3"),
+        pytest.param(["0", "0.24"], 2048, 0, 5, id="p-0"),
+        pytest.param(["0.04", "1"], 2048, 0, 5, id="p-1"),
+        pytest.param(["-0.1", "0.24"], 2048, 2, 1, id="p--0.1"),
+        pytest.param(["0.04", "1.1"], 2048, 2, 1, id="p-1.1"),
+        pytest.param(["nan", "0.24"], 2048, 2, 1, id="p-nan"),
+        # --n up to the command's cap; budget's cap + 1 is odd, cap + 2 is not
+        pytest.param(["0.04", "0.24"], "cap", 0, 5, id="n-cap"),
+        pytest.param(["0.04", "0.24"], "cap+1", 2, 1, id="n-cap+1"),
+        pytest.param(["0.04", "0.24"], "cap+2", 2, 1, id="n-cap+2"),
+    ])
+    @pytest.mark.parametrize("command, cap", [
+        (["shape", "analyze-switch", "--m", "5"], 1 << 20),
+        (["budget", "--m", "5", "--snr", "17"], 131072),
+    ], ids=["analyze-switch", "budget"])
+    def test_two_source_flag_table(self, tmp_path, command, cap, probs, n, code, wall_s):
+        # the two commands that take a two-source profile
+        n = {"cap": cap, "cap+1": cap + 1, "cap+2": cap + 2}.get(n, n)
+        out = tmp_path / "out"
+        started = time.monotonic()
+        assert exit_code(["--out-dir", str(out), *command, "--probs", *probs,
+                          "--n", str(n)]) == code
+        assert time.monotonic() - started < wall_s
+        assert out.exists() is (code == 0)
 
 
 class TestConfigMerge:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 3, "P": 2, "probs": [0.04, 0.24]}))
+        cfg.write_text(json.dumps({"m": 3, "probs": [0.04, 0.24]}))
         assert main(["--out-dir", str(tmp_path), "--config", str(cfg),
                      "shape", "encode", "--n", "64"]) == 0
         manifest = read_json(tmp_path / "shape-encode-manifest.json")
@@ -647,8 +680,7 @@ class TestConfigMerge:
 
     def test_cli_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 3, "P": 2, "probs": [0.04, 0.24],
-                                   "n": 64}))
+        cfg.write_text(json.dumps({"m": 3, "probs": [0.04, 0.24], "n": 64}))
         assert main(["--out-dir", str(tmp_path), "--config", str(cfg),
                      "shape", "encode", "--n", "128"]) == 0
         manifest = read_json(tmp_path / "shape-encode-manifest.json")
@@ -711,16 +743,16 @@ def exit_code(argv):
 # a quick run of each of the eight subcommands, keyed by its manifest name
 SUBCOMMANDS = {
     "optimize": ["optimize", "--m", "3", "--P", "1", "--snr", "8"],
-    "dm-roundtrip": ["dm", "roundtrip", "--n", "16", "--w", "4", "--samples", "5"],
+    "dm-roundtrip": ["dm", "roundtrip", "--n", "16", "--p", "0.25", "--samples", "5"],
     "dm-rate-loss": ["dm", "rate-loss", "--n", "64", "--p", "0.2"],
-    "shape-encode": ["shape", "encode", "--m", "3", "--P", "2", "--probs", "0.04", "0.24",
+    "shape-encode": ["shape", "encode", "--m", "3", "--probs", "0.04", "0.24",
                      "--n", "64"],
     "shape-decode": ["shape", "decode", "--block", "{block}"],
-    "shape-analyze-switch": ["shape", "analyze-switch", "--p1", "0.04", "--p2", "0.24",
+    "shape-analyze-switch": ["shape", "analyze-switch", "--probs", "0.04", "0.24",
                              "--n", "64"],
-    "simulate": ["simulate", "--m", "3", "--P", "2", "--probs", "0.04", "0.24", "--n", "64",
+    "simulate": ["simulate", "--m", "3", "--probs", "0.04", "0.24", "--n", "64",
                  "--blocks", "2", "--snr", "10"],
-    "budget": ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "512",
+    "budget": ["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "512",
                "--snr", "17"],
 }
 
@@ -782,7 +814,7 @@ class TestRunLifecycle:
     def test_exhaustive_is_gone(self, tmp_path, capsys):
         # --samples covering the codebook checks every word, as --exhaustive did
         out = tmp_path / "out"
-        assert exit_code(["--out-dir", str(out), "dm", "roundtrip", "--n", "10", "--w", "3",
+        assert exit_code(["--out-dir", str(out), "dm", "roundtrip", "--n", "10", "--p", "0.3",
                           "--exhaustive"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
@@ -827,9 +859,26 @@ class TestRunLifecycle:
                      "--expect-info", str(wrong)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, flags", [
+        ("shape-encode", ["--P", "2"]),
+        ("simulate", ["--P", "2"]),
+        ("shape-analyze-switch", ["--p1", "0.04"]),
+        ("shape-analyze-switch", ["--p2", "0.24"]),
+        ("budget", ["--p1", "0.04"]),
+        ("budget", ["--p2", "0.24"]),
+    ], ids=["encode-P", "simulate-P", "analyze-switch-p1", "analyze-switch-p2", "budget-p1",
+            "budget-p2"])
+    def test_second_spellings_are_gone(self, tmp_path, capsys, name, flags):
+        # P is the number of --probs and a two-source profile is two --probs: the
+        # flags that repeated them are refused (dm roundtrip --w: the flag table)
+        out = tmp_path / "out"
+        assert exit_code(["--out-dir", str(out), *SUBCOMMANDS[name], *flags]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_m_has_no_default(self, tmp_path, capsys):
         # analyze-switch defaults --m to 5; budget must not
-        code = main(["--out-dir", str(tmp_path), "budget", "--p1", "0.04", "--p2", "0.24",
+        code = main(["--out-dir", str(tmp_path), "budget", "--probs", "0.04", "0.24",
                      "--n", "512", "--snr", "17"])
         assert code == 2
         assert "--m" in capsys.readouterr().err
@@ -843,7 +892,7 @@ class TestConfigParsedLikeFlags:
 
     def test_scalar_for_a_list_flag(self, tmp_path):
         # both used to exit 1 on a TypeError traceback
-        cfg = self.write(tmp_path, {"m": 3, "P": 1, "probs": 0.2})
+        cfg = self.write(tmp_path, {"m": 3, "probs": 0.2})
         assert main(["--out-dir", str(tmp_path), "--config", cfg, "shape", "encode",
                      "--n", "64"]) == 0
         assert read_json(tmp_path / "shape-encode-manifest.json")["params"]["probs"] == [0.2]
@@ -862,17 +911,24 @@ class TestConfigParsedLikeFlags:
 
     @pytest.mark.parametrize("config, command", [
         ({"n": [64, 128]}, ["dm", "roundtrip"]),
-        ({"mode": "bogus"}, ["simulate", "--m", "3", "--P", "1", "--probs", "0.2",
+        ({"mode": "bogus"}, ["simulate", "--m", "3", "--probs", "0.2",
                              "--n", "64", "--snr", "10"]),
         ({"sampels": 5}, ["dm", "roundtrip", "--n", "64"]),  # used to run the default samples
         ({"block": "x.json"}, ["dm", "roundtrip", "--n", "64"]),  # a flag of another command
         ({"samples": "many"}, ["dm", "roundtrip", "--n", "64"]),
         # keys of the removed switches
         ({"exhaustive": True, "json": True, "csv": False}, ["dm", "roundtrip", "--n", "10",
-                                                            "--w", "3"]),
+                                                            "--p", "0.3"]),
         ({"seed": 1.5}, ["dm", "roundtrip", "--n", "64"]),
+        # keys of the removed second spellings of P, a two-source profile and a weight
+        ({"P": 2}, SUBCOMMANDS["shape-encode"]),
+        ({"P": 2}, SUBCOMMANDS["simulate"]),
+        ({"p1": 0.04, "p2": 0.24}, SUBCOMMANDS["shape-analyze-switch"]),
+        ({"p1": 0.04, "p2": 0.24}, SUBCOMMANDS["budget"]),
+        ({"w": 4}, SUBCOMMANDS["dm-roundtrip"]),
     ], ids=["list-for-scalar", "bad-choice", "unknown-key", "foreign-key", "bad-int",
-            "bad-switch", "float-seed"])
+            "bad-switch", "float-seed", "P-encode", "P-simulate", "p1-p2-analyze-switch",
+            "p1-p2-budget", "w-roundtrip"])
     def test_bad_value_is_2(self, tmp_path, config, command):
         out = tmp_path / "out"
         cfg = self.write(tmp_path, config)
@@ -883,7 +939,7 @@ class TestConfigParsedLikeFlags:
 class TestLengthCaps:
     @pytest.mark.parametrize("command", [
         ["dm", "rate-loss", "--n", "65537", "--p", "0.24"],
-        ["budget", "--m", "5", "--p1", "0.04", "--p2", "0.24", "--n", "131074",
+        ["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "131074",
          "--snr", "17"],
     ], ids=["rate-loss", "budget"])
     def test_matcher_length_cap_is_2(self, tmp_path, capsys, command):
@@ -908,8 +964,8 @@ class TestLengthCaps:
 
     def test_switch_analysis_cap_is_2_before_allocating(self, tmp_path):
         # n = 10^9 would need about 11 GB
-        result = self.run_capped(tmp_path, "shape", "analyze-switch", "--p1", "0.04",
-                                 "--p2", "0.24", "--n", str(10**9))
+        result = self.run_capped(tmp_path, "shape", "analyze-switch", "--probs", "0.04",
+                                 "0.24", "--n", str(10**9))
         assert result.returncode == 2, result.stderr
         assert "1048576" in result.stderr
 
@@ -918,6 +974,6 @@ class TestLengthCaps:
         # ideal-sources at n = 4 * 10^9 asked for 7.45 GiB; both modes now
         # refuse n / P above the matcher length cap when the config is built
         result = self.run_capped(tmp_path, "shape", "encode", "--mode", mode, "--m", "3",
-                                 "--P", "1", "--probs", "0.2", "--n", str(4 * 10**9))
+                                 "--probs", "0.2", "--n", str(4 * 10**9))
         assert result.returncode == 2, result.stderr
         assert "65536" in result.stderr

@@ -779,7 +779,7 @@ class TestSwitchEnergyLoss:
     def test_analyze_switch_consistent(self, tmp_path):
         prof = ShapingProfile(m=5, probs=(0.04, 0.24))
         assert main(["--out-dir", str(tmp_path), "shape", "analyze-switch",
-                     "--m", "5", "--p1", "0.04", "--p2", "0.24",
+                     "--m", "5", "--probs", "0.04", "0.24",
                      "--n", "1024"]) == 0
         text = (tmp_path / "switch-analysis.json").read_text(encoding="utf-8")
         (analysis,) = json.loads(text)

@@ -218,8 +218,8 @@ def test_runs_with_scipy_unimportable(tmp_path):
         f"out = {str(tmp_path)!r}\n"
         "assert cli.main(['--out-dir', out, 'optimize', '--m', '5', '--P', '2',\n"
         "                 '--snr', '14', '15']) == 0\n"
-        "assert cli.main(['--out-dir', out, 'budget', '--m', '5', '--p1', '0.04',\n"
-        "                 '--p2', '0.24', '--n', '2048', '--snr', '16']) == 0\n"
+        "assert cli.main(['--out-dir', out, 'budget', '--m', '5', '--probs', '0.04',\n"
+        "                 '0.24', '--n', '2048', '--snr', '16']) == 0\n"
         "curve = mi_curve_optimized(6, 16, [28, 29])\n"
         "print('ok', len(curve.profiles), 'scipy' in sys.modules)\n"
     )

@@ -9,9 +9,10 @@ Every run writes its outputs into --out-dir, made at the first write so a
 refused run leaves nothing, plus a JSON manifest recording the command,
 parameters, seed, package version, output paths, and wall clock time.
 Commands with a table write it as CSV and their full results as JSON,
-always both. Every option takes a value. A --config file (JSON object
-keyed by flag destination names) supplies defaults that explicit flags
-override. Its values are parsed and checked as the flags would be, and a
+always both. Every option takes a value and follows the subcommand words.
+A --config file (JSON object keyed by flag destination names) becomes flag
+tokens placed right after those words, so explicit flags, later on the line,
+override it. Its values are parsed and checked as the flags would be, and a
 key that is no flag of the subcommand exits 2. Matchers are at most 2^16
 symbols long, so dm rate-loss takes n <= 2^16 and budget n <= 2^17;
 switch analysis takes n <= 2^20. dm roundtrip checks min(--samples, C(n, w))
@@ -123,13 +124,6 @@ class _Run:
         _write_text(path, json.dumps(manifest, indent=2) + "\n")
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [name for name in names if getattr(args, name, None) is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise ParameterError(f"missing required option(s): {flags}")
-
-
 # Most symbols one `dm roundtrip` (min(--samples, C(n, w)) words of n) or one `simulate` SNR
 # point (--blocks x n) may work through. A word or block of n counts as max(n, 32) symbols
 # (its fixed 13-25 us is 32 symbols at 0.5-1.5 us each on one x86-64 core), n / 2^13 times
@@ -152,19 +146,10 @@ def _require_work(flag: str, count: int, n: int) -> None:
 
 def _noise_grid(args: argparse.Namespace) -> tuple[str, list[float]]:
     """Which one of --snr and --sigma is given, as "snr_db" or "noise_std", and its values."""
-    if (args.snr is None) == (args.sigma is None):
-        raise ParameterError("give exactly one of --snr/--sigma")
     return ("snr_db", args.snr) if args.snr is not None else ("noise_std", args.sigma)
 
 
-def _profile_from_args(args: argparse.Namespace, *required: str) -> ShapingProfile:
-    """The profile --m --probs describe, P being the number of --probs."""
-    _require(args, "m", "probs", *required)
-    return ShapingProfile(m=args.m, probs=tuple(args.probs))
-
-
 def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
-    _require(args, "m", "P")
     key, grid = _noise_grid(args)
     results = []
     for result in _warm_sweep(args.m, args.P, key, grid):
@@ -193,7 +178,6 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
-    _require(args, "n")
     code = dm_code(args.n, weight_for(args.n, args.p))
     count = min(args.samples, code.num_words)
     _require_work("samples", count, code.n)
@@ -236,7 +220,6 @@ def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
-    _require(args, "n", "p")
     profile = ShapingProfile(m=args.ref_m, probs=tuple(args.ref_probs))
     if not 0 < args.ref_rate < args.ref_m:
         raise ParameterError(f"--ref-rate must lie in (0, --ref-m), got {args.ref_rate}")
@@ -270,7 +253,7 @@ def _read_bits_file(path: str) -> np.ndarray:
 
 
 def _cmd_shape_encode(args: argparse.Namespace, run: _Run) -> None:
-    profile = _profile_from_args(args, "n")
+    profile = ShapingProfile(m=args.m, probs=tuple(args.probs))
     config = ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
     if args.info_file and config.mode != "block-dm":
         raise ParameterError(f"--info-file takes block-dm mode; {config.mode} draws its own bits")
@@ -293,7 +276,6 @@ def _cmd_shape_encode(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_shape_decode(args: argparse.Namespace, run: _Run) -> None:
-    _require(args, "block")
     block, config = block_from_json(Path(args.block).read_text(encoding="utf-8"))
     info = decode_block(block, config)
     if args.expect_info:
@@ -306,7 +288,7 @@ def _cmd_shape_decode(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_shape_analyze_switch(args: argparse.Namespace, run: _Run) -> None:
-    profile = _profile_from_args(args, "n")
+    profile = ShapingProfile(m=args.m, probs=tuple(args.probs))
     rows = []
     for n in args.n:
         delta_db = switch_energy_loss(profile, n)
@@ -326,7 +308,7 @@ def _cmd_shape_analyze_switch(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
-    profile = _profile_from_args(args, "n")
+    profile = ShapingProfile(m=args.m, probs=tuple(args.probs))
     shaper_cfg = ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
     _require_work("blocks", args.blocks, args.n)
     key, grid = _noise_grid(args)
@@ -369,8 +351,7 @@ def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_budget(args: argparse.Namespace, run: _Run) -> None:
-    profile = _profile_from_args(args, "n", "snr")
-    report = loss_budget(profile.m, *profile.probs, args.n, args.snr)
+    report = loss_budget(args.m, *args.probs, args.n, args.snr)
     run.emit("budget.json", dataclasses.asdict(report))
     print(
         f"rate {report.operating_rate_bpcu:.4f} bpcu at {report.snr_db:.2f} dB: "
@@ -380,31 +361,28 @@ def _cmd_budget(args: argparse.Namespace, run: _Run) -> None:
     )
 
 
-def _common_parent(real_defaults: bool) -> argparse.ArgumentParser:
-    # Shared by the top parser and every leaf subcommand so the flags are
-    # accepted on either side of the subcommand name. Leaf copies suppress
-    # their defaults: subparsers parse into a fresh namespace whose contents
-    # overwrite the outer one, which would clobber flags given up front.
-    default = (lambda v: v) if real_defaults else (lambda v: argparse.SUPPRESS)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=default(0), help="run seed")
-    common.add_argument("--out-dir", default=default("."), help="output directory")
-    common.add_argument(
-        "--config", default=default(None), help="JSON file of default flag values"
-    )
-    return common
+class _TwoValues(argparse.Action):
+    """nargs="+" held to two values: the subcommand's parser, not the top one, refuses others."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(values) != 2:
+            raise argparse.ArgumentError(self, f"takes two values, got {len(values)}")
+        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     """The top parser and the parsers of its eight leaf subcommands."""
-    common = _common_parent(real_defaults=False)
     top = argparse.ArgumentParser(
         prog="signshape",
         description="Sign-bit probabilistic shaping toolkit for ASK over AWGN",
-        parents=[_common_parent(real_defaults=True)],
     )
     sub = top.add_subparsers(dest="command", required=True)
     leaves: list[argparse.ArgumentParser] = []
+    # every leaf takes these, after its subcommand words like its own flags
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="run seed")
+    common.add_argument("--out-dir", default=".", help="output directory")
+    common.add_argument("--config", help="JSON file of flag values that explicit flags override")
 
     def leaf(subparsers, name: str, func, help: str, groups=()) -> argparse.ArgumentParser:
         parser = subparsers.add_parser(name, parents=[common, *groups], help=help)
@@ -412,34 +390,32 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
         leaves.append(parser)
         return parser
 
-    # Flag groups that several subcommands share. "Required" flags default
-    # to None and are checked by _require after the config merge, so a
-    # --config file can legitimately supply them.
+    # flag groups that several subcommands share
     profile = argparse.ArgumentParser(add_help=False)
-    profile.add_argument("--m", type=int)
-    profile.add_argument("--probs", type=float, nargs="+")
-    profile.add_argument("--n", type=int)
+    profile.add_argument("--m", type=int, required=True)
+    profile.add_argument("--probs", type=float, nargs="+", required=True)
+    profile.add_argument("--n", type=int, required=True)
     profile.add_argument("--mode", choices=("block-dm", "ideal-sources"), default="block-dm")
     noise = argparse.ArgumentParser(add_help=False)
-    grid = noise.add_mutually_exclusive_group()
+    grid = noise.add_mutually_exclusive_group(required=True)
     grid.add_argument("--snr", type=float, nargs="+", help="SNR grid in dB")
     grid.add_argument("--sigma", type=float, nargs="+", help="noise std grid")
 
     opt = leaf(sub, "optimize", _cmd_optimize, "optimize shaping profiles over SNR", [noise])
-    opt.add_argument("--m", type=int)
-    opt.add_argument("--P", type=int)
+    opt.add_argument("--m", type=int, required=True)
+    opt.add_argument("--P", type=int, required=True)
 
     dm = sub.add_parser("dm", help="fixed-weight matcher tools")
     dm_sub = dm.add_subparsers(dest="dm_command", required=True)
 
     rt = leaf(dm_sub, "roundtrip", _cmd_dm_roundtrip, "check rank/unrank, count probes")
-    rt.add_argument("--n", type=int)
+    rt.add_argument("--n", type=int, required=True)
     rt.add_argument("--p", type=float, default=0.5)
     rt.add_argument("--samples", type=int, default=10000)
 
     rl = leaf(dm_sub, "rate-loss", _cmd_dm_rate_loss, "finite-length rate loss table")
-    rl.add_argument("--n", type=int, nargs="+")
-    rl.add_argument("--p", type=float)
+    rl.add_argument("--n", type=int, nargs="+", required=True)
+    rl.add_argument("--p", type=float, required=True)
     rl.add_argument("--ref-m", type=int, default=5)
     rl.add_argument("--ref-probs", type=float, nargs="+", default=[0.04, 0.24])
     rl.add_argument("--ref-rate", type=float, default=3.0)
@@ -451,12 +427,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     enc.add_argument("--info-file", default=None)
 
     dec = leaf(shape_sub, "decode", _cmd_shape_decode, "decode a block file")
-    dec.add_argument("--block")
+    dec.add_argument("--block", required=True)
     dec.add_argument("--expect-info", default=None)
 
     ana = leaf(shape_sub, "analyze-switch", _cmd_shape_analyze_switch, "overflow impact table")
-    ana.add_argument("--probs", type=float, nargs=2)
-    ana.add_argument("--n", type=int, nargs="+")
+    ana.add_argument("--probs", type=float, nargs="+", action=_TwoValues, required=True)
+    ana.add_argument("--n", type=int, nargs="+", required=True)
     ana.add_argument("--m", type=int, default=5)
 
     sim = leaf(sub, "simulate", _cmd_simulate, "Monte Carlo AWGN simulation", [profile, noise])
@@ -464,60 +440,52 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     # --m and two --probs as in analyze-switch, but --m has no default here
     bud = leaf(sub, "budget", _cmd_budget, "loss budget at an operating point")
-    bud.add_argument("--m", type=int)
-    bud.add_argument("--probs", type=float, nargs=2)
-    bud.add_argument("--n", type=int)
-    bud.add_argument("--snr", type=float)
+    bud.add_argument("--m", type=int, required=True)
+    bud.add_argument("--probs", type=float, nargs="+", action=_TwoValues, required=True)
+    bud.add_argument("--n", type=int, required=True)
+    bud.add_argument("--snr", type=float, required=True)
 
     return top, leaves
 
 
-def _apply_config(path: str, top: argparse.ArgumentParser, leaf: argparse.ArgumentParser) -> None:
-    """Make a --config file's values defaults of the parser owning each key.
-
-    Common flags are parsed by the top parser and become its defaults only:
-    a leaf default would overwrite a flag given before the subcommand name.
-    """
+def _config_tokens(path: str, leaf: argparse.ArgumentParser) -> list[str]:
+    """A --config file's values as flag tokens of the leaf parser."""
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ParameterError("config file must hold a JSON object")
-    common = {action.dest for action in top._actions}
-    # the leaf's flags by destination name, the common ones among them
-    own = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
-    unknown = sorted(set(config) - set(own))
+    # the leaf's flags by destination name
+    flags = {a.dest: a.option_strings[0] for a in leaf._actions if a.dest != "help"}
+    unknown = sorted(set(config) - set(flags))
     if unknown:
-        raise ParameterError(f"config key(s) {', '.join(unknown)} name no flag of {leaf.prog}")
-    before, after = [], []  # tokens for either side of the subcommand name
+        raise ParameterError(f"config {path}: {', '.join(unknown)} name no flag of {leaf.prog}")
+    tokens = []
     for key, value in config.items():
-        # a list gives several values
-        flag = own[key].option_strings[0]
-        if isinstance(value, list):
-            tokens = [flag, *map(str, value)]
+        if isinstance(value, list):  # a list gives several values
+            tokens += [flags[key], *map(str, value)]
         else:
-            tokens = [f"{flag}={value}"]  # "=" keeps a value such as -1e-05 one
-        (before if key in common else after).extend(tokens)
-    parsed, extra = top.parse_known_args([*before, *leaf.prog.split()[1:], *after])
-    if extra:
-        raise ParameterError(f"config {path} gives more values than its flags take: {extra}")
-    top.set_defaults(**{key: getattr(parsed, key) for key in config if key in common})
-    leaf.set_defaults(**{key: getattr(parsed, key) for key in config if key not in common})
+            tokens.append(f"{flags[key]}={value}")  # "=" keeps a value such as -1e-05 one
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, leaves = build_parser()
-    args = top.parse_args(argv)
-    leaf = next(parser for parser in leaves if parser.get_default("func") is args.func)
+    # the top parser takes no option, so a line opens with its subcommand words
+    words = next((w for w in (p.prog.split()[1:] for p in leaves) if argv[: len(w)] == w), [])
+    leaf = next((p for p in leaves if p.prog.split()[1:] == words), None)
     try:
-        # the first parse found --config, however abbreviated or placed; its
-        # values become defaults for a second parse, so explicit flags win
-        if args.config:
-            _apply_config(args.config, top, leaf)
-            args = top.parse_args(argv)
-        run = _Run(args, "-".join(leaf.prog.split()[1:]))
+        if leaf is not None:
+            # --config, however abbreviated; a bare one is left for the full parse to refuse
+            lookup = argparse.ArgumentParser(add_help=False)
+            lookup.add_argument("--config", nargs="?")
+            path = lookup.parse_known_args(argv[len(words):])[0].config
+            if path:  # explicit flags come later on the line, and the last one wins
+                argv[len(words):len(words)] = _config_tokens(path, leaf)
+        args = top.parse_args(argv)
+        run = _Run(args, "-".join(words))
         args.func(args, run)
         run.finish()
         return 0

@@ -73,8 +73,8 @@ class SimReport:
 
 def _decide_ranks(y: np.ndarray, M: int) -> np.ndarray:
     """Rank of the nearest of M symbols; exact midpoints go to the smaller."""
-    # (y + M - 1) / 2 is the rank scale, where midpoints sit at .5
-    return np.clip(np.ceil((y + (M - 1)) / 2.0 - 0.5).astype(np.int64), 0, M - 1)
+    # (y + M - 1) / 2 is the rank scale, midpoints at .5; clipped as float, int64 ends at 2^63
+    return np.clip(np.ceil((y + (M - 1)) / 2.0 - 0.5), 0, M - 1).astype(np.int64)
 
 
 def _band_mi(band: np.ndarray, first_bin: np.ndarray) -> float:

@@ -72,8 +72,7 @@ class TestExitCodes:
 
     def test_parameter_error_is_2(self, tmp_path):
         # P = 3 does not divide M/4 = 8
-        code = main(["--out-dir", str(tmp_path), "optimize", "--m", "5",
-                     "--P", "3", "--snr", "10"])
+        code = main(["optimize", "--m", "5", "--P", "3", "--snr", "10", "--out-dir", str(tmp_path)])
         assert code == 2
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -83,7 +82,7 @@ class TestExitCodes:
         ["optimize", "--m", "3", "--P", "2"],
     ], ids=["simulate", "optimize"])
     def test_non_finite_sigma_is_2(self, tmp_path, command, sigma):
-        assert main(["--out-dir", str(tmp_path), *command, "--sigma", sigma]) == 2
+        assert main([*command, "--sigma", sigma, "--out-dir", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", [
@@ -92,7 +91,7 @@ class TestExitCodes:
     ], ids=["budget-snr", "rate-loss-ref-rate"])
     def test_non_finite_value_is_2(self, tmp_path, command, value):
         # both used to die in np.arange with a traceback (exit 1)
-        assert main(["--out-dir", str(tmp_path), *command, value]) == 2
+        assert main([*command, value, "--out-dir", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("command", [
         ["budget", "--m", "3", "--probs", "0.04", "0.24", "--n", "2048", "--snr", "30"],
@@ -103,7 +102,7 @@ class TestExitCodes:
     def test_flat_mi_curve_is_2(self, tmp_path, capsys, command):
         # where MI no longer rises the matcher loss has no dB value; the
         # first and third exited 1 with an IndexError
-        assert main(["--out-dir", str(tmp_path), *command]) == 2
+        assert main([*command, "--out-dir", str(tmp_path)]) == 2
         assert "saturated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, message", [
@@ -117,7 +116,7 @@ class TestExitCodes:
         # the first two reported 271143460 dB and 29250 dB (exit 0); at rate
         # 1e-20, 2^(2 rate) - 1 rounded to 0 and log10 raised (exit 1)
         out = tmp_path / "out"
-        assert main(["--out-dir", str(out), *command]) == 2
+        assert main([*command, "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -125,15 +124,15 @@ class TestExitCodes:
         # at 20 dB the uniform start's noise puts 4096-ASK's symbols 0.008
         # noise standard deviations apart: every offset is in the window,
         # and band and index are 256 MB each
-        code = main(["--out-dir", str(tmp_path), "optimize", "--m", "12",
-                     "--P", "2", "--snr", "20"])
+        code = main(["optimize", "--m", "12", "--P", "2", "--snr", "20",
+                     "--out-dir", str(tmp_path)])
         assert code == 2
         assert "cap" in capsys.readouterr().err
 
     def test_1024_ask_within_mi_memory_cap(self, tmp_path):
         # 1024-ASK's band and index are at most 32 MB, within awgn_mi's cap
-        code = main(["--out-dir", str(tmp_path), "optimize", "--m", "10",
-                     "--P", "2", "--snr", "60"])
+        code = main(["optimize", "--m", "10", "--P", "2", "--snr", "60",
+                     "--out-dir", str(tmp_path)])
         assert code == 0
 
     @pytest.mark.parametrize("command", [
@@ -142,22 +141,22 @@ class TestExitCodes:
     ], ids=["optimize", "budget"])
     def test_4096_ask_runs_where_its_window_is_narrow(self, tmp_path, command):
         # at 70 dB the window holds the offsets of up to 16 symbols
-        assert main(["--out-dir", str(tmp_path), *command]) == 0
+        assert main([*command, "--out-dir", str(tmp_path)]) == 0
 
     def test_1024_ask_simulate_at_small_sigma_stays_small(self, tmp_path):
         # a dense MI histogram needed 1.3 GB here; the band holds 1024 x 69
         # cells
         code, peak_mb = run_measured(
-            "--out-dir", str(tmp_path), "simulate", "--m", "10", "--probs", "0.2",
-            "--n", "256", "--blocks", "16", "--sigma", "0.05",
+            "simulate", "--m", "10", "--probs", "0.2", "--n", "256", "--blocks", "16",
+            "--sigma", "0.05", "--out-dir", str(tmp_path),
         )
         assert code == 0
         assert peak_mb < 200
 
     def test_sigma_beyond_int64_bins_is_2(self, tmp_path, capsys):
         # snr_db_for used to divide by a noise power that underflows to 0 (exit 1)
-        code = main(["--out-dir", str(tmp_path), "simulate", "--m", "10", "--probs", "0.2",
-                     "--n", "256", "--sigma", "1e-300"])
+        code = main(["simulate", "--m", "10", "--probs", "0.2", "--n", "256", "--sigma", "1e-300",
+                     "--out-dir", str(tmp_path)])
         assert code == 2
         assert "int64" in capsys.readouterr().err
 
@@ -168,7 +167,7 @@ class TestExitCodes:
         ("rate-loss", "1.5"),
     ])
     def test_density_outside_unit_interval_is_2(self, tmp_path, capsys, command, p):
-        code = main(["--out-dir", str(tmp_path), "dm", command, "--n", "64", "--p", p])
+        code = main(["dm", command, "--n", "64", "--p", p, "--out-dir", str(tmp_path)])
         assert code == 2
         assert "[0, 1]" in capsys.readouterr().err
 
@@ -177,8 +176,8 @@ class TestExitCodes:
         "-1",  # used to exit 0 reporting checked=-1
     ], ids=["roundtrip-0", "roundtrip--1"])
     def test_samples_below_one_is_2(self, tmp_path, capsys, samples):
-        code = main(["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "64",
-                     "--samples", samples])
+        code = main(["dm", "roundtrip", "--n", "64", "--samples", samples,
+                     "--out-dir", str(tmp_path)])
         assert code == 2
         assert "--samples" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -190,7 +189,7 @@ class TestExitCodes:
     ], ids=["roundtrip-samples", "simulate-blocks"])
     def test_work_above_cap_is_2(self, tmp_path, capsys, command, flag):
         count = str(_MAX_WORK // 8192 + 1)
-        assert main(["--out-dir", str(tmp_path), *command, flag, count]) == 2
+        assert main([*command, flag, count, "--out-dir", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
@@ -198,8 +197,8 @@ class TestExitCodes:
         # every one of the 1 999 000 words of 2000 symbols: a separate
         # exhaustive check once ran for minutes past the cap
         started = time.monotonic()
-        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "2000", "--p", "0.001",
-                     "--samples", str(math.comb(2000, 2))]) == 2
+        assert main(["dm", "roundtrip", "--n", "2000", "--p", "0.001",
+                     "--samples", str(math.comb(2000, 2)), "--out-dir", str(tmp_path)]) == 2
         assert time.monotonic() - started < 1
         assert "--samples" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -208,7 +207,7 @@ class TestExitCodes:
         # at n = 1 a word's fixed cost dominates: 2^27 words ran for half an
         # hour, and roundtrip built a 1 GiB list of their indices first; a
         # codebook of C(30, 15) words lets every count here be drawn
-        argv = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "30", "--p", "0.5",
+        argv = ["dm", "roundtrip", "--n", "30", "--p", "0.5", "--out-dir", str(tmp_path),
                 "--samples"]
         started = time.monotonic()
         for samples in (1 << 27, _MAX_WORK // cli._MIN_ITEM_COST + 1):
@@ -233,20 +232,20 @@ class TestExitCodes:
         # a dense word's time grows as n^2 above 2^13, so 2^27 / n words of
         # 2^16 took 17 minutes; counting each n / 2^13 times holds it to 2
         cli._require_work(flag[2:], largest, n)
-        argv = ["--out-dir", str(tmp_path), *command, "--n", str(n), flag, str(largest + 1)]
+        argv = [*command, "--n", str(n), flag, str(largest + 1), "--out-dir", str(tmp_path)]
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, message", [
-        (["optimize", "--m", "3", "--P", "1"], "--snr/--sigma"),
+        (["optimize", "--m", "3", "--P", "1"], "--snr --sigma is required"),
         (["shape", "encode", "--m", "3", "--probs", "0.04", "0.24", "--n", "64",
           "--info-file", "{blank}"], "no 0/1"),
         # ideal-sources draws its own bits: the file was ignored, missing or not (exit 0)
         (["shape", "encode", "--mode", "ideal-sources", "--m", "3", "--probs", "0.2",
           "--n", "64", "--info-file", "{missing}"], "--info-file"),
-        (["--config", "{missing}", "dm", "roundtrip", "--n", "8"], "cannot read config"),
-        (["--config", "{garbled}", "dm", "roundtrip", "--n", "8"], "cannot read config"),
+        (["dm", "roundtrip", "--n", "8", "--config", "{missing}"], "cannot read config"),
+        (["dm", "roundtrip", "--n", "8", "--config", "{garbled}"], "cannot read config"),
     ], ids=["no-noise-grid", "info-without-bits", "info-file-ideal-sources", "config-missing",
             "config-not-json"])
     def test_refused_arguments_are_2(self, tmp_path, capsys, argv, message):
@@ -254,14 +253,14 @@ class TestExitCodes:
         files["blank"].write_text(" \n\t\n")
         files["garbled"].write_text("{not json")
         out = tmp_path / "out"
-        assert main(["--out-dir", str(out), *(arg.format(**files) for arg in argv)]) == 2
+        assert exit_code([*(arg.format(**files) for arg in argv), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_codes_past_str_digit_limit(self, tmp_path, capsys):
         # C(n, w) here has over 4300 decimal digits, which str() refuses:
         # both runs used to exit 1 on ValueError
-        out = ["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "65536"]
+        out = ["dm", "roundtrip", "--n", "65536", "--out-dir", str(tmp_path)]
         assert main([*out, "--p", "0.04", "--samples", "1"]) == 0
         assert "num_words" not in read_json(tmp_path / "dm-roundtrip.json")
         assert main([*out, "--p", "0.24", "--samples", "257"]) == 2
@@ -270,28 +269,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("snr", ["-4000", "-inf"])
     def test_snr_without_noise_level_is_2(self, tmp_path, capsys, snr):
         # 10 ** (snr / 10) is 0 here: both used to exit 1 on ZeroDivisionError
-        code = main(["--out-dir", str(tmp_path), "optimize", "--m", "3",
-                     "--P", "1", f"--snr={snr}"])
+        code = main(["optimize", "--m", "3", "--P", "1", f"--snr={snr}",
+                     "--out-dir", str(tmp_path)])
         assert code == 2
         assert "snr" in capsys.readouterr().err.lower()
 
-    def test_missing_required_is_2(self, tmp_path):
-        code = main(["--out-dir", str(tmp_path), "budget", "--m", "5",
-                     "--n", "128", "--snr", "17"])
-        assert code == 2
+    def test_missing_required_is_2(self, tmp_path, capsys):
+        # argparse refuses it, before any out-dir is made
+        out = tmp_path / "out"
+        assert exit_code(["budget", "--m", "5", "--n", "128", "--snr", "17",
+                          "--out-dir", str(out)]) == 2
+        assert "required: --probs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integrity_error_is_3(self, tmp_path):
         block = tmp_path / "bad.json"
-        encode = main(["--out-dir", str(tmp_path), "shape", "encode",
-                       "--m", "3", "--probs", "0.04", "0.24",
-                       "--n", "64"])
+        encode = main(["shape", "encode", "--m", "3", "--probs", "0.04", "0.24", "--n", "64",
+                       "--out-dir", str(tmp_path)])
         assert encode == 0
         text = (tmp_path / "shape-block.json").read_text()
         payload = json.loads(text)
         payload["symbols"][0] = 6  # even value cannot be a symbol
         block.write_text(json.dumps(payload))
-        code = main(["--out-dir", str(tmp_path), "shape", "decode",
-                     "--block", str(block)])
+        code = main(["shape", "decode", "--block", str(block), "--out-dir", str(tmp_path)])
         assert code == 3
 
     def test_word_outside_the_encoder_image_is_3(self, tmp_path, capsys):
@@ -302,8 +302,8 @@ class TestExitCodes:
         n, w, M = 64, 15, 8
         info = tmp_path / "zeros.txt"
         info.write_text("0" * (dm_code(n, w).k + n * 2) + "\n")
-        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3", "--probs", "0.24",
-                     "--n", str(n), "--info-file", str(info)]) == 0
+        assert main(["shape", "encode", "--m", "3", "--probs", "0.24", "--n", str(n),
+                     "--info-file", str(info), "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "shape-block.json")
         symbols = payload["symbols"]
         for j in [*range(w), *range(n - w, n)]:
@@ -311,8 +311,7 @@ class TestExitCodes:
         block = tmp_path / "bent.json"
         block.write_text(json.dumps(payload))
         capsys.readouterr()
-        code = main(["--out-dir", str(tmp_path / "out"), "shape", "decode",
-                     "--block", str(block)])
+        code = main(["shape", "decode", "--block", str(block), "--out-dir", str(tmp_path / "out")])
         assert code == 3
         assert "outside the encoder image" in capsys.readouterr().err
 
@@ -322,7 +321,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "loss_budget", fails)
         out = tmp_path / "out"
-        assert main(["--out-dir", str(out), *SUBCOMMANDS["budget"]]) == 4
+        assert main([*SUBCOMMANDS["budget"], "--out-dir", str(out)]) == 4
         assert "numerical error: no convergence" in capsys.readouterr().err
         assert not out.exists()
 
@@ -339,52 +338,49 @@ class TestExitCodes:
     def test_malformed_block_file(self, tmp_path, field, index, value, expected):
         # once an uncaught ValueError (exit 1) or, for 1.5, a silent
         # truncation to 1
-        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3",
-                     "--probs", "0.04", "0.24", "--n", "64"]) == 0
+        assert main(["shape", "encode", "--m", "3", "--probs", "0.04", "0.24", "--n", "64",
+                     "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "shape-block.json")
         payload[field][index] = value
         block = tmp_path / "bad.json"
         block.write_text(json.dumps(payload))
-        assert main(["--out-dir", str(tmp_path), "shape", "decode",
-                     "--block", str(block)]) == expected
+        assert main(["shape", "decode", "--block", str(block),
+                     "--out-dir", str(tmp_path)]) == expected
 
     def test_missing_file_is_2(self, tmp_path):
-        code = main(["--out-dir", str(tmp_path), "shape", "decode",
-                     "--block", str(tmp_path / "nope.json")])
+        code = main(["shape", "decode", "--block", str(tmp_path / "nope.json"),
+                     "--out-dir", str(tmp_path)])
         assert code == 2
 
     def test_range_error_is_3(self, tmp_path, capsys):
         # moving one symbol by -/+M keeps its prefix and flips its sign bit,
         # so its matcher bit: the one matcher of P = 1 then reads a word of
         # the wrong weight, which rank refuses
-        assert main(["--out-dir", str(tmp_path), "shape", "encode", "--m", "3", "--probs", "0.24",
-                     "--n", "64"]) == 0
+        assert main(["shape", "encode", "--m", "3", "--probs", "0.24", "--n", "64",
+                     "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "shape-block.json")
         symbols = payload["symbols"]
         symbols[0] += -8 if symbols[0] > 0 else 8
         block = tmp_path / "moved.json"
         block.write_text(json.dumps(payload))
         capsys.readouterr()
-        code = main(["--out-dir", str(tmp_path / "out"), "shape", "decode",
-                     "--block", str(block)])
+        code = main(["shape", "decode", "--block", str(block), "--out-dir", str(tmp_path / "out")])
         assert code == 3
         assert "matcher requires" in capsys.readouterr().err
 
     def test_matcher_length_limit_is_2(self, tmp_path):
         too_long = MAX_MATCHER_LENGTH + 1
-        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
-                     "--n", str(too_long), "--p", "0.001"]) == 2
+        assert main(["dm", "roundtrip", "--n", str(too_long), "--p", "0.001",
+                     "--out-dir", str(tmp_path)]) == 2
         # P = 2 gives each matcher n/2 symbols
-        assert main(["--out-dir", str(tmp_path), "shape", "encode",
-                     "--m", "5", "--probs", "0.04", "0.24",
-                     "--n", str(2 * too_long)]) == 2
+        assert main(["shape", "encode", "--m", "5", "--probs", "0.04", "0.24",
+                     "--n", str(2 * too_long), "--out-dir", str(tmp_path)]) == 2
 
 
 class TestDmCommands:
     def test_roundtrip_output(self, tmp_path):
         # the default --samples covers all C(10, 3) = 120 words, each checked once
-        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
-                     "--n", "10", "--p", "0.3"]) == 0
+        assert main(["dm", "roundtrip", "--n", "10", "--p", "0.3", "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "dm-roundtrip.json")
         assert payload["ok"] is True
         assert payload["exhaustive"] is True
@@ -397,15 +393,15 @@ class TestDmCommands:
         assert str(tmp_path / "dm-roundtrip.json") in manifest["outputs"]
 
     def test_roundtrip_sampled(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip",
-                     "--n", "512", "--p", "0.1", "--samples", "25"]) == 0
+        assert main(["dm", "roundtrip", "--n", "512", "--p", "0.1", "--samples", "25",
+                     "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "dm-roundtrip.json")
         assert payload["checked"] == 25
         assert payload["exhaustive"] is False
 
     def test_rate_loss_table(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "dm", "rate-loss",
-                     "--n", "800", "1000", "--p", "0.14"]) == 0
+        assert main(["dm", "rate-loss", "--n", "800", "1000", "--p", "0.14",
+                     "--out-dir", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "dm-rate-loss.csv")
         assert rows[0] == ["n", "w", "k", "rate_loss_bpcu", "loss_db"]
         assert len(rows) == 3
@@ -416,14 +412,14 @@ class TestDmCommands:
         # kept 64 matchers: 193 MB here
         lengths = [str(n) for n in range(65410, 65537, 2)]
         code, peak_mb = run_measured(
-            "--out-dir", str(tmp_path), "dm", "rate-loss", "--p", "0.24", "--n", *lengths
+            "dm", "rate-loss", "--p", "0.24", "--n", *lengths, "--out-dir", str(tmp_path)
         )
         assert code == 0
         assert peak_mb < 50
 
     def test_roundtrip_counts_probes_of_its_draws(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "--seed", "7", "dm", "roundtrip",
-                     "--n", "256", "--p", "0.1", "--samples", "50"]) == 0
+        assert main(["dm", "roundtrip", "--n", "256", "--p", "0.1", "--samples", "50",
+                     "--out-dir", str(tmp_path), "--seed", "7"]) == 0
         payload = read_json(tmp_path / "dm-roundtrip.json")
         code = dm_code(256, weight_for(256, 0.1))
         rng = random.Random(7)
@@ -470,7 +466,7 @@ class TestDmCommands:
         monkeypatch.setattr(cli, "_MAX_WORK", 1 << 19)
         out = tmp_path / "out"
         started = time.monotonic()
-        assert exit_code(["--out-dir", str(out), "dm", "roundtrip", *argv]) == code
+        assert exit_code(["dm", "roundtrip", *argv, "--out-dir", str(out)]) == code
         assert time.monotonic() - started < wall_s
         if code:
             assert not out.exists()
@@ -486,18 +482,17 @@ class TestDmCommands:
     def test_bench_is_gone(self, tmp_path):
         # dm roundtrip reports the probe counts dm bench wrote to dm-bench.json
         out = tmp_path / "out"
-        assert exit_code(["--out-dir", str(out), "dm", "bench", "--n", "64"]) == 2
+        assert exit_code(["dm", "bench", "--n", "64", "--out-dir", str(out)]) == 2
         assert not out.exists()
 
 
 class TestShapeCommands:
     def test_encode_decode_roundtrip(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "--seed", "9", "shape",
-                     "encode", "--m", "3", "--probs", "0.04",
-                     "0.24", "--n", "256"]) == 0
-        assert main(["--out-dir", str(tmp_path), "shape", "decode",
-                     "--block", str(tmp_path / "shape-block.json"),
-                     "--expect-info", str(tmp_path / "shape-info.txt")]) == 0
+        assert main(["shape", "encode", "--m", "3", "--probs", "0.04", "0.24", "--n", "256",
+                     "--out-dir", str(tmp_path), "--seed", "9"]) == 0
+        assert main(["shape", "decode", "--block", str(tmp_path / "shape-block.json"),
+                     "--expect-info", str(tmp_path / "shape-info.txt"),
+                     "--out-dir", str(tmp_path)]) == 0
         decoded = (tmp_path / "shape-decoded-info.txt").read_text().strip()
         expected = (tmp_path / "shape-info.txt").read_text().strip()
         assert decoded == expected
@@ -506,20 +501,20 @@ class TestShapeCommands:
         # any other character was dropped, so "0120" was read as "010"
         encode = ["shape", "encode", "--m", "3", "--probs", "0.04", "0.24",
                   "--n", "64"]
-        assert main(["--out-dir", str(tmp_path), *encode]) == 0
+        assert main([*encode, "--out-dir", str(tmp_path)]) == 0
         bits = (tmp_path / "shape-info.txt").read_text().strip()
         spaced, bad = tmp_path / "spaced.txt", tmp_path / "bad.txt"
         spaced.write_text(" ".join(bits[:10]) + "\n\t" + bits[10:] + "\n")
         bad.write_text(bits[:3] + "2" + bits[3:])
         block = str(tmp_path / "shape-block.json")
         again = tmp_path / "again"
-        assert main(["--out-dir", str(again), *encode, "--info-file", str(spaced)]) == 0
+        assert main([*encode, "--info-file", str(spaced), "--out-dir", str(again)]) == 0
         assert (again / "shape-block.json").read_text() == Path(block).read_text()
         decode = ["shape", "decode", "--block", block, "--expect-info"]
-        assert main(["--out-dir", str(again), *decode, str(spaced)]) == 0
+        assert main([*decode, str(spaced), "--out-dir", str(again)]) == 0
         refused = tmp_path / "refused"
         for argv in ([*encode, "--info-file", str(bad)], [*decode, str(bad)]):
-            assert main(["--out-dir", str(refused), *argv]) == 2
+            assert main([*argv, "--out-dir", str(refused)]) == 2
             assert "'2'" in capsys.readouterr().err
         assert not refused.exists()
 
@@ -527,17 +522,16 @@ class TestShapeCommands:
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
         for d in (a_dir, b_dir):
-            assert main(["--out-dir", str(d), "--seed", "4", "shape",
-                         "encode", "--m", "3", "--probs",
-                         "0.04", "0.24", "--n", "128"]) == 0
+            assert main(["shape", "encode", "--m", "3", "--probs", "0.04", "0.24", "--n", "128",
+                         "--out-dir", str(d), "--seed", "4"]) == 0
         a = (a_dir / "shape-block.json").read_text()
         b = (b_dir / "shape-block.json").read_text()
         assert a == b
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_block_dm_seed_gives_block_0_of_the_stream(self, tmp_path, seed):
-        assert main(["--out-dir", str(tmp_path), "--seed", str(seed), "shape", "encode",
-                     "--m", "4", "--probs", "0.1", "0.3", "--n", "130"]) == 0
+        assert main(["shape", "encode", "--m", "4", "--probs", "0.1", "0.3", "--n", "130",
+                     "--out-dir", str(tmp_path), "--seed", str(seed)]) == 0
         config = ShaperConfig(profile=ShapingProfile(m=4, probs=(0.1, 0.3)), n=130)
         expected = _uniform_info(np.random.default_rng(seed), config, 1)[0]
         info = (tmp_path / "shape-info.txt").read_text().strip()
@@ -545,17 +539,17 @@ class TestShapeCommands:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_ideal_seed_gives_block_0_of_the_stream(self, tmp_path, seed):
-        assert main(["--out-dir", str(tmp_path), "--seed", str(seed), "shape", "encode",
-                     "--mode", "ideal-sources", "--m", "4", "--probs", "0.1", "0.3",
-                     "--n", "130"]) == 0
+        assert main(["shape", "encode", "--mode", "ideal-sources", "--m", "4",
+                     "--probs", "0.1", "0.3", "--n", "130", "--out-dir", str(tmp_path),
+                     "--seed", str(seed)]) == 0
         config = ShaperConfig(profile=ShapingProfile(m=4, probs=(0.1, 0.3)), n=130,
                               rng_seed=seed, mode="ideal-sources")
         payload = read_json(tmp_path / "shape-block.json")
         assert payload["symbols"] == encode_block_ideal(config).symbols.tolist()
 
     def test_analyze_switch_table(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "shape", "analyze-switch",
-                     "--probs", "0.04", "0.24", "--n", "256", "1024"]) == 0
+        assert main(["shape", "analyze-switch", "--probs", "0.04", "0.24", "--n", "256", "1024",
+                     "--out-dir", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "switch-analysis.csv")
         assert rows[0] == ["n", "epsilon", "p1_eff", "p2_eff", "delta_db"]
         eps_256 = float(rows[1][1])
@@ -571,18 +565,16 @@ class TestShapeCommands:
 
 class TestSimulateCommand:
     def test_single_point(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "simulate", "--m", "3",
-                     "--probs", "0.04", "0.24", "--n", "128",
-                     "--blocks", "2", "--snr", "12"]) == 0
+        assert main(["simulate", "--m", "3", "--probs", "0.04", "0.24", "--n", "128",
+                     "--blocks", "2", "--snr", "12", "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "simulate-report.json")
         assert len(payload) == 1
         assert payload[0]["snr_db"] == 12.0
         assert 0.0 <= payload[0]["symbol_error_rate"] <= 1.0
 
     def test_sweep_csv(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "simulate", "--m", "3",
-                     "--probs", "0.04", "0.24", "--n", "128",
-                     "--blocks", "2", "--snr", "8", "12", "16"]) == 0
+        assert main(["simulate", "--m", "3", "--probs", "0.04", "0.24", "--n", "128",
+                     "--blocks", "2", "--snr", "8", "12", "16", "--out-dir", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "simulate-sweep.csv")
         assert rows[0] == ["snr_db", "ser", "mi_estimate"]
         assert len(rows) == 4
@@ -592,8 +584,8 @@ class TestSimulateCommand:
 
 class TestOptimizeCommand:
     def test_curve_outputs(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "optimize", "--m", "3",
-                     "--P", "2", "--snr", "8", "10"]) == 0
+        assert main(["optimize", "--m", "3", "--P", "2", "--snr", "8", "10",
+                     "--out-dir", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "optimize-curve.csv")
         assert rows[0] == ["snr_db", "mi_bpcu", "p1", "p2"]
         assert len(rows) == 3
@@ -601,24 +593,65 @@ class TestOptimizeCommand:
         assert results[1]["profile"]["probs"][0] == pytest.approx(0.08, abs=0.02)
 
     def test_results_schema(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "optimize", "--m", "3",
-                     "--P", "2", "--sigma", "1", "2"]) == 0
+        assert main(["optimize", "--m", "3", "--P", "2", "--sigma", "1", "2",
+                     "--out-dir", str(tmp_path)]) == 0
         for entry in read_json(tmp_path / "optimize-results.json"):
             assert set(entry) == {"profile", "mi_bpcu", "snr_db", "noise_std",
                                   "evaluations", "mode", "kkt_residual"}
 
     def test_step_flags_removed(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["--out-dir", str(tmp_path), "optimize", "--coarse-step", "0.02",
-                  "--m", "3", "--P", "2", "--snr", "10"])
+            main(["optimize", "--coarse-step", "0.02", "--m", "3", "--P", "2", "--snr", "10",
+                  "--out-dir", str(tmp_path)])
         assert excinfo.value.code == 2
+
+
+# the two commands that take a two-source profile: their words, their other flags, the
+# --n cap, and their own rows of test_two_source_flag_table. A row is --probs, --n, flags
+# given later that win over the command's own, the exit code and a wall bound in seconds
+TWO_SOURCE_COMMANDS = {
+    "analyze-switch": (["shape", "analyze-switch"], ["--m", "5"], 1 << 20, [
+        # --m in [2, 16], with M/4 = 2^(m - 2) at least P = 2
+        pytest.param(["0.04", "0.24"], 2048, ["--m", "0"], 2, 1, id="m-0"),
+        pytest.param(["0.04", "0.24"], 2048, ["--m", "-1"], 2, 1, id="m--1"),
+        pytest.param(["0.04", "0.24"], 2048, ["--m", "2"], 2, 1, id="m-2"),
+        pytest.param(["0.04", "0.24"], 2048, ["--m", "16"], 0, 5, id="m-cap"),
+        pytest.param(["0.04", "0.24"], 2048, ["--m", "17"], 2, 1, id="m-cap+1"),
+    ]),
+    "budget": (["budget"], ["--m", "5", "--snr", "17"], 131072, [
+        pytest.param(["0.04", "0.24"], 2048, ["--snr", "17"], 0, 5, id="snr-17"),
+        pytest.param(["0.04", "0.24"], 2048, ["--snr", "nan"], 2, 1, id="snr-nan"),
+        pytest.param(["0.04", "0.24"], 2048, ["--snr", "inf"], 2, 1, id="snr-inf"),
+        # 1e15 dB has no positive finite noise level, and -1e300 dB no MI curve
+        pytest.param(["0.04", "0.24"], 2048, ["--snr", "1e15"], 2, 1, id="snr-1e15"),
+        pytest.param(["0.04", "0.24"], 2048, ["--snr=-1e300"], 2, 1, id="snr--1e300"),
+        # the rate loss is at least the operating rate
+        pytest.param(["0.04", "0.24"], 2048, ["--snr=-50"], 2, 1, id="snr--50"),
+    ]),
+}
+# rows of both commands
+TWO_SOURCE_ROWS = [
+    # --probs takes exactly two values, each in [0, 1]
+    pytest.param(["0.04"], 2048, [], 2, 1, id="probs-1"),
+    pytest.param(["0.04", "0.24"], 2048, [], 0, 5, id="probs-2"),
+    pytest.param(["0.04", "0.24", "0.1"], 2048, [], 2, 1, id="probs-3"),
+    pytest.param(["0.04", "0.24", "0.1", "0.2"], 2048, [], 2, 1, id="probs-4"),
+    pytest.param(["0", "0.24"], 2048, [], 0, 5, id="p-0"),
+    pytest.param(["0.04", "1"], 2048, [], 0, 5, id="p-1"),
+    pytest.param(["-0.1", "0.24"], 2048, [], 2, 1, id="p--0.1"),
+    pytest.param(["0.04", "1.1"], 2048, [], 2, 1, id="p-1.1"),
+    pytest.param(["nan", "0.24"], 2048, [], 2, 1, id="p-nan"),
+    # --n up to the command's cap; budget's cap + 1 is odd, cap + 2 is not
+    pytest.param(["0.04", "0.24"], "cap", [], 0, 5, id="n-cap"),
+    pytest.param(["0.04", "0.24"], "cap+1", [], 2, 1, id="n-cap+1"),
+    pytest.param(["0.04", "0.24"], "cap+2", [], 2, 1, id="n-cap+2"),
+]
 
 
 class TestBudgetCommand:
     def test_budget_json(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "budget", "--m", "5",
-                     "--probs", "0.04", "0.24", "--n", "2048",
-                     "--snr", "17"]) == 0
+        assert main(["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "2048", "--snr", "17",
+                     "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "budget.json")
         assert payload["total_db"] == pytest.approx(0.145, abs=0.02)
 
@@ -628,78 +661,79 @@ class TestBudgetCommand:
     ], ids=["p1=0", "n=2"])
     def test_budget_with_empty_matchers(self, tmp_path, flags):
         # a weight-0 matcher carries no bits; both used to exit 2
-        assert main(["--out-dir", str(tmp_path), "budget", *flags]) == 0
+        assert main(["budget", *flags, "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "budget.json")
         assert payload["matcher_db"] >= 0.0
 
     def test_budget_with_a_rate_gain(self, tmp_path):
         # rate_loss(1024, 0.0006) is -0.0025, as round(n p) overshoots n p:
         # rate_loss_to_db refused it (exit 2)
-        assert main(["--out-dir", str(tmp_path), "budget", "--m", "5", "--probs", "0.0006",
-                     "0.0006", "--n", "2048", "--snr", "17"]) == 0
+        assert main(["budget", "--m", "5", "--probs", "0.0006", "0.0006", "--n", "2048",
+                     "--snr", "17", "--out-dir", str(tmp_path)]) == 0
         assert read_json(tmp_path / "budget.json")["matcher_db"] < 0.0
 
-    @pytest.mark.parametrize("probs, n, code, wall_s", [
-        # --probs takes exactly two values, each in [0, 1]
-        pytest.param(["0.04"], 2048, 2, 1, id="probs-1"),
-        pytest.param(["0.04", "0.24"], 2048, 0, 5, id="probs-2"),
-        pytest.param(["0.04", "0.24", "0.1"], 2048, 2, 1, id="probs-3"),
-        pytest.param(["0", "0.24"], 2048, 0, 5, id="p-0"),
-        pytest.param(["0.04", "1"], 2048, 0, 5, id="p-1"),
-        pytest.param(["-0.1", "0.24"], 2048, 2, 1, id="p--0.1"),
-        pytest.param(["0.04", "1.1"], 2048, 2, 1, id="p-1.1"),
-        pytest.param(["nan", "0.24"], 2048, 2, 1, id="p-nan"),
-        # --n up to the command's cap; budget's cap + 1 is odd, cap + 2 is not
-        pytest.param(["0.04", "0.24"], "cap", 0, 5, id="n-cap"),
-        pytest.param(["0.04", "0.24"], "cap+1", 2, 1, id="n-cap+1"),
-        pytest.param(["0.04", "0.24"], "cap+2", 2, 1, id="n-cap+2"),
+    @pytest.mark.parametrize("name, probs, n, flags, code, wall_s", [
+        pytest.param(name, *row.values, id=f"{name}-{row.id}")
+        for name, (*_, own) in TWO_SOURCE_COMMANDS.items()
+        for row in [*TWO_SOURCE_ROWS, *own]
     ])
-    @pytest.mark.parametrize("command, cap", [
-        (["shape", "analyze-switch", "--m", "5"], 1 << 20),
-        (["budget", "--m", "5", "--snr", "17"], 131072),
-    ], ids=["analyze-switch", "budget"])
-    def test_two_source_flag_table(self, tmp_path, command, cap, probs, n, code, wall_s):
-        # the two commands that take a two-source profile
+    def test_two_source_flag_table(self, tmp_path, capsys, name, probs, n, flags, code, wall_s):
+        words, base, cap, _ = TWO_SOURCE_COMMANDS[name]
         n = {"cap": cap, "cap+1": cap + 1, "cap+2": cap + 2}.get(n, n)
         out = tmp_path / "out"
         started = time.monotonic()
-        assert exit_code(["--out-dir", str(out), *command, "--probs", *probs,
-                          "--n", str(n)]) == code
+        assert exit_code([*words, *base, "--probs", *probs, "--n", str(n), *flags,
+                          "--out-dir", str(out)]) == code
         assert time.monotonic() - started < wall_s
         assert out.exists() is (code == 0)
+        if len(probs) != 2:  # refused by the subcommand's parser, which names it
+            prog = " ".join(["signshape", *words])
+            assert f"{prog}: error: argument --probs: takes two values" in capsys.readouterr().err
 
 
 class TestConfigMerge:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 3, "probs": [0.04, 0.24]}))
-        assert main(["--out-dir", str(tmp_path), "--config", str(cfg),
-                     "shape", "encode", "--n", "64"]) == 0
+        assert main(["shape", "encode", "--n", "64", "--out-dir", str(tmp_path),
+                     "--config", str(cfg)]) == 0
         manifest = read_json(tmp_path / "shape-encode-manifest.json")
         assert manifest["params"]["m"] == 3
+        # flags argparse requires are met by the file's, as they are on the line
+        cfg.write_text(json.dumps({"m": 3, "probs": [0.04, 0.24], "n": 64}))
+        assert main(["simulate", "--config", str(cfg), "--blocks", "2", "--snr", "10",
+                     "--out-dir", str(tmp_path)]) == 0
+        params = read_json(tmp_path / "simulate-manifest.json")["params"]
+        assert (params["m"], params["probs"], params["n"]) == (3, [0.04, 0.24], 64)
 
     def test_cli_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 3, "probs": [0.04, 0.24], "n": 64}))
-        assert main(["--out-dir", str(tmp_path), "--config", str(cfg),
-                     "shape", "encode", "--n", "128"]) == 0
+        assert main(["shape", "encode", "--n", "128", "--out-dir", str(tmp_path),
+                     "--config", str(cfg)]) == 0
         manifest = read_json(tmp_path / "shape-encode-manifest.json")
         assert manifest["params"]["n"] == 128
 
     def test_config_seed_applies(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 77}))
-        assert main(["--out-dir", str(tmp_path), "--config", str(cfg),
-                     "dm", "roundtrip", "--n", "64", "--p", "0.1",
-                     "--samples", "5"]) == 0
-        manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
+        cfg.write_text(json.dumps({"seed": 77, "out_dir": str(tmp_path / "from-config")}))
+        argv = ["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "5",
+                "--config", str(cfg)]
+        assert main(argv) == 0
+        manifest = read_json(tmp_path / "from-config" / "dm-roundtrip-manifest.json")
         assert manifest["seed"] == 77
+        # explicit --seed and --out-dir win over the file's
+        assert main([*argv, "--seed", "5", "--out-dir", str(tmp_path / "explicit")]) == 0
+        manifest = read_json(tmp_path / "explicit" / "dm-roundtrip-manifest.json")
+        assert manifest["seed"] == 5
+        assert manifest["params"]["out_dir"] == str(tmp_path / "explicit")
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--conf", "{cfg}", "dm", "roundtrip"],
-            ["dm", "roundtrip", "--config", "{cfg}"],
+            ["dm", "roundtrip", "--conf", "{cfg}", "--n", "64", "--p", "0.1", "--samples", "5"],
+            # last on the line, the file's values still go before the explicit flags
+            ["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "5", "--config", "{cfg}"],
         ],
         ids=["abbreviated", "after-subcommand"],
     )
@@ -707,8 +741,7 @@ class TestConfigMerge:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 77, "n": 32}))
         argv = [a.format(cfg=cfg) for a in argv]
-        assert main(["--out-dir", str(tmp_path), *argv, "--n", "64", "--p", "0.1",
-                     "--samples", "5"]) == 0
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
         manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
         assert manifest["seed"] == 77
         assert manifest["params"]["n"] == 64
@@ -716,13 +749,13 @@ class TestConfigMerge:
     def test_bad_config_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2, 3]")
-        assert main(["--config", str(cfg), "dm", "roundtrip", "--n", "8"]) == 2
+        assert main(["dm", "roundtrip", "--n", "8", "--config", str(cfg)]) == 2
 
 
 class TestManifest:
     def test_manifest_fields(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), "dm", "roundtrip", "--n", "64",
-                     "--p", "0.1", "--samples", "10"]) == 0
+        assert main(["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "10",
+                     "--out-dir", str(tmp_path)]) == 0
         manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
         assert set(manifest) == {
             "command", "argv", "params", "seed", "version", "outputs",
@@ -768,7 +801,7 @@ BOTH_FORMATS = {
 @pytest.fixture
 def block_file(tmp_path):
     out = tmp_path / "encoded"
-    assert main(["--out-dir", str(out), *SUBCOMMANDS["shape-encode"]]) == 0
+    assert main([*SUBCOMMANDS["shape-encode"], "--out-dir", str(out)]) == 0
     return out / "shape-block.json"
 
 
@@ -780,7 +813,7 @@ class TestRunLifecycle:
         # commands write a CSV, and each kept file of the format reads back
         out = tmp_path / "out"
         argv = [arg.format(block=block_file) for arg in SUBCOMMANDS[name]]
-        assert main(["--out-dir", str(out), *argv]) == 0
+        assert main([*argv, "--out-dir", str(out)]) == 0
         manifest = read_json(out / f"{name}-manifest.json")
         assert manifest["command"] == name
         results = sorted(p.name for p in out.iterdir() if p.name != f"{name}-manifest.json")
@@ -801,7 +834,7 @@ class TestRunLifecycle:
         # --json and --csv are gone: without them a table command writes both
         # files, and with either the run is refused before its out-dir is made
         out = tmp_path / "out"
-        code = exit_code(["--out-dir", str(out), *flags, *SUBCOMMANDS[name]])
+        code = exit_code([*SUBCOMMANDS[name], *flags, "--out-dir", str(out)])
         if flags:
             assert code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
@@ -814,8 +847,8 @@ class TestRunLifecycle:
     def test_exhaustive_is_gone(self, tmp_path, capsys):
         # --samples covering the codebook checks every word, as --exhaustive did
         out = tmp_path / "out"
-        assert exit_code(["--out-dir", str(out), "dm", "roundtrip", "--n", "10", "--p", "0.3",
-                          "--exhaustive"]) == 2
+        assert exit_code(["dm", "roundtrip", "--n", "10", "--p", "0.3", "--exhaustive",
+                          "--out-dir", str(out)]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
@@ -833,7 +866,7 @@ class TestRunLifecycle:
         assert switches == []
 
     def test_single_point_simulate_writes_its_sweep_csv(self, tmp_path):
-        assert main(["--out-dir", str(tmp_path), *SUBCOMMANDS["simulate"]]) == 0
+        assert main([*SUBCOMMANDS["simulate"], "--out-dir", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "simulate-sweep.csv")
         report = read_json(tmp_path / "simulate-report.json")
         assert rows[0] == ["snr_db", "ser", "mi_estimate"]
@@ -847,7 +880,7 @@ class TestRunLifecycle:
     ], ids=["missing-block", "no-samples"])
     def test_refused_run_creates_no_out_dir(self, tmp_path, command):
         out = tmp_path / "not" / "yet"
-        assert main(["--out-dir", str(out), *command]) == 2
+        assert main([*command, "--out-dir", str(out)]) == 2
         assert not (tmp_path / "not").exists()
 
     def test_failed_decode_check_creates_no_out_dir(self, tmp_path, block_file):
@@ -855,31 +888,38 @@ class TestRunLifecycle:
         wrong = tmp_path / "wrong.txt"
         wrong.write_text("0" * len((block_file.parent / "shape-info.txt").read_text().strip()))
         out = tmp_path / "out"
-        assert main(["--out-dir", str(out), "shape", "decode", "--block", str(block_file),
-                     "--expect-info", str(wrong)]) == 3
+        assert main(["shape", "decode", "--block", str(block_file), "--expect-info", str(wrong),
+                     "--out-dir", str(out)]) == 3
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, flags", [
-        ("shape-encode", ["--P", "2"]),
-        ("simulate", ["--P", "2"]),
-        ("shape-analyze-switch", ["--p1", "0.04"]),
-        ("shape-analyze-switch", ["--p2", "0.24"]),
-        ("budget", ["--p1", "0.04"]),
-        ("budget", ["--p2", "0.24"]),
+    @pytest.mark.parametrize("name, before, after", [
+        ("shape-encode", [], ["--P", "2"]),
+        ("simulate", [], ["--P", "2"]),
+        ("shape-analyze-switch", [], ["--p1", "0.04"]),
+        ("shape-analyze-switch", [], ["--p2", "0.24"]),
+        ("budget", [], ["--p1", "0.04"]),
+        ("budget", [], ["--p2", "0.24"]),
+        ("dm-roundtrip", ["--seed", "7"], []),
+        ("dm-roundtrip", ["--out-dir", "{out}"], []),
+        ("dm-roundtrip", ["--config", "{cfg}"], []),
     ], ids=["encode-P", "simulate-P", "analyze-switch-p1", "analyze-switch-p2", "budget-p1",
-            "budget-p2"])
-    def test_second_spellings_are_gone(self, tmp_path, capsys, name, flags):
+            "budget-p2", "seed-first", "out-dir-first", "config-first"])
+    def test_second_spellings_are_gone(self, tmp_path, capsys, name, before, after):
         # P is the number of --probs and a two-source profile is two --probs: the
-        # flags that repeated them are refused (dm roundtrip --w: the flag table)
-        out = tmp_path / "out"
-        assert exit_code(["--out-dir", str(out), *SUBCOMMANDS[name], *flags]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        # flags that repeated them are refused (dm roundtrip --w: the flag table).
+        # Every flag follows the subcommand words: the top parser takes none
+        out, cfg = tmp_path / "out", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 5}))
+        before = [arg.format(out=out, cfg=cfg) for arg in before]
+        assert exit_code([*before, *SUBCOMMANDS[name], *after, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments" if after else "signshape: error: argument command") in err
         assert not out.exists()
 
     def test_budget_m_has_no_default(self, tmp_path, capsys):
         # analyze-switch defaults --m to 5; budget must not
-        code = main(["--out-dir", str(tmp_path), "budget", "--probs", "0.04", "0.24",
-                     "--n", "512", "--snr", "17"])
+        code = exit_code(["budget", "--probs", "0.04", "0.24", "--n", "512", "--snr", "17",
+                          "--out-dir", str(tmp_path)])
         assert code == 2
         assert "--m" in capsys.readouterr().err
 
@@ -893,20 +933,20 @@ class TestConfigParsedLikeFlags:
     def test_scalar_for_a_list_flag(self, tmp_path):
         # both used to exit 1 on a TypeError traceback
         cfg = self.write(tmp_path, {"m": 3, "probs": 0.2})
-        assert main(["--out-dir", str(tmp_path), "--config", cfg, "shape", "encode",
-                     "--n", "64"]) == 0
+        assert main(["shape", "encode", "--n", "64", "--out-dir", str(tmp_path),
+                     "--config", cfg]) == 0
         assert read_json(tmp_path / "shape-encode-manifest.json")["params"]["probs"] == [0.2]
         cfg = self.write(tmp_path, {"snr": 17})
-        assert main(["--out-dir", str(tmp_path), "--config", cfg, "optimize", "--m", "3",
-                     "--P", "1"]) == 0
+        assert main(["optimize", "--m", "3", "--P", "1", "--out-dir", str(tmp_path),
+                     "--config", cfg]) == 0
         (result,) = read_json(tmp_path / "optimize-results.json")
         assert result["snr_db"] == 17.0
 
     def test_negative_exponent_value(self, tmp_path):
         # on a command line "--snr -1e-05" reads as a flag; the config passes it whole
         cfg = self.write(tmp_path, {"snr": -1e-05})
-        assert main(["--out-dir", str(tmp_path), "--config", cfg, "optimize", "--m", "3",
-                     "--P", "1"]) == 0
+        assert main(["optimize", "--m", "3", "--P", "1", "--out-dir", str(tmp_path),
+                     "--config", cfg]) == 0
         assert read_json(tmp_path / "optimize-results.json")[0]["snr_db"] == -1e-05
 
     @pytest.mark.parametrize("config, command", [
@@ -932,7 +972,7 @@ class TestConfigParsedLikeFlags:
     def test_bad_value_is_2(self, tmp_path, config, command):
         out = tmp_path / "out"
         cfg = self.write(tmp_path, config)
-        assert exit_code(["--out-dir", str(out), "--config", cfg, *command]) == 2
+        assert exit_code([*command, "--out-dir", str(out), "--config", cfg]) == 2
         assert not out.exists()
 
 
@@ -944,7 +984,7 @@ class TestLengthCaps:
     ], ids=["rate-loss", "budget"])
     def test_matcher_length_cap_is_2(self, tmp_path, capsys, command):
         # dm rate-loss at n = 10^7 used to spend minutes in one exact binomial
-        assert main(["--out-dir", str(tmp_path), *command]) == 2
+        assert main([*command, "--out-dir", str(tmp_path)]) == 2
         assert "65536" in capsys.readouterr().err
 
     @staticmethod
@@ -958,7 +998,7 @@ class TestLengthCaps:
             p for p in (src, os.environ.get("PYTHONPATH")) if p
         ))
         return subprocess.run(
-            [sys.executable, "-m", "signshape", "--out-dir", str(tmp_path), *command],
+            [sys.executable, "-m", "signshape", *command, "--out-dir", str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit,
         )
 

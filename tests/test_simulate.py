@@ -44,8 +44,12 @@ class TestDemap:
         # 0 lies between ranks 3 and 4 (symbols -1 and +1), 2 between 4 and 5
         np.testing.assert_array_equal(_decide_ranks(np.array([0.0, 2.0]), 8), [3, 4])
 
+    @pytest.mark.filterwarnings("error")
     def test_clipping(self):
-        np.testing.assert_array_equal(_decide_ranks(np.array([-55.0, 55.0]), 8), [0, 7])
+        # beyond 2^63 the int64 cast, when it came before the clip, warned and
+        # decided rank 0, for the positive outliers too
+        y = np.array([-55.0, 55.0, 1e300, -1e300, 2e19, -2e19])
+        np.testing.assert_array_equal(_decide_ranks(y, 8), [0, 7, 7, 0, 7, 0])
 
     def test_vectorized(self):
         y = np.array([-10.0, -1.2, 0.4, 2.9])

@@ -216,10 +216,10 @@ def test_runs_with_scipy_unimportable(tmp_path):
         "sys.meta_path.insert(0, NoScipy())\n"
         "from signshape import cli, mi_curve_optimized\n"
         f"out = {str(tmp_path)!r}\n"
-        "assert cli.main(['--out-dir', out, 'optimize', '--m', '5', '--P', '2',\n"
-        "                 '--snr', '14', '15']) == 0\n"
-        "assert cli.main(['--out-dir', out, 'budget', '--m', '5', '--probs', '0.04',\n"
-        "                 '0.24', '--n', '2048', '--snr', '16']) == 0\n"
+        "assert cli.main(['optimize', '--m', '5', '--P', '2', '--snr', '14', '15',\n"
+        "                 '--out-dir', out]) == 0\n"
+        "assert cli.main(['budget', '--m', '5', '--probs', '0.04', '0.24', '--n', '2048',\n"
+        "                 '--snr', '16', '--out-dir', out]) == 0\n"
         "curve = mi_curve_optimized(6, 16, [28, 29])\n"
         "print('ok', len(curve.profiles), 'scipy' in sys.modules)\n"
     )

@@ -7,19 +7,18 @@ alone takes --P), a matcher --n --p (weight round(n p)).
 
 Every run writes its outputs into --out-dir, made at the first write so a
 refused run leaves nothing, plus a JSON manifest recording the command,
-parameters, seed, package version, output paths, and wall clock time.
+argv, parameters, seed, package version, output paths, and wall clock time.
 Commands with a table write it as CSV and their full results as JSON,
 always both. Every option takes a value and follows the subcommand words.
-A --config file (JSON object keyed by flag destination names) becomes flag
-tokens placed right after those words, so explicit flags, later on the line,
-override it. Its values are parsed and checked as the flags would be, and a
-key that is no flag of the subcommand exits 2. Matchers are at most 2^16
-symbols long, so dm rate-loss takes n <= 2^16 and budget n <= 2^17;
-switch analysis takes n <= 2^20. dm roundtrip checks min(--samples, C(n, w))
-words, every word once where --samples covers the codebook, and counts its
-unranking probes; it and one simulate SNR point take at most 2^27 symbols
-of work, short and long words or blocks counting more. Exit codes: 0 success,
-2 usage or parameter problems, 3 integrity failures, 4 numerical failures.
+An argument @file stands for the file's lines, one argument a line, read
+where it stands; where a flag is given twice, the last one wins. Matchers
+are at most 2^16 symbols long, so dm rate-loss takes n <= 2^16 and budget
+n <= 2^17; switch analysis takes n <= 2^20. dm roundtrip checks
+min(--samples, C(n, w)) words, every word once where --samples covers the
+codebook, and counts its unranking probes; it and one simulate SNR point
+take at most 2^27 symbols of work, short and long words or blocks counting
+more. Exit codes: 0 success, 2 usage or parameter problems, 3 integrity
+failures, 4 numerical failures.
 """
 
 from __future__ import annotations
@@ -89,9 +88,11 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
 class _Run:
     """Writes one command's outputs, then the manifest that lists them."""
 
-    def __init__(self, args: argparse.Namespace, name: str):
+    def __init__(self, args: argparse.Namespace, argv: list[str]):
         self.args = args
-        self.name = name
+        self.argv = argv
+        # named as its command function: _cmd_dm_roundtrip runs dm-roundtrip
+        self.name = args.func.__name__.removeprefix("_cmd_").replace("_", "-")
         self.out_dir = Path(args.out_dir)
         self.outputs: list[str] = []
         self.started = time.monotonic()
@@ -113,7 +114,7 @@ class _Run:
         params = {k: v for k, v in sorted(vars(self.args).items()) if k != "func"}
         manifest = {
             "command": self.name,
-            "argv": sys.argv[1:],
+            "argv": self.argv,
             "params": params,
             "seed": self.args.seed,
             "version": __version__,
@@ -375,6 +376,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     top = argparse.ArgumentParser(
         prog="signshape",
         description="Sign-bit probabilistic shaping toolkit for ASK over AWGN",
+        fromfile_prefix_chars="@",
     )
     sub = top.add_subparsers(dest="command", required=True)
     leaves: list[argparse.ArgumentParser] = []
@@ -382,7 +384,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="run seed")
     common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--config", help="JSON file of flag values that explicit flags override")
 
     def leaf(subparsers, name: str, func, help: str, groups=()) -> argparse.ArgumentParser:
         parser = subparsers.add_parser(name, parents=[common, *groups], help=help)
@@ -448,44 +449,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     return top, leaves
 
 
-def _config_tokens(path: str, leaf: argparse.ArgumentParser) -> list[str]:
-    """A --config file's values as flag tokens of the leaf parser."""
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ParameterError("config file must hold a JSON object")
-    # the leaf's flags by destination name
-    flags = {a.dest: a.option_strings[0] for a in leaf._actions if a.dest != "help"}
-    unknown = sorted(set(config) - set(flags))
-    if unknown:
-        raise ParameterError(f"config {path}: {', '.join(unknown)} name no flag of {leaf.prog}")
-    tokens = []
-    for key, value in config.items():
-        if isinstance(value, list):  # a list gives several values
-            tokens += [flags[key], *map(str, value)]
-        else:
-            tokens.append(f"{flags[key]}={value}")  # "=" keeps a value such as -1e-05 one
-    return tokens
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    top, leaves = build_parser()
-    # the top parser takes no option, so a line opens with its subcommand words
-    words = next((w for w in (p.prog.split()[1:] for p in leaves) if argv[: len(w)] == w), [])
-    leaf = next((p for p in leaves if p.prog.split()[1:] == words), None)
+    top, _ = build_parser()
+    args = top.parse_args(argv)
+    run = _Run(args, argv)  # the manifest records argv as given, an @file unexpanded
     try:
-        if leaf is not None:
-            # --config, however abbreviated; a bare one is left for the full parse to refuse
-            lookup = argparse.ArgumentParser(add_help=False)
-            lookup.add_argument("--config", nargs="?")
-            path = lookup.parse_known_args(argv[len(words):])[0].config
-            if path:  # explicit flags come later on the line, and the last one wins
-                argv[len(words):len(words)] = _config_tokens(path, leaf)
-        args = top.parse_args(argv)
-        run = _Run(args, "-".join(words))
         args.func(args, run)
         run.finish()
         return 0

@@ -1,4 +1,4 @@
-"""Command line interface tests: exit codes, outputs, manifests, config."""
+"""Command line interface tests: exit codes, outputs, manifests, argument files."""
 
 import argparse
 import csv
@@ -244,14 +244,12 @@ class TestExitCodes:
         # ideal-sources draws its own bits: the file was ignored, missing or not (exit 0)
         (["shape", "encode", "--mode", "ideal-sources", "--m", "3", "--probs", "0.2",
           "--n", "64", "--info-file", "{missing}"], "--info-file"),
-        (["dm", "roundtrip", "--n", "8", "--config", "{missing}"], "cannot read config"),
-        (["dm", "roundtrip", "--n", "8", "--config", "{garbled}"], "cannot read config"),
-    ], ids=["no-noise-grid", "info-without-bits", "info-file-ideal-sources", "config-missing",
-            "config-not-json"])
+        # an argument file that is not there
+        (["dm", "roundtrip", "--n", "8", "@{missing}"], "No such file or directory"),
+    ], ids=["no-noise-grid", "info-without-bits", "info-file-ideal-sources", "config-missing"])
     def test_refused_arguments_are_2(self, tmp_path, capsys, argv, message):
-        files = {name: tmp_path / name for name in ("blank", "missing", "garbled")}
+        files = {name: tmp_path / name for name in ("blank", "missing")}
         files["blank"].write_text(" \n\t\n")
-        files["garbled"].write_text("{not json")
         out = tmp_path / "out"
         assert exit_code([*(arg.format(**files) for arg in argv), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -479,6 +477,41 @@ class TestDmCommands:
         assert payload["checked"] == min(samples, words)
         assert payload["exhaustive"] is (samples >= words)
 
+    @pytest.mark.parametrize("argv, code, message", [
+        # --n up to the matcher length cap: n = 10^7 used to spend minutes in one
+        # exact binomial
+        pytest.param(["--n", "65536"], 0, "", id="n-cap"),
+        pytest.param(["--n", "65537"], 2, "65536", id="n-cap+1"),
+        pytest.param(["--n", "0"], 2, "65536", id="n-0"),
+        pytest.param(["--n", "-1"], 2, "65536", id="n--1"),
+        # --p in [0, 1]
+        pytest.param(["--p", "0"], 0, "", id="p-0"),
+        pytest.param(["--p", "1"], 0, "", id="p-1"),
+        pytest.param(["--p", "nan"], 2, "p must lie in [0, 1]", id="p-nan"),
+        pytest.param(["--p", "-0.1"], 2, "p must lie in [0, 1]", id="p--0.1"),
+        pytest.param(["--p", "1.1"], 2, "p must lie in [0, 1]", id="p-1.1"),
+        # --ref-rate in (0, --ref-m), and above the rate loss
+        *[pytest.param([f"--ref-rate={rate}"], 2, "--ref-rate must lie in (0, --ref-m)",
+                       id=f"ref-rate-{rate}") for rate in ("0", "-1", "nan", "inf", "5")],
+        pytest.param(["--ref-rate", "1e-6"], 2, "at least the operating rate",
+                     id="ref-rate-1e-6"),
+        # the reference profile is checked as any profile
+        pytest.param(["--ref-m", "1"], 2, "m must be in [2, 16]", id="ref-m-1"),
+        pytest.param(["--ref-m", "17"], 2, "m must be in [2, 16]", id="ref-m-17"),
+        pytest.param(["--ref-probs", "0.1", "0.2", "0.3"], 2, "does not divide",
+                     id="ref-probs-3"),
+    ])
+    def test_rate_loss_flag_table(self, tmp_path, capsys, argv, code, message):
+        # each row's flags follow --n 1000 --p 0.14, and the last one wins; every
+        # row, the cap included, takes well under a second
+        out = tmp_path / "out"
+        started = time.monotonic()
+        assert exit_code(["dm", "rate-loss", "--n", "1000", "--p", "0.14", *argv,
+                          "--out-dir", str(out)]) == code
+        assert time.monotonic() - started < 1
+        assert message in capsys.readouterr().err
+        assert out.exists() is (code == 0)
+
     def test_bench_is_gone(self, tmp_path):
         # dm roundtrip reports the probe counts dm bench wrote to dm-bench.json
         out = tmp_path / "out"
@@ -691,38 +724,41 @@ class TestBudgetCommand:
             assert f"{prog}: error: argument --probs: takes two values" in capsys.readouterr().err
 
 
+def args_file(path, *args):
+    """An @file argument naming path, which holds args one a line."""
+    path.write_text("".join(f"{arg}\n" for arg in args))
+    return f"@{path}"
+
+
 class TestConfigMerge:
+    # an argument file's lines are read where it stands, as if given there
     def test_config_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 3, "probs": [0.04, 0.24]}))
-        assert main(["shape", "encode", "--n", "64", "--out-dir", str(tmp_path),
-                     "--config", str(cfg)]) == 0
+        cfg = args_file(tmp_path / "cfg.args", "--m", "3", "--probs", "0.04", "0.24")
+        assert main(["shape", "encode", cfg, "--n", "64", "--out-dir", str(tmp_path)]) == 0
         manifest = read_json(tmp_path / "shape-encode-manifest.json")
         assert manifest["params"]["m"] == 3
         # flags argparse requires are met by the file's, as they are on the line
-        cfg.write_text(json.dumps({"m": 3, "probs": [0.04, 0.24], "n": 64}))
-        assert main(["simulate", "--config", str(cfg), "--blocks", "2", "--snr", "10",
+        cfg = args_file(tmp_path / "cfg.args", "--m", "3", "--probs", "0.04", "0.24", "--n", "64")
+        assert main(["simulate", cfg, "--blocks", "2", "--snr", "10",
                      "--out-dir", str(tmp_path)]) == 0
         params = read_json(tmp_path / "simulate-manifest.json")["params"]
         assert (params["m"], params["probs"], params["n"]) == (3, [0.04, 0.24], 64)
 
     def test_cli_overrides_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 3, "probs": [0.04, 0.24], "n": 64}))
-        assert main(["shape", "encode", "--n", "128", "--out-dir", str(tmp_path),
-                     "--config", str(cfg)]) == 0
+        # a flag after the file wins, as the last of two flags does
+        cfg = args_file(tmp_path / "cfg.args", "--m", "3", "--probs", "0.04", "0.24", "--n", "64")
+        assert main(["shape", "encode", cfg, "--n", "128", "--out-dir", str(tmp_path)]) == 0
         manifest = read_json(tmp_path / "shape-encode-manifest.json")
         assert manifest["params"]["n"] == 128
 
     def test_config_seed_applies(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 77, "out_dir": str(tmp_path / "from-config")}))
-        argv = ["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "5",
-                "--config", str(cfg)]
+        cfg = args_file(tmp_path / "cfg.args", "--seed", "77",
+                        "--out-dir", str(tmp_path / "from config"))  # a space needs no quoting
+        argv = ["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "5", cfg]
         assert main(argv) == 0
-        manifest = read_json(tmp_path / "from-config" / "dm-roundtrip-manifest.json")
+        manifest = read_json(tmp_path / "from config" / "dm-roundtrip-manifest.json")
         assert manifest["seed"] == 77
-        # explicit --seed and --out-dir win over the file's
+        # explicit --seed and --out-dir after the file win over the file's
         assert main([*argv, "--seed", "5", "--out-dir", str(tmp_path / "explicit")]) == 0
         manifest = read_json(tmp_path / "explicit" / "dm-roundtrip-manifest.json")
         assert manifest["seed"] == 5
@@ -731,36 +767,50 @@ class TestConfigMerge:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["dm", "roundtrip", "--conf", "{cfg}", "--n", "64", "--p", "0.1", "--samples", "5"],
-            # last on the line, the file's values still go before the explicit flags
-            ["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "5", "--config", "{cfg}"],
+            ["dm", "roundtrip", "--n", "64", "{cfg}", "--p", "0.1", "--samples", "5"],
+            ["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "5", "{cfg}"],
         ],
-        ids=["abbreviated", "after-subcommand"],
+        ids=["between-flags", "after-subcommand"],
     )
     def test_config_found_anywhere(self, tmp_path, argv):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 77, "n": 32}))
+        # a flag before the file loses: the file's --n comes later, so it wins
+        cfg = args_file(tmp_path / "cfg.args", "--seed", "77", "--n", "32")
         argv = [a.format(cfg=cfg) for a in argv]
         assert main([*argv, "--out-dir", str(tmp_path)]) == 0
         manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
         assert manifest["seed"] == 77
-        assert manifest["params"]["n"] == 64
+        assert manifest["params"]["n"] == 32
 
-    def test_bad_config_is_2(self, tmp_path):
+    def test_whole_command_in_a_file(self, tmp_path):
+        # the subcommand words may come from the file too
+        cfg = args_file(tmp_path / "cfg.args", "dm", "roundtrip", "--n", "16", "--samples", "5")
+        assert main([cfg, "--out-dir", str(tmp_path)]) == 0
+        manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
+        assert manifest["command"] == "dm-roundtrip"
+        assert manifest["argv"] == [cfg, "--out-dir", str(tmp_path)]
+        assert manifest["params"]["samples"] == 5
+
+    def test_bad_config_is_2(self, tmp_path, capsys):
+        # a line is one argument, so a JSON config is one unknown argument
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2, 3]")
-        assert main(["dm", "roundtrip", "--n", "8", "--config", str(cfg)]) == 2
+        cfg.write_text('{"n": 8}\n')
+        out = tmp_path / "out"
+        assert exit_code(["dm", "roundtrip", "--n", "8", f"@{cfg}", "--out-dir", str(out)]) == 2
+        assert 'unrecognized arguments: {"n": 8}' in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifest:
     def test_manifest_fields(self, tmp_path):
-        assert main(["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "10",
-                     "--out-dir", str(tmp_path)]) == 0
+        argv = ["dm", "roundtrip", "--n", "64", "--p", "0.1", "--samples", "10",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
         manifest = read_json(tmp_path / "dm-roundtrip-manifest.json")
         assert set(manifest) == {
             "command", "argv", "params", "seed", "version", "outputs",
             "duration_s",
         }
+        assert manifest["argv"] == argv  # main's own, not the process's
         assert manifest["params"]["samples"] == 10
         assert manifest["duration_s"] >= 0
 
@@ -852,6 +902,16 @@ class TestRunLifecycle:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_is_gone(self, tmp_path, capsys):
+        # an @file reads flags as they are written, where --config took JSON
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"samples": 5}')
+        out = tmp_path / "out"
+        assert exit_code(["dm", "roundtrip", "--n", "10", "--config", str(cfg),
+                          "--out-dir", str(out)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_option_takes_a_value(self):
         # an on/off option doubles the configurations to test; -h is the one kept
         top, leaves = cli.build_parser()
@@ -892,28 +952,31 @@ class TestRunLifecycle:
                      "--out-dir", str(out)]) == 3
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, before, after", [
-        ("shape-encode", [], ["--P", "2"]),
-        ("simulate", [], ["--P", "2"]),
-        ("shape-analyze-switch", [], ["--p1", "0.04"]),
-        ("shape-analyze-switch", [], ["--p2", "0.24"]),
-        ("budget", [], ["--p1", "0.04"]),
-        ("budget", [], ["--p2", "0.24"]),
-        ("dm-roundtrip", ["--seed", "7"], []),
-        ("dm-roundtrip", ["--out-dir", "{out}"], []),
-        ("dm-roundtrip", ["--config", "{cfg}"], []),
+    @pytest.mark.parametrize("name, before, after, refused", [
+        ("shape-encode", [], ["--P", "2"], "--P 2"),
+        ("simulate", [], ["--P", "2"], "--P 2"),
+        ("shape-analyze-switch", [], ["--p1", "0.04"], "--p1 0.04"),
+        ("shape-analyze-switch", [], ["--p2", "0.24"], "--p2 0.24"),
+        ("budget", [], ["--p1", "0.04"], "--p1 0.04"),
+        ("budget", [], ["--p2", "0.24"], "--p2 0.24"),
+        ("dm-roundtrip", ["--seed", "7"], [], "'7'"),
+        ("dm-roundtrip", ["--out-dir", "{out}"], [], "'{out}'"),
+        # an argument file of flags before the words, read as those flags
+        ("dm-roundtrip", ["{cfg}"], [], "'5'"),
     ], ids=["encode-P", "simulate-P", "analyze-switch-p1", "analyze-switch-p2", "budget-p1",
             "budget-p2", "seed-first", "out-dir-first", "config-first"])
-    def test_second_spellings_are_gone(self, tmp_path, capsys, name, before, after):
+    def test_second_spellings_are_gone(self, tmp_path, capsys, name, before, after, refused):
         # P is the number of --probs and a two-source profile is two --probs: the
         # flags that repeated them are refused (dm roundtrip --w: the flag table).
-        # Every flag follows the subcommand words: the top parser takes none
-        out, cfg = tmp_path / "out", tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples": 5}))
+        # Every flag follows the subcommand words: the top parser takes none, and
+        # reads a flag's value as the subcommand
+        out = tmp_path / "out"
+        cfg = args_file(tmp_path / "cfg.args", "--samples", "5")
         before = [arg.format(out=out, cfg=cfg) for arg in before]
         assert exit_code([*before, *SUBCOMMANDS[name], *after, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert ("unrecognized arguments" if after else "signshape: error: argument command") in err
+        message = "unrecognized arguments: " if after else "argument command: invalid choice: "
+        assert message + refused.format(out=out) in err
         assert not out.exists()
 
     def test_budget_m_has_no_default(self, tmp_path, capsys):
@@ -925,65 +988,63 @@ class TestRunLifecycle:
 
 
 class TestConfigParsedLikeFlags:
-    def write(self, tmp_path, config):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        return str(path)
-
+    # an argument file's values are parsed and checked as the same flags on the line
     def test_scalar_for_a_list_flag(self, tmp_path):
         # both used to exit 1 on a TypeError traceback
-        cfg = self.write(tmp_path, {"m": 3, "probs": 0.2})
-        assert main(["shape", "encode", "--n", "64", "--out-dir", str(tmp_path),
-                     "--config", cfg]) == 0
+        cfg = args_file(tmp_path / "cfg.args", "--m", "3", "--probs", "0.2")
+        assert main(["shape", "encode", "--n", "64", "--out-dir", str(tmp_path), cfg]) == 0
         assert read_json(tmp_path / "shape-encode-manifest.json")["params"]["probs"] == [0.2]
-        cfg = self.write(tmp_path, {"snr": 17})
-        assert main(["optimize", "--m", "3", "--P", "1", "--out-dir", str(tmp_path),
-                     "--config", cfg]) == 0
+        cfg = args_file(tmp_path / "cfg.args", "--snr", "17")
+        assert main(["optimize", "--m", "3", "--P", "1", "--out-dir", str(tmp_path), cfg]) == 0
         (result,) = read_json(tmp_path / "optimize-results.json")
         assert result["snr_db"] == 17.0
 
     def test_negative_exponent_value(self, tmp_path):
-        # on a command line "--snr -1e-05" reads as a flag; the config passes it whole
-        cfg = self.write(tmp_path, {"snr": -1e-05})
-        assert main(["optimize", "--m", "3", "--P", "1", "--out-dir", str(tmp_path),
-                     "--config", cfg]) == 0
+        # "--snr -1e-05" reads as two flags, in a file as on the line; "=" keeps it one
+        cfg = args_file(tmp_path / "cfg.args", "--snr=-1e-05")
+        assert main(["optimize", "--m", "3", "--P", "1", "--out-dir", str(tmp_path), cfg]) == 0
         assert read_json(tmp_path / "optimize-results.json")[0]["snr_db"] == -1e-05
 
-    @pytest.mark.parametrize("config, command", [
-        ({"n": [64, 128]}, ["dm", "roundtrip"]),
-        ({"mode": "bogus"}, ["simulate", "--m", "3", "--probs", "0.2",
-                             "--n", "64", "--snr", "10"]),
-        ({"sampels": 5}, ["dm", "roundtrip", "--n", "64"]),  # used to run the default samples
-        ({"block": "x.json"}, ["dm", "roundtrip", "--n", "64"]),  # a flag of another command
-        ({"samples": "many"}, ["dm", "roundtrip", "--n", "64"]),
-        # keys of the removed switches
-        ({"exhaustive": True, "json": True, "csv": False}, ["dm", "roundtrip", "--n", "10",
-                                                            "--p", "0.3"]),
-        ({"seed": 1.5}, ["dm", "roundtrip", "--n", "64"]),
-        # keys of the removed second spellings of P, a two-source profile and a weight
-        ({"P": 2}, SUBCOMMANDS["shape-encode"]),
-        ({"P": 2}, SUBCOMMANDS["simulate"]),
-        ({"p1": 0.04, "p2": 0.24}, SUBCOMMANDS["shape-analyze-switch"]),
-        ({"p1": 0.04, "p2": 0.24}, SUBCOMMANDS["budget"]),
-        ({"w": 4}, SUBCOMMANDS["dm-roundtrip"]),
+    @pytest.mark.parametrize("lines, command, message", [
+        (["--n", "64", "128"], ["dm", "roundtrip"], "unrecognized arguments: 128"),
+        (["--mode", "bogus"], ["simulate", "--m", "3", "--probs", "0.2", "--n", "64",
+                               "--snr", "10"], "invalid choice: 'bogus'"),
+        # used to run the default samples
+        (["--sampels", "5"], ["dm", "roundtrip", "--n", "64"],
+         "unrecognized arguments: --sampels"),
+        # a flag of another command
+        (["--block", "x.json"], ["dm", "roundtrip", "--n", "64"],
+         "unrecognized arguments: --block"),
+        (["--samples", "many"], ["dm", "roundtrip", "--n", "64"], "invalid int value: 'many'"),
+        # the removed switches
+        (["--exhaustive", "--json", "--csv"], ["dm", "roundtrip", "--n", "10", "--p", "0.3"],
+         "unrecognized arguments: --exhaustive --json --csv"),
+        (["--seed", "1.5"], ["dm", "roundtrip", "--n", "64"], "invalid int value: '1.5'"),
+        # the removed second spellings of P, a two-source profile and a weight
+        (["--P", "2"], SUBCOMMANDS["shape-encode"], "unrecognized arguments: --P 2"),
+        (["--P", "2"], SUBCOMMANDS["simulate"], "unrecognized arguments: --P 2"),
+        (["--p1", "0.04", "--p2", "0.24"], SUBCOMMANDS["shape-analyze-switch"],
+         "unrecognized arguments: --p1 0.04 --p2 0.24"),
+        (["--p1", "0.04", "--p2", "0.24"], SUBCOMMANDS["budget"],
+         "unrecognized arguments: --p1 0.04 --p2 0.24"),
+        (["--w", "4"], SUBCOMMANDS["dm-roundtrip"], "unrecognized arguments: --w 4"),
     ], ids=["list-for-scalar", "bad-choice", "unknown-key", "foreign-key", "bad-int",
             "bad-switch", "float-seed", "P-encode", "P-simulate", "p1-p2-analyze-switch",
             "p1-p2-budget", "w-roundtrip"])
-    def test_bad_value_is_2(self, tmp_path, config, command):
+    def test_bad_value_is_2(self, tmp_path, capsys, lines, command, message):
         out = tmp_path / "out"
-        cfg = self.write(tmp_path, config)
-        assert exit_code([*command, "--out-dir", str(out), "--config", cfg]) == 2
+        cfg = args_file(tmp_path / "cfg.args", *lines)
+        assert exit_code([*command, cfg, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestLengthCaps:
     @pytest.mark.parametrize("command", [
-        ["dm", "rate-loss", "--n", "65537", "--p", "0.24"],
         ["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "131074",
          "--snr", "17"],
-    ], ids=["rate-loss", "budget"])
+    ], ids=["budget"])  # dm rate-loss: TestDmCommands::test_rate_loss_flag_table
     def test_matcher_length_cap_is_2(self, tmp_path, capsys, command):
-        # dm rate-loss at n = 10^7 used to spend minutes in one exact binomial
         assert main([*command, "--out-dir", str(tmp_path)]) == 2
         assert "65536" in capsys.readouterr().err
 

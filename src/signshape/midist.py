@@ -257,13 +257,19 @@ class MiCurve:
     mi_bpcu: tuple[float, ...]
     profiles: tuple[ShapingProfile, ...] | None = None
 
-    def __post_init__(self) -> None:
-        self.snr_db = tuple(float(s) for s in self.snr_db)
-        self.mi_bpcu = tuple(float(v) for v in self.mi_bpcu)
-        if len(self.snr_db) != len(self.mi_bpcu) or len(self.snr_db) < 2:
+    @staticmethod
+    def _axis(snr_db: Iterable[float], samples: int | None = None) -> tuple[float, ...]:
+        """snr_db as floats, if it fits a curve of `samples` MI values (any number if None)."""
+        axis = tuple(float(s) for s in snr_db)
+        if len(axis) < 2 or samples not in (None, len(axis)):
             raise ParameterError("curve needs >= 2 aligned (snr, mi) samples")
-        if np.any(np.diff(self.snr_db) <= 0):
+        if not np.all(np.diff(axis) > 0):  # NaN fails
             raise ParameterError("snr_db samples must be strictly increasing")
+        return axis
+
+    def __post_init__(self) -> None:
+        self.mi_bpcu = tuple(float(v) for v in self.mi_bpcu)
+        self.snr_db = MiCurve._axis(self.snr_db, len(self.mi_bpcu))
         if np.any(np.diff(self.mi_bpcu) < -1e-9):
             raise ParameterError("mi_bpcu must be nondecreasing along the curve")
         if min(self.mi_bpcu) < -1e-12:
@@ -309,6 +315,25 @@ class OptimizationResult:
     kkt_residual: float
 
 
+class _Pairs:
+    """The last _MEMORY kept steps, oldest first: V[0, -k:] holds their y, V[1, -k:] their s."""
+
+    def __init__(self, size: int) -> None:
+        self.V, self.k = np.empty((2, _MEMORY, size)), 0
+
+
+class _WarmStart(tuple):
+    """A warm_start profile with a sweep's _Pairs as .pairs, for _minimize_on_box."""
+
+
+@lru_cache(maxsize=_MEMORY)
+def _compact_mask(k: int) -> np.ndarray:
+    """Where theta K equals the Gram matrix of W = [Y; theta S]: L, L' and S'S."""
+    mask = np.tri(2 * k, 2 * k, -k - 1)  # L_ij = s_i'y_j for i > j
+    mask[k:, k:] = 1.0
+    return np.maximum(mask, mask.T)
+
+
 def _minimize_on_box(fun, start):
     """Projected quasi-Newton on [0, 1]^P: (x, f, g) at the best point reached.
 
@@ -319,31 +344,29 @@ def _minimize_on_box(fun, start):
     one, B = theta I - W' K^-1 W, over the last _MEMORY steps s and gradient
     changes y, with theta = y'y / s'y of the latest (Byrd, Nocedal &
     Schnabel 1994); Woodbury inverts its free block with one 2k x 2k solve.
-    The first step is steepest descent, at most 1 long.
+    A sweep's _WarmStart brings the pairs of the runs before and takes this
+    run's; otherwise the first step is steepest descent, at most 1 long.
     """
     x = np.clip(start, 0.0, 1.0)
     f, g = fun(x)
-    S = Y = np.empty((0, x.size))  # one row per kept step
+    pairs = getattr(start, "pairs", None) or _Pairs(x.size)
     for _ in range(_MAX_ITERATIONS):
-        free = ~(((x <= 0.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0)))
-        gf = g[free]
-        if np.abs(gf).max(initial=0.0) <= _PGTOL:
+        held = ((x <= 0.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0))
+        gf = np.where(held, 0.0, g)
+        if np.abs(gf).max() <= _PGTOL:
             break
-        d = np.zeros_like(x)
-        if len(S):
-            k, SY = len(S), S @ Y.T
-            theta = (Y[-1] @ Y[-1]) / SY[-1, -1]
-            K = np.empty((2 * k, 2 * k))  # a third of np.block's time
-            K[:k, :k] = -np.diag(np.diag(SY))
-            K[k:, :k] = np.tril(SY, -1)
-            K[:k, k:] = K[k:, :k].T
-            K[k:, k:] = theta * (S @ S.T)
-            W = np.vstack([Y, theta * S])[:, free]
-            d[free] = -(gf + W.T @ np.linalg.solve(theta * K - W @ W.T, W @ gf)) / theta
+        if k := pairs.k:
+            Y, S = pairs.V[:, -k:]
+            theta = (Y[-1] @ Y[-1]) / (S[-1] @ Y[-1])
+            W = np.concatenate((Y, theta * S))
+            Wf, H = np.where(held, 0.0, W), W @ W.T
+            A = H * _compact_mask(k) - Wf @ Wf.T
+            A[:k, :k] -= np.diag(H.diagonal(-k))  # theta K's -theta D
+            d = -(gf + np.linalg.solve(A, W @ gf) @ Wf) / theta
             t = 1.0
         else:
-            d[free] = -gf
-            t = min(1.0, 1.0 / np.linalg.norm(d))
+            d = -gf
+            t = min(1.0, 1.0 / math.sqrt(gf @ gf))
         for _ in range(_MAX_HALVINGS):
             x_new = np.clip(x + t * d, 0.0, 1.0)
             f_new, g_new = fun(x_new)
@@ -358,7 +381,9 @@ def _minimize_on_box(fun, start):
         if done:
             break
         if s @ y > 1e-10 * (y @ y):  # keep B positive definite
-            S, Y = np.vstack([S, s])[-_MEMORY:], np.vstack([Y, y])[-_MEMORY:]
+            pairs.V[:, :-1] = pairs.V[:, 1:]
+            pairs.V[:, -1] = y, s
+            pairs.k = min(pairs.k + 1, _MEMORY)
     return x, f, g
 
 
@@ -420,7 +445,7 @@ def optimize_profile(
             dpmf = dpmf + dsigma * sigma / (2.0 * energy) * energies
         return -value, -_induced_pmf_pullback(m, num_distinct, dpmf)
 
-    probs, neg_mi, descent = _minimize_on_box(objective, start)
+    probs, neg_mi, descent = _minimize_on_box(objective, start if warm_start is None else warm_start)
     best = ShapingProfile(m=m, probs=tuple(probs))
     # the KKT residual drops the ascent components that point out of the box
     ascent = np.clip(-descent, np.where(probs > 0, -np.inf, 0), np.where(probs < 1, np.inf, 0))
@@ -437,43 +462,38 @@ def optimize_profile(
     )
 
 
-def mi_curve_for_profile(
-    profile: ShapingProfile,
-    snr_db_grid: Iterable[float],
-) -> MiCurve:
+def mi_curve_for_profile(profile: ShapingProfile, snr_db_grid: Iterable[float]) -> MiCurve:
     """MI-versus-SNR curve for one fixed profile."""
+    grid = MiCurve._axis(snr_db_grid)
     x = build_ask(profile.m).points()
     pmf = induced_pmf(profile.m, profile.probs)
     energy = float(pmf @ (x * x))
-    grid = [float(s) for s in snr_db_grid]
-    values = [awgn_mi(x, pmf, sigma_for_snr(energy, s)) for s in grid]
-    return MiCurve(snr_db=tuple(grid), mi_bpcu=tuple(values))
+    return MiCurve(grid, [awgn_mi(x, pmf, sigma_for_snr(energy, s)) for s in grid])
 
 
 def _warm_sweep(
     m: int, num_distinct: int, key: str, grid: Iterable[float]
 ) -> Iterator[OptimizationResult]:
-    """optimize_profile at each grid value of key, "snr_db" or "noise_std",
-    each run warm-started from the profile before it."""
-    warm = None
+    """optimize_profile at each grid value of key, "snr_db" or "noise_std", as one
+    continuation: each run keeps the curvature pairs of the runs before it and starts
+    from the last two profiles extrapolated linearly in the value, clipped into the
+    box (from the last profile after one point or two equal values)."""
+    pairs, points = _Pairs(num_distinct), [(None, np.full(num_distinct, 0.5))] * 2
     for value in grid:
-        result = optimize_profile(m, num_distinct, warm_start=warm, **{key: value})
-        warm = result.profile.probs
+        (v0, p0), (v1, p1) = points
+        ratio = 0.0 if v0 is None or v0 == v1 else (value - v1) / (v1 - v0)
+        start = _WarmStart(np.clip(p1 + ratio * (p1 - p0), 0.0, 1.0) if math.isfinite(ratio) else p1)
+        start.pairs = pairs
+        result = optimize_profile(m, num_distinct, warm_start=start, **{key: value})
+        points = [points[1], (value, np.array(result.profile.probs))]
         yield result
 
 
-def mi_curve_optimized(
-    m: int,
-    num_distinct: int,
-    snr_db_grid: Iterable[float],
-) -> MiCurve:
+def mi_curve_optimized(m: int, num_distinct: int, snr_db_grid: Iterable[float]) -> MiCurve:
     """Curve of per-SNR optimized profiles, warm starting along the grid."""
-    results = list(_warm_sweep(m, num_distinct, "snr_db", map(float, snr_db_grid)))
-    return MiCurve(
-        snr_db=tuple(r.snr_db for r in results),
-        mi_bpcu=tuple(r.mi_bpcu for r in results),
-        profiles=tuple(r.profile for r in results),
-    )
+    grid = MiCurve._axis(snr_db_grid)
+    results = list(_warm_sweep(m, num_distinct, "snr_db", grid))
+    return MiCurve(grid, [r.mi_bpcu for r in results], tuple(r.profile for r in results))
 
 
 def mi_gap_db(curve_a: MiCurve, curve_b: MiCurve, rate_bpcu: float) -> float:

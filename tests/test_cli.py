@@ -625,6 +625,15 @@ class TestOptimizeCommand:
         results = read_json(tmp_path / "optimize-results.json")
         assert results[1]["profile"]["probs"][0] == pytest.approx(0.08, abs=0.02)
 
+    def test_grid_in_any_order(self, tmp_path):
+        # a sweep extrapolates each start from the two points before it, so a
+        # grid that turns back or repeats a value must still give every point
+        assert main(["optimize", "--m", "5", "--P", "2", "--snr", "18", "14", "16", "16",
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "optimize-curve.csv")
+        assert [float(row[0]) for row in rows[1:]] == [18.0, 14.0, 16.0, 16.0]
+        assert float(rows[3][1]) == pytest.approx(float(rows[4][1]), abs=1e-9)
+
     def test_results_schema(self, tmp_path):
         assert main(["optimize", "--m", "3", "--P", "2", "--sigma", "1", "2",
                      "--out-dir", str(tmp_path)]) == 0

@@ -464,14 +464,30 @@ class TestMiCurve:
         with pytest.raises(ParameterError):
             MiCurve(snr_db=(1.0, 1.0), mi_bpcu=(0.5, 0.5))
 
-    @pytest.mark.parametrize("mi, match", [
-        ((0.5,), "aligned"),
-        ((0.5, 0.4), "nondecreasing"),
-        ((-0.1, 0.0), "nonnegative"),
-    ], ids=["misaligned", "decreasing", "negative"])
-    def test_rejects_samples_that_are_no_mi_curve(self, mi, match):
+    @pytest.mark.parametrize("snr, mi, match", [
+        ((1.0, 2.0), (0.5,), "aligned"),
+        ((1.0, 2.0), (0.5, 0.4), "nondecreasing"),
+        ((1.0, 2.0), (-0.1, 0.0), "nonnegative"),
+        ((16.0, 15.0), None, "strictly increasing"),
+        ((15.0, 15.0), None, "strictly increasing"),
+        ((15.0,), None, ">= 2"),
+        ((15.0, math.nan), None, "strictly increasing"),
+    ], ids=["misaligned", "decreasing", "negative", "descending-grid", "repeated-grid",
+            "one-point-grid", "nan-grid"])
+    def test_rejects_samples_that_are_no_mi_curve(self, monkeypatch, snr, mi, match):
         with pytest.raises(ParameterError, match=match):
-            MiCurve(snr_db=(1.0, 2.0), mi_bpcu=mi)
+            MiCurve(snr_db=snr, mi_bpcu=(0.5,) * len(snr) if mi is None else mi)
+        if mi is not None:
+            return
+        # a grid no curve can take is refused before any point is optimized or evaluated
+        optimized = []
+        monkeypatch.setattr(midist, "optimize_profile", lambda *a, **k: optimized.append(a))
+        monkeypatch.setattr(midist, "awgn_mi", _never_called)
+        with pytest.raises(ParameterError, match=match):
+            mi_curve_optimized(6, 16, snr)
+        with pytest.raises(ParameterError, match=match):
+            mi_curve_for_profile(ShapingProfile(m=6, probs=(0.04, 0.24)), snr)
+        assert optimized == []
 
 
 def _pchip_cases():
@@ -709,9 +725,10 @@ class TestOptimizerQuality:
         (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
     )
 
-    # awgn_mi calls per warm-started sweep: L-BFGS-B's 33 and 57, counted
-    # the same way, plus 10%
-    @pytest.mark.parametrize("m, P, budget", [(5, 2, 36), (6, 16, 63)])
+    # awgn_mi calls per sweep, 21 and 42 when the curvature pairs and an
+    # extrapolated start carry from point to point, plus 10%; starting each
+    # point from the last profile alone took 28 and 52
+    @pytest.mark.parametrize("m, P, budget", [(5, 2, 23), (6, 16, 46)], ids=["m5-P2", "m6-P16"])
     def test_reference_sweeps(self, monkeypatch, m, P, budget):
         ref = self.REFERENCE[f"m{m}_P{P}"]
         results = []
@@ -727,6 +744,21 @@ class TestOptimizerQuality:
         for snr, mi, best, result in zip(ref["snr_db"], curve.mi_bpcu, ref["mi_bpcu"], results):
             assert mi >= best - 1e-6, snr
             assert result.kkt_residual <= 1e-4, snr
+        assert sum(result.evaluations for result in results) <= budget
+
+    # acceptance's GRID_32 and GRID_64, each with its sweep's awgn_mi calls, which
+    # were 156, 720 and 138 from the last profile alone
+    @pytest.mark.parametrize("m, P, grid, budget", [
+        (5, 2, np.arange(6.0, 20.01, 0.5), 110),
+        (5, 8, np.arange(6.0, 20.01, 0.5), 480),
+        (6, 16, np.arange(26.0, 34.01, 0.5), 110),
+    ], ids=["grid32-p2", "grid32-p8", "grid64-p16"])
+    def test_continuation_lands_where_a_cold_start_does(self, m, P, grid, budget):
+        results = list(midist._warm_sweep(m, P, "snr_db", grid))
+        for snr, result in zip(grid, results):
+            cold = optimize_profile(m, P, snr_db=snr)
+            assert result.mi_bpcu >= cold.mi_bpcu - 1e-5, snr
+            assert result.kkt_residual <= 1e-3, snr
         assert sum(result.evaluations for result in results) <= budget
 
     @pytest.mark.parametrize("corner", [0.0, 1.0])

@@ -9,7 +9,8 @@ the linear domain (all exponents are nonpositive). awgn_mi takes equally
 spaced alphabets (every ASK): its sums over j and their exact gradient
 (grad=True) are products of one Toeplitz band matrix with one exp table,
 cut to the offsets z_i - z_j whose exp is not flushed to 0 (a few dozen
-symbols at high SNR, whatever the alphabet size).
+symbols at high SNR, whatever the alphabet size) and built for those >= 0
+only; a mirror-symmetric pmf (every induced one) takes half the band's rows.
 
 SNR convention: SNR = E[X^2] / sigma^2 with the *shaped* distribution's
 energy. Curves over SNR therefore compare distributions at equal SNR, not
@@ -141,7 +142,10 @@ def awgn_mi(
     most 4 MB of indices cached across calls. Where that passes 256 MB
     (4096-ASK with noise_std above about 83 at order 64) ParameterError is
     raised before allocating anything, which also bounds the work, about
-    M B K multiply-adds (3x that with grad). order runs from 1 to 360.
+    M B K multiply-adds (3x that with grad). order is an integer in [1, 360].
+    The table is built for r >= 0 and mirrored, and an even-length pmf equal
+    to its mirror (every induced_pmf) takes the lower M/2 rows only; the bound
+    and the cap count full arrays, so no input is newly accepted or refused.
     """
     xs = np.asarray(x, dtype=float)
     p = np.asarray(pmf, dtype=float)
@@ -151,8 +155,9 @@ def awgn_mi(
         raise ParameterError("pmf must be nonnegative and sum to 1")
     if not 0 < noise_std < math.inf:
         raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
-    if not 1 <= order <= _MAX_ORDER:
-        raise ParameterError(f"order must be in [1, {_MAX_ORDER}], got {order}")
+    integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
+    if not (integer and 1 <= order <= _MAX_ORDER):
+        raise ParameterError(f"order must be an integer in [1, {_MAX_ORDER}], got {order!r}")
     M, w = xs.size, 2 if grad else 1
     # np.allclose(diff(z), step, 1e-12, 1e-12), 7x faster, plus room for
     # the rounding of z = x / noise_std: each z is off by up to eps max|z| / 2,
@@ -186,36 +191,45 @@ def awgn_mi(
             f"awgn_mi needs {need / (1 << 20):.1f} MB for M = {M} and window {W} at order "
             f"{order}, above its {_MI_CAP_BYTES >> 20} MB cap"
         )
-    r = np.arange(-W, W + 1, dtype=float)[:, None] * step
+    # rows r >= 0: hermgauss's rule is symmetric bit for bit, so row -r is row r reversed
+    r = np.arange(W + 1, dtype=float)[:, None] * step
     u = r + shift
     arg = -0.5 * u * u
     # flushing entries below e^_FLUSH_EXP to 0 changes no den_ik, which
     # holds p_i e^-t_k^2 (t_k^2 < 115 at order 64), and keeps slow
     # denormals out of the products
     table = np.zeros((B, w * order))
-    np.exp(arg, out=table[:, :order], where=arg > _FLUSH_EXP)
+    upper = table[W:]
+    np.exp(arg, out=upper[:, :order], where=arg > _FLUSH_EXP)
     if grad:
         # d table / d noise_std = table u r / noise_std
-        np.multiply(table[:, :order], u * r, out=table[:, order:])
+        np.multiply(upper[:, :order], u * r, out=upper[:, order:])
+    table.reshape(B, w, order)[:W] = upper.reshape(W + 1, w, order)[:0:-1, :, ::-1]
     # den = band @ table with band[i, c] = p_j, j = i + W - c, read from the
-    # pmf padded by W zeros on each side at idx[i, c] = j + W
+    # pmf padded by W zeros on each side at idx[i, c] = j + W. A mirrored pmf
+    # makes den's row M - 1 - i row i with the nodes reversed: fold = 2
     idx = (_band_index if M * B <= _CACHED_INDEX_ENTRIES else _band_index.__wrapped__)(M, W)
+    fold = 2 if M % 2 == 0 and (p == p[::-1]).all() else 1
+    half = M // fold
     padded = np.zeros(M + 2 * W)
     padded[W : M + W] = p
-    band = padded[idx]
+    band = padded[idx[:half]]
     den = band @ table
     dden, den = den[:, order:], np.maximum(den[:, :order], 1e-300)
     per_symbol = (minus_t2 - np.log(den)) @ weights
-    mi = float(p @ per_symbol) / _LN2
+    mi = fold * float(p[:half] @ per_symbol) / _LN2
     if not math.isfinite(mi):
         raise NumericalError("mutual information evaluation produced a non-finite value")
     if not grad:
         return mi
-    q = p[:, None] * (weights / den)
+    q = p[:half, None] * (weights / den)
     # d den_ik / d p_j is table[i + W - j, k]: sum over the entries of idx j + W
     np.matmul(q, table[:, :order].T, out=band)
-    dpmf = (per_symbol - np.bincount(idx.ravel(), band.ravel(), M + 2 * W)[W : M + W]) / _LN2
-    dsigma = -float(np.vdot(q, dden)) / (_LN2 * noise_std)
+    sums = np.bincount(idx[:half].ravel(), band.ravel(), M + 2 * W)[W : M + W]
+    if fold == 2:  # row M - 1 - i adds to M - 1 - j what row i adds to j
+        per_symbol, sums = np.concatenate((per_symbol, per_symbol[::-1])), sums + sums[::-1]
+    dpmf = (per_symbol - sums) / _LN2
+    dsigma = -fold * float(np.vdot(q, dden)) / (_LN2 * noise_std)
     return mi, dpmf, dsigma
 
 
@@ -413,6 +427,8 @@ def optimize_profile(
     """
     if (noise_std is None) == (snr_db is None):
         raise ParameterError("pass exactly one of noise_std or snr_db")
+    if isinstance(num_distinct, bool) or not isinstance(num_distinct, int):
+        raise ParameterError(f"num_distinct must be an integer, got {num_distinct!r}")
     ShapingProfile(m=m, probs=(0.5,) * num_distinct)  # validates m and P upfront
     if noise_std is not None and not 0 < noise_std < math.inf:
         raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
@@ -426,7 +442,7 @@ def optimize_profile(
             f"warm_start must hold {num_distinct} finite probabilities, got {warm_start!r}"
         )
 
-    x = build_ask(m).points()
+    x = np.arange(1 - (1 << m), 1 << m, 2, dtype=float)
     energies = x * x
     evaluations = 0
 
@@ -446,19 +462,18 @@ def optimize_profile(
         return -value, -_induced_pmf_pullback(m, num_distinct, dpmf)
 
     probs, neg_mi, descent = _minimize_on_box(objective, start if warm_start is None else warm_start)
-    best = ShapingProfile(m=m, probs=tuple(probs))
-    # the KKT residual drops the ascent components that point out of the box
-    ascent = np.clip(-descent, np.where(probs > 0, -np.inf, 0), np.where(probs < 1, np.inf, 0))
-    energy = float(induced_pmf(m, best.probs) @ energies)
+    # the KKT residual drops the gradient components held at a bound, as the search does
+    held = ((probs <= 0.0) & (descent > 0.0)) | ((probs >= 1.0) & (descent < 0.0))
+    energy = float(induced_pmf(m, probs) @ energies)
     sigma = sigma_of(energy)
     return OptimizationResult(
-        profile=best,
+        profile=ShapingProfile(m=m, probs=probs),
         mi_bpcu=-neg_mi,
         snr_db=snr_db_for(energy, sigma) if snr_db is None else float(snr_db),
         noise_std=sigma,
         evaluations=evaluations,
         mode="fixed-noise" if snr_db is None else "fixed-snr",
-        kkt_residual=float(np.abs(ascent).max()),
+        kkt_residual=float(np.abs(np.where(held, 0.0, descent)).max()),
     )
 
 

@@ -182,6 +182,16 @@ class TestAwgnMi:
         with pytest.raises(ParameterError, match="order"):
             awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, order)
 
+    @pytest.mark.parametrize("order", [64.5, True, 64.0, "64"])
+    def test_rejects_order_that_is_no_integer(self, order):
+        # 64.5 ended in hermgauss's TypeError, and True ran as order 1
+        with pytest.raises(ParameterError, match="order must be an integer"):
+            awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, order=order)
+
+    def test_takes_a_numpy_integer_order(self):
+        x, pmf = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+        assert awgn_mi(x, pmf, 1.0, order=np.int64(16)) == awgn_mi(x, pmf, 1.0, order=16)
+
     def test_rejects_order_above_max(self):
         # numpy's Gauss-Hermite weights are NaN from order 372, which used
         # to end in NumericalError; a huge order built a huge matrix first
@@ -239,6 +249,21 @@ class TestAwgnMi:
         x, pmf = build_ask(m).points(), np.full(1 << m, 1.0 / (1 << m))
         awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0)  # caches the rule
         midist._band_index.cache_clear()  # a first call builds the index
+        tracemalloc.start()
+        try:
+            awgn_mi(x, pmf, sigma, grad=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stated_grad_bound(1 << m, window(x, sigma))
+
+    @pytest.mark.parametrize("m, sigma", [(9, 0.5), (6, 30.0), (10, 100.0)])
+    def test_peak_off_the_mirror_within_stated_bound(self, m, sigma):
+        # a tilted pmf is not its own mirror, so every row of the band is built
+        x = build_ask(m).points()
+        pmf = np.linspace(0.5, 1.5, x.size) / x.size
+        awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0)
+        midist._band_index.cache_clear()
         tracemalloc.start()
         try:
             awgn_mi(x, pmf, sigma, grad=True)
@@ -331,8 +356,13 @@ class TestWindowedKernel:
         grad = data.draw(st.booleans(), label="grad")
         M = 1 << m
         raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M), label="pmf")
+        # a mirrored pmf, as every induced pmf is, takes awgn_mi's half-row path
+        mirrored = data.draw(st.booleans(), label="mirrored")
+        if mirrored:
+            raw = raw[: M // 2] + raw[M // 2 - 1 :: -1]
         pmf = np.asarray(raw) + (not any(raw))
         pmf /= pmf.sum()
+        assert np.array_equal(pmf, pmf[::-1]) or not mirrored
         x = np.arange(-(M - 1), M, 2.0)
         if data.draw(st.booleans(), label="reversed"):
             x = x[::-1].copy()
@@ -351,6 +381,31 @@ class TestWindowedKernel:
         x, pmf = np.arange(-(M - 1), M, 2.0), np.arange(1.0, M + 1) / (M * (M + 1) / 2)
         assert window(x, sigma) == W
         _check_against_full_band(x, pmf, sigma, grad)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_symmetric_odd_alphabet_takes_the_full_path(self, grad):
+        # the middle row of an odd alphabet is its own mirror, so no rows are halved
+        x, pmf = np.array([-2.0, 0.0, 2.0]), np.array([0.3, 0.4, 0.3])
+        _check_against_full_band(x, pmf, 0.9, grad)
+        got, flipped = awgn_mi(x, pmf, 0.9, grad=True), awgn_mi(x[::-1].copy(), pmf, 0.9, grad=True)
+        assert got[0] == pytest.approx(flipped[0], rel=0, abs=1e-13)
+        np.testing.assert_allclose(got[1], got[1][::-1], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got[1], flipped[1], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("snr_db", [6.0, 16.0, 30.0])
+    def test_pmf_an_ulp_off_its_mirror_agrees_with_the_mirror(self, snr_db):
+        # one ulp breaks the exact mirror, so that pmf takes the full path
+        x = build_ask(5).points()
+        pmf = induced_pmf(5, np.linspace(0.05, 0.45, 8))
+        off = pmf.copy()
+        off[3] = np.nextafter(off[3], 1.0)
+        assert np.array_equal(pmf, pmf[::-1]) and not np.array_equal(off, off[::-1])
+        sigma = sigma_for_snr(float(pmf @ (x * x)), snr_db)
+        _check_against_full_band(x, off, sigma, grad=True)
+        half, full = awgn_mi(x, pmf, sigma, grad=True), awgn_mi(x, off, sigma, grad=True)
+        assert half[0] == pytest.approx(full[0], rel=0, abs=1e-13)
+        np.testing.assert_allclose(half[1], full[1], rtol=0, atol=1e-13)
+        assert half[2] == pytest.approx(full[2], rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 21, 30])
     def test_window_edge(self, n, monkeypatch):
@@ -613,6 +668,34 @@ class TestOptimize:
             uniform = awgn_mi(build_ask(4).points(), uniform_dist(4).pmf(), sigma)
             assert result.mi_bpcu >= uniform - 1e-12
             assert result.mode == "fixed-noise"
+
+    @pytest.mark.parametrize("num_distinct", [2.0, True, "2"])
+    def test_rejects_num_distinct_that_is_no_integer(self, monkeypatch, num_distinct):
+        # 2.0 ended in TypeError: can't multiply sequence by non-int
+        monkeypatch.setattr(midist, "awgn_mi", _never_called)
+        with pytest.raises(ParameterError, match="num_distinct must be an integer"):
+            optimize_profile(5, num_distinct, snr_db=16.0)
+
+    @pytest.mark.parametrize("m, P, grid", [(5, 2, [14.0, 15.0, 16.0]), (6, 16, [28.0, 29.0])])
+    def test_calls_go_through_the_module_attributes(self, monkeypatch, m, P, grid):
+        # perfbench's tracer counts awgn_mi and induced_pmf calls by rebinding
+        # these module attributes; a call around them would count 0 and pass
+        calls = {"awgn_mi": 0, "induced_pmf": 0}
+        for name in calls:
+            def counting(*args, _inner=getattr(midist, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(midist, name, counting)
+        results = []
+        optimize = midist.optimize_profile
+        monkeypatch.setattr(
+            midist, "optimize_profile", lambda *a, **k: results.append(optimize(*a, **k)) or results[-1])
+        mi_curve_optimized(m, P, grid)
+        evaluations = sum(result.evaluations for result in results)
+        assert len(results) == len(grid)
+        assert calls["awgn_mi"] == evaluations > 0
+        assert calls["induced_pmf"] >= evaluations
 
     def test_requires_exactly_one_operating_point(self):
         with pytest.raises(ParameterError):

@@ -11,15 +11,14 @@ Three additive dB components at an operating SNR:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import ShapingProfile
+from .constellation import ShapingProfile, induced_distribution
 from .enumdm import rate_loss
 from .errors import ParameterError
-from .midist import _capacity_snr_db, mi_curve_for_profile, rate_loss_to_db
+from .midist import _capacity_snr_db, mi_curve_for_profile, rate_loss_to_db, sigma_for_snr
 from .shaper import switch_energy_loss
 
 __all__ = ["BudgetReport", "loss_budget"]
@@ -47,8 +46,9 @@ def loss_budget(m: int, p1: float, p2: float, n: int, snr_db: float) -> BudgetRe
     profile = ShapingProfile(m=m, probs=(p1, p2))
     if n < 2 or n % 2:
         raise ParameterError(f"n must be even and >= 2, got {n}")
-    if not math.isfinite(snr_db):
-        raise ParameterError(f"snr_db must be finite, got {snr_db}")
+    # an SNR with no noise level is refused as such before the grid is built,
+    # whose +-2 dB rounds to one point at 1e300 dB
+    sigma_for_snr(induced_distribution(profile).average_energy, snr_db)
     grid = np.arange(
         snr_db - _CURVE_HALF_SPAN_DB,
         snr_db + _CURVE_HALF_SPAN_DB + 1e-9,

@@ -5,11 +5,16 @@ shape {encode, decode, analyze-switch}, simulate, budget. A profile is
 --m --probs (P their count, two for analyze-switch and budget; optimize
 alone takes --P), a matcher --n --p (weight round(n p)).
 
-Every run writes its outputs into --out-dir, made at the first write so a
-refused run leaves nothing, plus a JSON manifest recording the command,
-argv, parameters, seed, package version, output paths, and wall clock time.
-Commands with a table write it as CSV and their full results as JSON,
-always both. Every option takes a value and follows the subcommand words.
+Each subcommand returns its output files, name to text; once it has
+finished, they are written into --out-dir, made then, and after them a JSON
+manifest recording the command, argv, parameters, seed (null where the
+command takes none), package version, output paths, and wall clock time. So
+a run that fails leaves no files. Commands with a table return it as CSV and
+their full results as JSON, always both. shape encode writes, and shape
+decode reads, a block file: JSON of a header (m, P, probs, n, mode, seed)
+and the symbols. Only shape encode, simulate and dm roundtrip draw random
+numbers, and only they take --seed. Every option takes a value and follows
+the subcommand words.
 An argument @file stands for the file's lines, one argument a line, read
 where it stands; where a flag is given twice, the last one wins. Matchers
 are at most 2^16 symbols long, so dm rate-loss takes n <= 2^16 and budget
@@ -40,11 +45,7 @@ from . import __version__
 from .budget import loss_budget
 from .constellation import ShapingProfile, induced_distribution
 from .enumdm import dm_code, rank, rate_loss, unrank_counted, weight_for
-from .errors import (
-    IntegrityError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import IntegrityError, NumericalError, ParameterError
 from .midist import (
     _capacity_snr_db,
     _warm_sweep,
@@ -54,10 +55,10 @@ from .midist import (
     snr_db_for,
 )
 from .shaper import (
+    ShapedBlock,
     ShaperConfig,
+    _split_symbols,
     _uniform_info,
-    block_from_json,
-    block_to_json,
     decode_block,
     effective_probabilities,
     encode_block_dm,
@@ -69,60 +70,75 @@ from .simulate import SimConfig, run as run_simulation
 
 
 def _write_text(path: Path, text: str) -> None:
-    # the directory is made here, at the first write, so a refused run
-    # leaves none; the temp file sits next to the target so the rename is atomic
-    path.parent.mkdir(parents=True, exist_ok=True)
+    # the temp file sits next to the target so the rename is atomic
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _table_files(csv_name: str, header: list[str], rows: list[tuple],
+                 json_name: str, payload) -> dict[str, str]:
+    """A table command's files: the table as CSV, then its full results as JSON."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
+    return {csv_name: buffer.getvalue(), json_name: _json_text(payload)}
 
 
-class _Run:
-    """Writes one command's outputs, then the manifest that lists them."""
+def _block_to_json(block: ShapedBlock, config: ShaperConfig) -> str:
+    profile = config.profile
+    header = {"m": profile.m, "P": profile.num_distinct, "probs": list(profile.probs),
+              "n": config.n, "mode": config.mode, "seed": config.rng_seed}
+    return json.dumps({"header": header, "symbols": block.symbols.tolist(),
+                       "overflow_count": int(block.overflow_count)})
 
-    def __init__(self, args: argparse.Namespace, argv: list[str]):
-        self.args = args
-        self.argv = argv
-        # named as its command function: _cmd_dm_roundtrip runs dm-roundtrip
-        self.name = args.func.__name__.removeprefix("_cmd_").replace("_", "-")
-        self.out_dir = Path(args.out_dir)
-        self.outputs: list[str] = []
-        self.started = time.monotonic()
 
-    def write(self, filename: str, text: str) -> Path:
-        path = self.out_dir / filename
-        _write_text(path, text)
-        self.outputs.append(str(path))
-        return path
+def _json_count(doc: dict, key: str) -> int:
+    # JSON reads 16.7 as a float and true as a bool: neither is a count
+    value = doc[key]
+    if type(value) is not int or value < 0:
+        raise ParameterError(f"block field {key} must be an integer >= 0, got {value!r}")
+    return value
 
-    def emit(self, json_name: str, payload, csv: tuple | None = None) -> None:
-        """Write payload as JSON and csv, a (name, header, rows) table, as CSV."""
-        if csv is not None:
-            name, header, rows = csv
-            self.write(name, _csv_text(header, rows))
-        self.write(json_name, json.dumps(payload, indent=2) + "\n")
 
-    def finish(self) -> None:
-        params = {k: v for k, v in sorted(vars(self.args).items()) if k != "func"}
-        manifest = {
-            "command": self.name,
-            "argv": self.argv,
-            "params": params,
-            "seed": self.args.seed,
-            "version": __version__,
-            "outputs": list(self.outputs),
-            "duration_s": round(time.monotonic() - self.started, 6),
-        }
-        path = self.out_dir / f"{self.name}-manifest.json"
-        _write_text(path, json.dumps(manifest, indent=2) + "\n")
+def _block_from_json(text: str) -> tuple[ShapedBlock, ShaperConfig]:
+    """Inverse of _block_to_json: a bad document or header raises
+    ParameterError, a payload that is not n constellation points
+    IntegrityError."""
+    try:
+        doc = json.loads(text)
+        header = doc["header"]
+        probs = header["probs"]
+        if not isinstance(probs, list) or any(type(p) not in (int, float) for p in probs):
+            raise ParameterError(f"header probs must be a list of numbers, got {probs!r}")
+        profile = ShapingProfile(m=_json_count(header, "m"), probs=tuple(probs))
+        if len(profile.probs) != _json_count(header, "P"):
+            raise ParameterError("header P does not match probs length")
+        config = ShaperConfig(
+            profile=profile,
+            n=_json_count(header, "n"),
+            rng_seed=_json_count(header, "seed"),
+            mode=str(header["mode"]),
+        )
+        symbols = np.asarray(doc["symbols"])
+        doc.setdefault("overflow_count", 0)
+        overflow_count = _json_count(doc, "overflow_count")
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"malformed block document: {exc}") from None
+    if symbols.shape != (config.n,):
+        raise IntegrityError("block payload does not match its header")
+    # numpy reads [1, true] as two integers, so a bool must be caught here
+    if any(isinstance(s, bool) for s in doc["symbols"]):
+        raise IntegrityError("block contains values that are not integers")
+    _split_symbols(symbols, config.profile.m)  # raises on non-points
+    return ShapedBlock(symbols=symbols, overflow_count=overflow_count), config
 
 
 # Most symbols one `dm roundtrip` (min(--samples, C(n, w)) words of n) or one `simulate` SNR
@@ -150,7 +166,7 @@ def _noise_grid(args: argparse.Namespace) -> tuple[str, list[float]]:
     return ("snr_db", args.snr) if args.snr is not None else ("noise_std", args.sigma)
 
 
-def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
+def _cmd_optimize(args: argparse.Namespace) -> dict[str, str]:
     key, grid = _noise_grid(args)
     results = []
     for result in _warm_sweep(args.m, args.P, key, grid):
@@ -165,7 +181,10 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
     rows = [
         (r.snr_db, r.mi_bpcu, *[float(p) for p in r.profile.probs]) for r in results
     ]
-    run.emit(
+    return _table_files(
+        "optimize-curve.csv",
+        header,
+        rows,
         "optimize-results.json",
         [
             {
@@ -174,11 +193,10 @@ def _cmd_optimize(args: argparse.Namespace, run: _Run) -> None:
             }
             for r in results
         ],
-        csv=("optimize-curve.csv", header, rows),
     )
 
 
-def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
+def _cmd_dm_roundtrip(args: argparse.Namespace) -> dict[str, str]:
     code = dm_code(args.n, weight_for(args.n, args.p))
     count = min(args.samples, code.num_words)
     _require_work("samples", count, code.n)
@@ -212,15 +230,15 @@ def _cmd_dm_roundtrip(args: argparse.Namespace, run: _Run) -> None:
         "mean_comparisons_per_bit": total_comparisons / (count * code.n),
         "max_comparisons_per_bit": max_comparisons / code.n,
     }
-    run.emit("dm-roundtrip.json", payload)
     print(
         f"roundtrip ok: n={code.n} w={code.w} k={code.k} checked={count}, "
         f"mean {payload['mean_comparisons_per_bit']:.4f} "
         f"max {payload['max_comparisons_per_bit']:.4f} comparisons/bit"
     )
+    return {"dm-roundtrip.json": _json_text(payload)}
 
 
-def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
+def _cmd_dm_rate_loss(args: argparse.Namespace) -> dict[str, str]:
     profile = ShapingProfile(m=args.ref_m, probs=tuple(args.ref_probs))
     if not 0 < args.ref_rate < args.ref_m:
         raise ParameterError(f"--ref-rate must lie in (0, --ref-m), got {args.ref_rate}")
@@ -236,10 +254,9 @@ def _cmd_dm_rate_loss(args: argparse.Namespace, run: _Run) -> None:
         rows.append((n, code.w, code.k, loss, level_db))
         print(f"n={n:6d}  w={code.w:6d}  rate loss {loss:.6f} bpcu  {level_db:.4f} dB")
     header = ["n", "w", "k", "rate_loss_bpcu", "loss_db"]
-    run.emit(
-        "dm-rate-loss.json",
-        [dict(zip(header, row)) for row in rows],
-        csv=("dm-rate-loss.csv", header, rows),
+    return _table_files(
+        "dm-rate-loss.csv", header, rows,
+        "dm-rate-loss.json", [dict(zip(header, row)) for row in rows],
     )
 
 
@@ -253,42 +270,44 @@ def _read_bits_file(path: str) -> np.ndarray:
     return np.array([int(c) for c in bits], dtype=np.uint8)
 
 
-def _cmd_shape_encode(args: argparse.Namespace, run: _Run) -> None:
+def _cmd_shape_encode(args: argparse.Namespace) -> dict[str, str]:
     profile = ShapingProfile(m=args.m, probs=tuple(args.probs))
     config = ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
     if args.info_file and config.mode != "block-dm":
         raise ParameterError(f"--info-file takes block-dm mode; {config.mode} draws its own bits")
+    files = {}
     if config.mode == "block-dm":
         if args.info_file:
             info = _read_bits_file(args.info_file)
         else:  # block 0 of the stream on --seed, as encode_block_ideal writes
             info = _uniform_info(np.random.default_rng(args.seed), config, 1)[0]
         block = encode_block_dm(config, info)
-        info_path = run.write("shape-info.txt", "".join(str(int(b)) for b in info) + "\n")
-        print(f"info bits: {info.size} -> {info_path}")
+        files["shape-info.txt"] = "".join(str(int(b)) for b in info) + "\n"
+        print(f"info bits: {info.size} -> {Path(args.out_dir) / 'shape-info.txt'}")
     else:
         block = encode_block_ideal(config)
-    block_path = run.write("shape-block.json", block_to_json(block, config) + "\n")
+    files["shape-block.json"] = _block_to_json(block, config) + "\n"
     energy = float(np.mean(np.asarray(block.symbols, dtype=float) ** 2))
     print(
-        f"encoded {config.n} symbols, mode {config.mode}, "
-        f"overflow {block.overflow_count}, mean energy {energy:.3f} -> {block_path}"
+        f"encoded {config.n} symbols, mode {config.mode}, overflow {block.overflow_count}, "
+        f"mean energy {energy:.3f} -> {Path(args.out_dir) / 'shape-block.json'}"
     )
+    return files
 
 
-def _cmd_shape_decode(args: argparse.Namespace, run: _Run) -> None:
-    block, config = block_from_json(Path(args.block).read_text(encoding="utf-8"))
+def _cmd_shape_decode(args: argparse.Namespace) -> dict[str, str]:
+    block, config = _block_from_json(Path(args.block).read_text(encoding="utf-8"))
     info = decode_block(block, config)
     if args.expect_info:
         expected = _read_bits_file(args.expect_info)
         if expected.size != info.size or np.any(expected != info):
             raise IntegrityError("decoded bits do not match --expect-info")
         print("decoded bits match the expected info")
-    out = run.write("shape-decoded-info.txt", "".join(str(int(b)) for b in info) + "\n")
-    print(f"decoded {info.size} info bits -> {out}")
+    print(f"decoded {info.size} info bits -> {Path(args.out_dir) / 'shape-decoded-info.txt'}")
+    return {"shape-decoded-info.txt": "".join(str(int(b)) for b in info) + "\n"}
 
 
-def _cmd_shape_analyze_switch(args: argparse.Namespace, run: _Run) -> None:
+def _cmd_shape_analyze_switch(args: argparse.Namespace) -> dict[str, str]:
     profile = ShapingProfile(m=args.m, probs=tuple(args.probs))
     rows = []
     for n in args.n:
@@ -301,14 +320,13 @@ def _cmd_shape_analyze_switch(args: argparse.Namespace, run: _Run) -> None:
             f"p_eff=({p1_eff:.6f}, {p2_eff:.6f})  delta={delta_db:.5f} dB"
         )
     header = ["n", "epsilon", "p1_eff", "p2_eff", "delta_db"]
-    run.emit(
-        "switch-analysis.json",
-        [dict(zip(header, r)) for r in rows],
-        csv=("switch-analysis.csv", header, rows),
+    return _table_files(
+        "switch-analysis.csv", header, rows,
+        "switch-analysis.json", [dict(zip(header, r)) for r in rows],
     )
 
 
-def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
+def _cmd_simulate(args: argparse.Namespace) -> dict[str, str]:
     profile = ShapingProfile(m=args.m, probs=tuple(args.probs))
     shaper_cfg = ShaperConfig(profile=profile, n=args.n, rng_seed=args.seed, mode=args.mode)
     _require_work("blocks", args.blocks, args.n)
@@ -334,32 +352,27 @@ def _cmd_simulate(args: argparse.Namespace, run: _Run) -> None:
             f"mi {report.mi_estimate:.4f} bpcu  "
             f"overflow mean {report.overflow_mean:.2f}"
         )
-    run.emit(
+    return _table_files(
+        "simulate-sweep.csv",
+        ["snr_db", "ser", "mi_estimate"],
+        [(snr_db, report.symbol_error_rate, report.mi_estimate) for snr_db, _, report in reports],
         "simulate-report.json",
         [
             {"snr_db": snr_db, "noise_std": sigma, **dataclasses.asdict(report)}
             for snr_db, sigma, report in reports
         ],
-        csv=(
-            "simulate-sweep.csv",
-            ["snr_db", "ser", "mi_estimate"],
-            [
-                (snr_db, report.symbol_error_rate, report.mi_estimate)
-                for snr_db, _, report in reports
-            ],
-        ),
     )
 
 
-def _cmd_budget(args: argparse.Namespace, run: _Run) -> None:
+def _cmd_budget(args: argparse.Namespace) -> dict[str, str]:
     report = loss_budget(args.m, *args.probs, args.n, args.snr)
-    run.emit("budget.json", dataclasses.asdict(report))
     print(
         f"rate {report.operating_rate_bpcu:.4f} bpcu at {report.snr_db:.2f} dB: "
         f"quantization {report.quantization_db:.4f} dB + "
         f"matcher {report.matcher_db:.4f} dB + "
         f"switch {report.switch_db:.4f} dB = {report.total_db:.4f} dB"
     )
+    return {"budget.json": _json_text(dataclasses.asdict(report))}
 
 
 class _TwoValues(argparse.Action):
@@ -380,9 +393,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     )
     sub = top.add_subparsers(dest="command", required=True)
     leaves: list[argparse.ArgumentParser] = []
-    # every leaf takes these, after its subcommand words like its own flags
+    # every leaf takes --out-dir, after its subcommand words like its own flags
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="run seed")
     common.add_argument("--out-dir", default=".", help="output directory")
 
     def leaf(subparsers, name: str, func, help: str, groups=()) -> argparse.ArgumentParser:
@@ -391,7 +403,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
         leaves.append(parser)
         return parser
 
-    # flag groups that several subcommands share
+    # flag groups that several subcommands share; seeded: the three that draw random numbers
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="run seed")
     profile = argparse.ArgumentParser(add_help=False)
     profile.add_argument("--m", type=int, required=True)
     profile.add_argument("--probs", type=float, nargs="+", required=True)
@@ -409,7 +423,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     dm = sub.add_parser("dm", help="fixed-weight matcher tools")
     dm_sub = dm.add_subparsers(dest="dm_command", required=True)
 
-    rt = leaf(dm_sub, "roundtrip", _cmd_dm_roundtrip, "check rank/unrank, count probes")
+    rt = leaf(dm_sub, "roundtrip", _cmd_dm_roundtrip, "check rank/unrank, count probes",
+              [seeded])
     rt.add_argument("--n", type=int, required=True)
     rt.add_argument("--p", type=float, default=0.5)
     rt.add_argument("--samples", type=int, default=10000)
@@ -424,7 +439,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     shape = sub.add_parser("shape", help="encode, decode, and switch analysis")
     shape_sub = shape.add_subparsers(dest="shape_command", required=True)
 
-    enc = leaf(shape_sub, "encode", _cmd_shape_encode, "encode one block", [profile])
+    enc = leaf(shape_sub, "encode", _cmd_shape_encode, "encode one block", [seeded, profile])
     enc.add_argument("--info-file", default=None)
 
     dec = leaf(shape_sub, "decode", _cmd_shape_decode, "decode a block file")
@@ -436,7 +451,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     ana.add_argument("--n", type=int, nargs="+", required=True)
     ana.add_argument("--m", type=int, default=5)
 
-    sim = leaf(sub, "simulate", _cmd_simulate, "Monte Carlo AWGN simulation", [profile, noise])
+    sim = leaf(sub, "simulate", _cmd_simulate, "Monte Carlo AWGN simulation",
+               [seeded, profile, noise])
     sim.add_argument("--blocks", type=int, default=16)
 
     # --m and two --probs as in analyze-switch, but --m has no default here
@@ -453,10 +469,25 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, _ = build_parser()
     args = top.parse_args(argv)
-    run = _Run(args, argv)  # the manifest records argv as given, an @file unexpanded
+    started = time.monotonic()
     try:
-        args.func(args, run)
-        run.finish()
+        files = args.func(args)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)  # only now: a run that failed made none
+        for filename, text in files.items():
+            _write_text(out_dir / filename, text)
+        # named as its command function: _cmd_dm_roundtrip runs dm-roundtrip
+        name = args.func.__name__.removeprefix("_cmd_").replace("_", "-")
+        manifest = {
+            "command": name,
+            "argv": argv,  # as given, an @file unexpanded
+            "params": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "outputs": [str(out_dir / filename) for filename in files],
+            "duration_s": round(time.monotonic() - started, 6),
+        }
+        _write_text(out_dir / f"{name}-manifest.json", _json_text(manifest))
         return 0
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

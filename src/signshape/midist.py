@@ -183,7 +183,7 @@ def awgn_mi(
     # row r, offset r step, is all flushed once |r step| - max|shift| >=
     # sqrt(-2 _FLUSH_EXP); the 1e-9 keeps rows rounding in u may not flush
     reach = math.sqrt(-2.0 * _FLUSH_EXP) + float(shift[-1]) + 1e-9
-    W = M - 1 if step == 0 else min(M - 1, int(reach / abs(step)))
+    W = M - 1 if step == 0 else int(min(reach / abs(step), M - 1))  # the ratio may be inf
     B = 2 * W + 1
     need = 8 * (2 * M * B + (w + 3) * B * order + (w + 4) * M * (order + 1)) + (256 << 10)
     if need > _MI_CAP_BYTES:
@@ -493,6 +493,8 @@ def _warm_sweep(
     continuation: each run keeps the curvature pairs of the runs before it and starts
     from the last two profiles extrapolated linearly in the value, clipped into the
     box (from the last profile after one point or two equal values)."""
+    if num_distinct < 1:  # before numpy sizes arrays by it
+        raise ParameterError(f"num_distinct must be >= 1, got {num_distinct}")
     pairs, points = _Pairs(num_distinct), [(None, np.full(num_distinct, 0.5))] * 2
     for value in grid:
         (v0, p0), (v1, p1) = points

@@ -1,5 +1,8 @@
 """Sign-bit shaping encoder and decoder, plus the switch overflow analysis.
 
+Blocks and configs live in memory only; the block file that `shape encode`
+writes and `shape decode` reads is the command line's own format (`cli`).
+
 Per symbol, m-1 uniform prefix bits pick one of P bit sources through the
 switch rule; the served bit, complemented and then flipped where the rule
 says so, becomes the sign bit. Source i is a word of ones density p_i,
@@ -32,7 +35,6 @@ effective densities.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -62,8 +64,6 @@ __all__ = [
     "effective_probabilities",
     "switch_energy_loss",
     "empirical_source_frequencies",
-    "block_to_json",
-    "block_from_json",
 ]
 
 _MODES = ("ideal-sources", "block-dm")
@@ -82,6 +82,8 @@ class ShaperConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.rng_seed < 0:  # numpy's generators take none
+            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
         P = self.profile.num_distinct
         if self.n < 2 or self.n % 2:
             raise ParameterError(f"n must be even and >= 2, got {self.n}")
@@ -445,6 +447,8 @@ def empirical_source_frequencies(
     """
     if num_blocks < 1:
         raise ParameterError(f"num_blocks must be >= 1, got {num_blocks}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     m, P = config.profile.m, config.profile.num_distinct
     src_table, _ = selection_tables(m, P)
     ones = np.zeros(P)
@@ -455,53 +459,3 @@ def empirical_source_frequencies(
         counts += np.bincount(requested, minlength=P)
     return ones / np.maximum(counts, 1), counts
 
-
-def block_to_json(block: ShapedBlock, config: ShaperConfig) -> str:
-    return json.dumps(
-        {
-            "header": {
-                "m": config.profile.m,
-                "P": config.profile.num_distinct,
-                "probs": list(config.profile.probs),
-                "n": config.n,
-                "mode": config.mode,
-                "seed": config.rng_seed,
-            },
-            "symbols": [int(s) for s in block.symbols],
-            "overflow_count": int(block.overflow_count),
-        }
-    )
-
-
-def block_from_json(text: str) -> tuple[ShapedBlock, ShaperConfig]:
-    """Inverse of block_to_json: a bad document or header raises
-    ParameterError, a payload that is not n constellation points
-    IntegrityError."""
-    try:
-        doc = json.loads(text)
-        header = doc["header"]
-        profile = ShapingProfile(
-            m=int(header["m"]),
-            probs=tuple(float(p) for p in header["probs"]),
-        )
-        if len(profile.probs) != int(header["P"]):
-            raise ParameterError("header P does not match probs length")
-        config = ShaperConfig(
-            profile=profile,
-            n=int(header["n"]),
-            rng_seed=int(header["seed"]),
-            mode=str(header["mode"]),
-        )
-        symbols = np.asarray(doc["symbols"])
-        overflow_count = int(doc.get("overflow_count", 0))
-    except ParameterError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"malformed block document: {exc}") from None
-    if symbols.shape != (config.n,):
-        raise IntegrityError("block payload does not match its header")
-    # numpy reads [1, true] as two integers, so a bool must be caught here
-    if any(isinstance(s, bool) for s in doc["symbols"]):
-        raise IntegrityError("block contains values that are not integers")
-    _split_symbols(symbols, config.profile.m)  # raises on non-points
-    return ShapedBlock(symbols=symbols, overflow_count=overflow_count), config

@@ -52,9 +52,15 @@ class SimConfig:
             raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.num_blocks < 1:
             raise ParameterError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        # the MI histogram's bin indices reach about 8 (M - 1) / noise_std
-        if 0 < self.noise_std and 8 * ((1 << self.shaper.profile.m) - 1) >= 2**62 * self.noise_std:
+        if self.rng_seed < 0:
+            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        # the MI histogram's bin indices reach about 8 (M - 1) / noise_std, and
+        # it spans 2 (M - 1 + 5 noise_std)
+        M = 1 << self.shaper.profile.m
+        if 0 < self.noise_std and 8 * (M - 1) >= 2**62 * self.noise_std:
             raise ParameterError(f"noise_std = {self.noise_std} puts histogram bins beyond int64")
+        if not 2.0 * (M + 5.0 * self.noise_std) < math.inf:
+            raise ParameterError(f"noise_std = {self.noise_std} puts the histogram span beyond float")
 
 
 @dataclass(frozen=True)

@@ -331,11 +331,14 @@ class TestExitCodes:
             ("symbols", 1, 1.5, 3),
             ("symbols", 1, True, 3),
             ("symbols", 1, False, 3),
+            ("header", "n", 64.7, 2),
+            ("header", "seed", -3, 2),
         ],
     )
     def test_malformed_block_file(self, tmp_path, field, index, value, expected):
         # once an uncaught ValueError (exit 1) or, for 1.5, a silent
-        # truncation to 1
+        # truncation to 1; n 64.7 was read as 64 and seed -3 taken, and both
+        # blocks decoded
         assert main(["shape", "encode", "--m", "3", "--probs", "0.04", "0.24", "--n", "64",
                      "--out-dir", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "shape-block.json")
@@ -457,6 +460,11 @@ class TestDmCommands:
         pytest.param(["--n", "10", "--p", "0.3", "--samples", "119"], 0, 1, id="samples-C-1"),
         pytest.param(["--n", "10", "--p", "0.3", "--samples", "120"], 0, 1, id="samples-C"),
         pytest.param(["--n", "10", "--p", "0.3", "--samples", "121"], 0, 1, id="samples-C+1"),
+        # random.Random takes any integer --seed, a negative one too
+        pytest.param(["--n", "16", "--samples", "5", "--seed", "0"], 0, 1, id="seed-0"),
+        pytest.param(["--n", "16", "--samples", "5", "--seed", "-1"], 0, 1, id="seed--1"),
+        pytest.param(["--n", "16", "--samples", "5", "--seed", str(2**200)], 0, 1,
+                     id="seed-2^200"),
     ])
     def test_roundtrip_flag_table(self, tmp_path, monkeypatch, argv, code, wall_s):
         # a run at the real cap takes minutes, so accepted rows run at a cap
@@ -517,6 +525,120 @@ class TestDmCommands:
         out = tmp_path / "out"
         assert exit_code(["dm", "bench", "--n", "64", "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+
+# shape encode and simulate take a shaping profile (--m --probs --n --mode) and --seed:
+# their words with their other flags, and their own rows of test_profile_flag_table. A
+# row is the flags given after --m 3 --probs 0.2 --n 64, which win over those, the exit
+# code, a wall bound in seconds, and whether it runs in a child capped at 2 GB
+# (TestLengthCaps.run_capped), as rows that allocate near a cap do
+PROFILE_COMMANDS = {
+    "shape-encode": (["shape", "encode"], []),
+    "simulate": (["simulate", "--blocks", "1", "--snr", "10"], [
+        # --blocks up to the work cap, scaled down to 16 blocks of 64 symbols
+        pytest.param(["--blocks", "16"], 0, 1, False, id="blocks-cap"),
+        pytest.param(["--blocks", "17"], 2, 1, False, id="blocks-cap+1"),
+        pytest.param(["--blocks", "0"], 2, 1, False, id="blocks-0"),
+        pytest.param(["--blocks", "-1"], 2, 1, False, id="blocks--1"),
+    ]),
+}
+# rows of both commands
+PROFILE_ROWS = [
+    # --m in [2, 16]
+    pytest.param(["--m", "16"], 0, 10, True, id="m-cap"),
+    pytest.param(["--m", "17"], 2, 1, False, id="m-cap+1"),
+    pytest.param(["--m", "0"], 2, 1, False, id="m-0"),
+    pytest.param(["--m", "-1"], 2, 1, False, id="m--1"),
+    # each of --probs in [0, 1], and their count P at most M/4 = 2, dividing it
+    pytest.param(["--probs", "1"], 0, 1, False, id="p-cap"),
+    pytest.param(["--probs", "1.1"], 2, 1, False, id="p-1.1"),
+    pytest.param(["--probs", "0"], 0, 1, False, id="p-0"),
+    pytest.param(["--probs", "-0.1"], 2, 1, False, id="p--0.1"),
+    pytest.param(["--probs", "nan"], 2, 1, False, id="p-nan"),
+    pytest.param(["--probs", "inf"], 2, 1, False, id="p-inf"),
+    pytest.param(["--probs", "0.1", "0.2"], 0, 1, False, id="P-cap"),
+    pytest.param(["--probs", "0.1", "0.2", "0.3", "--n", "66"], 2, 1, False, id="P-cap+1"),
+    pytest.param(["--probs"], 2, 1, False, id="P-0"),
+    # --n even, n / P up to the matcher length cap in both modes
+    pytest.param(["--probs", "0.001", "--n", "65536"], 0, 10, True, id="n-cap"),
+    pytest.param(["--n", "65537"], 2, 1, False, id="n-cap+1"),
+    pytest.param(["--n", "65538"], 2, 1, False, id="n-cap+2"),
+    pytest.param(["--n", "0"], 2, 1, False, id="n-0"),
+    pytest.param(["--n", "-2"], 2, 1, False, id="n--2"),
+    pytest.param(["--mode", "ideal-sources", "--n", "65536"], 0, 10, True, id="ideal-n-cap"),
+    pytest.param(["--mode", "ideal-sources", "--n", "65538"], 2, 1, False, id="ideal-n-cap+2"),
+    # --seed is any integer >= 0: numpy's generators take no negative one
+    pytest.param(["--seed", "0"], 0, 1, False, id="seed-0"),
+    pytest.param(["--seed", "-1"], 2, 1, False, id="seed--1"),
+    pytest.param(["--mode", "ideal-sources", "--seed", "-1"], 2, 1, False, id="ideal-seed--1"),
+    pytest.param(["--seed", str(2**200)], 0, 1, False, id="seed-2^200"),
+]
+
+# optimize and simulate take an SNR or noise grid: their words with their other flags,
+# and their own rows of test_noise_flag_table. A row is as in PROFILE_ROWS, and names
+# its own --snr or --sigma, as the two exclude each other
+NOISE_COMMANDS = {
+    "optimize": (["optimize", "--m", "3", "--P", "1"], [
+        # --m in [2, 16], and --P at most M/4, dividing it
+        pytest.param(["--m", "16", "--snr", "100"], 0, 10, True, id="m-cap"),
+        pytest.param(["--m", "17", "--snr", "100"], 2, 1, False, id="m-cap+1"),
+        pytest.param(["--m", "0", "--snr", "10"], 2, 1, False, id="m-0"),
+        pytest.param(["--m", "-1", "--snr", "10"], 2, 1, False, id="m--1"),
+        pytest.param(["--m", "5", "--P", "8", "--snr", "16"], 0, 2, False, id="P-cap"),
+        pytest.param(["--m", "5", "--P", "9", "--snr", "16"], 2, 1, False, id="P-cap+1"),
+        pytest.param(["--m", "5", "--P", "0", "--snr", "16"], 2, 1, False, id="P-0"),
+        # numpy's "negative dimensions are not allowed" (exit 1)
+        pytest.param(["--m", "5", "--P", "-1", "--snr", "16"], 2, 1, False, id="P--1"),
+        # 8-ASK spans up to 1e150 noise standard deviations, which the quadrature squares
+        pytest.param(["--snr", "2990"], 0, 1, False, id="snr-cap"),
+        pytest.param(["--snr", "3000"], 2, 1, False, id="snr-cap+10"),
+        pytest.param(["--sigma", "1.5e-149"], 0, 1, False, id="sigma-min"),
+        pytest.param(["--sigma", "1.3e-149"], 2, 1, False, id="sigma-min-"),
+        pytest.param(["--sigma", "0"], 2, 1, False, id="sigma-0"),
+        # an OverflowError in awgn_mi's window (exit 1)
+        pytest.param(["--sigma", "1.7e308"], 0, 1, False, id="sigma-1.7e308"),
+    ]),
+    "simulate": (["simulate", "--m", "3", "--probs", "0.2", "--n", "64", "--blocks", "1"], [
+        # the MI histogram's bin indices stay in int64, and its span a finite float
+        pytest.param(["--snr", "300"], 0, 1, False, id="snr-300"),
+        pytest.param(["--snr", "400"], 2, 1, False, id="snr-400"),
+        pytest.param(["--sigma", "1.3e-17"], 0, 1, False, id="sigma-min"),
+        pytest.param(["--sigma", "1.2e-17"], 2, 1, False, id="sigma-min-"),
+        pytest.param(["--sigma", "0"], 0, 1, False, id="sigma-0"),
+        pytest.param(["--sigma", "1e307"], 0, 1, False, id="sigma-cap"),
+        # an OverflowError in the histogram's bin count (exit 1)
+        pytest.param(["--sigma", "1.8e307"], 2, 1, False, id="sigma-cap+"),
+    ]),
+}
+# rows of both commands
+NOISE_ROWS = [
+    pytest.param(["--snr", "0"], 0, 1, False, id="snr-0"),
+    pytest.param(["--snr=-1"], 0, 1, False, id="snr--1"),
+    pytest.param(["--snr=-3000"], 0, 1, False, id="snr--3000"),
+    # beyond about +-3080 dB no noise level is a positive finite float
+    pytest.param(["--snr=-3100"], 2, 1, False, id="snr--3100"),
+    pytest.param(["--snr", "3100"], 2, 1, False, id="snr-3100"),
+    pytest.param(["--snr", "nan"], 2, 1, False, id="snr-nan"),
+    pytest.param(["--snr", "inf"], 2, 1, False, id="snr-inf"),
+    pytest.param(["--sigma", "1e300"], 0, 1, False, id="sigma-1e300"),
+    pytest.param(["--sigma=-1"], 2, 1, False, id="sigma--1"),
+    pytest.param(["--sigma", "nan"], 2, 1, False, id="sigma-nan"),
+    pytest.param(["--sigma", "inf"], 2, 1, False, id="sigma-inf"),
+]
+
+
+def run_row(tmp_path, command, code, wall_s, capped):
+    """Run a flag table row: its exit code, its wall bound, and an out-dir only
+    where it succeeds."""
+    out = tmp_path / "out"
+    started = time.monotonic()
+    if capped:
+        result = TestLengthCaps.run_capped(out, *command)
+        assert result.returncode == code, result.stderr
+    else:
+        assert exit_code([*command, "--out-dir", str(out)]) == code
+    assert time.monotonic() - started < wall_s
+    assert out.exists() is (code == 0)
 
 
 class TestShapeCommands:
@@ -596,6 +718,20 @@ class TestShapeCommands:
             ]
 
 
+    @pytest.mark.parametrize("name, argv, code, wall_s, capped", [
+        pytest.param(name, *row.values, id=f"{name}-{row.id}")
+        for name, (_, own) in PROFILE_COMMANDS.items()
+        for row in [*PROFILE_ROWS, *own]
+    ])
+    def test_profile_flag_table(self, tmp_path, monkeypatch, name, argv, code, wall_s, capped):
+        # a run at the real work cap takes minutes, so simulate's --blocks rows
+        # run at a cap scaled down to 16 blocks of 64 symbols
+        monkeypatch.setattr(cli, "_MAX_WORK", 1 << 10)
+        words, _ = PROFILE_COMMANDS[name]
+        run_row(tmp_path, [*words, "--m", "3", "--probs", "0.2", "--n", "64", *argv],
+                code, wall_s, capped)
+
+
 class TestSimulateCommand:
     def test_single_point(self, tmp_path):
         assert main(["simulate", "--m", "3", "--probs", "0.04", "0.24", "--n", "128",
@@ -641,6 +777,15 @@ class TestOptimizeCommand:
             assert set(entry) == {"profile", "mi_bpcu", "snr_db", "noise_std",
                                   "evaluations", "mode", "kkt_residual"}
 
+    @pytest.mark.parametrize("name, argv, code, wall_s, capped", [
+        pytest.param(name, *row.values, id=f"{name}-{row.id}")
+        for name, (_, own) in NOISE_COMMANDS.items()
+        for row in [*NOISE_ROWS, *own]
+    ])
+    def test_noise_flag_table(self, tmp_path, name, argv, code, wall_s, capped):
+        words, _ = NOISE_COMMANDS[name]
+        run_row(tmp_path, [*words, *argv], code, wall_s, capped)
+
     def test_step_flags_removed(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["optimize", "--coarse-step", "0.02", "--m", "3", "--P", "2", "--snr", "10",
@@ -664,9 +809,10 @@ TWO_SOURCE_COMMANDS = {
         pytest.param(["0.04", "0.24"], 2048, ["--snr", "17"], 0, 5, id="snr-17"),
         pytest.param(["0.04", "0.24"], 2048, ["--snr", "nan"], 2, 1, id="snr-nan"),
         pytest.param(["0.04", "0.24"], 2048, ["--snr", "inf"], 2, 1, id="snr-inf"),
-        # 1e15 dB has no positive finite noise level, and -1e300 dB no MI curve
+        # none of 1e15, 1e300 and -1e300 dB has a positive finite noise level
         pytest.param(["0.04", "0.24"], 2048, ["--snr", "1e15"], 2, 1, id="snr-1e15"),
         pytest.param(["0.04", "0.24"], 2048, ["--snr=-1e300"], 2, 1, id="snr--1e300"),
+        pytest.param(["0.04", "0.24"], 2048, ["--snr", "1e300"], 2, 1, id="snr-1e300"),
         # the rate loss is at least the operating rate
         pytest.param(["0.04", "0.24"], 2048, ["--snr=-50"], 2, 1, id="snr--50"),
     ]),
@@ -713,6 +859,16 @@ class TestBudgetCommand:
         assert main(["budget", "--m", "5", "--probs", "0.0006", "0.0006", "--n", "2048",
                      "--snr", "17", "--out-dir", str(tmp_path)]) == 0
         assert read_json(tmp_path / "budget.json")["matcher_db"] < 0.0
+
+    @pytest.mark.parametrize("snr", ["1e15", "1e300", "-1e300"])
+    def test_snr_without_noise_level_is_named(self, tmp_path, capsys, snr):
+        # at 1e300 dB the +-2 dB curve grid rounded to one point, and the
+        # error spoke of too few curve samples
+        out = tmp_path / "out"
+        assert main(["budget", "--m", "5", "--probs", "0.04", "0.24", "--n", "2048",
+                     f"--snr={snr}", "--out-dir", str(out)]) == 2
+        assert "has no positive finite noise level" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, probs, n, flags, code, wall_s", [
         pytest.param(name, *row.values, id=f"{name}-{row.id}")
@@ -986,6 +1142,44 @@ class TestRunLifecycle:
         err = capsys.readouterr().err
         message = "unrecognized arguments: " if after else "argument command: invalid choice: "
         assert message + refused.format(out=out) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_seed_only_where_it_is_read(self, tmp_path, capsys, block_file, name):
+        # shape encode, simulate and dm roundtrip draw random numbers from --seed;
+        # the other five refuse it, and their manifests record a null seed
+        argv = [arg.format(block=block_file) for arg in SUBCOMMANDS[name]]
+        out = tmp_path / "out"
+        if name in ("dm-roundtrip", "shape-encode", "simulate"):
+            assert main([*argv, "--seed", "1", "--out-dir", str(out)]) == 0
+            manifest = read_json(out / f"{name}-manifest.json")
+            assert manifest["seed"] == manifest["params"]["seed"] == 1
+            return
+        assert exit_code([*argv, "--seed", "1", "--out-dir", str(out)]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        manifest = read_json(out / f"{name}-manifest.json")
+        assert manifest["seed"] is None
+        assert "seed" not in manifest["params"]
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_failure_after_the_command_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys,
+                                                         block_file, name):
+        # the files are written once the command has returned them all, so a
+        # run that fails after its command has done its work leaves nothing
+        func = "_cmd_" + name.replace("-", "_")
+        command = getattr(cli, func)
+
+        def fails_after(*args):
+            command(*args)
+            raise NumericalError("after the command")
+
+        monkeypatch.setattr(cli, func, fails_after)
+        out = tmp_path / "out"
+        argv = [arg.format(block=block_file) for arg in SUBCOMMANDS[name]]
+        assert main([*argv, "--out-dir", str(out)]) == 4
+        assert "after the command" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_m_has_no_default(self, tmp_path, capsys):

@@ -219,6 +219,14 @@ class TestAwgnMi:
         with pytest.raises(ParameterError, match="noise standard deviations"):
             awgn_mi(np.array([0.0, 1e200]), np.array([0.5, 0.5]), 1.0, grad=grad)
 
+    @pytest.mark.parametrize("sigma", [1e306, 1e307, 1.7e308])
+    def test_noise_far_above_the_points(self, sigma):
+        # the window's reach over the step is inf from about 1e307 on: int()
+        # of it raised OverflowError
+        x, pmf = build_ask(3).points(), np.full(8, 1 / 8)
+        assert 0 <= awgn_mi(x, pmf, sigma) < 1e-12
+        assert 0 <= awgn_mi(x, pmf, sigma, grad=True)[0] < 1e-12
+
     def test_memory_cap(self):
         # the cap counts the M x (2W + 1) band and its index: 4096-ASK runs
         # where its window is narrow (W = 22 at sigma = 1), and where the
@@ -675,6 +683,13 @@ class TestOptimize:
         monkeypatch.setattr(midist, "awgn_mi", _never_called)
         with pytest.raises(ParameterError, match="num_distinct must be an integer"):
             optimize_profile(5, num_distinct, snr_db=16.0)
+
+    @pytest.mark.parametrize("num_distinct", [0, -1])
+    def test_sweep_rejects_num_distinct_below_one(self, monkeypatch, num_distinct):
+        # -1 ended in numpy's ValueError: negative dimensions are not allowed
+        monkeypatch.setattr(midist, "awgn_mi", _never_called)
+        with pytest.raises(ParameterError, match="num_distinct"):
+            mi_curve_optimized(5, num_distinct, [16.0, 17.0])
 
     @pytest.mark.parametrize("m, P, grid", [(5, 2, [14.0, 15.0, 16.0]), (6, 16, [28.0, 29.0])])
     def test_calls_go_through_the_module_attributes(self, monkeypatch, m, P, grid):

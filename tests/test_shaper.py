@@ -17,8 +17,6 @@ from signshape import (
     ShapedBlock,
     ShaperConfig,
     ShapingProfile,
-    block_from_json,
-    block_to_json,
     decode_block,
     effective_probabilities,
     empirical_source_frequencies,
@@ -30,7 +28,7 @@ from signshape import (
     switch_excess_expectation,
 )
 from signshape import shaper
-from signshape.cli import main
+from signshape.cli import _block_from_json, _block_to_json, main
 from signshape.enumdm import dm_code, unrank
 from signshape.shaper import (
     _CHUNK_SYMBOLS,
@@ -87,6 +85,18 @@ class TestShaperConfig:
         for probs, n in [((0.2,), 65538), ((0.1, 0.4), 131076), ((0.2,), 4 * 10**9)]:
             with pytest.raises(ParameterError, match="65536"):
                 config(m=3, probs=probs, n=n, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["ideal-sources", "block-dm"])
+    def test_rejects_negative_seed(self, mode):
+        # encode_block_ideal used to fail on it in numpy, with a ValueError
+        with pytest.raises(ParameterError, match="rng_seed"):
+            config(seed=-1, mode=mode)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7)], ids=["int64", "uint64"])
+    def test_takes_a_numpy_integer_seed(self, seed):
+        block = encode_block_ideal(config(seed=seed, mode="ideal-sources"))
+        expected = encode_block_ideal(config(seed=7, mode="ideal-sources"))
+        np.testing.assert_array_equal(block.symbols, expected.symbols)
 
 
 class TestSymbolCodec:
@@ -814,6 +824,10 @@ class TestEmpiricalFrequencies:
         with pytest.raises(ParameterError, match="num_blocks"):
             empirical_source_frequencies(config(), blocks)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            empirical_source_frequencies(config(), 1, seed=-1)
+
     @pytest.mark.parametrize("probs", [(0.04, 0.24), (0.0, 0.05, 0.3, 1.0)])
     def test_ideal_matches_block_loop(self, probs):
         cfg = config(m=4, probs=probs, n=256, mode="ideal-sources")
@@ -845,8 +859,8 @@ class TestBlockSerialization:
         rng = np.random.default_rng(60)
         info = rng.integers(0, 2, size=cfg.info_length, dtype=np.uint8)
         block = encode_block_dm(cfg, info)
-        text = block_to_json(block, cfg)
-        block2, cfg2 = block_from_json(text)
+        text = _block_to_json(block, cfg)
+        block2, cfg2 = _block_from_json(text)
         assert cfg2 == cfg
         np.testing.assert_array_equal(block2.symbols, block.symbols)
         np.testing.assert_array_equal(decode_block(block2, cfg2), info)
@@ -859,15 +873,29 @@ class TestBlockSerialization:
             lambda doc: doc["header"].pop("probs"),
             lambda doc: doc.update(overflow_count="x"),
             lambda doc: doc.pop("header"),
+            # each of these was coerced, and the block decoded: n 64.7 as 64,
+            # m 3.9 as 3, P 2.5 as 2, seed 8.5 as 8, true as 1
+            lambda doc: doc["header"].update(n=64.7),
+            lambda doc: doc["header"].update(m=3.9),
+            lambda doc: doc["header"].update(P=2.5),
+            lambda doc: doc["header"].update(seed=8.5),
+            lambda doc: doc["header"].update(seed=True),
+            lambda doc: doc.update(overflow_count=2.9),
+            lambda doc: doc.update(overflow_count=-4),
+            lambda doc: doc.update(overflow_count=True),
+            lambda doc: doc["header"].update(probs=[True, 0.24]),
+            lambda doc: doc["header"].update(probs="01"),  # read as (0.0, 1.0)
+            # a negative seed, which ShaperConfig refuses
+            lambda doc: doc["header"].update(seed=-3),
         ],
     )
     def test_bad_header_is_parameter_error(self, change):
         cfg = config(m=3, probs=(0.04, 0.24), n=64, seed=8)
         block = encode_block_dm(cfg, np.zeros(cfg.info_length, dtype=np.uint8))
-        doc = json.loads(block_to_json(block, cfg))
+        doc = json.loads(_block_to_json(block, cfg))
         change(doc)
         with pytest.raises(ParameterError):
-            block_from_json(json.dumps(doc))
+            _block_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("field, value, message", [
         ("P", 3, "header P"),
@@ -876,14 +904,14 @@ class TestBlockSerialization:
     def test_header_checks_keep_their_message(self, field, value, message):
         cfg = config(m=3, probs=(0.04, 0.24), n=64, seed=8)
         block = encode_block_dm(cfg, np.zeros(cfg.info_length, dtype=np.uint8))
-        doc = json.loads(block_to_json(block, cfg))
+        doc = json.loads(_block_to_json(block, cfg))
         doc["header"][field] = value
         with pytest.raises(ParameterError, match=message):
-            block_from_json(json.dumps(doc))
+            _block_from_json(json.dumps(doc))
 
     def test_invalid_json_is_parameter_error(self):
         with pytest.raises(ParameterError):
-            block_from_json("{not json")
+            _block_from_json("{not json")
 
     @pytest.mark.parametrize(
         "change",
@@ -901,16 +929,16 @@ class TestBlockSerialization:
     def test_bad_payload_is_integrity_error(self, change):
         cfg = config(m=3, probs=(0.04, 0.24), n=64, seed=8)
         block = encode_block_dm(cfg, np.zeros(cfg.info_length, dtype=np.uint8))
-        doc = json.loads(block_to_json(block, cfg))
+        doc = json.loads(_block_to_json(block, cfg))
         change(doc["symbols"])
         with pytest.raises(IntegrityError):
-            block_from_json(json.dumps(doc))
+            _block_from_json(json.dumps(doc))
 
     def test_tampered_payload_rejected(self):
         cfg = config(m=3, probs=(0.04, 0.24), n=256, seed=8)
         block = encode_block_dm(cfg, np.zeros(cfg.info_length, dtype=np.uint8))
-        text = block_to_json(block, cfg)
+        text = _block_to_json(block, cfg)
         corrupted = text.replace("-7", "-9", 1)
         if corrupted != text:
             with pytest.raises(IntegrityError):
-                block_from_json(corrupted)
+                _block_from_json(corrupted)

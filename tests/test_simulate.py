@@ -174,6 +174,25 @@ class TestRun:
             SimConfig(shaper=sim(m=10).shaper, noise_std=edge * 0.999, num_blocks=1)
         SimConfig(shaper=sim(m=10).shaper, noise_std=0.0, num_blocks=1)
 
+    def test_histogram_span_boundary(self):
+        # the histogram spans 2 (M - 1 + 5 sigma): at sigma = 1.7e308 that
+        # was inf, and run ended in an OverflowError
+        report = run(sim(n=2, blocks=1, sigma=1e307))
+        assert 0 <= report.symbol_error_rate <= 1
+        for sigma in (1.8e307, 1.7e308):
+            with pytest.raises(ParameterError, match="span"):
+                SimConfig(shaper=sim().shaper, noise_std=sigma, num_blocks=1)
+
+    def test_rejects_negative_seed(self):
+        # numpy's SeedSequence refused it only inside run, with a ValueError
+        with pytest.raises(ParameterError, match="rng_seed"):
+            SimConfig(shaper=sim().shaper, noise_std=1.0, num_blocks=1, rng_seed=-1)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=["int64", "uint64"])
+    def test_takes_a_numpy_integer_seed(self, seed):
+        config = sim(blocks=2, seed=5)
+        assert run(dataclasses.replace(config, rng_seed=seed)) == run(config)
+
 
 class TestBandMi:
     """The band-stored histogram's MI against the same histogram stored whole."""

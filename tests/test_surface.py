@@ -39,8 +39,6 @@ PUBLIC = [
     "SimReport",
     "SymbolDistribution",
     "awgn_mi",
-    "block_from_json",
-    "block_to_json",
     "build_ask",
     "decode_block",
     "dm_code",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constellation import ShapingProfile, induced_distribution
 from .enumdm import rate_loss
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .midist import _capacity_snr_db, mi_curve_for_profile, rate_loss_to_db, sigma_for_snr
 from .shaper import switch_energy_loss
 
@@ -44,8 +44,9 @@ def loss_budget(m: int, p1: float, p2: float, n: int, snr_db: float) -> BudgetRe
     `quantization_db` alone is the budget for infinitely long blocks.
     """
     profile = ShapingProfile(m=m, probs=(p1, p2))
-    if n < 2 or n % 2:
-        raise ParameterError(f"n must be even and >= 2, got {n}")
+    n = _integer(n, "n", 2)
+    if n % 2:
+        raise ParameterError(f"n must be even, got {n}")
     # an SNR with no noise level is refused as such before the grid is built,
     # whose +-2 dB rounds to one point at 1e300 dB
     sigma_for_snr(induced_distribution(profile).average_energy, snr_db)

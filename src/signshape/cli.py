@@ -45,7 +45,7 @@ from . import __version__
 from .budget import loss_budget
 from .constellation import ShapingProfile, induced_distribution
 from .enumdm import dm_code, rank, rate_loss, unrank_counted, weight_for
-from .errors import IntegrityError, NumericalError, ParameterError
+from .errors import IntegrityError, NumericalError, ParameterError, _integer
 from .midist import (
     _capacity_snr_db,
     _warm_sweep,
@@ -98,14 +98,6 @@ def _block_to_json(block: ShapedBlock, config: ShaperConfig) -> str:
                        "overflow_count": int(block.overflow_count)})
 
 
-def _json_count(doc: dict, key: str) -> int:
-    # JSON reads 16.7 as a float and true as a bool: neither is a count
-    value = doc[key]
-    if type(value) is not int or value < 0:
-        raise ParameterError(f"block field {key} must be an integer >= 0, got {value!r}")
-    return value
-
-
 def _block_from_json(text: str) -> tuple[ShapedBlock, ShaperConfig]:
     """Inverse of _block_to_json: a bad document or header raises
     ParameterError, a payload that is not n constellation points
@@ -113,21 +105,17 @@ def _block_from_json(text: str) -> tuple[ShapedBlock, ShaperConfig]:
     try:
         doc = json.loads(text)
         header = doc["header"]
-        probs = header["probs"]
-        if not isinstance(probs, list) or any(type(p) not in (int, float) for p in probs):
-            raise ParameterError(f"header probs must be a list of numbers, got {probs!r}")
-        profile = ShapingProfile(m=_json_count(header, "m"), probs=tuple(probs))
-        if len(profile.probs) != _json_count(header, "P"):
+        profile = ShapingProfile(_integer(header["m"], "block field m", 0), tuple(header["probs"]))
+        if len(profile.probs) != _integer(header["P"], "block field P", 0):
             raise ParameterError("header P does not match probs length")
         config = ShaperConfig(
             profile=profile,
-            n=_json_count(header, "n"),
-            rng_seed=_json_count(header, "seed"),
+            n=_integer(header["n"], "block field n", 0),
+            rng_seed=_integer(header["seed"], "block field seed", 0),
             mode=str(header["mode"]),
         )
         symbols = np.asarray(doc["symbols"])
-        doc.setdefault("overflow_count", 0)
-        overflow_count = _json_count(doc, "overflow_count")
+        overflow_count = _integer(doc.get("overflow_count", 0), "block field overflow_count", 0)
     except ParameterError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -151,8 +139,7 @@ _MIN_ITEM_COST = 32
 
 
 def _require_work(flag: str, count: int, n: int) -> None:
-    if count < 1:
-        raise ParameterError(f"--{flag} must be at least 1, got {count}")
+    _integer(count, f"--{flag}", 1)
     work = count * max(n, _MIN_ITEM_COST) * max(n, 1 << 13) >> 13
     if work > _MAX_WORK:
         raise ParameterError(

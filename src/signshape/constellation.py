@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer, _probability
 
 __all__ = [
     "Constellation",
@@ -53,23 +53,26 @@ class Constellation:
         return np.asarray(self.symbols, dtype=float)
 
 
-def _check_bit_levels(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ParameterError(f"m must be an integer, got {m!r}")
-    if not 2 <= m <= _MAX_BIT_LEVELS:
-        raise ParameterError(f"m must be in [2, {_MAX_BIT_LEVELS}], got {m}")
-
-
 def build_ask(m: int) -> Constellation:
     """Build the 2^m-ASK constellation with natural labelling.
 
     m must lie in [2, 16]; the symbol list is the ascending odd integers
     from -(2^m - 1) to 2^m - 1.
     """
-    _check_bit_levels(m)
+    m = _integer(m, "m", 2, _MAX_BIT_LEVELS)
     M = 1 << m
     symbols = tuple(range(-(M - 1), M, 2))
     return Constellation(m=m, symbols=symbols)
+
+
+def _sources(m: int, num_distinct: int) -> tuple[int, int]:
+    """(m, P) as Python ints, if 2^m-ASK takes P sources: m in [2, 16], P dividing M/4."""
+    m = _integer(m, "m", 2, _MAX_BIT_LEVELS)
+    quarter = (1 << m) // 4
+    P = _integer(num_distinct, "num_distinct", 1, quarter)
+    if quarter % P != 0:
+        raise ParameterError(f"P = {P} does not divide M/4 = {quarter}")
+    return m, P
 
 
 @dataclass(frozen=True)
@@ -84,17 +87,9 @@ class ShapingProfile:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_bit_levels(self.m)
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        quarter = (1 << self.m) // 4
-        P = len(self.probs)
-        if not 1 <= P <= quarter:
-            raise ParameterError(f"need 1 <= P <= M/4 = {quarter}, got P = {P}")
-        if quarter % P != 0:
-            raise ParameterError(f"P = {P} does not divide M/4 = {quarter}")
-        for p in self.probs:
-            if not 0.0 <= p <= 1.0:
-                raise ParameterError(f"probabilities must lie in [0, 1], got {p}")
+        probs = tuple(self.probs)
+        object.__setattr__(self, "m", _sources(self.m, len(probs))[0])
+        object.__setattr__(self, "probs", tuple(_probability(p, "probabilities") for p in probs))
 
     @property
     def num_distinct(self) -> int:
@@ -153,14 +148,15 @@ def induced_distribution(profile: ShapingProfile) -> SymbolDistribution:
     return SymbolDistribution(tuple(pmf.tolist()), average_energy=float(pmf @ (x * x)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: (5.0, 2) must not find the entry of (5, 2)
 def selection_tables(m: int, num_distinct: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-prefix source index (0-based) and flip flag, indexed by d.
 
     Folding rule: prefixes in the lower quarter read their source straight;
     prefixes in the upper quarter are folded onto M/2 - 1 - d and flipped.
-    Arrays are cached read-only per (m, P).
+    (m, P) must be a ShapingProfile's. Arrays are cached read-only per (m, P).
     """
+    m, num_distinct = _sources(m, num_distinct)
     M = 1 << m
     group = (M // 4) // num_distinct
     d = np.arange(M // 2)

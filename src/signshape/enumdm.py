@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, ParameterError
+from .errors import IntegrityError, ParameterError, _integer, _probability
 
 __all__ = [
     "DmCode",
@@ -56,9 +56,7 @@ __all__ = [
 
 def weight_for(n: int, p: float) -> int:
     """Target weight round(n*p), ties rounding half up, for 0 <= p <= 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
-    return int(math.floor(n * p + 0.5))
+    return int(math.floor(_integer(n, "n") * _probability(p, "p") + 0.5))
 
 
 # Longest matcher dm_code builds: the tie margin below is shown for lengths
@@ -106,13 +104,11 @@ class DmCode:
     num_words: int = field(repr=False)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: 128.0 must not find the entry of 128
 def dm_code(n: int, w: int) -> DmCode:
     """Build (and cache) the matcher for length n and weight w."""
-    if not 1 <= n <= MAX_MATCHER_LENGTH:
-        raise ParameterError(f"n must be in [1, {MAX_MATCHER_LENGTH}], got {n}")
-    if not 0 <= w <= n:
-        raise ParameterError(f"w must be in [0, {n}], got {w}")
+    n = _integer(n, "n", 1, MAX_MATCHER_LENGTH)
+    w = _integer(w, "w", 0, n)
     num_words = math.comb(n, w)
     return DmCode(n=n, w=w, k=num_words.bit_length() - 1, num_words=num_words)
 
@@ -222,12 +218,7 @@ def unrank_counted(index: int, code: DmCode) -> tuple[np.ndarray, int]:
     the walk's start down to the one it stops at; once the remainder is 0
     the ones left are packed at the end without a probe.
     """
-    if not isinstance(index, int) or isinstance(index, bool):
-        raise ParameterError(f"index must be an integer, got {index!r}")
-    # an index may have more digits than str() converts: report its size
-    if not 0 <= index < code.num_words:
-        size = "negative" if index < 0 else f"{index.bit_length()}-bit"
-        raise ParameterError(f"{size} index outside [0, C({code.n}, {code.w}))")
+    index = _integer(index, "index", 0, code.num_words - 1)
     n, log_fact = code.n, _log_factorial_table(code.n)
     ones = []
     rem = index
@@ -314,14 +305,11 @@ def rate_loss(n: int, p: float) -> float:
     matcher of weight 0 or n carries k = 0 bits.
     """
     code = dm_code(n, weight_for(n, p))
-    return _binary_entropy(p) - code.k / n
+    return _binary_entropy(p) - code.k / code.n
 
 
 def dm_complexity_bound(n: int, p: float) -> float:
     """Upper bound on unranking probes per output bit, for any index: 1,
     as a length-n word takes at most n probes, or 0 when p = 0."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
-    return 1.0 if p > 0.0 else 0.0
+    _integer(n, "n", 1)
+    return 1.0 if _probability(p, "p") > 0.0 else 0.0

@@ -36,8 +36,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .constellation import ShapingProfile, _induced_pmf_pullback, build_ask, induced_pmf
-from .errors import NumericalError, ParameterError
+from .constellation import ShapingProfile, _induced_pmf_pullback, _sources, build_ask, induced_pmf
+from .errors import NumericalError, ParameterError, _integer
 
 __all__ = [
     "MiCurve",
@@ -155,9 +155,7 @@ def awgn_mi(
         raise ParameterError("pmf must be nonnegative and sum to 1")
     if not 0 < noise_std < math.inf:
         raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
-    integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
-    if not (integer and 1 <= order <= _MAX_ORDER):
-        raise ParameterError(f"order must be an integer in [1, {_MAX_ORDER}], got {order!r}")
+    order = _integer(order, "order", 1, _MAX_ORDER)
     M, w = xs.size, 2 if grad else 1
     # np.allclose(diff(z), step, 1e-12, 1e-12), 7x faster, plus room for
     # the rounding of z = x / noise_std: each z is off by up to eps max|z| / 2,
@@ -277,13 +275,17 @@ class MiCurve:
         axis = tuple(float(s) for s in snr_db)
         if len(axis) < 2 or samples not in (None, len(axis)):
             raise ParameterError("curve needs >= 2 aligned (snr, mi) samples")
-        if not np.all(np.diff(axis) > 0):  # NaN fails
-            raise ParameterError("snr_db samples must be strictly increasing")
+        if not (np.all(np.diff(axis) > 0) and np.isfinite(axis).all()):
+            raise ParameterError("snr_db samples must be finite and strictly increasing")
         return axis
 
     def __post_init__(self) -> None:
         self.mi_bpcu = tuple(float(v) for v in self.mi_bpcu)
         self.snr_db = MiCurve._axis(self.snr_db, len(self.mi_bpcu))
+        if not np.isfinite(self.mi_bpcu).all():
+            raise ParameterError("mi_bpcu samples must be finite")
+        if self.profiles is not None and len(self.profiles) != len(self.mi_bpcu):
+            raise ParameterError(f"curve needs one profile per sample, got {len(self.profiles)}")
         if np.any(np.diff(self.mi_bpcu) < -1e-9):
             raise ParameterError("mi_bpcu must be nondecreasing along the curve")
         if min(self.mi_bpcu) < -1e-12:
@@ -427,9 +429,7 @@ def optimize_profile(
     """
     if (noise_std is None) == (snr_db is None):
         raise ParameterError("pass exactly one of noise_std or snr_db")
-    if isinstance(num_distinct, bool) or not isinstance(num_distinct, int):
-        raise ParameterError(f"num_distinct must be an integer, got {num_distinct!r}")
-    ShapingProfile(m=m, probs=(0.5,) * num_distinct)  # validates m and P upfront
+    m, num_distinct = _sources(m, num_distinct)
     if noise_std is not None and not 0 < noise_std < math.inf:
         raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
     try:
@@ -493,8 +493,7 @@ def _warm_sweep(
     continuation: each run keeps the curvature pairs of the runs before it and starts
     from the last two profiles extrapolated linearly in the value, clipped into the
     box (from the last profile after one point or two equal values)."""
-    if num_distinct < 1:  # before numpy sizes arrays by it
-        raise ParameterError(f"num_distinct must be >= 1, got {num_distinct}")
+    m, num_distinct = _sources(m, num_distinct)  # before numpy sizes arrays by it
     pairs, points = _Pairs(num_distinct), [(None, np.full(num_distinct, 0.5))] * 2
     for value in grid:
         (v0, p0), (v1, p1) = points

@@ -24,7 +24,7 @@ The decoder replays the same consumption state machine from the decoded
 prefix bits, so it needs no side channel. The replay construction (and its
 fallback bookkeeping) is this implementation's choice; only the encoder
 side rule is externally given. A served bit becomes a rank r, symbol 2r - (M-1),
-only in `_ranks`; `_split_symbols` and `_matcher_bits` read the symbols back.
+only in `_ranks`; `_split_symbols` reads symbols back to ranks, `_matcher_bits` ranks to bits.
 
 Overflow perturbs the served bit statistics. For P = 2 the expected excess
 demand is eps(n) = (n/4) C(n, n/2) 2^-n, the effective densities are
@@ -52,7 +52,7 @@ from .constellation import (
     selection_tables,
 )
 from .enumdm import MAX_MATCHER_LENGTH, DmCode, _bits, dm_code, dm_decode, dm_encode, weight_for
-from .errors import IntegrityError, ParameterError
+from .errors import IntegrityError, ParameterError, _integer, _probability
 
 __all__ = [
     "ShaperConfig",
@@ -82,11 +82,12 @@ class ShaperConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.rng_seed < 0:  # numpy's generators take none
-            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        # numpy's generators take no negative seed
+        object.__setattr__(self, "rng_seed", _integer(self.rng_seed, "rng_seed", 0))
+        object.__setattr__(self, "n", _integer(self.n, "n", 2))
         P = self.profile.num_distinct
-        if self.n < 2 or self.n % 2:
-            raise ParameterError(f"n must be even and >= 2, got {self.n}")
+        if self.n % 2:
+            raise ParameterError(f"n must be even, got {self.n}")
         if self.n % P:
             raise ParameterError(f"n = {self.n} not divisible by P = {P}")
         # one cap in both modes: a matcher's length, or an ideal source's share
@@ -405,8 +406,9 @@ def switch_excess_expectation(n: int) -> float:
     every even n <= 4096, and well under 1e-9 through n = 2^20. The product
     takes O(n) memory, so n is capped at that 2^20.
     """
-    if n < 2 or n % 2 or n > 1 << 20:
-        raise ParameterError(f"n must be even and in [2, {1 << 20}], got {n}")
+    n = _integer(n, "n", 2, 1 << 20)
+    if n % 2:
+        raise ParameterError(f"n must be even, got {n}")
     i = np.arange(1, n // 2 + 1, dtype=float)
     central = float(np.prod((2.0 * i - 1.0) / (2.0 * i)))  # C(n, n/2) / 2^n
     return n / 4.0 * central
@@ -414,9 +416,7 @@ def switch_excess_expectation(n: int) -> float:
 
 def effective_probabilities(p1: float, p2: float, n: int) -> tuple[float, float]:
     """Served-bit densities after overflow mixing; the sum is conserved."""
-    for p in (p1, p2):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"probabilities must lie in [0, 1], got {p}")
+    p1, p2 = _probability(p1, "p1"), _probability(p2, "p2")
     fraction = 2.0 * switch_excess_expectation(n) / n
     p1_eff = p1 + fraction * (p2 - p1)
     return p1_eff, (p1 + p2) - p1_eff
@@ -445,10 +445,7 @@ def empirical_source_frequencies(
     Returns (frequencies, counts). Ideal sources converge to the p_i; under
     block-dm overflow the frequencies converge to the effective densities.
     """
-    if num_blocks < 1:
-        raise ParameterError(f"num_blocks must be >= 1, got {num_blocks}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    num_blocks, seed = _integer(num_blocks, "num_blocks", 1), _integer(seed, "seed", 0)
     m, P = config.profile.m, config.profile.num_distinct
     src_table, _ = selection_tables(m, P)
     ones = np.zeros(P)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import selection_tables
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .shaper import (
     ShaperConfig,
     _block_chunks,
@@ -50,10 +50,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.noise_std < math.inf:
             raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.num_blocks < 1:
-            raise ParameterError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        if self.rng_seed < 0:
-            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        object.__setattr__(self, "num_blocks", _integer(self.num_blocks, "num_blocks", 1))
+        object.__setattr__(self, "rng_seed", _integer(self.rng_seed, "rng_seed", 0))
         # the MI histogram's bin indices reach about 8 (M - 1) / noise_std, and
         # it spans 2 (M - 1 + 5 noise_std)
         M = 1 << self.shaper.profile.m

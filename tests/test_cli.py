@@ -24,6 +24,8 @@ from signshape import (
     dm_code,
     effective_probabilities,
     encode_block_ideal,
+    enumdm,
+    midist,
     switch_energy_loss,
 )
 from signshape.cli import _MAX_WORK, main
@@ -321,6 +323,32 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([*SUBCOMMANDS["budget"], "--out-dir", str(out)]) == 4
         assert "numerical error: no convergence" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["budget", "optimize"])
+    def test_non_finite_mi_is_4(self, tmp_path, monkeypatch, capsys, command):
+        real = midist._quadrature
+        monkeypatch.setattr(midist, "_quadrature",
+                            lambda order: (*real(order)[:2], real(order)[2] * math.nan))
+        out = tmp_path / "out"
+        assert main([*SUBCOMMANDS[command], "--out-dir", str(out)]) == 4
+        assert "numerical error: mutual information" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_roundtrip_mismatch_is_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "rank", lambda word, code: -1)
+        out = tmp_path / "out"
+        assert main([*SUBCOMMANDS["dm-roundtrip"], "--out-dir", str(out)]) == 3
+        assert "integrity error: rank(unrank(i)) != i" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unrank_remainder_is_3(self, tmp_path, monkeypatch, capsys):
+        # every walk starts below its answer: some index keeps a remainder
+        monkeypatch.setattr(enumdm, "_walk_start", lambda bound, r: r)
+        out = tmp_path / "out"
+        assert main(["dm", "roundtrip", "--n", "64", "--p", "0.0625", "--samples", "100",
+                     "--out-dir", str(out)]) == 3
+        assert "has no weight-4 decomposition" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -161,6 +161,14 @@ class TestRankUnrank:
         with pytest.raises(ParameterError, match="integer"):
             unrank_counted(index, dm_code(4, 2))
 
+    def test_walk_that_leaves_a_remainder_is_integrity_error(self, monkeypatch):
+        # a walk starting below its answer places each one too low, so the
+        # ones run out with part of the index left over
+        monkeypatch.setattr(enumdm, "_walk_start", lambda bound, r: r)
+        code = dm_code(64, 4)
+        with pytest.raises(IntegrityError, match="no weight-4 decomposition"):
+            unrank_counted(code.num_words - 1, code)
+
     def test_errors_past_str_digit_limit_stay_classified(self):
         # C(20000, 4800) has over 4300 decimal digits, which str() refuses:
         # both used to raise ValueError from their messages

@@ -192,6 +192,14 @@ class TestAwgnMi:
         x, pmf = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
         assert awgn_mi(x, pmf, 1.0, order=np.int64(16)) == awgn_mi(x, pmf, 1.0, order=16)
 
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_non_finite_mi_is_numerical_error(self, monkeypatch, grad):
+        shift, minus_t2, weights = midist._quadrature(16)
+        monkeypatch.setattr(midist, "_quadrature",
+                            lambda order: (shift, minus_t2, weights * math.nan))
+        with pytest.raises(NumericalError, match="non-finite"):
+            awgn_mi(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, 16, grad=grad)
+
     def test_rejects_order_above_max(self):
         # numpy's Gauss-Hermite weights are NaN from order 372, which used
         # to end in NumericalError; a huge order built a huge matrix first
@@ -523,6 +531,13 @@ class TestMiCurve:
         with pytest.raises(ParameterError, match="saturated"):
             rate_loss_to_db(0.01, curve, rate)
 
+    def test_one_profile_per_sample(self):
+        profile = ShapingProfile(m=5, probs=(0.04, 0.24))
+        assert MiCurve((1.0, 2.0), (0.1, 0.2), (profile, profile)).profiles == (profile, profile)
+        for profiles in [(profile,), (profile,) * 3]:
+            with pytest.raises(ParameterError, match="one profile per sample"):
+                MiCurve((1.0, 2.0), (0.1, 0.2), profiles)
+
     def test_requires_increasing_snr(self):
         with pytest.raises(ParameterError):
             MiCurve(snr_db=(1.0, 1.0), mi_bpcu=(0.5, 0.5))
@@ -535,8 +550,13 @@ class TestMiCurve:
         ((15.0, 15.0), None, "strictly increasing"),
         ((15.0,), None, ">= 2"),
         ((15.0, math.nan), None, "strictly increasing"),
+        # an infinite SNR sample read 0.1 at 2 dB; an infinite or NaN MI sample read nan
+        ((15.0, math.inf), None, "finite"),
+        ((1.0, math.inf), (0.1, 0.2), "finite"),
+        ((1.0, 2.0), (0.1, math.nan), "finite"),
+        ((1.0, 2.0), (0.1, math.inf), "finite"),
     ], ids=["misaligned", "decreasing", "negative", "descending-grid", "repeated-grid",
-            "one-point-grid", "nan-grid"])
+            "one-point-grid", "nan-grid", "inf-grid", "inf-snr", "nan-mi", "inf-mi"])
     def test_rejects_samples_that_are_no_mi_curve(self, monkeypatch, snr, mi, match):
         with pytest.raises(ParameterError, match=match):
             MiCurve(snr_db=snr, mi_bpcu=(0.5,) * len(snr) if mi is None else mi)

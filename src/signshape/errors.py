@@ -1,10 +1,12 @@
-"""Exception hierarchy shared by the whole package, and its two argument rules.
+"""Exception hierarchy shared by the whole package, and its three argument rules.
 
 Every error raised on purpose derives from ShapingError so callers can
 catch one base class. The CLI exits 2, 3 and 4 on the three branches below, in order.
-`_integer` checks every size, count, seed, index and order, `_probability` every probability.
+`_integer` checks every size, count, seed, index and order, `_probability` every
+probability, and `_real` every noise level, SNR, energy and rate.
 """
 
+import math
 import operator
 from numbers import Real
 
@@ -59,3 +61,17 @@ def _probability(p, name: str) -> float:
     if isinstance(p, bool) or not (isinstance(p, Real) and 0.0 <= p <= 1.0):
         raise ParameterError(f"{name} must lie in [0, 1], got {_shown(p)}")
     return float(p)
+
+
+def _real(value, name: str, low: float = -math.inf, closed: bool = False) -> float:
+    """value as a float, if a finite real number (no bool, no NaN) above low, or at low if closed."""
+    if type(value) is float and low < value < math.inf:
+        return value
+    try:  # NaN stands for what is no real number, inf for an integer beyond float's range
+        number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
+    except OverflowError:
+        number = math.inf
+    if not (low < number < math.inf or closed and number == low):
+        bound = "" if low == -math.inf else f" {'>=' if closed else '>'} {low:g}"
+        raise ParameterError(f"{name} must be a finite real number{bound}, got {_shown(value)}")
+    return number

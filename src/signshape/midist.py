@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .constellation import ShapingProfile, _induced_pmf_pullback, _sources, build_ask, induced_pmf
-from .errors import NumericalError, ParameterError, _integer
+from .errors import NumericalError, ParameterError, _integer, _real
 
 __all__ = [
     "MiCurve",
@@ -92,10 +92,7 @@ def _band_index(M: int, W: int) -> np.ndarray:
 def sigma_for_snr(energy: float, snr_db: float) -> float:
     """Noise standard deviation that puts `energy` at the given SNR; one that
     is not a positive float (beyond about +-3080 dB) raises ParameterError."""
-    if energy <= 0:
-        raise ParameterError(f"energy must be positive, got {energy}")
-    if not math.isfinite(snr_db):
-        raise ParameterError(f"snr_db must be finite, got {snr_db}")
+    energy, snr_db = _real(energy, "energy", 0.0), _real(snr_db, "snr_db")
     try:
         sigma = math.sqrt(energy / 10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError):
@@ -106,8 +103,7 @@ def sigma_for_snr(energy: float, snr_db: float) -> float:
 
 
 def snr_db_for(energy: float, noise_std: float) -> float:
-    if not (0 < energy < math.inf and 0 < noise_std < math.inf):
-        raise ParameterError("energy and noise_std must be positive and finite")
+    energy, noise_std = _real(energy, "energy", 0.0), _real(noise_std, "noise_std", 0.0)
     # two logs: the ratio under- or overflows for noise_std far from 1
     return 10.0 * math.log10(energy) - 20.0 * math.log10(noise_std)
 
@@ -153,9 +149,9 @@ def awgn_mi(
         raise ParameterError("x and pmf must be 1-D arrays of equal length")
     if not (p.min(initial=0.0) >= 0 and abs(float(p.sum()) - 1.0) <= 1e-9):  # NaN fails
         raise ParameterError("pmf must be nonnegative and sum to 1")
-    if not 0 < noise_std < math.inf:
-        raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
-    order = _integer(order, "order", 1, _MAX_ORDER)
+    noise_std, order = _real(noise_std, "noise_std", 0.0), _integer(order, "order", 1, _MAX_ORDER)
+    if not isinstance(grad, (bool, np.bool_)):
+        raise ParameterError(f"grad must be a bool, got {grad!r}")
     M, w = xs.size, 2 if grad else 1
     # np.allclose(diff(z), step, 1e-12, 1e-12), 7x faster, plus room for
     # the rounding of z = x / noise_std: each z is off by up to eps max|z| / 2,
@@ -272,18 +268,16 @@ class MiCurve:
     @staticmethod
     def _axis(snr_db: Iterable[float], samples: int | None = None) -> tuple[float, ...]:
         """snr_db as floats, if it fits a curve of `samples` MI values (any number if None)."""
-        axis = tuple(float(s) for s in snr_db)
+        axis = tuple(_real(s, "snr_db sample") for s in snr_db)
         if len(axis) < 2 or samples not in (None, len(axis)):
             raise ParameterError("curve needs >= 2 aligned (snr, mi) samples")
-        if not (np.all(np.diff(axis) > 0) and np.isfinite(axis).all()):
-            raise ParameterError("snr_db samples must be finite and strictly increasing")
+        if not np.all(np.diff(axis) > 0):
+            raise ParameterError("snr_db samples must be strictly increasing")
         return axis
 
     def __post_init__(self) -> None:
-        self.mi_bpcu = tuple(float(v) for v in self.mi_bpcu)
+        self.mi_bpcu = tuple(_real(v, "mi_bpcu sample") for v in self.mi_bpcu)
         self.snr_db = MiCurve._axis(self.snr_db, len(self.mi_bpcu))
-        if not np.isfinite(self.mi_bpcu).all():
-            raise ParameterError("mi_bpcu samples must be finite")
         if self.profiles is not None and len(self.profiles) != len(self.mi_bpcu):
             raise ParameterError(f"curve needs one profile per sample, got {len(self.profiles)}")
         if np.any(np.diff(self.mi_bpcu) < -1e-9):
@@ -292,6 +286,7 @@ class MiCurve:
             raise ParameterError("mi_bpcu must be nonnegative")
 
     def rate_at_snr(self, snr_db: float) -> float:
+        snr_db = _real(snr_db, "snr_db")
         if not self.snr_db[0] <= snr_db <= self.snr_db[-1]:
             raise ParameterError(
                 f"snr {snr_db} dB outside curve range "
@@ -300,6 +295,7 @@ class MiCurve:
         return float(_pchip(self.snr_db, self.mi_bpcu, snr_db))
 
     def snr_at_rate(self, rate_bpcu: float) -> float:
+        rate_bpcu = _real(rate_bpcu, "rate_bpcu")
         mi = np.asarray(self.mi_bpcu)
         snr = np.asarray(self.snr_db)
         keep = np.concatenate([[True], np.diff(mi) > 1e-12])
@@ -430,8 +426,8 @@ def optimize_profile(
     if (noise_std is None) == (snr_db is None):
         raise ParameterError("pass exactly one of noise_std or snr_db")
     m, num_distinct = _sources(m, num_distinct)
-    if noise_std is not None and not 0 < noise_std < math.inf:
-        raise ParameterError(f"noise_std must be positive and finite, got {noise_std}")
+    noise_std = noise_std if noise_std is None else _real(noise_std, "noise_std", 0.0)
+    snr_db = snr_db if snr_db is None else _real(snr_db, "snr_db")
     try:
         start = np.asarray((0.5,) * num_distinct if warm_start is None else warm_start, dtype=float)
         valid = start.shape == (num_distinct,) and bool(np.isfinite(start).all())
@@ -447,7 +443,7 @@ def optimize_profile(
     evaluations = 0
 
     def sigma_of(energy: float) -> float:  # the noise a profile of this energy meets
-        return float(noise_std) if snr_db is None else sigma_for_snr(energy, float(snr_db))
+        return noise_std if snr_db is None else sigma_for_snr(energy, snr_db)
 
     def objective(probs: Sequence[float]) -> tuple[float, np.ndarray]:
         """Negated MI and its gradient in the P probabilities."""
@@ -469,7 +465,7 @@ def optimize_profile(
     return OptimizationResult(
         profile=ShapingProfile(m=m, probs=probs),
         mi_bpcu=-neg_mi,
-        snr_db=snr_db_for(energy, sigma) if snr_db is None else float(snr_db),
+        snr_db=snr_db_for(energy, sigma) if snr_db is None else snr_db,
         noise_std=sigma,
         evaluations=evaluations,
         mode="fixed-noise" if snr_db is None else "fixed-snr",
@@ -528,8 +524,8 @@ def rate_loss_to_db(
     as does a loss of at least operating_rate (MI vanished, far below 0 dB)
     where the curve still rises.
     """
-    if not math.isfinite(rate_loss_bpcu):
-        raise ParameterError(f"rate loss must be finite, got {rate_loss_bpcu}")
+    rate_loss_bpcu = _real(rate_loss_bpcu, "rate_loss_bpcu")
+    operating_rate = _real(operating_rate, "operating_rate")
     if rate_loss_bpcu == 0.0:
         return 0.0
     snr = reference_curve.snr_at_rate(operating_rate)  # first, to name a flat curve

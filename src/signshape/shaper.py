@@ -86,13 +86,12 @@ class ShaperConfig:
         object.__setattr__(self, "rng_seed", _integer(self.rng_seed, "rng_seed", 0))
         object.__setattr__(self, "n", _integer(self.n, "n", 2))
         P = self.profile.num_distinct
+        # one cap in both modes, checked before the two tests that write n out
+        _integer(self.n // P, "n / P", high=MAX_MATCHER_LENGTH)
         if self.n % 2:
             raise ParameterError(f"n must be even, got {self.n}")
         if self.n % P:
             raise ParameterError(f"n = {self.n} not divisible by P = {P}")
-        # one cap in both modes: a matcher's length, or an ideal source's share
-        if self.n // P > MAX_MATCHER_LENGTH:
-            raise ParameterError(f"n / P = {self.n // P} > {MAX_MATCHER_LENGTH}, the length cap")
 
     @cached_property
     def constellation(self) -> Constellation:
@@ -417,7 +416,7 @@ def switch_excess_expectation(n: int) -> float:
 def effective_probabilities(p1: float, p2: float, n: int) -> tuple[float, float]:
     """Served-bit densities after overflow mixing; the sum is conserved."""
     p1, p2 = _probability(p1, "p1"), _probability(p2, "p2")
-    fraction = 2.0 * switch_excess_expectation(n) / n
+    fraction = 2.0 * switch_excess_expectation(n) / _integer(n, "n")  # the checked n as an int
     p1_eff = p1 + fraction * (p2 - p1)
     return p1_eff, (p1 + p2) - p1_eff
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import selection_tables
-from .errors import ParameterError, _integer
+from .errors import ParameterError, _integer, _real
 from .shaper import (
     ShaperConfig,
     _block_chunks,
@@ -48,8 +48,7 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.noise_std < math.inf:
-            raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        object.__setattr__(self, "noise_std", _real(self.noise_std, "noise_std", 0.0, closed=True))
         object.__setattr__(self, "num_blocks", _integer(self.num_blocks, "num_blocks", 1))
         object.__setattr__(self, "rng_seed", _integer(self.rng_seed, "rng_seed", 0))
         # the MI histogram's bin indices reach about 8 (M - 1) / noise_std, and
@@ -119,7 +118,7 @@ def run(config: SimConfig) -> SimReport:
     m = shaper_cfg.profile.m
     M = 1 << m
     n = shaper_cfg.n
-    sigma = float(config.noise_std)
+    sigma = config.noise_std
     _, flip_table = selection_tables(m, shaper_cfg.profile.num_distinct)
     bit_of_rank = _matcher_bits(np.arange(M), m, flip_table)  # a decided rank's matcher bit
     points = np.arange(-(M - 1), M, 2)

@@ -549,7 +549,7 @@ class TestMiCurve:
         ((16.0, 15.0), None, "strictly increasing"),
         ((15.0, 15.0), None, "strictly increasing"),
         ((15.0,), None, ">= 2"),
-        ((15.0, math.nan), None, "strictly increasing"),
+        ((15.0, math.nan), None, "finite"),
         # an infinite SNR sample read 0.1 at 2 dB; an infinite or NaN MI sample read nan
         ((15.0, math.inf), None, "finite"),
         ((1.0, math.inf), (0.1, 0.2), "finite"),

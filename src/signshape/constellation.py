@@ -33,7 +33,6 @@ __all__ = [
     "ShapingProfile",
     "SymbolDistribution",
     "build_ask",
-    "induced_pmf",
     "induced_distribution",
     "selection_tables",
 ]
@@ -115,10 +114,11 @@ class SymbolDistribution:
 
 
 def induced_pmf(m: int, probs: Sequence[float]) -> np.ndarray:
-    """Raw induced pmf over the 2^m symbols, unvalidated fast path.
+    """Raw induced pmf over the 2^m symbols: the optimizer's unchecked kernel.
 
-    The optimizer, the switch loss and the MI curves call this with plain
-    tuples; induced_distribution adds the checks and the mean energy.
+    The optimizer, the switch loss and the MI curves call it with checked
+    profiles' values; it checks nothing. induced_distribution is the checked
+    form, with the mean energy.
     """
     # P(sign bit = 0 | d) for d = 0..M/2-1: each p_i repeated over its
     # group, then the reversed complement, which makes the mirror exact

@@ -257,7 +257,7 @@ def _pchip(x: Sequence[float], y: Sequence[float], at) -> np.ndarray:
     return y[k] + d[k] * t + c2 * (t * t) + c3 * (t * t * t)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MiCurve:
     """MI versus SNR samples for one shaping rule, with monotone lookup."""
 
@@ -276,8 +276,8 @@ class MiCurve:
         return axis
 
     def __post_init__(self) -> None:
-        self.mi_bpcu = tuple(_real(v, "mi_bpcu sample") for v in self.mi_bpcu)
-        self.snr_db = MiCurve._axis(self.snr_db, len(self.mi_bpcu))
+        object.__setattr__(self, "mi_bpcu", tuple(_real(v, "mi_bpcu sample") for v in self.mi_bpcu))
+        object.__setattr__(self, "snr_db", MiCurve._axis(self.snr_db, len(self.mi_bpcu)))
         if self.profiles is not None and len(self.profiles) != len(self.mi_bpcu):
             raise ParameterError(f"curve needs one profile per sample, got {len(self.profiles)}")
         if np.any(np.diff(self.mi_bpcu) < -1e-9):

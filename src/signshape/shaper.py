@@ -18,7 +18,9 @@ modes differ in where the words come from:
   indexed nonempty one and counts the event as an overflow.
 
 Both modes draw a block from one seeding rule: block b of seed s is the
-b-th run of raw 64-bit words from default_rng(s) (`_block_chunks`).
+b-th run of raw 64-bit words from default_rng(s) (`_block_chunks`). The
+stream unranks the words of many blocks at once; a single block takes the
+matcher's walk, which is faster for one word.
 
 The decoder replays the same consumption state machine from the decoded
 prefix bits, so it needs no side channel. The replay construction (and its
@@ -36,7 +38,6 @@ effective densities.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -67,7 +68,8 @@ __all__ = [
 ]
 
 _MODES = ("ideal-sources", "block-dm")
-_CHUNK_SYMBOLS = 8192  # _block_chunks yields max(1, _CHUNK_SYMBOLS // n) blocks at a time
+_CHUNK_SYMBOLS = 16384  # _block_chunks yields max(1, _CHUNK_SYMBOLS // n) blocks at a time
+_DRAW_SYMBOLS = 1 << 18  # and unranks the words of whole chunks up to this many symbols at once
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,9 @@ class ShapedBlock:
 
 def _prefix_decimals(prefix: np.ndarray, m: int) -> np.ndarray:
     """Decimal value d of each row of least-significant-bit-first prefix bits."""
-    weights = (1 << np.arange(m - 1)).astype(np.int64)
-    return prefix.astype(np.int64) @ weights
+    # d < 2^15 is exact in float32, whose product BLAS runs: 3x faster than in int64
+    weights = (1 << np.arange(m - 1)).astype(np.float32)
+    return (prefix.astype(np.float32) @ weights).astype(np.int64)
 
 
 def _prefix_bits(d: np.ndarray, m: int) -> np.ndarray:
@@ -192,6 +195,7 @@ def _serve_requests(
         ones = np.cumsum(rows, axis=1, dtype=np.int32)
         zeros_dry = ones < np.arange(1 - capacities[0], n + 1 - capacities[0], dtype=np.int32)
         served = np.where((ones > capacities[1]) | zeros_dry, ones[:, -1:] <= capacities[1], rows)
+        overflow = np.abs(ones[:, -1] - capacities[1])  # the requests past the dry one's size
     else:
         served = rows.copy()
         for row, out in zip(rows, served):
@@ -220,7 +224,7 @@ def _serve_requests(
                     break
                 done += np.bincount(tail[: stream[left] - start], minlength=P)
                 start = stream[left]
-    overflow = np.count_nonzero(served != rows, axis=1)
+        overflow = np.count_nonzero(served != rows, axis=1)
     return served.reshape(requests.shape), overflow.reshape(requests.shape[:-1])
 
 
@@ -258,15 +262,20 @@ def encode_block_dm(config: ShaperConfig, info_bits: Sequence[int]) -> ShapedBlo
     if config.mode != "block-dm":
         raise ParameterError(f"config mode is {config.mode!r}, not 'block-dm'")
     info = _bits(info_bits, config.info_length, "info")
-    ranks, _, overflow = _encode_dm_rows(config, info[None].astype(np.uint8, copy=False))
+    codes = config.dm_codes
+    ends = [0, *accumulate(code.k for code in codes)]
+    ones = [np.flatnonzero(dm_encode(info[a:b], c))[None] for c, a, b in zip(codes, ends, ends[1:])]
+    ranks, _, overflow = _encode_dm_rows(config, info[None, ends[-1] :], ones)
     return ShapedBlock(2 * ranks[0] - ((1 << config.profile.m) - 1), int(overflow[0]))
 
 
-def _raw_bits(raw: np.ndarray, length: int) -> np.ndarray:
-    """The first length bits of each row of 64-bit words, least significant
+def _raw_bits(raw: np.ndarray, stop: int, start: int = 0) -> np.ndarray:
+    """Bits start to stop - 1 of each row of 64-bit words, least significant
     bit of the first word first, as a uint8 array."""
-    words = np.ascontiguousarray(raw, dtype="<u8")
-    return np.unpackbits(words.view(np.uint8), axis=1, count=length, bitorder="little")
+    skip = start // 64
+    words = np.ascontiguousarray(raw[:, skip : -(-stop // 64)], dtype="<u8")
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=stop - 64 * skip, bitorder="little")
+    return bits[:, start - 64 * skip :]
 
 
 def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) -> np.ndarray:
@@ -276,17 +285,22 @@ def _uniform_info(rng: np.random.Generator, config: ShaperConfig, count: int) ->
     return _raw_bits(rng.bit_generator.random_raw((count, -(-L // 64))), L)
 
 
-# Largest code, in n (w + 1) binomials, whose words _encode_dm_rows unranks
-# from a table, which holds at most 0.25 MB (n = 210, w = 38; tracemalloc over
-# every code under the cap), so the cache at most 16 MB: n = 256 at m = 5
+# Largest code, in n (w + 1) binomials, whose words _unrank_rows finds in a
+# table, which holds at most 0.17 MB (n = 105, w = 77; tracemalloc over every
+# code under the cap), so the cache at most 11 MB: n = 256 at m = 5
 # (length-128 matchers, 768 and 4096 entries) fits, n = 8192 keeps the walk.
+# Under the cap k <= 141 (n = 174, w = 46), so an index fits three 64-bit words.
 _TABLE_CAP = 1 << 13
+_CLIP = (1 << 63) - 1  # int64 columns are clipped here, above every remainder they meet
 
 
 @lru_cache(maxsize=64)
 def _binomial_columns(code: DmCode) -> tuple:
-    """The columns C(t, r), t < n, for r = w down to 1, built by ratios along t: Python-int
-    lists while a step's remainder can reach 2^63 - 1, then int64 arrays clipped there."""
+    """The columns C(t, r), t < n, for r = w down to 1, built by ratios along t. The
+    leading steps, whose remainder can reach 2^63 - 1, get (steps, n) arrays: a float64
+    guide and the low and high 64-bit words of each binomial mod 2^128; the first
+    `huge` of them meet remainders that can reach 2^128. The rest get int64 arrays
+    clipped at _CLIP. Returns (huge, guide, low, high, int64 columns)."""
     # C(t, r) = C(t - 1, r) t / (t - r); at r = n one entry past t = n - 1, never found
     columns = [
         [0] * r + list(accumulate(range(r + 1, code.n), lambda c, t: c * t // (t - r), initial=1))
@@ -294,59 +308,73 @@ def _binomial_columns(code: DmCode) -> tuple:
     ]
     # the step placing the one with r ones left meets a remainder below 2^k and,
     # after the first step, below C(n - 1, r) too, so below the least of these
-    bounds = accumulate([1 << code.k] + [column[-1] for column in columns[1:]], min)
-    big = sum(bound >> 63 > 0 for bound in bounds)
-    clip = (1 << 63) - 1  # above every remainder of the int64 steps
-    return columns[:big], [np.array([min(c, clip) for c in col], np.int64) for col in columns[big:]]
+    bounds = list(accumulate([1 << code.k] + [column[-1] for column in columns[1:]], min))
+    huge, big = (sum(bound >> bits > 0 for bound in bounds) for bits in (128, 63))
+    head = np.array(columns[:big], object).reshape(big, code.n)  # Python ints
+    words = [(head >> shift & (1 << 64) - 1).astype(np.uint64) for shift in (0, 64)]
+    small = [np.array([min(c, _CLIP) for c in col], np.int64) for col in columns[big:]]
+    return huge, head.astype(float), *words, small
 
 
 def _unrank_rows(code: DmCode, bits: np.ndarray) -> np.ndarray:
-    """Positions (B, w), ascending, of the ones of code's words from rows of k info bits,
-    least significant first: under _TABLE_CAP a table search per one, row by row until the
-    remainder fits int64, then for all rows at once; over it one dm_encode walk per word."""
+    """Positions (B, w) int32, ascending, of the ones of code's words from rows of k info
+    bits, least significant first: over _TABLE_CAP one dm_encode walk per word; under it
+    one table search for all rows, and the walk for each row it cannot vouch for.
+
+    Step j puts t_j at the largest t with C(t, r) <= remainder, r = w - j. On the leading
+    columns the remainder mod 2^128 is carried exactly in two wrapping words, beside a
+    float64 estimate g, never refreshed; the guide picks t from g while the remainder can
+    reach 2^128, then from the words. g stays within 2^110 of the exact remainder R (every
+    index and binomial under the cap is below 2^141), so if the high word is 0, the low
+    one is in [0, _CLIP) and |g| < 2^126, R is the low word: they agree mod 2^128 and
+    differ by less than 2^127. The int64 steps are then exact, and a final remainder of 0
+    with n > t_0 > ... > t_{w-1} >= 0 is the index's unique combinatorial-number-system
+    form (Cover, 1973): the walk's word."""
     if code.n * (code.w + 1) > _TABLE_CAP:
-        return np.stack([np.flatnonzero(dm_encode(row, code)) for row in bits])
-    big, small = _binomial_columns(code)
-    ts = np.empty((len(bits), code.w), dtype=np.int64)
-    if big:
-        lead = []  # row by row, t on each of the big columns, then the remainder
-        for row in np.packbits(bits, axis=1, bitorder="little"):
-            rem, t = int.from_bytes(row.tobytes(), "little"), code.n
-            for column in big:  # the largest t below the last with C(t, r) <= rem
-                t = bisect_right(column, rem, 0, t) - 1
-                rem -= column[t]
-                lead.append(t)
-            lead.append(rem)
-        lead = np.array(lead, dtype=np.int64).reshape(len(bits), -1)
-        ts[:, : len(big)], rem = lead[:, :-1], lead[:, -1]
-    else:
-        rem = bits.astype(np.int64) @ (1 << np.arange(code.k, dtype=np.int64))
-    for j, column in enumerate(small, len(big)):  # the largest t with C(t, r) <= rem
+        return np.array([np.flatnonzero(dm_encode(row, code)) for row in bits], np.int32)
+    huge, guide, low, high, small = _binomial_columns(code)
+    words = np.zeros((len(bits), 3), "<u8")  # the index, least significant word first
+    words.view(np.uint8)[:, : -(-code.k // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    lo, hi = words[:, 0].copy(), words[:, 1].copy()
+    g = words @ [1.0, 2.0**64, 2.0**128]
+    ts = np.empty((len(bits), code.w), np.int32)
+    for j in range(len(guide)):
+        ts[:, j] = t = guide[j].searchsorted(g if j < huge else lo + hi * 2.0**64, side="right") - 1
+        g -= guide[j, t]
+        c = low[j, t]
+        hi -= high[j, t] + (lo < c)  # both words wrap, so the pair is exact mod 2^128
+        lo -= c
+    rem = lo.view(np.int64)
+    vouched = (hi == 0) & (rem >= 0) & (rem < _CLIP) & (np.abs(g) < 2.0**126)
+    for j, column in enumerate(small, len(guide)):  # the largest t with C(t, r) <= rem
         ts[:, j] = t = column.searchsorted(rem, side="right") - 1
         rem -= column[t]
-    return code.n - 1 - ts
+    # t < n always, and t >= 0 on a vouched row's int64 steps, which include the last
+    vouched &= (rem == 0) & (ts[:, 1:] < ts[:, :-1]).all(axis=1)
+    positions = code.n - 1 - ts
+    for b in np.flatnonzero(~vouched):
+        positions[b] = np.flatnonzero(dm_encode(bits[b], code))
+    return positions
 
 
-def _encode_dm_rows(config: ShaperConfig, info: np.ndarray) -> tuple:
-    """Ranks (B, n), served matcher bits (B, n) uint8 and overflow counts (B,) of B blocks,
-    one per row of checked uint8 info bits laid out as for encode_block_dm: one
-    _serve_requests call for all B, then per matcher one _unrank_rows call whose ones are
-    set at the slots that serve it, each word consumed front to back."""
-    B, n, m = len(info), config.n, config.profile.m
+def _encode_dm_rows(config: ShaperConfig, prefix: np.ndarray, ones: Sequence[np.ndarray]) -> tuple:
+    """Ranks (B, n), served matcher bits (B, n) uint8 and overflow counts (B,) of B blocks
+    from their rows of (m - 1) n prefix bits, laid out as in encode_block_dm, and per
+    matcher the positions (B, w) of the ones of their words: one _serve_requests call for
+    all B, then each word's ones set at the slots that serve it, consumed front to back."""
+    B, n, m = len(prefix), config.n, config.profile.m
     src_table, flip_table = selection_tables(m, config.profile.num_distinct)
     codes = config.dm_codes
-    ends = np.cumsum([0] + [code.k for code in codes])
-    d = _prefix_decimals(info[:, ends[-1] :].reshape(B, n, -1), m)
+    d = _prefix_decimals(prefix.reshape(B, n, m - 1), m)
     served, overflow = _serve_requests(src_table[d], [code.n for code in codes])
     rows = np.arange(B)[:, None]
     bits = np.zeros(d.shape, dtype=np.uint8)
-    for i, (code, a, b) in enumerate(zip(codes, ends, ends[1:])):
+    for i, (code, positions) in enumerate(zip(codes, ones)):
         slots = np.flatnonzero(served == i)  # row by row, chronological order
         # given the total, each row holds code.n slots iff its first and last lie in it
         if slots.size != B * code.n or (slots.reshape(B, -1)[:, [0, -1]] // n != rows).any():
             raise IntegrityError(f"reservoir {i} served other than its {code.n} bits")
-        ones = _unrank_rows(code, info[:, a:b])
-        bits.reshape(-1)[np.take_along_axis(slots.reshape(B, -1), ones, axis=1)] = 1
+        bits.reshape(-1)[np.take_along_axis(slots.reshape(B, -1), positions, axis=1)] = 1
     return _ranks(d, bits, m, flip_table), bits, overflow
 
 
@@ -357,15 +385,27 @@ def _block_chunks(config: ShaperConfig, seed: int | np.random.SeedSequence, num_
     2r - (M-1). Row b of the stream is the b-th run of raw 64-bit words from
     default_rng(seed): block-dm reads them as info bits, ideal-sources as slot doubles
     and prefix bits. A row reads only its own words, so a chunk holds the blocks
-    one-row draws give in turn."""
+    one-row draws give in turn. Block-dm draws the words of whole chunks, up to
+    _DRAW_SYMBOLS symbols, at once and unranks each matcher's words of the draw in one
+    _unrank_rows call; vectorized, the table search only pays over many rows."""
     rng = np.random.default_rng(seed)
-    rows = max(1, _CHUNK_SYMBOLS // config.n)
-    for start in range(0, num_blocks, rows):
-        count = min(rows, num_blocks - start)
-        if config.mode == "block-dm":
-            yield _encode_dm_rows(config, _uniform_info(rng, config, count))
-        else:
+    n, L = config.n, config.info_length
+    rows = max(1, _CHUNK_SYMBOLS // n)
+    if config.mode != "block-dm":
+        for start in range(0, num_blocks, rows):
+            count = min(rows, num_blocks - start)
             yield *_ideal_rows(config, rng, count), np.zeros(count, np.int64)
+        return
+    codes = config.dm_codes
+    ends = [0, *accumulate(code.k for code in codes)]
+    draw = max(1, _DRAW_SYMBOLS // n // rows) * rows
+    for start in range(0, num_blocks, draw):
+        raw = rng.bit_generator.random_raw((min(draw, num_blocks - start), -(-L // 64)))
+        ones = [_unrank_rows(c, _raw_bits(raw, b, a)) for c, a, b in zip(codes, ends, ends[1:])]
+        for first in range(0, len(raw), rows):
+            chunk = slice(first, first + rows)
+            prefix = _raw_bits(raw[chunk], L, ends[-1])
+            yield _encode_dm_rows(config, prefix, [positions[chunk] for positions in ones])
 
 
 def decode_block(block: ShapedBlock, config: ShaperConfig) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 The blocks come from `shaper._block_chunks`, the chunked, seeded block
 stream that also serves `encode_block_ideal` and `empirical_source_frequencies`:
-it alone knows the chunk size, how a seed becomes blocks and which encoder each
-mode runs, and it yields ranks and served matcher bits, read here as they are.
+it alone knows the chunk and draw sizes, how a seed becomes blocks and which encoder
+each mode runs, and it yields ranks and served matcher bits, read here as they are.
 SeedSequence(rng_seed) spawns the noise seed and the data seed the stream reads.
 Per chunk the harness adds white Gaussian noise, makes a prior-free nearest-symbol
 decision and runs one vectorised statistics pass (the energy comes from the rank
-counts), so working memory is a few chunk-sized arrays whatever num_blocks is.
+counts), so working memory is a few chunk-sized arrays and one draw whatever num_blocks is.
 The stream and the noise are a block-by-block loop's, so the report equals its.
 The demapper ignores the shaped prior on purpose; the harness validates the
 shaping chain, not receiver optimality.

@@ -20,7 +20,6 @@ from signshape import (
     empirical_source_frequencies,
     encode_block_dm,
     encode_block_ideal,
-    induced_pmf,
     loss_budget,
     mi_curve_for_profile,
     mi_curve_optimized,
@@ -33,6 +32,7 @@ from signshape import (
     switch_excess_expectation,
     unrank,
 )
+from signshape.constellation import induced_pmf
 
 GRID_32 = np.arange(6.0, 20.01, 0.5)
 GRID_64 = np.arange(26.0, 34.01, 0.5)

@@ -304,8 +304,6 @@ def test_awgn_mi_grad_is_a_bool(grad):
 # records the library fills in: callers read them and build none from their own numbers
 RECORDS = {"BudgetReport", "Constellation", "DmCode", "OptimizationResult", "ShapedBlock",
            "SimReport", "SymbolDistribution"}
-# induced_pmf is the optimizer's unchecked inner step; induced_distribution checks for callers
-UNCHECKED = {"induced_pmf-m"}
 
 
 def numeric_parameters():
@@ -332,5 +330,5 @@ def test_every_numeric_parameter_has_a_rule_row():
     rows = {row.id for table in (INTEGER_ARGUMENTS, PROBABILITY_ARGUMENTS, REAL_ARGUMENTS)
             for row in table}
     found = set(numeric_parameters())
-    assert sorted(found - rows - UNCHECKED) == []
-    assert UNCHECKED <= found and RECORDS <= set(signshape.__all__)
+    assert sorted(found - rows) == []
+    assert RECORDS <= set(signshape.__all__)

@@ -17,10 +17,9 @@ from signshape import (
     SymbolDistribution,
     build_ask,
     induced_distribution,
-    induced_pmf,
     selection_tables,
 )
-from signshape.constellation import _induced_pmf_pullback
+from signshape.constellation import _induced_pmf_pullback, induced_pmf
 from signshape.shaper import _prefix_bits, _prefix_decimals, _ranks, _split_symbols
 
 

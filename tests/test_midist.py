@@ -1,5 +1,6 @@
 """Mutual information, quadrature accuracy, and profile optimization tests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -541,6 +542,16 @@ class TestMiCurve:
     def test_requires_increasing_snr(self):
         with pytest.raises(ParameterError):
             MiCurve(snr_db=(1.0, 1.0), mi_bpcu=(0.5, 0.5))
+
+    @pytest.mark.parametrize("field, value", [
+        ("mi_bpcu", (0.3, math.nan)), ("snr_db", (2.0, 1.0)), ("profiles", None),
+    ])
+    def test_fields_cannot_be_assigned(self, field, value):
+        # an assigned (0.3, nan) went past every check, and rate_at_snr read nan
+        curve = MiCurve((1.0, 2.0), (0.1, 0.2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(curve, field, value)
+        assert curve.rate_at_snr(1.5) == pytest.approx(0.15)
 
     @pytest.mark.parametrize("snr, mi, match", [
         ((1.0, 2.0), (0.5,), "aligned"),

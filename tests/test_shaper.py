@@ -22,17 +22,19 @@ from signshape import (
     empirical_source_frequencies,
     encode_block_dm,
     encode_block_ideal,
-    induced_pmf,
     selection_tables,
     switch_energy_loss,
     switch_excess_expectation,
 )
 from signshape import shaper
+from signshape.constellation import induced_pmf
 from signshape.cli import _block_from_json, _block_to_json, main
 from signshape.enumdm import dm_code, unrank
 from signshape.shaper import (
     _CHUNK_SYMBOLS,
+    _DRAW_SYMBOLS,
     _TABLE_CAP,
+    _binomial_columns,
     _block_chunks,
     _encode_dm_rows,
     _matcher_bits,
@@ -267,15 +269,27 @@ class TestTableUnrank:
         for index, row in zip(indices, positions):
             np.testing.assert_array_equal(row, np.flatnonzero(unrank(index, code)))
 
-    @pytest.mark.parametrize("n, w, k", [(66, 33, 62), (67, 33, 63), (128, 5, 27)])
-    def test_int64_boundary(self, monkeypatch, n, w, k):
-        # C(66, 33) = 7.2e18 < 2^63 searches int64 columns, all rows at once;
-        # C(67, 33) = 1.4e19 bisects its first step row by row, as its remainder
-        # may reach 2^63, and the rest as int64; (128, 5) is the p = 0.04
-        # matcher of n = 256 at m = 5
+    @pytest.mark.parametrize("n, w, k", [
+        (8, 0, 0), (128, 5, 27), (66, 33, 62), (67, 33, 63), (128, 31, 98), (140, 56, 132),
+        (186, 43, 141),
+    ])
+    def test_random_rows_match_the_walk(self, monkeypatch, n, w, k):
+        # k = 62 and 63 on either side of int64, 98 the p = 0.24 matcher of
+        # n = 256 at m = 5, 132 and 141 (the most under the cap) above 2^128
         code = dm_code(n, w)
         assert code.k == k
-        self._check_row_steps(monkeypatch, code, 1 if k == 63 else 0)
+        draw = random.Random(k).getrandbits
+        self._check_rows(monkeypatch, code, [0, (1 << k) - 1] + [draw(k) for _ in range(300)], 0)
+
+    @pytest.mark.parametrize("n, w, k", [(66, 33, 62), (67, 33, 63), (128, 5, 27)])
+    def test_int64_boundary(self, monkeypatch, n, w, k):
+        # C(66, 33) = 7.2e18 < 2^63 searches int64 columns only; C(67, 33) =
+        # 1.4e19 takes its first step on two words, as its remainder may reach
+        # 2^63, and the rest on int64; (128, 5) is the p = 0.04 matcher of
+        # n = 256 at m = 5
+        code = dm_code(n, w)
+        assert code.k == k
+        self._check_steps(monkeypatch, code, 1 if k == 63 else 0)
 
     @pytest.mark.parametrize("n, w, steps", [
         (66, 31, 0), (67, 31, 1), (68, 31, 2), (69, 31, 4), (127, 31, 17), (128, 31, 17),
@@ -283,39 +297,73 @@ class TestTableUnrank:
         (80, 58, 37), (80, 59, 1), (80, 60, 0), (100, 80, 63),
     ])
     def test_row_steps_where_their_count_changes(self, monkeypatch, n, w, steps):
-        # a step runs row by row while its remainder may reach 2^63: below
-        # 2^k at the first and below C(n - 1, r) too after it; w > n / 2 in
-        # the last four, where C(n - 1, r) grows as r falls from w
-        self._check_row_steps(monkeypatch, dm_code(n, w), steps)
+        # a leading step, whose remainder may reach 2^63, takes two words: below
+        # 2^k at the first and below C(n - 1, r) too after it; w > n / 2 in the
+        # last four, where C(n - 1, r) grows as r falls from w
+        self._check_steps(monkeypatch, dm_code(n, w), steps)
 
-    @staticmethod
-    def _check_row_steps(monkeypatch, code, steps):
-        """Words of code equal the walk's, with steps bisections a row."""
+    def _check_steps(self, monkeypatch, code, steps):
+        """Words of code equal the walk's, none walked, with steps two-word steps."""
+        assert len(_binomial_columns(code)[1]) == steps
         draw = random.Random(code.n).getrandbits
         indices = [0, (1 << code.k) - 1] + [draw(code.k) for _ in range(30)]
-        bisections, bisect = [], shaper.bisect_right
-        monkeypatch.setattr(shaper, "bisect_right", lambda *a: bisections.append(a) or bisect(*a))
-        positions = _unrank_rows(code, _index_rows(code, indices))
-        assert len(bisections) == len(indices) * steps
-        for index, row in zip(indices, positions):
-            np.testing.assert_array_equal(row, np.flatnonzero(unrank(index, code)))
+        self._check_rows(monkeypatch, code, indices, 0)
 
-    def test_row_steps_and_walks_in_one_chunk(self, monkeypatch):
-        # at n / P = 128, p = 0.04 (w = 5) searches int64 columns for all rows,
-        # p = 0.24 and 0.45 (w = 31, 58) bisect their first 17 and 44 steps row
-        # by row, and p = 0.5 (w = 64) is over the cap and walks
-        cfg = config(m=4, probs=(0.04, 0.24, 0.5, 0.45), n=512)
-        assert [c.w for c in cfg.dm_codes] == [5, 31, 64, 58]
+    @pytest.mark.parametrize("n, w", [
+        (67, 33), (128, 31), (128, 63), (100, 80), (186, 43), (256, 31),
+    ])
+    def test_near_ties_match_the_walk(self, monkeypatch, n, w):
+        # partial sums of a word's binomials, and one either side: the float
+        # guide may pick a wrong t there, and the certificate sends the row to the walk
+        code = dm_code(n, w)
+        rnd = random.Random(n * w)
+        indices = []
+        for _ in range(100):
+            ts = sorted(rnd.sample(range(n), w), reverse=True)[: rnd.randrange(w + 1)]
+            total = sum(math.comb(t, w - j) for j, t in enumerate(ts))
+            indices += [i for i in (total - 1, total, total + 1) if 0 <= i < 1 << code.k]
+        assert 0 < len(self._check_rows(monkeypatch, code, indices, None)) < len(indices) / 2
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    @pytest.mark.parametrize("n, w", [(67, 33), (128, 31), (186, 43)])
+    def test_misguided_rows_take_the_walk(self, monkeypatch, n, w, scale):
+        # a guide off by a factor of 2 picks wrong ts on the two-word steps;
+        # every row it misleads fails the certificate and is walked
+        columns = shaper._binomial_columns
+        monkeypatch.setattr(shaper, "_binomial_columns",
+                            lambda c: (columns(c)[0], columns(c)[1] * scale, *columns(c)[2:]))
+        code = dm_code(n, w)
+        draw = random.Random(n).getrandbits
+        walks = self._check_rows(monkeypatch, code, [draw(code.k) for _ in range(40)], None)
+        assert len(walks) >= 30
+
+    @staticmethod
+    def _check_rows(monkeypatch, code, indices, walked):
+        """Words of code equal the walk's, with walked (if not None) rows sent to
+        dm_encode; returns the codes of the dm_encode calls."""
         walks, walk = [], shaper.dm_encode
         monkeypatch.setattr(shaper, "dm_encode", lambda bits, c: walks.append(c) or walk(bits, c))
-        bisections, bisect = [], shaper.bisect_right
-        monkeypatch.setattr(shaper, "bisect_right", lambda *a: bisections.append(a) or bisect(*a))
-        info = _uniform_info(np.random.default_rng(8), cfg, 6)
-        ranks, bits, overflow = _encode_dm_rows(cfg, info)
-        assert walks == [cfg.dm_codes[2]] * 6 and len(bisections) == (17 + 44) * 6
+        positions = _unrank_rows(code, _index_rows(code, indices))
+        assert walked is None or len(walks) == walked
+        assert positions.shape == (len(indices), code.w)
+        for index, row in zip(indices, positions):
+            np.testing.assert_array_equal(row, np.flatnonzero(unrank(index, code)))
+        return walks
+
+    def test_row_steps_and_walks_in_one_chunk(self, monkeypatch):
+        # at n / P = 128, p = 0.04 (w = 5) searches int64 columns only, p = 0.24
+        # and 0.45 (w = 31, 58) take their first 17 and 44 steps on two words,
+        # and p = 0.5 (w = 64) is over the cap and walks every word
+        cfg = config(m=4, probs=(0.04, 0.24, 0.5, 0.45), n=512)
+        assert [c.w for c in cfg.dm_codes] == [5, 31, 64, 58]
+        assert [len(_binomial_columns(c)[1]) for c in cfg.dm_codes if c.w != 64] == [0, 17, 44]
+        walks, walk = [], shaper.dm_encode
+        monkeypatch.setattr(shaper, "dm_encode", lambda bits, c: walks.append(c) or walk(bits, c))
+        ((ranks, bits, overflow),) = _block_chunks(cfg, 8, 6)
+        assert walks == [cfg.dm_codes[2]] * 6
         monkeypatch.undo()
         symbols = _stream_rows(cfg, ranks, bits)
-        rng = np.random.default_rng(8)
+        rng, info = np.random.default_rng(8), _uniform_info(np.random.default_rng(8), cfg, 6)
         for row, row_symbols, row_overflow in zip(info, symbols, overflow):
             block = encode_block_dm(cfg, row)
             want, want_overflow = next_block(cfg, rng)
@@ -402,13 +450,13 @@ class TestIdealEncoding:
 
     @pytest.mark.parametrize("mode", ["block-dm", "ideal-sources"])
     def test_stream_is_one_block_draws_in_turn(self, mode):
-        # n = 130 does not divide 8192: 63 blocks fill a chunk and 70 blocks
+        # n = 130 does not divide 16384: 126 blocks fill a chunk and 133 blocks
         # end on a partial one
         cfg = config(m=3, probs=(0.1, 0.4), n=130, mode=mode)
-        chunks = list(_block_chunks(cfg, np.random.SeedSequence(11), 70))
-        assert [len(ranks) for ranks, _, _ in chunks] == [63, 7]
+        chunks = list(_block_chunks(cfg, np.random.SeedSequence(11), 133))
+        assert [len(ranks) for ranks, _, _ in chunks] == [126, 7]
         rng = np.random.default_rng(11)
-        expected = [next_block(cfg, rng) for _ in range(70)]
+        expected = [next_block(cfg, rng) for _ in range(133)]
         symbols = np.concatenate([_stream_rows(cfg, ranks, bits) for ranks, bits, _ in chunks])
         overflow = np.concatenate([o for _, _, o in chunks])
         assert symbols.tobytes() == np.stack([s for s, _ in expected]).tobytes()
@@ -484,8 +532,8 @@ class TestBlockDmEncoding:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_rows_match_single_blocks(self, data):
-        # a batch of B blocks encodes each row as encode_block_dm does,
-        # overflow counts included; P > 2 throughout
+        # the stream's chunk of B blocks encodes each row as encode_block_dm
+        # does, overflow counts included; P > 2 throughout
         m = data.draw(st.integers(4, 8), label="m")
         P = 1 << data.draw(st.integers(2, m - 2), label="log2(P)")
         density = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -494,10 +542,8 @@ class TestBlockDmEncoding:
         rows = data.draw(st.integers(1, 5), label="B")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         cfg = ShaperConfig(profile=ShapingProfile(m=m, probs=probs), n=n)
-        info = np.random.default_rng(seed).integers(
-            0, 2, size=(rows, cfg.info_length), dtype=np.uint8
-        )
-        ranks, bits, overflow = _encode_dm_rows(cfg, info)
+        info = _uniform_info(np.random.default_rng(seed), cfg, rows)
+        ((ranks, bits, overflow),) = _block_chunks(cfg, seed, rows)
         assert ranks.shape == (rows, n) and overflow.shape == (rows,)
         symbols = _stream_rows(cfg, ranks, bits)
         for row, row_symbols, row_overflow in zip(info, symbols, overflow):
@@ -510,8 +556,9 @@ class TestBlockDmEncoding:
         cfg = config(m=3, probs=(0.04, 0.24), n=8)
         uneven = np.array([[0] * 6 + [1] * 2, [0] * 2 + [1] * 6])
         monkeypatch.setattr(shaper, "_serve_requests", lambda requests, supply: (uneven, [0, 0]))
+        ones = [np.zeros((2, c.w), int) for c in cfg.dm_codes]
         with pytest.raises(IntegrityError, match="reservoir 0 served other than its 4 bits"):
-            _encode_dm_rows(cfg, np.zeros((2, cfg.info_length), dtype=np.uint8))
+            _encode_dm_rows(cfg, np.zeros((2, 16), np.uint8), ones)
 
     def test_p1_single_source(self):
         cfg = ShaperConfig(profile=ShapingProfile(m=3, probs=(0.2,)), n=64, rng_seed=4)
@@ -805,11 +852,13 @@ class TestEmpiricalFrequencies:
         (3, (0.2,), 256, 37),
         (5, (0.04, 0.24), 256, 37),
         (5, (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0), 256, 37),
-        (3, (0.1, 0.4), 8200, 3),
-    ], ids=["P1", "P2", "P8", "P2-one-block-chunks"])
+        (3, (0.05, 0.2), 16400, 3),
+        (3, (0.01, 0.025), 1024, 2 * (_DRAW_SYMBOLS // 1024) + _CHUNK_SYMBOLS // 1024 + 5),
+    ], ids=["P1", "P2", "P8", "P2-one-block-chunks", "P2-two-draws"])
     def test_matches_block_loop(self, m, probs, n, blocks):
-        # 37 blocks of 256 symbols end on a partial chunk; n = 8200 puts one
-        # block in each chunk
+        # 37 blocks of 256 symbols end on a partial chunk; n = 16400 puts one
+        # block in each chunk; at n = 1024 two whole draws, a whole chunk and
+        # a partial one, each draw unranked at once and sliced into its chunks
         assert blocks % max(1, _CHUNK_SYMBOLS // n) or _CHUNK_SYMBOLS < n
         cfg = config(m=m, probs=probs, n=n)
         for seed in (0, 9301):

@@ -18,7 +18,7 @@ from signshape import (
     sigma_for_snr,
 )
 from signshape import shaper
-from signshape.shaper import _CHUNK_SYMBOLS
+from signshape.shaper import _CHUNK_SYMBOLS, _DRAW_SYMBOLS
 from signshape.simulate import _BAND, _band_mi, _decide_ranks
 
 from helpers import dense_plugin_mi, loop_simulate_run
@@ -251,6 +251,16 @@ class TestChunkedRun:
     @pytest.mark.parametrize("mode", ["block-dm", "ideal-sources"])
     @pytest.mark.parametrize("sigma", [0.0, 1.5])
     def test_blocks_longer_than_a_chunk(self, mode, sigma):
-        # n > 8192: every chunk is a single block
-        cfg = sim(m=3, probs=(0.1, 0.4), n=8200, blocks=3, sigma=sigma, mode=mode, seed=9)
+        # n > 16384: every chunk is a single block
+        cfg = sim(m=3, probs=(0.05, 0.2), n=16400, blocks=3, sigma=sigma, mode=mode, seed=9)
+        assert run(cfg) == loop_simulate_run(cfg)
+
+    def test_run_over_draws(self):
+        # two whole draws, then a whole chunk and a partial one; both matchers
+        # (length 512, w = 5 and 13) search a table, the second on two words
+        n = 1024
+        rows, draw = _CHUNK_SYMBOLS // n, _DRAW_SYMBOLS // n
+        assert draw % rows == 0
+        cfg = sim(m=3, probs=(0.01, 0.025), n=n, blocks=2 * draw + rows + 5, sigma=1.5, seed=5)
+        assert [c.w for c in cfg.shaper.dm_codes] == [5, 13]
         assert run(cfg) == loop_simulate_run(cfg)

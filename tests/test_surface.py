@@ -50,7 +50,6 @@ PUBLIC = [
     "encode_block_dm",
     "encode_block_ideal",
     "induced_distribution",
-    "induced_pmf",
     "loss_budget",
     "mi_curve_for_profile",
     "mi_curve_optimized",
